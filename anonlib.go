@@ -63,7 +63,6 @@ import (
 	"microdata/internal/experiment"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
-	"microdata/internal/kernels"
 	"microdata/internal/lattice"
 	"microdata/internal/measure"
 	"microdata/internal/paperdata"
@@ -98,12 +97,9 @@ type (
 	AttrKind = dataset.AttrKind
 	// Column is one dictionary-encoded column vector (codes + dictionary).
 	Column = dataset.Column
-	// Float64Column is the typed, non-dictionary numeric column: the fast
-	// path for high-cardinality numeric attributes, with worker-sharded
-	// min/max/sum reductions and the fractional-rank kernel.
+	// Float64Column is the typed, non-dictionary numeric column: the flat
+	// path for high-cardinality numeric attributes.
 	Float64Column = dataset.Float64Column
-	// Int64Column is the exact-integer typed-column sibling.
-	Int64Column = dataset.Int64Column
 	// Columnar is a column-oriented table under construction or backing a Table.
 	Columnar = dataset.Columnar
 	// CSVIngester parses CSV fed in arbitrary chunks straight into columns.
@@ -139,15 +135,6 @@ var (
 	IngestCSV       = dataset.IngestCSV
 	IngestCSVTable  = dataset.IngestCSVTable
 	Float64ColumnOf = dataset.Float64ColumnOf
-	Int64ColumnOf   = dataset.Int64ColumnOf
-)
-
-// Parallel-kernel sizing: the module-wide worker-count knob every parallel
-// path reads unless explicitly sized (engine WithWorkers / Config.Workers,
-// attack SetWorkers). The CLIs thread their shared -workers flag here.
-var (
-	SetDefaultWorkers = kernels.SetDefaultWorkers
-	DefaultWorkers    = kernels.DefaultWorkers
 )
 
 // Hierarchies.
@@ -208,8 +195,6 @@ type (
 var (
 	PartitionTable           = eqclass.FromTable
 	PartitionCodes           = eqclass.FromCodes
-	PartitionCodesSequential = eqclass.FromCodesSequential
-	PartitionCodesParallel   = eqclass.FromCodesParallel
 	KAnonymity               = privacy.KAnonymity
 	IsKAnonymous             = privacy.IsKAnonymous
 	ClassSizeVector          = privacy.ClassSizeVector
@@ -380,7 +365,6 @@ type (
 var (
 	NewEngine           = engine.New
 	WithEngineCacheSize = engine.WithCacheSize
-	WithEngineWorkers   = engine.WithWorkers
 	AnonymizeContext    = algorithm.AnonymizeContext
 )
 

@@ -426,9 +426,9 @@ func attackBenchRelease(b *testing.B, n int) (tab *Table, anon *Table) {
 }
 
 // BenchmarkProsecutorVector compares the naive row-scanning prosecutor
-// pipeline against the region-indexed one, serial and parallel. The
-// indexed variants rebuild the adversary every iteration so index
-// construction and memoization are charged to the measurement.
+// pipeline against the region-indexed one. The indexed variant rebuilds
+// the adversary every iteration so index construction and memoization are
+// charged to the measurement.
 func BenchmarkProsecutorVector(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		tab, anon := attackBenchRelease(b, n)
@@ -443,23 +443,17 @@ func BenchmarkProsecutorVector(b *testing.B) {
 				}
 			}
 		})
-		for _, v := range []struct {
-			name    string
-			workers int
-		}{{"indexed-serial", 1}, {"indexed-parallel", 0}} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					adv, err := attack.NewAdversary(anon, generator.Taxonomies())
-					if err != nil {
-						b.Fatal(err)
-					}
-					adv.SetWorkers(v.workers)
-					if _, err := attack.ProsecutorVector(tab, adv); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("N=%d/indexed", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				adv, err := attack.NewAdversary(anon, generator.Taxonomies())
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := attack.ProsecutorVector(tab, adv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -487,23 +481,17 @@ func BenchmarkJournalistVector(b *testing.B) {
 				}
 			}
 		})
-		for _, v := range []struct {
-			name    string
-			workers int
-		}{{"indexed-serial", 1}, {"indexed-parallel", 0}} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					adv, err := attack.NewAdversary(anon, generator.Taxonomies())
-					if err != nil {
-						b.Fatal(err)
-					}
-					adv.SetWorkers(v.workers)
-					if _, err := attack.JournalistVector(tab, population, adv); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("N=%d/indexed", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				adv, err := attack.NewAdversary(anon, generator.Taxonomies())
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := attack.JournalistVector(tab, population, adv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

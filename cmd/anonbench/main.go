@@ -8,7 +8,6 @@
 //	anonbench -run E4
 //	anonbench -run all -n 5000 -ks 2,5,10,25,50 -seed 7
 //	anonbench -enginestats -n 10000 -ks 5
-//	anonbench -bench-attack -n 10000 -ks 5 -bench-attack-out bench/attack.json
 //	anonbench -bench-suite=all -n 10000 -ks 5 -bench-out bench/full.json
 //
 // Exit codes follow the stable contract shared with benchdiff and compare
@@ -53,12 +52,8 @@ func main() {
 		ks      = flag.String("ks", "2,5,10,25,50", "comma-separated k sweep for E14/E15")
 		seed    = flag.Int64("seed", 1, "seed for the census draw and stochastic algorithms")
 		engStat = flag.Bool("enginestats", false, "run every algorithm once on the census draw (first k of -ks) and print the evaluation-engine counters")
-		workers = flag.Int("workers", 0, "worker goroutines for the parallel kernels (engine node evaluation, attack shards, morsel-driven group-by, typed-column reductions); 0 = GOMAXPROCS")
 
-		benchAtk    = flag.Bool("bench-attack", false, "time the record-linkage attack pipeline (naive vs indexed, serial vs parallel) on the census draw and write a JSON report")
-		benchAtkOut = flag.String("bench-attack-out", "BENCH_attack.json", "output path for the -bench-attack JSON report (\"-\" for stdout, \"\" to skip)")
-
-		benchSuiteSel  = flag.String("bench-suite", "", "run the named canonical benchmark suites (\"all\" or a comma list of attack,engine,groupby,groupby-parallel,ingest,typedcol) and write a sealed perf pack")
+		benchSuiteSel  = flag.String("bench-suite", "", "run the named canonical benchmark suites (\"all\" or a comma list of attack,engine,groupby,ingest,typedcol) and write a sealed perf pack")
 		benchSuiteOut  = flag.String("bench-out", "-", "output path for the -bench-suite perf pack (\"-\" for stdout)")
 		benchSuiteReps = flag.Int("bench-reps", 5, "timed repetitions per benchmark for -bench-suite")
 
@@ -75,12 +70,15 @@ func main() {
 		reportOut  = flag.String("report", "", "write the unified JSON run report to this file (\"-\" for stdout)")
 		resultOut  = flag.String("result-out", "", "with -run: additionally capture the run's results (per-algorithm measures, attack risks, report digests) into a sealed result pack at this path (\"-\" for stdout; verify with `compare -verify`)")
 	)
-	flag.Parse()
-	microdata.SetDefaultWorkers(*workers)
+	flag.CommandLine.Init("anonbench", flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(perf.ExitInvalid)
+	}
 
 	if err := realMain(options{
 		list: *list, run: *run, n: *n, ks: *ks, seed: *seed, engStat: *engStat,
-		benchAttack: *benchAtk, benchAttackOut: *benchAtkOut,
 		benchSuite: *benchSuiteSel, benchSuiteOut: *benchSuiteOut, benchSuiteReps: *benchSuiteReps,
 		verbose: *verbose, logFormat: *logFormat,
 		traceOut: *traceOut, metricsOut: *metricsOut,
@@ -100,8 +98,6 @@ type options struct {
 	ks                     string
 	seed                   int64
 	engStat                bool
-	benchAttack            bool
-	benchAttackOut         string
 	benchSuite             string
 	benchSuiteOut          string
 	benchSuiteReps         int
@@ -149,7 +145,7 @@ func realMain(o options) error {
 		return perf.Exit(perf.ExitInvalid, err)
 	}
 	opts := microdata.ExperimentOptions{CensusN: o.n, Ks: kVals, Seed: o.seed}
-	if o.resultOut != "" && (o.list || o.engStat || o.benchAttack || o.benchSuite != "") {
+	if o.resultOut != "" && (o.list || o.engStat || o.benchSuite != "") {
 		return perf.Invalidf("-result-out only applies to experiment runs (-run)")
 	}
 
@@ -236,8 +232,6 @@ func realMain(o options) error {
 		switch {
 		case o.benchSuite != "":
 			runErr = benchSuite(ctx, os.Stderr, o.benchSuite, o.benchSuiteOut, o.n, kVals[0], o.seed, o.benchSuiteReps)
-		case o.benchAttack:
-			runErr = benchAttack(ctx, os.Stdout, o.benchAttackOut, o.n, kVals[0], o.seed)
 		case o.engStat:
 			runErr = engineStats(ctx, os.Stdout, o.n, kVals[0], o.seed, col)
 		case o.list:
@@ -313,8 +307,6 @@ func mode(o options) string {
 	switch {
 	case o.benchSuite != "":
 		return "bench-suite:" + o.benchSuite
-	case o.benchAttack:
-		return "bench-attack"
 	case o.engStat:
 		return "enginestats"
 	case o.list:

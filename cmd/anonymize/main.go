@@ -9,6 +9,10 @@
 //
 // The input CSV must use the synthetic census schema (Age, ZipCode,
 // Education, MaritalStatus, Disease); generate a template with -gen.
+//
+// Exit codes follow the stable contract shared with anonbench and compare
+// (see README "Exit codes"): 0 ok, 1 failure, 6 invalid input (bad flags,
+// an unreadable or malformed input CSV, an unknown algorithm).
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"os"
 
 	"microdata"
+	"microdata/internal/telemetry/perf"
 )
 
 func main() {
@@ -32,32 +37,41 @@ func main() {
 		sup   = flag.Float64("sup", 0.05, "maximum suppression fraction")
 		seed  = flag.Int64("seed", 1, "seed for -gen and stochastic algorithms")
 
-		workers = flag.Int("workers", 0, "worker goroutines for the parallel kernels (engine node evaluation, attack shards, morsel-driven group-by); 0 = GOMAXPROCS")
-
 		verbose   = flag.Bool("v", false, "enable debug-level structured logging on stderr")
 		logFormat = flag.String("log-format", "", "structured log format: text or json (implies logging even without -v)")
 		progress  = flag.Bool("progress", false, "render live progress (done/total, rate, ETA) on stderr")
 	)
-	flag.Parse()
-	microdata.SetDefaultWorkers(*workers)
-	if *verbose || *logFormat != "" {
-		h, err := microdata.NewLogHandler(os.Stderr, *logFormat, *verbose)
+	flag.CommandLine.Init("anonymize", flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(perf.ExitInvalid)
+	}
+	if err := observe(*verbose, *logFormat, *progress, func() error {
+		return run(*in, *gen, *out, *alg, *k, *sup, *seed, *stats)
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "anonymize:", err)
+		os.Exit(perf.ExitCode(err))
+	}
+}
+
+// observe runs body under the requested structured logging and progress
+// rendering.
+func observe(verbose bool, logFormat string, progress bool, body func() error) error {
+	if verbose || logFormat != "" {
+		h, err := microdata.NewLogHandler(os.Stderr, logFormat, verbose)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonymize:", err)
-			os.Exit(2)
+			return perf.Exit(perf.ExitInvalid, err)
 		}
 		microdata.SetLogHandler(h)
 	}
-	if *progress {
+	if progress {
 		root := microdata.EnableProgress("anonymize")
 		defer microdata.DisableProgress()
 		r := microdata.NewProgressRenderer(os.Stderr, root, 0)
 		defer r.Stop()
 	}
-	if err := run(*in, *gen, *out, *alg, *k, *sup, *seed, *stats); err != nil {
-		fmt.Fprintln(os.Stderr, "anonymize:", err)
-		os.Exit(1)
-	}
+	return body()
 }
 
 func run(in string, gen int, out, algName string, k int, sup float64, seed int64, stats bool) error {
@@ -65,7 +79,7 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 	var err error
 	switch {
 	case gen > 0 && in != "":
-		return fmt.Errorf("-gen and -in are mutually exclusive")
+		return perf.Invalidf("-gen and -in are mutually exclusive")
 	case gen > 0:
 		tab, err = microdata.Generate(microdata.GeneratorConfig{N: gen, Seed: seed})
 		if err != nil {
@@ -74,20 +88,20 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 	case in != "":
 		f, err := os.Open(in)
 		if err != nil {
-			return err
+			return perf.Exit(perf.ExitInvalid, err)
 		}
 		defer f.Close()
 		tab, err = microdata.IngestCSVTable(f, microdata.CensusSchema())
 		if err != nil {
-			return err
+			return perf.Exit(perf.ExitInvalid, fmt.Errorf("%s: %w", in, err))
 		}
 	default:
-		return fmt.Errorf("need -in FILE or -gen N")
+		return perf.Invalidf("need -in FILE or -gen N")
 	}
 
 	a, err := microdata.NewAlgorithm(algName)
 	if err != nil {
-		return err
+		return perf.Exit(perf.ExitInvalid, err)
 	}
 	res, err := microdata.AnonymizeContext(context.Background(), a, tab, microdata.AlgorithmConfig{
 		K:              k,

@@ -1,13 +1,74 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"microdata"
+	"microdata/internal/telemetry/perf"
 )
+
+// TestMain lets the test binary stand in for the anonymize command: with
+// ANONYMIZE_MAIN=1 it runs main on its arguments, so the tests can check
+// the exit codes the command reports.
+func TestMain(m *testing.M) {
+	if os.Getenv("ANONYMIZE_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// exitCode runs the command with args and returns its exit status.
+func exitCode(t *testing.T, args ...string) int {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ANONYMIZE_MAIN=1")
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0
+}
+
+// TestExitCodes pins the command to the shared exit-code contract: input
+// the user got wrong (a ragged CSV, bad flags, an unknown algorithm) exits
+// 6, never 2, which means a tampered artifact.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	ragged := filepath.Join(dir, "ragged.csv")
+	csv := "Age,ZipCode,Education,MaritalStatus,Disease\n34,13053,Bachelors,Married,Flu\n41,13068\n"
+	if err := os.WriteFile(ragged, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "anon.csv")
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"ragged csv", []string{"-in", ragged, "-out", out}, perf.ExitInvalid},
+		{"missing file", []string{"-in", filepath.Join(dir, "none.csv"), "-out", out}, perf.ExitInvalid},
+		{"unknown algorithm", []string{"-gen", "50", "-alg", "nope", "-out", out}, perf.ExitInvalid},
+		{"gen with in", []string{"-gen", "50", "-in", ragged, "-out", out}, perf.ExitInvalid},
+		{"bad log format", []string{"-gen", "50", "-log-format", "xml", "-out", out}, perf.ExitInvalid},
+		{"removed workers flag", []string{"-gen", "50", "-workers", "2", "-out", out}, perf.ExitInvalid},
+		{"ok", []string{"-gen", "50", "-k", "3", "-out", out}, perf.ExitOK},
+	}
+	for _, c := range cases {
+		if got := exitCode(t, c.args...); got != c.want {
+			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
+		}
+	}
+}
 
 func TestRunGenerateToFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "anon.csv")

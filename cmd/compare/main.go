@@ -45,14 +45,16 @@ func main() {
 		verifyPack = flag.String("verify", "", "replay a sealed result pack and diff it against the fresh results (exit 2 tamper, 5 divergence)")
 		ulps       = flag.Uint64("ulps", 0, "ULP tolerance for float fields when diffing a -verify replay (0 = default 4)")
 
-		workers = flag.Int("workers", 0, "worker goroutines for the parallel kernels (group-by, attack shards); 0 = GOMAXPROCS")
-
 		verbose   = flag.Bool("v", false, "enable debug-level structured logging on stderr")
 		logFormat = flag.String("log-format", "", "structured log format: text or json (implies logging even without -v)")
 		progress  = flag.Bool("progress", false, "render live progress (done/total, rate, ETA) on stderr")
 	)
-	flag.Parse()
-	microdata.SetDefaultWorkers(*workers)
+	flag.CommandLine.Init("compare", flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(perf.ExitInvalid)
+	}
 	if *verbose || *logFormat != "" {
 		h, err := microdata.NewLogHandler(os.Stderr, *logFormat, *verbose)
 		if err != nil {

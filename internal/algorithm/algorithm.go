@@ -84,12 +84,6 @@ type Config struct {
 	// (Machanavajjhala et al.). Requires a sensitive attribute.
 	RecursiveC float64
 	RecursiveL int
-	// Workers, when > 0, caps the worker goroutines of the parallel
-	// kernels a run fans out over (engine EvaluateAll and the morsel-driven
-	// group-by beneath it). 0 defers to the module-wide default
-	// (kernels.DefaultWorkers: GOMAXPROCS unless the shared -workers
-	// setting overrides it).
-	Workers int
 }
 
 // hasDiversityConstraints reports whether any secondary privacy property
@@ -295,7 +289,7 @@ func ViolatingClasses(p *eqclass.Partition, t *dataset.Table, cfg Config) ([]boo
 	}
 	if cfg.MinEntropyL > 0 {
 		for ci := range counts {
-			if classEntropyL(counts[ci]) < cfg.MinEntropyL-1e-12 {
+			if privacy.ClassEntropyL(counts[ci]) < cfg.MinEntropyL-1e-12 {
 				bad[ci] = true
 			}
 		}
@@ -326,24 +320,6 @@ func classRecursiveCL(counts map[string]int, c float64, l int) bool {
 		tail += f
 	}
 	return float64(freqs[0]) < c*float64(tail)
-}
-
-// classEntropyL is exp of the Shannon entropy of one class's sensitive
-// value counts — the ℓ of entropy ℓ-diversity for that class.
-func classEntropyL(counts map[string]int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		q := float64(c) / float64(total)
-		h -= q * math.Log(q)
-	}
-	return math.Exp(h)
 }
 
 // ApplyNode generalizes the table to the lattice node and reports which

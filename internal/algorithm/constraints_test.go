@@ -262,13 +262,13 @@ func TestClassRecursiveCL(t *testing.T) {
 }
 
 func TestClassEntropyL(t *testing.T) {
-	if got := classEntropyL(map[string]int{"a": 2, "b": 2}); math.Abs(got-2) > 1e-9 {
+	if got := privacy.ClassEntropyL(map[string]int{"a": 2, "b": 2}); math.Abs(got-2) > 1e-9 {
 		t.Errorf("uniform entropy ℓ = %v, want 2", got)
 	}
-	if got := classEntropyL(map[string]int{"a": 5}); math.Abs(got-1) > 1e-9 {
+	if got := privacy.ClassEntropyL(map[string]int{"a": 5}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("degenerate entropy ℓ = %v, want 1", got)
 	}
-	if got := classEntropyL(nil); got != 0 {
+	if got := privacy.ClassEntropyL(nil); got != 0 {
 		t.Errorf("empty entropy ℓ = %v, want 0", got)
 	}
 }

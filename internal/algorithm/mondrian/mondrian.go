@@ -19,7 +19,6 @@ package mondrian
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"microdata/internal/algorithm"
@@ -126,12 +125,7 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 			for _, r := range rows {
 				counts[sensitive[r].Key()]++
 			}
-			h, n := 0.0, float64(len(rows))
-			for _, c := range counts {
-				q := float64(c) / n
-				h -= q * math.Log(q)
-			}
-			if math.Exp(h) < cfg.MinEntropyL-1e-12 {
+			if privacy.ClassEntropyL(counts) < cfg.MinEntropyL-1e-12 {
 				return false
 			}
 		}

@@ -37,6 +37,7 @@ package attack
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -47,22 +48,17 @@ import (
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
 	"microdata/internal/hierarchy"
-	"microdata/internal/kernels"
 	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/progress"
 )
 
 // Adversary matches ground quasi-identifier values against an anonymized
 // table. The zero value is not usable; construct with NewAdversary. An
-// Adversary is safe for concurrent use once configured (SetWorkers, if
-// called at all, must happen before the first attack).
+// Adversary is safe for concurrent use.
 type Adversary struct {
 	anon *dataset.Table
 	qi   []int
 	taxs map[string]*hierarchy.Taxonomy
-
-	// workers caps the parallel fan-out; 0 means runtime.GOMAXPROCS(0).
-	workers int
 
 	indexOnce sync.Once
 	index     *regionIndex
@@ -91,19 +87,6 @@ func NewAdversary(anon *dataset.Table, taxonomies map[string]*hierarchy.Taxonomy
 		return nil, fmt.Errorf("attack: no quasi-identifiers to link on")
 	}
 	return &Adversary{anon: anon, qi: qi, taxs: taxonomies}, nil
-}
-
-// SetWorkers caps the number of goroutines the risk vectors fan out over;
-// n <= 0 restores the default (the module-wide kernels.DefaultWorkers,
-// itself GOMAXPROCS unless the shared -workers setting overrides it). Call
-// before the first attack — the setting is not synchronized.
-func (a *Adversary) SetWorkers(n int) { a.workers = n }
-
-func (a *Adversary) workerCount() int {
-	if a.workers > 0 {
-		return a.workers
-	}
-	return kernels.DefaultWorkers()
 }
 
 // covers reports whether the generalized cell g is consistent with the
@@ -279,11 +262,11 @@ func victimGroupsCounted(t *dataset.Table, qi []int) (victims [][]dataset.Value,
 	return victims, counts, nil
 }
 
-// forEachParallel runs f over 0..n-1 sharded across the adversary's
-// workers. Cancellation of ctx aborts promptly; the returned error then
+// forEachParallel runs f over 0..n-1 across runtime.GOMAXPROCS(0) worker
+// goroutines. Cancellation of ctx aborts promptly; the returned error then
 // wraps ctx.Err() so errors.Is(err, context.Canceled) holds.
-func (a *Adversary) forEachParallel(ctx context.Context, n int, f func(i int) error) error {
-	workers := a.workerCount()
+func forEachParallel(ctx context.Context, n int, f func(i int) error) error {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -361,7 +344,7 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 	ctx, tr := progress.Start(ctx, "attack.prosecutor", len(victims))
 	defer tr.Finish()
 	matches := make([]*regionMatch, len(victims))
-	err = adv.forEachParallel(ctx, len(victims), func(g int) error {
+	err = forEachParallel(ctx, len(victims), func(g int) error {
 		m, merr := adv.matchRegions(ctx, victims[g])
 		if merr != nil {
 			return merr
@@ -482,7 +465,7 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	ctx, tr := progress.Start(ctx, "attack.journalist", len(victims))
 	defer tr.Finish()
 	matches := make([]*regionMatch, len(victims))
-	if err := adv.forEachParallel(ctx, len(victims), func(g int) error {
+	if err := forEachParallel(ctx, len(victims), func(g int) error {
 		m, merr := adv.matchRegions(ctx, victims[g])
 		if merr != nil {
 			return merr
@@ -500,7 +483,7 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	}
 	tr.AddTotal(len(popVictims))
 	popRegs := make([]*regionMatch, len(popVictims))
-	if err := adv.forEachParallel(ctx, len(popVictims), func(g int) error {
+	if err := forEachParallel(ctx, len(popVictims), func(g int) error {
 		m, merr := adv.matchRegions(ctx, popVictims[g])
 		if merr != nil {
 			return merr
@@ -531,7 +514,7 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 		telemetry.Int("region_sets", len(sets)))
 	tr.AddTotal(len(sets))
 	cand := make([]int, len(sets))
-	if err := adv.forEachParallel(ctx, len(sets), func(si int) error {
+	if err := forEachParallel(ctx, len(sets), func(si int) error {
 		c := 0
 		for pg, pm := range popRegs {
 			if sets[si].intersects(pm.regs) {

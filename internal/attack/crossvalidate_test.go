@@ -3,8 +3,10 @@ package attack
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -161,6 +163,61 @@ func TestIndexedMatchesNaiveOnCensusSuite(t *testing.T) {
 		if s.Regions == 0 || s.RegionsProbed == 0 || s.CacheMisses == 0 {
 			t.Fatalf("%s: stats not populated: %+v", alg.Name(), s)
 		}
+	}
+}
+
+// TestVectorsSameAtAnyGOMAXPROCS pins the victim-level fan-out: the
+// prosecutor and journalist vectors computed on one worker and on four
+// both equal the naive reference.
+func TestVectorsSameAtAnyGOMAXPROCS(t *testing.T) {
+	sample, err := generator.Generate(generator.Config{N: 300, Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	population := sample.Clone()
+	extra, err := generator.Generate(generator.Config{N: 300, Seed: 74})
+	if err != nil {
+		t.Fatal(err)
+	}
+	population.Rows = append(population.Rows, extra.Rows...)
+	cfg := algorithm.Config{
+		K: 5, Hierarchies: generator.Hierarchies(),
+		MaxSuppression: 0.05, Taxonomies: generator.Taxonomies(),
+	}
+	r, err := mondrian.New().Anonymize(sample, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naiveAdv, err := NewAdversary(r.Table, generator.Taxonomies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	naivePros, err := NaiveProsecutorVector(sample, naiveAdv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naiveJour, err := NaiveJournalistVector(sample, population, naiveAdv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			adv, err := NewAdversary(r.Table, generator.Taxonomies())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pros, err := ProsecutorVector(sample, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalVectors(t, fmt.Sprintf("GOMAXPROCS=%d prosecutor", procs), pros, naivePros)
+			jour, err := JournalistVector(sample, population, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalVectors(t, fmt.Sprintf("GOMAXPROCS=%d journalist", procs), jour, naiveJour)
+		}()
 	}
 }
 

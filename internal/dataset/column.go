@@ -21,7 +21,7 @@ import (
 // Concurrency contract: a Column has a SINGLE writer while it is being
 // built (Append/Grow, one goroutine) and becomes safe for any number of
 // concurrent readers once building stops. The lazily materialized views
-// (Values, Float64View, Int64View) are internally synchronized and may be
+// (Values, Float64View) are internally synchronized and may be
 // requested concurrently by readers, but never while a writer is still
 // appending.
 type Column struct {
@@ -35,7 +35,6 @@ type Column struct {
 	mu     sync.Mutex
 	values []Value        // lazily materialized row-aligned view; treat as read-only
 	f64    *Float64Column // lazily materialized typed view, iff IsNumeric
-	i64    *Int64Column   // lazily materialized typed view, iff integral
 }
 
 // NewColumn returns an empty dictionary-encoded column.
@@ -146,32 +145,6 @@ func (c *Column) Float64View() (*Float64Column, bool) {
 		c.f64 = Float64ColumnOf(vals)
 	}
 	return c.f64, true
-}
-
-// Int64View returns the column as a typed Int64Column, cached like
-// Float64View; ok is false unless every value is an integral float64
-// exactly representable as int64.
-func (c *Column) Int64View() (*Int64Column, bool) {
-	if !c.IsNumeric() {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.i64 != nil && c.i64.Len() == len(c.codes) {
-		return c.i64, true
-	}
-	const maxExact = 1 << 53
-	for _, f := range c.nums {
-		if f != float64(int64(f)) || f >= maxExact || f <= -maxExact {
-			return nil, false
-		}
-	}
-	vals := make([]int64, len(c.codes))
-	for i, code := range c.codes {
-		vals[i] = int64(c.nums[code])
-	}
-	c.i64 = Int64ColumnOf(vals)
-	return c.i64, true
 }
 
 // Values returns a row-aligned []Value view of the column, materialized at

@@ -1,35 +1,20 @@
-// Typed numeric columns: the non-dictionary fast path for high-cardinality
+// Typed numeric columns: the non-dictionary path for high-cardinality
 // numeric attributes. A dictionary-encoded Column pays one map probe and
 // one dictionary slot per DISTINCT value — ideal for categorical and
 // generalized data, wasteful for a measurement column where most values
-// are unique. Float64Column and Int64Column store the column as a flat
-// typed vector instead, and their reduction kernels (min/max/sum) shard
-// the scan across workers over fixed-size row morsels, so whole-attribute
-// statistics (utility loss domains, summary digests, the rank vectors the
-// permutation-paradigm measures need) stay tractable at the 10M-row scale.
+// are unique. Float64Column stores the column as a flat float64 vector
+// instead, so whole-attribute statistics (the utility-loss domains of
+// Table.NumericRange) scan flat floats.
 //
-// Concurrency contract (same as Column): a typed column has a SINGLE
-// writer while it is being built (Append/Grow) and becomes safe for any
-// number of concurrent readers once building stops. None of the kernels
-// mutate the column; they may run concurrently with each other but not
-// with Append.
+// A typed column is immutable once built and safe for any number of
+// concurrent readers.
 package dataset
 
-import (
-	"math"
-	"sort"
-
-	"microdata/internal/kernels"
-)
+import "math"
 
 // Float64Column is a flat float64 column vector.
 type Float64Column struct {
 	vals []float64
-}
-
-// NewFloat64Column returns an empty typed column with capacity for n rows.
-func NewFloat64Column(n int) *Float64Column {
-	return &Float64Column{vals: make([]float64, 0, n)}
 }
 
 // Float64ColumnOf wraps an existing vector (taking ownership) as a typed
@@ -39,25 +24,6 @@ func Float64ColumnOf(vals []float64) *Float64Column { return &Float64Column{vals
 // Len returns the number of rows.
 func (c *Float64Column) Len() int { return len(c.vals) }
 
-// Append adds one value. Single-writer: never call concurrently with any
-// other method.
-func (c *Float64Column) Append(v float64) { c.vals = append(c.vals, v) }
-
-// Grow reserves capacity for n more rows.
-func (c *Float64Column) Grow(n int) {
-	if n <= cap(c.vals)-len(c.vals) {
-		return
-	}
-	need := len(c.vals) + n
-	newcap := cap(c.vals) + cap(c.vals)/2
-	if newcap < need {
-		newcap = need
-	}
-	vals := make([]float64, len(c.vals), newcap)
-	copy(vals, c.vals)
-	c.vals = vals
-}
-
 // Values returns the backing vector. The slice is shared; treat it as
 // read-only.
 func (c *Float64Column) Values() []float64 { return c.vals }
@@ -65,45 +31,20 @@ func (c *Float64Column) Values() []float64 { return c.vals }
 // At returns row i's value.
 func (c *Float64Column) At(i int) float64 { return c.vals[i] }
 
-// MinMax returns the column's minimum and maximum, sharding the scan
-// across workers for large columns; ok is false for an empty column. NaN
-// elements are ignored (a column of only NaNs reports ok=false).
+// MinMax returns the column's minimum and maximum; ok is false for an
+// empty column. NaN elements are ignored (a column of only NaNs reports
+// ok=false).
 func (c *Float64Column) MinMax() (lo, hi float64, ok bool) {
-	n := len(c.vals)
-	if n == 0 {
-		return 0, 0, false
-	}
-	nShards := kernels.Shards(n, 0)
-	los := make([]float64, nShards)
-	his := make([]float64, nShards)
-	oks := make([]bool, nShards)
-	kernels.ParallelFor(nShards, func(s int) {
-		l, h := kernels.ShardRange(n, nShards, s)
-		slo, shi := math.Inf(1), math.Inf(-1)
-		for _, v := range c.vals[l:h] {
-			if v < slo {
-				slo = v
-			}
-			if v > shi {
-				shi = v
-			}
-		}
-		los[s], his[s], oks[s] = slo, shi, shi >= slo
-	})
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for s := 0; s < nShards; s++ {
-		if !oks[s] {
-			continue
+	for _, v := range c.vals {
+		if v < lo {
+			lo = v
 		}
-		ok = true
-		if los[s] < lo {
-			lo = los[s]
-		}
-		if his[s] > hi {
-			hi = his[s]
+		if v > hi {
+			hi = v
 		}
 	}
-	if !ok {
+	if hi < lo {
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -119,181 +60,4 @@ func (c *Float64Column) Min() (float64, bool) {
 func (c *Float64Column) Max() (float64, bool) {
 	_, hi, ok := c.MinMax()
 	return hi, ok
-}
-
-// Sum returns the column total. Partial sums are computed per fixed-size
-// morsel and folded in morsel order, so the float64 result is identical
-// for every worker count — parallelism never changes the answer.
-func (c *Float64Column) Sum() float64 {
-	n := len(c.vals)
-	if n == 0 {
-		return 0
-	}
-	morsels := (n + kernels.MorselRows - 1) / kernels.MorselRows
-	if morsels == 1 {
-		return sumFloats(c.vals)
-	}
-	partials := make([]float64, morsels)
-	nShards := kernels.Shards(n, 0)
-	kernels.ParallelFor(nShards, func(s int) {
-		lo, hi := kernels.ShardRange(n, nShards, s)
-		for m := lo / kernels.MorselRows; m*kernels.MorselRows < hi; m++ {
-			end := (m + 1) * kernels.MorselRows
-			if end > hi {
-				end = hi
-			}
-			partials[m] = sumFloats(c.vals[m*kernels.MorselRows : end])
-		}
-	})
-	sum := 0.0
-	for _, p := range partials {
-		sum += p
-	}
-	return sum
-}
-
-func sumFloats(vals []float64) float64 {
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
-// Mean returns the arithmetic mean (ok=false when empty).
-func (c *Float64Column) Mean() (float64, bool) {
-	if len(c.vals) == 0 {
-		return 0, false
-	}
-	return c.Sum() / float64(len(c.vals)), true
-}
-
-// Ranks returns the 1-based fractional ranks of the column: element i is
-// the average position value i would occupy in the sorted column, with
-// ties sharing the mean of their positions (the standard fractional
-// ranking the permutation-paradigm disclosure measures are defined over).
-// For (10, 20, 20, 30) the ranks are (1, 2.5, 2.5, 4).
-func (c *Float64Column) Ranks() []float64 {
-	n := len(c.vals)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return c.vals[order[a]] < c.vals[order[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && c.vals[order[j]] == c.vals[order[i]] {
-			j++
-		}
-		// positions i..j-1 (0-based) share the average 1-based rank.
-		r := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			ranks[order[k]] = r
-		}
-		i = j
-	}
-	return ranks
-}
-
-// Int64Column is a flat int64 column vector: the exact-integer sibling of
-// Float64Column for count-like attributes, whose Sum never loses
-// precision to float rounding.
-type Int64Column struct {
-	vals []int64
-}
-
-// NewInt64Column returns an empty typed column with capacity for n rows.
-func NewInt64Column(n int) *Int64Column {
-	return &Int64Column{vals: make([]int64, 0, n)}
-}
-
-// Int64ColumnOf wraps an existing vector (taking ownership).
-func Int64ColumnOf(vals []int64) *Int64Column { return &Int64Column{vals: vals} }
-
-// Len returns the number of rows.
-func (c *Int64Column) Len() int { return len(c.vals) }
-
-// Append adds one value. Single-writer: never call concurrently with any
-// other method.
-func (c *Int64Column) Append(v int64) { c.vals = append(c.vals, v) }
-
-// Values returns the backing vector. The slice is shared; treat it as
-// read-only.
-func (c *Int64Column) Values() []int64 { return c.vals }
-
-// At returns row i's value.
-func (c *Int64Column) At(i int) int64 { return c.vals[i] }
-
-// MinMax returns the column's minimum and maximum, sharded across workers;
-// ok is false for an empty column.
-func (c *Int64Column) MinMax() (lo, hi int64, ok bool) {
-	n := len(c.vals)
-	if n == 0 {
-		return 0, 0, false
-	}
-	nShards := kernels.Shards(n, 0)
-	los := make([]int64, nShards)
-	his := make([]int64, nShards)
-	kernels.ParallelFor(nShards, func(s int) {
-		l, h := kernels.ShardRange(n, nShards, s)
-		slo, shi := c.vals[l], c.vals[l]
-		for _, v := range c.vals[l+1 : h] {
-			if v < slo {
-				slo = v
-			}
-			if v > shi {
-				shi = v
-			}
-		}
-		los[s], his[s] = slo, shi
-	})
-	lo, hi = los[0], his[0]
-	for s := 1; s < nShards; s++ {
-		if los[s] < lo {
-			lo = los[s]
-		}
-		if his[s] > hi {
-			hi = his[s]
-		}
-	}
-	return lo, hi, true
-}
-
-// Sum returns the exact integer total (wrapping on int64 overflow, like
-// any Go integer sum). Order-independent, so sharding is free.
-func (c *Int64Column) Sum() int64 {
-	n := len(c.vals)
-	nShards := kernels.Shards(n, 0)
-	if nShards <= 1 {
-		var sum int64
-		for _, v := range c.vals {
-			sum += v
-		}
-		return sum
-	}
-	partials := make([]int64, nShards)
-	kernels.ParallelFor(nShards, func(s int) {
-		lo, hi := kernels.ShardRange(n, nShards, s)
-		var sum int64
-		for _, v := range c.vals[lo:hi] {
-			sum += v
-		}
-		partials[s] = sum
-	})
-	var sum int64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum
-}
-
-// Float64 converts to a Float64Column (copying), for kernels defined over
-// floats (Ranks, Mean).
-func (c *Int64Column) Float64() *Float64Column {
-	vals := make([]float64, len(c.vals))
-	for i, v := range c.vals {
-		vals[i] = float64(v)
-	}
-	return Float64ColumnOf(vals)
 }

@@ -4,35 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-
-	"microdata/internal/kernels"
 )
 
 func TestFloat64ColumnBasics(t *testing.T) {
-	c := NewFloat64Column(4)
-	if c.Len() != 0 {
-		t.Fatalf("fresh Len = %d", c.Len())
+	c := Float64ColumnOf([]float64{3, 1, 2})
+	if c.Len() != 3 || c.At(0) != 3 || c.At(1) != 1 || c.At(2) != 2 {
+		t.Fatalf("Len=%d values=%v", c.Len(), c.Values())
 	}
-	for _, v := range []float64{3, 1, 2} {
-		c.Append(v)
-	}
-	if c.Len() != 3 || c.At(1) != 1 {
-		t.Fatalf("Len=%d At(1)=%v", c.Len(), c.At(1))
-	}
-	c.Grow(1000)
-	if cap(c.Values()) < 1003 {
-		t.Fatalf("Grow(1000) cap = %d", cap(c.Values()))
-	}
-	if c.Len() != 3 || c.At(0) != 3 || c.At(2) != 2 {
-		t.Fatalf("Grow corrupted contents: len=%d", c.Len())
+	if Float64ColumnOf(nil).Len() != 0 {
+		t.Fatal("empty column has rows")
 	}
 }
 
 func TestFloat64ColumnMinMax(t *testing.T) {
-	if _, _, ok := NewFloat64Column(0).MinMax(); ok {
+	if _, _, ok := Float64ColumnOf(nil).MinMax(); ok {
 		t.Error("empty column: ok should be false")
 	}
 	if _, _, ok := Float64ColumnOf([]float64{math.NaN(), math.NaN()}).MinMax(); ok {
@@ -47,106 +34,6 @@ func TestFloat64ColumnMinMax(t *testing.T) {
 	}
 	if v, ok := Float64ColumnOf([]float64{5, 1}).Max(); !ok || v != 5 {
 		t.Fatalf("Max = %v %v", v, ok)
-	}
-}
-
-// TestFloat64ColumnSumDeterministic pins the determinism contract: the
-// morsel-order fold makes Sum (and hence Mean) bit-identical for every
-// worker count, even though float addition is not associative.
-func TestFloat64ColumnSumDeterministic(t *testing.T) {
-	defer kernels.SetDefaultWorkers(0)
-	rng := rand.New(rand.NewSource(8))
-	n := 3*kernels.MorselRows + 4321 // several morsels plus a ragged tail
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)))
-	}
-	c := Float64ColumnOf(vals)
-
-	kernels.SetDefaultWorkers(1)
-	want := c.Sum()
-	for _, w := range []int{2, 3, 8, 16} {
-		kernels.SetDefaultWorkers(w)
-		if got := c.Sum(); got != want {
-			t.Fatalf("workers=%d: Sum %v != %v (must be bit-identical)", w, got, want)
-		}
-	}
-
-	small := Float64ColumnOf([]float64{1.5, 2.5, -1})
-	if got := small.Sum(); got != 3 {
-		t.Fatalf("small Sum = %v", got)
-	}
-	if m, ok := small.Mean(); !ok || m != 1 {
-		t.Fatalf("Mean = %v %v", m, ok)
-	}
-	if _, ok := NewFloat64Column(0).Mean(); ok {
-		t.Error("empty Mean: ok should be false")
-	}
-}
-
-func TestFloat64ColumnRanks(t *testing.T) {
-	got := Float64ColumnOf([]float64{10, 20, 20, 30}).Ranks()
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks(10,20,20,30) = %v, want %v", got, want)
-		}
-	}
-
-	// Randomized against the naive definition: rank(i) = average 1-based
-	// sorted position over i's tie group.
-	rng := rand.New(rand.NewSource(21))
-	vals := make([]float64, 500)
-	for i := range vals {
-		vals[i] = float64(rng.Intn(40)) // plenty of ties
-	}
-	got = Float64ColumnOf(vals).Ranks()
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	for i, v := range vals {
-		lo := sort.SearchFloat64s(sorted, v)
-		hi := sort.SearchFloat64s(sorted, math.Nextafter(v, math.Inf(1)))
-		want := float64(lo+hi+1) / 2
-		if got[i] != want {
-			t.Fatalf("rank[%d] (v=%v) = %v, want %v", i, v, got[i], want)
-		}
-	}
-}
-
-func TestInt64Column(t *testing.T) {
-	c := NewInt64Column(2)
-	for _, v := range []int64{7, -3, 12, 0} {
-		c.Append(v)
-	}
-	if c.Len() != 4 || c.At(2) != 12 {
-		t.Fatalf("Len=%d At(2)=%d", c.Len(), c.At(2))
-	}
-	lo, hi, ok := c.MinMax()
-	if !ok || lo != -3 || hi != 12 {
-		t.Fatalf("MinMax = %d %d %v", lo, hi, ok)
-	}
-	if _, _, ok := NewInt64Column(0).MinMax(); ok {
-		t.Error("empty MinMax: ok should be false")
-	}
-	if got := c.Sum(); got != 16 {
-		t.Fatalf("Sum = %d", got)
-	}
-	f := c.Float64()
-	if f.Len() != 4 || f.At(1) != -3 {
-		t.Fatalf("Float64 conversion: len=%d at(1)=%v", f.Len(), f.At(1))
-	}
-
-	// Large column exercises the sharded sum against a scalar loop.
-	rng := rand.New(rand.NewSource(4))
-	big := NewInt64Column(2 * kernels.MorselRows)
-	var want int64
-	for i := 0; i < 2*kernels.MorselRows+99; i++ {
-		v := int64(rng.Intn(1000) - 500)
-		big.Append(v)
-		want += v
-	}
-	if got := big.Sum(); got != want {
-		t.Fatalf("sharded Sum = %d, want %d", got, want)
 	}
 }
 
@@ -174,28 +61,11 @@ func TestColumnTypedViews(t *testing.T) {
 		t.Fatalf("view after growth: ok=%v len=%d", ok, fc3.Len())
 	}
 
-	ic, ok := num.Int64View()
-	if !ok || ic.At(4) != 9 {
-		t.Fatalf("Int64View: ok=%v", ok)
-	}
-	if ic2, _ := num.Int64View(); ic2 != ic {
-		t.Error("Int64View not cached")
-	}
-
-	// Fractional values are float-viewable but not int-viewable.
+	// Fractional values are float-viewable.
 	frac := NewColumn()
 	frac.Append(NumVal(1.5))
 	if _, ok := frac.Float64View(); !ok {
 		t.Error("Float64View should accept fractions")
-	}
-	if _, ok := frac.Int64View(); ok {
-		t.Error("Int64View should reject fractions")
-	}
-	// Magnitudes beyond 2^53 are not exactly representable as int64 paths.
-	huge := NewColumn()
-	huge.Append(NumVal(math.Pow(2, 53)))
-	if _, ok := huge.Int64View(); ok {
-		t.Error("Int64View should reject |v| >= 2^53")
 	}
 
 	// Non-numeric columns expose no typed view.
@@ -203,9 +73,6 @@ func TestColumnTypedViews(t *testing.T) {
 	str.Append(StrVal("x"))
 	if _, ok := str.Float64View(); ok {
 		t.Error("Float64View on Str column should fail")
-	}
-	if _, ok := str.Int64View(); ok {
-		t.Error("Int64View on Str column should fail")
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,6 @@ import (
 	"microdata/internal/algorithm"
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
-	"microdata/internal/kernels"
 	"microdata/internal/lattice"
 	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/progress"
@@ -65,17 +65,6 @@ func WithCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n >= 1 {
 			e.cacheSize = n
-		}
-	}
-}
-
-// WithWorkers fixes the EvaluateAll worker pool size (n >= 1); the default
-// is Config.Workers when set, else the module-wide kernels.DefaultWorkers
-// (GOMAXPROCS unless the shared -workers setting overrides it).
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.workers = n
 		}
 	}
 }
@@ -118,7 +107,6 @@ type Engine struct {
 	lossErr error
 
 	cacheSize int
-	workers   int
 	cache     *lruCache
 	counters  *instruments
 	// scratch pools the per-evaluation code vectors (one []uint32 per
@@ -155,17 +143,12 @@ func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config, opt
 		lat:       lat,
 		budget:    cfg.Budget(t.Len()),
 		cacheSize: DefaultCacheSize,
-		workers:   kernels.DefaultWorkers(),
-	}
-	if cfg.Workers >= 1 {
-		e.workers = cfg.Workers
 	}
 	for _, o := range opts {
 		o(e)
 	}
 	e.cache = newLRUCache(e.cacheSize)
 	e.counters = newInstruments(lat.Height())
-	e.counters.reg.Gauge("engine.workers").Set(float64(e.workers))
 	e.counters.reg.Gauge("engine.cache.size").Set(float64(e.cacheSize))
 	_, sp := telemetry.Start(ctx, "engine.precompute",
 		telemetry.Int("rows", t.Len()), telemetry.Int("qi", len(t.Schema.QuasiIdentifiers())))
@@ -535,8 +518,10 @@ func (e *Engine) suppressedPartition(ev *Evaluation) (*eqclass.Partition, error)
 	return p, nil
 }
 
-// EvaluateAll evaluates a batch of nodes over the worker pool and returns
-// the evaluations aligned with the input slice. On error (including
+// EvaluateAll evaluates a batch of nodes over runtime.GOMAXPROCS(0) worker
+// goroutines — the one level of parallelism inside a search; everything
+// below a node evaluation runs on its worker — and returns the evaluations
+// aligned with the input slice. On error (including
 // cancellation) the returned slice holds the evaluations completed so far
 // and the error reports the first failure; a cancelled batch returns a
 // *Canceled error wrapping the context error.
@@ -546,7 +531,7 @@ func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Eval
 	ctx, tr := progress.Start(ctx, "engine.evaluate_all", len(nodes))
 	defer tr.Finish()
 	out := make([]*Evaluation, len(nodes))
-	workers := e.workers
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"microdata/internal/algorithm/algtest"
@@ -13,7 +15,7 @@ import (
 
 func TestEngineCacheCountsAndLRU(t *testing.T) {
 	tab, cfg := algtest.PaperConfig(3)
-	eng, err := engine.New(tab, cfg, engine.WithCacheSize(2), engine.WithWorkers(1))
+	eng, err := engine.New(tab, cfg, engine.WithCacheSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(tab, cfg, engine.WithWorkers(4))
+	eng, err := engine.New(tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +141,44 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 	}
 	if after := eng.Stats().NodesEvaluated; after != before {
 		t.Fatalf("re-sweep evaluated %d new nodes, want 0", after-before)
+	}
+}
+
+// TestEvaluateAllSameAtAnyGOMAXPROCS pins the node-level fan-out: a full
+// sweep on one worker and on four returns identical partitions, Bad rows
+// and cost bits, so every property vector is the same on any machine.
+func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(400, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(procs int) []*engine.Evaluation {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		eng, err := engine.New(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := eng.EvaluateAll(context.Background(), eng.Lattice().Nodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	want, got := sweep(1), sweep(4)
+	for i := range want {
+		w, g := want[i], got[i]
+		if !reflect.DeepEqual(g.Partition.ClassOf, w.Partition.ClassOf) ||
+			!reflect.DeepEqual(g.Partition.Classes, w.Partition.Classes) {
+			t.Fatalf("node %v: partitions differ between GOMAXPROCS 1 and 4", w.Node)
+		}
+		if !reflect.DeepEqual(g.Bad, w.Bad) || g.Satisfies != w.Satisfies {
+			t.Fatalf("node %v: Bad rows differ between GOMAXPROCS 1 and 4", w.Node)
+		}
+		wc, werr := w.Cost()
+		gc, gerr := g.Cost()
+		if (werr == nil) != (gerr == nil) || math.Float64bits(wc) != math.Float64bits(gc) {
+			t.Fatalf("node %v: cost %v (%v) at GOMAXPROCS 4, %v (%v) at 1", w.Node, gc, gerr, wc, werr)
+		}
 	}
 }
 

@@ -2,9 +2,7 @@
 // over dictionary-code vectors that replaces '\x1f'-joined signature
 // strings as the primary partitioning path. FromSignatures/WriteSignature
 // remain the pinned reference; the cross-validation tests hold both paths
-// element-identical. Large inputs dispatch to the morsel-driven parallel
-// path in parallel.go, which is in turn pinned element-identical to the
-// sequential path here.
+// element-identical.
 
 package eqclass
 
@@ -12,13 +10,12 @@ import (
 	"fmt"
 
 	"microdata/internal/dataset"
-	"microdata/internal/kernels"
 )
 
 // radixMax bounds the (groups × cardinality) product under which a combine
 // pass uses a flat radix table instead of a hash map. 1<<22 int32 slots is
 // 16 MiB of scratch — cheap against the row vectors it indexes, and pooled
-// across calls via kernels.GetInt32.
+// across calls via getInt32.
 const radixMax = 1 << 22
 
 // FromCodes partitions n rows by the tuple of their per-column dictionary
@@ -33,94 +30,36 @@ const radixMax = 1 << 22
 // renumbered by first appearance, and column c+1 refines it through either
 // a flat radix table (when groups×card fits radixMax) or a uint64 hash
 // map. Both paths are allocation-lean integer loops — no per-row strings.
-//
-// Inputs spanning more than one row morsel fan the combine out across
-// worker shards (see FromCodesParallel); the partition is identical either
-// way.
+// FromCodes runs on the calling goroutine; concurrent calls are safe.
 func FromCodes(cols [][]uint32, cards []int) (*Partition, error) {
-	n, eff, err := checkCodes(cols, cards)
-	if err != nil {
-		return nil, err
-	}
-	if nShards := groupShards(n, 0); nShards > 1 {
-		return fromCodesParallel(cols, eff, n, nShards)
-	}
-	return fromCodesSequential(cols, eff, n)
-}
-
-// FromCodesSequential is the single-goroutine reference grouping —
-// FromCodes without the parallel dispatch. The parallel path is pinned
-// element-identical to it by the cross-validation tests.
-func FromCodesSequential(cols [][]uint32, cards []int) (*Partition, error) {
-	n, eff, err := checkCodes(cols, cards)
-	if err != nil {
-		return nil, err
-	}
-	return fromCodesSequential(cols, eff, n)
-}
-
-// FromCodesParallel is FromCodes with an explicit worker budget (0 means
-// kernels.DefaultWorkers), always taking the morsel-driven parallel path
-// when the input spans more than one shard. Exposed for benchmarks and
-// cross-validation; FromCodes dispatches here by itself for large inputs.
-func FromCodesParallel(cols [][]uint32, cards []int, workers int) (*Partition, error) {
-	n, eff, err := checkCodes(cols, cards)
-	if err != nil {
-		return nil, err
-	}
-	nShards := groupShards(n, workers)
-	if nShards <= 1 {
-		return fromCodesSequential(cols, eff, n)
-	}
-	return fromCodesParallel(cols, eff, n, nShards)
-}
-
-// checkCodes validates the code vectors and returns the row count plus the
-// effective per-column cardinalities (unknown cardinalities resolved by a
-// max scan, exactly as the pre-parallel FromCodes did inline).
-func checkCodes(cols [][]uint32, cards []int) (int, []int, error) {
 	if len(cols) == 0 {
-		return 0, nil, fmt.Errorf("eqclass: no columns to partition on")
+		return nil, fmt.Errorf("eqclass: no columns to partition on")
 	}
 	if len(cards) != len(cols) {
-		return 0, nil, fmt.Errorf("eqclass: %d cardinalities for %d columns", len(cards), len(cols))
+		return nil, fmt.Errorf("eqclass: %d cardinalities for %d columns", len(cards), len(cols))
 	}
 	n := len(cols[0])
 	for _, col := range cols[1:] {
 		if len(col) != n {
-			return 0, nil, fmt.Errorf("eqclass: ragged code vectors (%d vs %d rows)", len(col), n)
+			return nil, fmt.Errorf("eqclass: ragged code vectors (%d vs %d rows)", len(col), n)
 		}
 	}
 	if n == 0 {
-		return 0, nil, fmt.Errorf("eqclass: no signatures to partition on")
+		return nil, fmt.Errorf("eqclass: no signatures to partition on")
 	}
-	eff := cards
-	for c, card := range cards {
-		if card > 0 {
-			continue
-		}
-		if &eff[0] == &cards[0] {
-			eff = append([]int(nil), cards...)
-		}
-		max := uint32(0)
-		for _, cd := range cols[c] {
-			if cd > max {
-				max = cd
-			}
-		}
-		eff[c] = int(max) + 1
-	}
-	return n, eff, nil
-}
-
-// fromCodesSequential runs the pairwise combine over the whole table on the
-// calling goroutine. cards must be effective (all > 0).
-func fromCodesSequential(cols [][]uint32, cards []int, n int) (*Partition, error) {
 	ids := make([]uint32, n)
 	groups := 1
 	for c, codes := range cols {
+		card := cards[c]
+		if card <= 0 {
+			for _, cd := range codes {
+				if int(cd) >= card {
+					card = int(cd) + 1
+				}
+			}
+		}
 		var err error
-		if groups, err = combine(ids, codes, groups, cards[c]); err != nil {
+		if groups, err = combine(ids, codes, groups, card); err != nil {
 			return nil, err
 		}
 	}
@@ -129,16 +68,17 @@ func fromCodesSequential(cols [][]uint32, cards []int, n int) (*Partition, error
 
 // combine refines the group ids in place with one more code column,
 // returning the new group count. New ids are assigned in first-appearance
-// (row-scan) order, which keeps the final class order canonical. ids and
-// codes may be shard subranges; the radix table is pooled per-call scratch,
-// so concurrent combines (the parallel shards, concurrent engine node
-// evaluations) never share state.
+// (row-scan) order, which keeps the final class order canonical. The radix
+// table is pooled per-call scratch, so concurrent combines (concurrent
+// engine node evaluations) never share state.
 func combine(ids []uint32, codes []uint32, groups, card int) (int, error) {
 	next := uint32(0)
 	if prod := int64(groups) * int64(card); prod <= radixMax {
-		lut := kernels.GetInt32(int(prod))
-		defer kernels.PutInt32(lut)
-		kernels.FillInt32(lut, -1)
+		lut := getInt32(int(prod))
+		defer putInt32(lut)
+		for i := range lut {
+			lut[i] = -1
+		}
 		ucard := uint32(card)
 		for i, cd := range codes {
 			if cd >= ucard {
@@ -224,9 +164,9 @@ func (p *Partition) ValueCountsColumn(col *dataset.Column) ([]map[string]int, er
 	}
 	codes := col.Codes()
 	keys := col.DictKeys()
-	scratch := kernels.GetInt(col.Card())
-	defer kernels.PutInt(scratch)
-	kernels.ZeroInt(scratch)
+	scratch := getInt(col.Card())
+	defer putInt(scratch)
+	clear(scratch)
 	touched := make([]uint32, 0, col.Card())
 	out := make([]map[string]int, len(p.Classes))
 	for ci, rows := range p.Classes {

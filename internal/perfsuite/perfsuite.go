@@ -9,18 +9,13 @@
 //   - "engine": full-lattice evaluation-engine sweeps through the optimal
 //     and datafly searches (the PR 1/PR 6 sweep claims);
 //   - "attack": the record-linkage prosecutor/journalist pipeline, naive
-//     reference vs region-indexed, serial and parallel (the PR 3 claims) —
-//     with the indexed vectors cross-validated element-identical to the
-//     naive ones during setup, so a pack is only produced from verified
-//     computations;
-//   - "groupby-parallel": the morsel-driven parallel group-by against the
-//     sequential code-vector reference on the same generalized release —
-//     with the parallel partition cross-validated element-identical to the
-//     sequential one during setup (the PR 8 claim);
+//     reference vs region-indexed (the PR 3 claims) — with the indexed
+//     vectors cross-validated element-identical to the naive ones during
+//     setup, so a pack is only produced from verified computations;
 //   - "ingest": CSV parsing straight into dictionary-encoded columns,
 //     whole-reader, chunked-push and pipelined double-buffered ingestion;
-//   - "typedcol": typed numeric column kernels (min/max, deterministic
-//     sum, fractional ranks) against the per-Value row scan they replace.
+//   - "typedcol": the typed numeric column's min/max against the
+//     per-Value row scan it replaces.
 //
 // Suites share one synthetic census draw per (N, Seed) so the pack's
 // dataset fingerprint covers every benchmark input.
@@ -68,7 +63,7 @@ func (o Options) withDefaults() Options {
 
 // Names lists the registered suites in canonical order.
 func Names() []string {
-	return []string{"attack", "engine", "groupby", "groupby-parallel", "ingest", "typedcol"}
+	return []string{"attack", "engine", "groupby", "ingest", "typedcol"}
 }
 
 // Resolve expands a -bench-suite selection ("all", one name, or a
@@ -126,8 +121,6 @@ func build(name string, opts Options) (perf.SuiteSpec, error) {
 	switch name {
 	case "groupby":
 		return groupbySuite(opts)
-	case "groupby-parallel":
-		return groupbyParallelSuite(opts)
 	case "typedcol":
 		return typedcolSuite(opts)
 	case "engine":
@@ -214,81 +207,11 @@ func groupbySuite(opts Options) (perf.SuiteSpec, error) {
 	return suiteSpec("groupby", hash, opts, columnar, signatures), nil
 }
 
-// groupbyParallelSuite times the morsel-driven parallel group-by against
-// the sequential code-vector reference on the same generalized release the
-// "groupby" suite uses. Setup cross-validates the two partitions
-// element-identical and fails with a verification error on any divergence,
-// so a pack is only produced from a verified parallel path.
-func groupbyParallelSuite(opts Options) (perf.SuiteSpec, error) {
-	tab, hash, _, err := fixtures(opts)
-	if err != nil {
-		return perf.SuiteSpec{}, err
-	}
-	anon, err := hierarchy.GeneralizeTable(tab, generator.Hierarchies(), []int{2, 2, 1, 1})
-	if err != nil {
-		return perf.SuiteSpec{}, err
-	}
-	bc := anon.Columnar()
-	qis := anon.Schema.QuasiIdentifiers()
-	cols := make([][]uint32, len(qis))
-	cards := make([]int, len(qis))
-	for i, j := range qis {
-		cols[i] = bc.Col(j).Codes()
-		cards[i] = bc.Col(j).Card()
-	}
-	verify := func() error {
-		want, err := eqclass.FromCodesSequential(cols, cards)
-		if err != nil {
-			return err
-		}
-		got, err := eqclass.FromCodesParallel(cols, cards, 0)
-		if err != nil {
-			return err
-		}
-		if got.NumClasses() != want.NumClasses() {
-			return perf.Exit(perf.ExitVerification, fmt.Errorf(
-				"perfsuite: groupby-parallel: %d classes, sequential reference has %d",
-				got.NumClasses(), want.NumClasses()))
-		}
-		for i := range want.ClassOf {
-			if got.ClassOf[i] != want.ClassOf[i] {
-				return perf.Exit(perf.ExitVerification, fmt.Errorf(
-					"perfsuite: groupby-parallel: ClassOf[%d] = %d, sequential reference has %d",
-					i, got.ClassOf[i], want.ClassOf[i]))
-			}
-		}
-		return nil
-	}
-	sequential := perf.BenchmarkSpec{
-		Name: "sequential",
-		Setup: func(ctx context.Context) (func(context.Context) error, error) {
-			return func(ctx context.Context) error {
-				_, err := eqclass.FromCodesSequential(cols, cards)
-				return err
-			}, nil
-		},
-	}
-	parallel := perf.BenchmarkSpec{
-		Name: "parallel",
-		Setup: func(ctx context.Context) (func(context.Context) error, error) {
-			if err := verify(); err != nil {
-				return nil, err
-			}
-			return func(ctx context.Context) error {
-				_, err := eqclass.FromCodesParallel(cols, cards, 0)
-				return err
-			}, nil
-		},
-	}
-	return suiteSpec("groupby-parallel", hash, opts, sequential, parallel), nil
-}
-
 // sinkF defeats dead-code elimination of the typedcol kernel results.
 var sinkF float64
 
-// typedcolSuite times the typed numeric column kernels on the census Age
-// attribute — min/max, the deterministic morsel-order sum and the
-// fractional rank vector — against the per-Value row scan they replace.
+// typedcolSuite times the typed numeric column's min/max on the census Age
+// attribute against the per-Value row scan it replaces.
 func typedcolSuite(opts Options) (perf.SuiteSpec, error) {
 	tab, hash, _, err := fixtures(opts)
 	if err != nil {
@@ -334,15 +257,6 @@ func typedcolSuite(opts Options) (perf.SuiteSpec, error) {
 			sinkF = lo + hi
 			return nil
 		}),
-		run("sum/typed", func() error {
-			sinkF = fc.Sum()
-			return nil
-		}),
-		run("ranks/typed", func() error {
-			r := fc.Ranks()
-			sinkF = r[0]
-			return nil
-		}),
 	), nil
 }
 
@@ -373,8 +287,7 @@ func engineSuite(opts Options) (perf.SuiteSpec, error) {
 }
 
 // attackSuite times the record-linkage pipeline on datafly and mondrian
-// releases: naive reference vs region-indexed (serial and parallel)
-// prosecutor risk, and naive vs indexed journalist risk on a capped
+// releases: naive reference vs region-indexed prosecutor risk, and naive vs indexed journalist risk on a capped
 // sample. Setup cross-validates the indexed vectors against the naive
 // reference and fails with a verification error on any divergence.
 func attackSuite(opts Options) (perf.SuiteSpec, error) {
@@ -390,7 +303,7 @@ func attackSuite(opts Options) (perf.SuiteSpec, error) {
 		alg := alg
 		var anon *dataset.Table
 		// release anonymizes the draw once, shared by this algorithm's
-		// three prosecutor benchmarks (setup order is deterministic).
+		// two prosecutor benchmarks (setup order is deterministic).
 		release := func(ctx context.Context) (*dataset.Table, error) {
 			if anon == nil {
 				r, err := algorithm.AnonymizeContext(ctx, alg.alg, tab, cfg)
@@ -419,8 +332,7 @@ func attackSuite(opts Options) (perf.SuiteSpec, error) {
 					}, nil
 				},
 			},
-			prosecutorIndexed(alg.name, "indexed-serial", 1, tab, release),
-			prosecutorIndexed(alg.name, "indexed-parallel", 0, tab, release),
+			prosecutorIndexed(alg.name, tab, release),
 		)
 	}
 	jNaive, jIndexed, err := journalistBenches(opts, cfg)
@@ -436,9 +348,9 @@ func attackSuite(opts Options) (perf.SuiteSpec, error) {
 // Each repetition builds a fresh adversary so index construction and
 // victim memoization are charged to the measurement, mirroring the PR 3
 // benchmark protocol.
-func prosecutorIndexed(algName, variant string, workers int, tab *dataset.Table, release func(context.Context) (*dataset.Table, error)) perf.BenchmarkSpec {
+func prosecutorIndexed(algName string, tab *dataset.Table, release func(context.Context) (*dataset.Table, error)) perf.BenchmarkSpec {
 	return perf.BenchmarkSpec{
-		Name: "prosecutor/" + algName + "/" + variant,
+		Name: "prosecutor/" + algName + "/indexed",
 		Setup: func(ctx context.Context) (func(context.Context) error, error) {
 			anon, err := release(ctx)
 			if err != nil {
@@ -456,22 +368,20 @@ func prosecutorIndexed(algName, variant string, workers int, tab *dataset.Table,
 			if err != nil {
 				return nil, err
 			}
-			adv.SetWorkers(workers)
 			got, err := attack.ProsecutorVectorContext(ctx, tab, adv)
 			if err != nil {
 				return nil, err
 			}
 			if i := firstDiff(want, got); i >= 0 {
 				return nil, perf.Exit(perf.ExitVerification, fmt.Errorf(
-					"perfsuite: %s/%s: indexed prosecutor vector diverges from naive at row %d: %g vs %g",
-					algName, variant, i, got[i], want[i]))
+					"perfsuite: %s: indexed prosecutor vector diverges from naive at row %d: %g vs %g",
+					algName, i, got[i], want[i]))
 			}
 			return func(ctx context.Context) error {
 				adv, err := attack.NewAdversary(anon, generator.Taxonomies())
 				if err != nil {
 					return err
 				}
-				adv.SetWorkers(workers)
 				_, err = attack.ProsecutorVectorContext(ctx, tab, adv)
 				return err
 			}, nil

@@ -52,31 +52,25 @@ func TestSuitesRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pack.Suite != "attack,engine,groupby,groupby-parallel,ingest,typedcol" {
+	if pack.Suite != "attack,engine,groupby,ingest,typedcol" {
 		t.Errorf("pack suite = %q", pack.Suite)
 	}
 	want := []string{
 		"attack/prosecutor/datafly/naive",
-		"attack/prosecutor/datafly/indexed-serial",
-		"attack/prosecutor/datafly/indexed-parallel",
+		"attack/prosecutor/datafly/indexed",
 		"attack/prosecutor/mondrian/naive",
-		"attack/prosecutor/mondrian/indexed-serial",
-		"attack/prosecutor/mondrian/indexed-parallel",
+		"attack/prosecutor/mondrian/indexed",
 		"attack/journalist/mondrian/naive",
 		"attack/journalist/mondrian/indexed",
 		"engine/sweep/optimal",
 		"engine/sweep/datafly",
 		"groupby/columnar",
 		"groupby/signatures",
-		"groupby-parallel/sequential",
-		"groupby-parallel/parallel",
 		"ingest/readcsv-columnar",
 		"ingest/ingester-chunks",
 		"ingest/ingest-pipelined",
 		"typedcol/minmax/typed",
 		"typedcol/minmax/value-scan",
-		"typedcol/sum/typed",
-		"typedcol/ranks/typed",
 	}
 	for _, name := range want {
 		b := pack.Benchmark(name)

@@ -8,6 +8,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"microdata/internal/dataset"
@@ -83,20 +84,35 @@ func EntropyLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (float64
 	}
 	minL := math.Inf(1)
 	for _, m := range counts {
-		total := 0
-		for _, c := range m {
-			total += c
-		}
-		h := 0.0
-		for _, c := range m {
-			q := float64(c) / float64(total)
-			h -= q * math.Log(q)
-		}
-		if l := math.Exp(h); l < minL {
+		if l := ClassEntropyL(m); l < minL {
 			minL = l
 		}
 	}
 	return minL, nil
+}
+
+// ClassEntropyL is exp of the Shannon entropy of one class's sensitive
+// value counts — the ℓ of entropy ℓ-diversity for that class — or 0 for an
+// empty class. The −q·ln q terms are summed in ascending count order, so
+// the result is bit-identical however the map iterates.
+func ClassEntropyL(counts map[string]int) float64 {
+	var buf [16]int
+	cs := buf[:0]
+	total := 0
+	for _, c := range counts {
+		cs = append(cs, c)
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	slices.Sort(cs)
+	h := 0.0
+	for _, c := range cs {
+		q := float64(c) / float64(total)
+		h -= q * math.Log(q)
+	}
+	return math.Exp(h)
 }
 
 // RecursiveCLDiversity reports whether the partition is recursive (c,ℓ)-

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,6 +170,25 @@ func TestEntropyLDiversity(t *testing.T) {
 	}
 	if _, err := EntropyLDiversity(p, col[:1]); err == nil {
 		t.Error("short column should fail")
+	}
+}
+
+// TestClassEntropyLDeterministic pins the fixed summation order: summing
+// the entropy terms in map order moved the last bits of entropy ℓ from run
+// to run, and with them the property vectors the comparators rank.
+func TestClassEntropyLDeterministic(t *testing.T) {
+	counts := map[string]int{}
+	for i := 0; i < 40; i++ {
+		counts[fmt.Sprintf("v%02d", i)] = 1 + (i*7919)%97
+	}
+	want := ClassEntropyL(counts)
+	if want <= 1 || want > 40 {
+		t.Fatalf("entropy ℓ = %v, want within (1, 40]", want)
+	}
+	for i := 0; i < 100; i++ {
+		if got := ClassEntropyL(counts); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: entropy ℓ = %v, first call gave %v", i, got, want)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (o Options) withDefaults() Options {
 
 // RunSuites runs one or more suites under the harness and assembles a
 // single sealed pack. Benchmark names are prefixed with their suite name
-// ("attack/prosecutor/datafly/indexed-serial"), so packs from different
+// ("attack/prosecutor/datafly/indexed"), so packs from different
 // suite selections compare by name intersection. The environment
 // fingerprint records the first suite's dataset parameters (suites built
 // from the same generator draw share them).
