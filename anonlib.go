@@ -346,10 +346,10 @@ var ResultCost = algorithm.ResultCost
 type (
 	// Engine evaluates lattice nodes for one (table, config) pair.
 	Engine = engine.Engine
-	// EngineOption customizes an engine (cache size, worker count).
+	// EngineOption customizes an engine (cache size).
 	EngineOption = engine.Option
-	// EngineEvaluation is one memoized node evaluation (partition,
-	// constraint verdict, lazily computed cost).
+	// EngineEvaluation is one memoized node evaluation (frequency set,
+	// violating row count, constraint verdict, cost).
 	EngineEvaluation = engine.Evaluation
 	// EngineStats is a snapshot of the engine's evaluation counters.
 	EngineStats = engine.Stats

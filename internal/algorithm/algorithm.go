@@ -86,9 +86,10 @@ type Config struct {
 	RecursiveL int
 }
 
-// hasDiversityConstraints reports whether any secondary privacy property
-// is requested.
-func (c Config) hasDiversityConstraints() bool {
+// HasDiversityConstraints reports whether any secondary privacy property
+// (ℓ-diversity in any variant, or t-closeness) is requested — whether a
+// class's verdict depends on its sensitive values.
+func (c Config) HasDiversityConstraints() bool {
 	return c.MinLDiversity > 0 || c.MaxTCloseness > 0 || c.MinEntropyL > 0 ||
 		(c.RecursiveC > 0 && c.RecursiveL > 0)
 }
@@ -132,7 +133,7 @@ func (c Config) Validate(t *dataset.Table) error {
 	if (c.RecursiveC > 0) != (c.RecursiveL > 0) {
 		return fmt.Errorf("algorithm: recursive (c,ℓ)-diversity needs both c and ℓ set")
 	}
-	if c.hasDiversityConstraints() && t.Schema.SensitiveIndex() < 0 {
+	if c.HasDiversityConstraints() && t.Schema.SensitiveIndex() < 0 {
 		return fmt.Errorf("algorithm: diversity constraints need a sensitive attribute")
 	}
 	return c.Hierarchies.CoverQI(t.Schema)
@@ -227,7 +228,7 @@ func SatisfiesConstraints(p *eqclass.Partition, t *dataset.Table, cfg Config) (b
 	if !SatisfiesK(p, t, cfg.K) {
 		return false, nil
 	}
-	if !cfg.hasDiversityConstraints() {
+	if !cfg.HasDiversityConstraints() {
 		return true, nil
 	}
 	bad, err := ViolatingClasses(p, t, cfg)
@@ -246,17 +247,13 @@ func SatisfiesConstraints(p *eqclass.Partition, t *dataset.Table, cfg Config) (b
 // ViolatingClasses marks, per class, whether any constraint (k, ℓ, t)
 // fails. The star-class exemption is NOT applied here; callers decide. The
 // table supplies only the sensitive column, which generalization never
-// touches, so the original and any generalized copy are interchangeable —
-// package engine relies on that to validate constraints without ever
-// materializing the generalized table.
+// touches, so the original and any generalized copy are interchangeable.
 func ViolatingClasses(p *eqclass.Partition, t *dataset.Table, cfg Config) ([]bool, error) {
 	bad := make([]bool, p.NumClasses())
-	for ci, rows := range p.Classes {
-		if len(rows) < cfg.K {
-			bad[ci] = true
+	if !cfg.HasDiversityConstraints() {
+		for ci, rows := range p.Classes {
+			bad[ci] = len(rows) < cfg.K
 		}
-	}
-	if !cfg.hasDiversityConstraints() {
 		return bad, nil
 	}
 	si := t.Schema.SensitiveIndex()
@@ -269,57 +266,47 @@ func ViolatingClasses(p *eqclass.Partition, t *dataset.Table, cfg Config) ([]boo
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MinLDiversity > 0 {
-		for ci := range counts {
-			if len(counts[ci]) < cfg.MinLDiversity {
-				bad[ci] = true
-			}
-		}
-	}
+	var tvec []float64
 	if cfg.MaxTCloseness > 0 {
-		tvec, err := privacy.TClosenessVector(p, t.Column(si), false)
-		if err != nil {
+		if tvec, err = privacy.TClosenessVector(p, t.Column(si), false); err != nil {
 			return nil, err
 		}
-		for ci, rows := range p.Classes {
-			if tvec[rows[0]] > cfg.MaxTCloseness+1e-12 {
-				bad[ci] = true
-			}
-		}
 	}
-	if cfg.MinEntropyL > 0 {
-		for ci := range counts {
-			if privacy.ClassEntropyL(counts[ci]) < cfg.MinEntropyL-1e-12 {
-				bad[ci] = true
-			}
+	var freqs []int
+	for ci, rows := range p.Classes {
+		freqs = freqs[:0]
+		for _, f := range counts[ci] {
+			freqs = append(freqs, f)
 		}
-	}
-	if cfg.RecursiveC > 0 && cfg.RecursiveL > 0 {
-		for ci := range counts {
-			if !classRecursiveCL(counts[ci], cfg.RecursiveC, cfg.RecursiveL) {
-				bad[ci] = true
-			}
+		emd := 0.0
+		if tvec != nil {
+			emd = tvec[rows[0]]
 		}
+		bad[ci] = cfg.ViolatesClass(len(rows), freqs, emd)
 	}
 	return bad, nil
 }
 
-// classRecursiveCL checks recursive (c,ℓ)-diversity for one class's
-// sensitive value counts.
-func classRecursiveCL(counts map[string]int, c float64, l int) bool {
-	freqs := make([]int, 0, len(counts))
-	for _, f := range counts {
-		freqs = append(freqs, f)
+// ViolatesClass reports whether one equivalence class of size rows fails a
+// configured constraint, given its sensitive value counts (any order; the
+// slice is reordered) and its earth mover's distance from the table's
+// sensitive distribution (read only under a t-closeness bound). It is the
+// one definition of the per-class rule: ViolatingClasses applies it to a
+// row partition, package engine to frequency-set counts.
+func (c Config) ViolatesClass(size int, counts []int, emd float64) bool {
+	switch {
+	case size < c.K:
+		return true
+	case c.MinLDiversity > 0 && len(counts) < c.MinLDiversity:
+		return true
+	case c.MaxTCloseness > 0 && emd > c.MaxTCloseness+1e-12:
+		return true
+	case c.MinEntropyL > 0 && privacy.EntropyL(counts) < c.MinEntropyL-1e-12:
+		return true
+	case c.RecursiveC > 0 && c.RecursiveL > 0 && !privacy.RecursiveCL(counts, c.RecursiveC, c.RecursiveL):
+		return true
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-	if l > len(freqs) {
-		return false
-	}
-	tail := 0
-	for _, f := range freqs[l-1:] {
-		tail += f
-	}
-	return float64(freqs[0]) < c*float64(tail)
+	return false
 }
 
 // ApplyNode generalizes the table to the lattice node and reports which

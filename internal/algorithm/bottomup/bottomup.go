@@ -56,17 +56,21 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 	budget := eng.Budget()
 	node := make(lattice.Node, len(maxLevels))
 
-	// probe reads a node's violating rows and its anonymity deficit (the
-	// total number of missing tuples across undersized classes — Wang et
-	// al.'s "privacy gain" is the reduction of this) off an engine
+	// probe reads a node's violating-row count and its anonymity deficit
+	// (the total number of missing tuples across undersized classes — Wang
+	// et al.'s "privacy gain" is the reduction of this) off an engine
 	// evaluation.
-	probe := func(ev *engine.Evaluation) (small []int, deficit int) {
-		for _, rows := range ev.Partition.Classes {
-			if len(rows) < cfg.K {
-				deficit += cfg.K - len(rows)
+	probe := func(ev *engine.Evaluation) (bad, deficit int, err error) {
+		sizes, err := ev.ClassSizes()
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, s := range sizes {
+			if s < cfg.K {
+				deficit += cfg.K - s
 			}
 		}
-		return ev.Bad, deficit
+		return ev.BadRows, deficit, nil
 	}
 	// lossOf is the "information loss" side of the score: the per-level
 	// loss sum of generalizing the first row's values — cheaper to compute
@@ -89,12 +93,15 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 	if err != nil {
 		return nil, fmt.Errorf("bottomup: %w", err)
 	}
-	small, deficit := probe(ev)
+	bad, deficit, err := probe(ev)
+	if err != nil {
+		return nil, fmt.Errorf("bottomup: %w", err)
+	}
 	loss, err := lossOf(node)
 	if err != nil {
 		return nil, fmt.Errorf("bottomup: %w", err)
 	}
-	for len(small) > budget {
+	for bad > budget {
 		// Score each one-level climb by privacy gain (deficit reduction
 		// plus violating-row reduction) per unit of information lost. The
 		// candidate climbs are evaluated as one parallel batch.
@@ -118,16 +125,18 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 		}
 		bestIdx := -1
 		bestScore := math.Inf(-1)
-		var bestSmall []int
-		bestDeficit := 0
+		bestBad, bestDeficit := 0, 0
 		bestLoss := 0.0
 		for ci, cev := range evs {
-			s, d := probe(cev)
+			b, d, err := probe(cev)
+			if err != nil {
+				return nil, fmt.Errorf("bottomup: %w", err)
+			}
 			l, err := lossOf(cands[ci])
 			if err != nil {
 				return nil, fmt.Errorf("bottomup: %w", err)
 			}
-			gain := float64(deficit-d) + float64(len(small)-len(s))
+			gain := float64(deficit-d) + float64(bad-b)
 			dl := l - loss
 			if dl <= 0 {
 				dl = 1e-9
@@ -135,11 +144,11 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 			score := gain / dl
 			if score > bestScore {
 				bestIdx, bestScore = idxs[ci], score
-				bestSmall, bestDeficit, bestLoss = s, d, l
+				bestBad, bestDeficit, bestLoss = b, d, l
 			}
 		}
 		node[bestIdx]++
-		small, deficit, loss = bestSmall, bestDeficit, bestLoss
+		bad, deficit, loss = bestBad, bestDeficit, bestLoss
 		stepsC.Inc()
 	}
 	stats := map[string]float64{}

@@ -248,15 +248,15 @@ func TestApplyNodeFlagsRecursiveCLViolations(t *testing.T) {
 }
 
 func TestClassRecursiveCL(t *testing.T) {
-	counts := map[string]int{"a": 3, "b": 2, "c": 1}
+	counts := func() []int { return []int{2, 1, 3} }
 	// r1=3, l=2 tail=3: 3 < 1·3 false; 3 < 1.5·3 true.
-	if classRecursiveCL(counts, 1.0, 2) {
+	if privacy.RecursiveCL(counts(), 1.0, 2) {
 		t.Error("(1,2) should fail")
 	}
-	if !classRecursiveCL(counts, 1.5, 2) {
+	if !privacy.RecursiveCL(counts(), 1.5, 2) {
 		t.Error("(1.5,2) should pass")
 	}
-	if classRecursiveCL(counts, 10, 4) {
+	if privacy.RecursiveCL(counts(), 10, 4) {
 		t.Error("l beyond distinct count should fail")
 	}
 }

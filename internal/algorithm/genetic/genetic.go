@@ -144,7 +144,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 		if err != nil {
 			return 0, err
 		}
-		over := len(ev.Bad) - budget
+		over := ev.BadRows - budget
 		if over > 0 {
 			f := penaltyBase + penaltyW*float64(over)/float64(t.Len())*penaltyBase
 			cache[n.Key()] = f
@@ -245,7 +245,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 		return nil, fmt.Errorf("genetic: %w", err)
 	}
 	if !bestEv.Satisfies {
-		return nil, fmt.Errorf("genetic: best individual %v infeasible (%d > budget %d)", best, len(bestEv.Bad), budget)
+		return nil, fmt.Errorf("genetic: best individual %v infeasible (%d > budget %d)", best, bestEv.BadRows, budget)
 	}
 	reg.Gauge(g.Name() + ".generations").Set(float64(gens))
 	reg.Gauge(g.Name() + ".best_fitness").Set(bestFit)

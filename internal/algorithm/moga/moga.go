@@ -78,8 +78,8 @@ type Front struct {
 // newEngine builds the shared evaluation engine with moga's privacy-free
 // probe configuration: K=1 and no diversity constraints (privacy is an
 // objective here, not a constraint), LM metric and zero suppression, so
-// every node is admissible, Evaluation.Partition is the plain partition of
-// the generalized table, and Evaluation.Cost is exactly the general loss
+// every node is admissible, Evaluation.RowPartition is the plain partition
+// of the generalized table, and Evaluation.Cost is exactly the general loss
 // metric.
 func newEngine(ctx context.Context, t *dataset.Table, cfg algorithm.Config) (*engine.Engine, error) {
 	probe := cfg
@@ -91,9 +91,14 @@ func newEngine(ctx context.Context, t *dataset.Table, cfg algorithm.Config) (*en
 	return engine.NewContext(ctx, t, probe)
 }
 
-// evaluate computes the objectives of one engine evaluation.
+// evaluate computes the objectives of one engine evaluation. P_rank needs
+// the row-aligned class-size vector, so the node's rows are regrouped.
 func evaluate(ev *engine.Evaluation, dmax core.PropertyVector) (Point, error) {
-	sizes := core.PropertyVector(ev.Partition.SizeVector())
+	p, err := ev.RowPartition()
+	if err != nil {
+		return Point{}, err
+	}
+	sizes := core.PropertyVector(p.SizeVector())
 	rank := core.PRank(dmax).F(sizes)
 	loss, err := ev.Cost()
 	if err != nil {
@@ -102,7 +107,7 @@ func evaluate(ev *engine.Evaluation, dmax core.PropertyVector) (Point, error) {
 	return Point{
 		Node:    ev.Node.Clone(),
 		Obj:     Objectives{PrivacyRank: rank, Loss: loss},
-		KActual: ev.Partition.MinSize(),
+		KActual: p.MinSize(),
 	}, nil
 }
 

@@ -108,15 +108,7 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 			for _, f := range counts {
 				freqs = append(freqs, f)
 			}
-			sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-			if cfg.RecursiveL > len(freqs) {
-				return false
-			}
-			tail := 0
-			for _, f := range freqs[cfg.RecursiveL-1:] {
-				tail += f
-			}
-			if float64(freqs[0]) >= cfg.RecursiveC*float64(tail) {
+			if !privacy.RecursiveCL(freqs, cfg.RecursiveC, cfg.RecursiveL) {
 				return false
 			}
 		}

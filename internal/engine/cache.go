@@ -60,6 +60,16 @@ func (c *lruCache) put(key string, ev *Evaluation) {
 	}
 }
 
+// each calls fn on every resident evaluation, without refreshing recency.
+// fn runs under the cache lock and must not call back into the cache.
+func (c *lruCache) each(fn func(*Evaluation)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		fn(el.Value.(*cacheEntry).ev)
+	}
+}
+
 // len returns the number of resident entries.
 func (c *lruCache) len() int {
 	c.mu.Lock()

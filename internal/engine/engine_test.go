@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
 
+	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/engine"
 	"microdata/internal/lattice"
@@ -49,8 +49,11 @@ func TestEngineCacheCountsAndLRU(t *testing.T) {
 	if s.CacheMisses != 4 { // a, b, c, then a again after eviction
 		t.Fatalf("misses = %d, want 4 (a must have been evicted): %+v", s.CacheMisses, s)
 	}
-	if s.RowsScanned != s.NodesEvaluated*int64(tab.Len()) {
-		t.Fatalf("rows scanned %d != nodes %d x N %d", s.RowsScanned, s.NodesEvaluated, tab.Len())
+	// The base build scans the N rows once; each evaluation then scans the
+	// tuples of its roll-up source, at most N of them.
+	n := int64(tab.Len())
+	if s.RowsScanned <= n || s.RowsScanned > n+s.NodesEvaluated*n {
+		t.Fatalf("rows scanned %d outside (N, N + nodes x N] for N=%d, %d nodes", s.RowsScanned, n, s.NodesEvaluated)
 	}
 }
 
@@ -145,8 +148,9 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 }
 
 // TestEvaluateAllSameAtAnyGOMAXPROCS pins the node-level fan-out: a full
-// sweep on one worker and on four returns identical partitions, Bad rows
-// and cost bits, so every property vector is the same on any machine.
+// sweep on one worker and on four returns identical verdicts, violating
+// row counts and cost bits, so every property vector is the same on any
+// machine, whichever sources the workers happened to roll up from.
 func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 	tab, cfg, err := algtest.CensusConfig(400, 3, 11)
 	if err != nil {
@@ -167,12 +171,8 @@ func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 	want, got := sweep(1), sweep(4)
 	for i := range want {
 		w, g := want[i], got[i]
-		if !reflect.DeepEqual(g.Partition.ClassOf, w.Partition.ClassOf) ||
-			!reflect.DeepEqual(g.Partition.Classes, w.Partition.Classes) {
-			t.Fatalf("node %v: partitions differ between GOMAXPROCS 1 and 4", w.Node)
-		}
-		if !reflect.DeepEqual(g.Bad, w.Bad) || g.Satisfies != w.Satisfies {
-			t.Fatalf("node %v: Bad rows differ between GOMAXPROCS 1 and 4", w.Node)
+		if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
+			t.Fatalf("node %v: %d bad rows at GOMAXPROCS 4, %d at 1", w.Node, g.BadRows, w.BadRows)
 		}
 		wc, werr := w.Cost()
 		gc, gerr := g.Cost()
@@ -237,5 +237,45 @@ func TestCanceledErrorShape(t *testing.T) {
 	// Single-node path reports the same shape.
 	if _, err := eng.Evaluate(ctx, nodes[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Evaluate under cancelled ctx returned %v", err)
+	}
+}
+
+// TestCostMonotoneAlongLatticeEdges is a metamorphic check on the census
+// ladders: with K=1 and no suppression every node is admissible and
+// nothing is suppressed, so generalizing one attribute one level can only
+// raise each cell's loss and merge classes — LM and DM never decrease
+// along a lattice edge, compared exactly.
+func TestCostMonotoneAlongLatticeEdges(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(2000, 1, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxSuppression = 0
+	for _, m := range []algorithm.Metric{algorithm.MetricLM, algorithm.MetricDM} {
+		cfg.Metric = m
+		eng, err := engine.New(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		cost := func(n lattice.Node) float64 {
+			ev, err := eng.Evaluate(ctx, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := ev.Cost()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		for _, n := range eng.Lattice().Nodes() {
+			c := cost(n)
+			for _, s := range eng.Lattice().Successors(n) {
+				if cs := cost(s); cs < c {
+					t.Fatalf("%v: cost falls from %v at %v to %v at %v", m, c, n, cs, s)
+				}
+			}
+		}
 	}
 }

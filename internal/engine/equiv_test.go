@@ -2,27 +2,48 @@ package engine_test
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/dataset"
 	"microdata/internal/engine"
+	"microdata/internal/generator"
+	"microdata/internal/hierarchy"
+	"microdata/internal/lattice"
 )
 
 // TestEngineMatchesDirectPipeline pins the tentpole guarantee: for EVERY
-// node of the lattice, the engine's partition, violating rows, constraint
-// verdict and cost are byte-identical to the direct ApplyNode/NodeCost
+// node of the lattice, the engine's constraint verdict, violating row
+// count and cost are bit-identical to the direct ApplyNode/NodeCost
 // pipeline — across k-anonymity, ℓ-diversity (distinct, entropy and
 // recursive variants) and t-closeness, under all three utility metrics,
-// with and without a suppression budget.
+// with and without a suppression budget, and on an interval ladder whose
+// levels do not nest. Each case sweeps the lattice in ascending,
+// descending and shuffled order on fresh engines, so nodes are rolled up
+// from different sources; every order must agree with the direct values.
+// RowPartition must reproduce ApplyNode's partition, class order included.
 func TestEngineMatchesDirectPipeline(t *testing.T) {
 	paper, paperCfg := algtest.PaperConfig(3)
 	census, censusCfg, err := algtest.CensusConfig(120, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Age widths 3 then 5: a width-3 bucket such as (3,6] straddles the
+	// width-5 boundary at 5, so level 2 cannot roll up from level 1.
+	nonNested := hierarchy.MustSet(
+		hierarchy.MustIntervals("Age", 0, 100,
+			hierarchy.IntervalLevel{Width: 3, Origin: 0},
+			hierarchy.IntervalLevel{Width: 5, Origin: 0},
+		),
+		hierarchy.MustPrefixMask("ZipCode", 5, 10),
+		generator.EducationTaxonomy(),
+		generator.MaritalTaxonomy(),
+	)
 	cases := []struct {
 		name string
 		tab  *dataset.Table
@@ -39,52 +60,102 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 		{"census-recursive", census, func(c *algorithm.Config) { *c = censusCfg; c.RecursiveC = 2; c.RecursiveL = 2 }},
 		{"census-tclose", census, func(c *algorithm.Config) { *c = censusCfg; c.MaxTCloseness = 0.6 }},
 		{"census-nosupp-dm", census, func(c *algorithm.Config) { *c = censusCfg; c.MaxSuppression = 0; c.Metric = algorithm.MetricDM }},
+		{"census-nonnested-lm", census, func(c *algorithm.Config) { *c = censusCfg; c.Hierarchies = nonNested }},
+		{"census-nonnested-ldiv-dm", census, func(c *algorithm.Config) {
+			*c = censusCfg
+			c.Hierarchies = nonNested
+			c.MinLDiversity = 2
+			c.Metric = algorithm.MetricDM
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			var cfg algorithm.Config
 			tc.mut(&cfg)
-			eng, err := engine.New(tc.tab, cfg)
+			ref, err := engine.New(tc.tab, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			budget := cfg.Budget(tc.tab.Len())
 			ctx := context.Background()
-			for _, n := range eng.Lattice().Nodes() {
+			type direct struct {
+				bad     int
+				cost    float64
+				costErr error
+			}
+			nodes := ref.Lattice().Nodes()
+			want := map[string]direct{}
+			for _, n := range nodes {
 				_, p, small, err := algorithm.ApplyNode(tc.tab, cfg, n)
 				if err != nil {
 					t.Fatalf("node %v: direct ApplyNode: %v", n, err)
 				}
-				ev, err := eng.Evaluate(ctx, n)
+				c, cerr := algorithm.NodeCost(tc.tab, cfg, n)
+				want[n.Key()] = direct{bad: len(small), cost: c, costErr: cerr}
+				ev, err := ref.Evaluate(ctx, n)
 				if err != nil {
 					t.Fatalf("node %v: engine: %v", n, err)
 				}
-				if !reflect.DeepEqual(p.Classes, ev.Partition.Classes) {
-					t.Fatalf("node %v: partitions differ:\ndirect %v\nengine %v", n, p.Classes, ev.Partition.Classes)
+				rp, err := ev.RowPartition()
+				if err != nil {
+					t.Fatalf("node %v: row partition: %v", n, err)
 				}
-				if !reflect.DeepEqual(p.ClassOf, ev.Partition.ClassOf) {
-					t.Fatalf("node %v: class assignment differs", n)
+				if !reflect.DeepEqual(p.Classes, rp.Classes) || !reflect.DeepEqual(p.ClassOf, rp.ClassOf) {
+					t.Fatalf("node %v: row partitions differ:\ndirect %v\nengine %v", n, p.Classes, rp.Classes)
 				}
-				if len(small) != len(ev.Bad) || (len(small) > 0 && !reflect.DeepEqual(small, ev.Bad)) {
-					t.Fatalf("node %v: violating rows differ:\ndirect %v\nengine %v", n, small, ev.Bad)
+			}
+			for _, order := range sweepOrders(nodes) {
+				eng, err := engine.New(tc.tab, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if ev.Satisfies != (len(small) <= budget) {
-					t.Fatalf("node %v: verdict %v, direct says %v", n, ev.Satisfies, len(small) <= budget)
-				}
-				wantCost, wantErr := algorithm.NodeCost(tc.tab, cfg, n)
-				gotCost, gotErr := ev.Cost()
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("node %v: cost errors differ: direct %v, engine %v", n, wantErr, gotErr)
-				}
-				if wantErr == nil && wantCost != gotCost {
-					// Exact float equality is intentional: the engine must
-					// replicate the direct pipeline's arithmetic bit for bit.
-					t.Fatalf("node %v: cost %v != direct %v", n, gotCost, wantCost)
+				for _, n := range order.nodes {
+					w := want[n.Key()]
+					ev, err := eng.Evaluate(ctx, n)
+					if err != nil {
+						t.Fatalf("%s node %v: engine: %v", order.name, n, err)
+					}
+					if ev.BadRows != w.bad {
+						t.Fatalf("%s node %v: %d violating rows, direct %d", order.name, n, ev.BadRows, w.bad)
+					}
+					if ev.Satisfies != (w.bad <= budget) {
+						t.Fatalf("%s node %v: verdict %v, direct says %v", order.name, n, ev.Satisfies, w.bad <= budget)
+					}
+					gotCost, gotErr := ev.Cost()
+					if (w.costErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s node %v: cost errors differ: direct %v, engine %v", order.name, n, w.costErr, gotErr)
+					}
+					if w.costErr == nil && math.Float64bits(w.cost) != math.Float64bits(gotCost) {
+						// Exact bit equality is intentional: the engine must
+						// replicate the direct pipeline's arithmetic.
+						t.Fatalf("%s node %v: cost %v != direct %v", order.name, n, gotCost, w.cost)
+					}
 				}
 			}
 		})
 	}
+}
+
+type sweepOrder struct {
+	name  string
+	nodes []lattice.Node
+}
+
+// sweepOrders returns the nodes by ascending height, by descending height
+// and shuffled.
+func sweepOrders(nodes []lattice.Node) []sweepOrder {
+	asc := append([]lattice.Node(nil), nodes...)
+	sort.SliceStable(asc, func(i, j int) bool { return asc[i].Height() < asc[j].Height() })
+	desc := make([]lattice.Node, len(asc))
+	for i, n := range asc {
+		desc[len(asc)-1-i] = n
+	}
+	shuffled := append([]lattice.Node(nil), nodes...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	return []sweepOrder{{"ascending", asc}, {"descending", desc}, {"shuffled", shuffled}}
 }
 
 // TestEngineMatchesDirectOnLargerBudget stresses the suppressed-partition

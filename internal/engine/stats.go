@@ -35,16 +35,18 @@ var evalBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 // timing sums across workers and can exceed elapsed wall time.
 type Stats struct {
 	// NodesEvaluated counts full node evaluations (cache misses that ran
-	// the signature-assembly + partition + constraint pipeline).
+	// the roll-up + constraint + cost pipeline).
 	NodesEvaluated int64
 	// CacheHits and CacheMisses count memoized-cache lookups.
 	CacheHits   int64
 	CacheMisses int64
-	// RowsScanned counts table rows processed by node evaluations
-	// (NodesEvaluated × N for a fixed table).
+	// RowsScanned counts the tuples the engine scanned: the N rows once
+	// for the base frequency set, then, per node evaluation, the tuples of
+	// the frequency set the node was rolled up from.
 	RowsScanned int64
-	// Precompute is the time spent building the per-attribute, per-level
-	// generalization fragments at engine construction.
+	// Precompute is the time spent at engine construction: the
+	// per-attribute, per-level generalization fragments and the base
+	// frequency set.
 	Precompute time.Duration
 	// Evaluation is the cumulative time spent evaluating nodes.
 	Evaluation time.Duration

@@ -32,23 +32,35 @@ const radixMax = 1 << 22
 // map. Both paths are allocation-lean integer loops — no per-row strings.
 // FromCodes runs on the calling goroutine; concurrent calls are safe.
 func FromCodes(cols [][]uint32, cards []int) (*Partition, error) {
+	ids, groups, err := GroupCodes(cols, cards)
+	if err != nil {
+		return nil, err
+	}
+	return fromGroupIDs(ids, groups), nil
+}
+
+// GroupCodes is the group-by behind FromCodes without the row lists: it
+// returns, per row, the id of the row's code tuple, numbered 0..groups-1
+// in first-appearance order. Callers that only aggregate per group (the
+// engine sums tuple counts) skip building a Partition.
+func GroupCodes(cols [][]uint32, cards []int) (ids []uint32, groups int, err error) {
 	if len(cols) == 0 {
-		return nil, fmt.Errorf("eqclass: no columns to partition on")
+		return nil, 0, fmt.Errorf("eqclass: no columns to partition on")
 	}
 	if len(cards) != len(cols) {
-		return nil, fmt.Errorf("eqclass: %d cardinalities for %d columns", len(cards), len(cols))
+		return nil, 0, fmt.Errorf("eqclass: %d cardinalities for %d columns", len(cards), len(cols))
 	}
 	n := len(cols[0])
 	for _, col := range cols[1:] {
 		if len(col) != n {
-			return nil, fmt.Errorf("eqclass: ragged code vectors (%d vs %d rows)", len(col), n)
+			return nil, 0, fmt.Errorf("eqclass: ragged code vectors (%d vs %d rows)", len(col), n)
 		}
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("eqclass: no signatures to partition on")
+		return nil, 0, fmt.Errorf("eqclass: no signatures to partition on")
 	}
-	ids := make([]uint32, n)
-	groups := 1
+	ids = make([]uint32, n)
+	groups = 1
 	for c, codes := range cols {
 		card := cards[c]
 		if card <= 0 {
@@ -58,12 +70,11 @@ func FromCodes(cols [][]uint32, cards []int) (*Partition, error) {
 				}
 			}
 		}
-		var err error
 		if groups, err = combine(ids, codes, groups, card); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return fromGroupIDs(ids, groups), nil
+	return ids, groups, nil
 }
 
 // combine refines the group ids in place with one more code column,

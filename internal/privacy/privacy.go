@@ -93,26 +93,52 @@ func EntropyLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (float64
 
 // ClassEntropyL is exp of the Shannon entropy of one class's sensitive
 // value counts — the ℓ of entropy ℓ-diversity for that class — or 0 for an
-// empty class. The −q·ln q terms are summed in ascending count order, so
-// the result is bit-identical however the map iterates.
+// empty class. It is EntropyL over the map's counts, so the result is
+// bit-identical however the map iterates.
 func ClassEntropyL(counts map[string]int) float64 {
 	var buf [16]int
 	cs := buf[:0]
-	total := 0
 	for _, c := range counts {
 		cs = append(cs, c)
+	}
+	return EntropyL(cs)
+}
+
+// EntropyL is ClassEntropyL over a class's sensitive value counts given as
+// a slice, in any order: the −q·ln q terms are summed in ascending count
+// order (counts is sorted in place), so the result depends only on the
+// multiset of counts.
+func EntropyL(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
 		total += c
 	}
 	if total == 0 {
 		return 0
 	}
-	slices.Sort(cs)
+	slices.Sort(counts)
 	h := 0.0
-	for _, c := range cs {
+	for _, c := range counts {
 		q := float64(c) / float64(total)
 		h -= q * math.Log(q)
 	}
 	return math.Exp(h)
+}
+
+// RecursiveCL reports whether one class with the given sensitive value
+// counts (any order; sorted in place, descending) is recursive
+// (c,ℓ)-diverse: r_1 < c·(r_ℓ + … + r_m). A class with fewer than ℓ
+// distinct values has an empty tail and never is.
+func RecursiveCL(counts []int, c float64, l int) bool {
+	if l > len(counts) {
+		return false
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	tail := 0
+	for _, f := range counts[l-1:] {
+		tail += f
+	}
+	return float64(counts[0]) < c*float64(tail)
 }
 
 // RecursiveCLDiversity reports whether the partition is recursive (c,ℓ)-
@@ -138,17 +164,7 @@ func RecursiveCLDiversity(p *eqclass.Partition, sensitive []dataset.Value, c flo
 		for _, cnt := range m {
 			freqs = append(freqs, cnt)
 		}
-		sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-		if l > len(freqs) {
-			// Fewer than l distinct values: the tail sum is empty, the
-			// condition r_1 < c·0 can never hold.
-			return false, nil
-		}
-		tail := 0
-		for _, f := range freqs[l-1:] {
-			tail += f
-		}
-		if float64(freqs[0]) >= c*float64(tail) {
+		if !RecursiveCL(freqs, c, l) {
 			return false, nil
 		}
 	}

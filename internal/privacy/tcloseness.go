@@ -29,7 +29,7 @@ func TCloseness(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) (
 		_, local := distribution(sensitive, rows, ordered)
 		// Align local to the global key order (distribution guarantees
 		// identical key sets because it enumerates the global keys).
-		d := emd(local, global, ordered)
+		d := EMD(local, global, ordered)
 		if d > worst {
 			worst = d
 		}
@@ -62,7 +62,7 @@ func TClosenessVector(p *eqclass.Partition, sensitive []dataset.Value, ordered b
 	_, global := distribution(sensitive, nil, ordered)
 	for ci, rows := range p.Classes {
 		_, local := distribution(sensitive, rows, ordered)
-		perClass[ci] = emd(local, global, ordered)
+		perClass[ci] = EMD(local, global, ordered)
 	}
 	out := make([]float64, p.N())
 	for i := range out {
@@ -107,7 +107,7 @@ func TClosenessVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value,
 				local[i] /= total
 			}
 		}
-		perClass[ci] = emd(local, global, ordered)
+		perClass[ci] = EMD(local, global, ordered)
 	}
 	out := make([]float64, p.N())
 	for i := range out {
@@ -135,7 +135,7 @@ func ClassEMD(col []dataset.Value, rows []int, ordered bool) (float64, error) {
 	}
 	_, global := distribution(col, nil, ordered)
 	_, local := distribution(col, rows, ordered)
-	return emd(local, global, ordered), nil
+	return EMD(local, global, ordered), nil
 }
 
 // distribution tallies the sensitive values of the selected rows (all rows
@@ -193,11 +193,20 @@ func distribution(col []dataset.Value, rows []int, ordered bool) ([]string, []fl
 	return keys, counts
 }
 
-// emd computes the earth mover's distance between two aligned
+// Support returns the canonical order of the sensitive column's values —
+// the support every class distribution shares — and the column's own
+// distribution over it, as TCloseness computes them. A class distribution
+// aligned on the same keys, each entry its count over the class size, is
+// what EMD compares against the global one.
+func Support(sensitive []dataset.Value, ordered bool) (keys []string, global []float64) {
+	return distribution(sensitive, nil, ordered)
+}
+
+// EMD computes the earth mover's distance between two aligned
 // distributions. For the equal-distance ground metric (nominal attributes)
 // EMD reduces to the total variation distance ½Σ|p−q|. For the ordered
 // metric it is (1/(m−1))·Σ_i |Σ_{j<=i}(p_j − q_j)| (Li et al. 2007).
-func emd(p, q []float64, ordered bool) float64 {
+func EMD(p, q []float64, ordered bool) float64 {
 	if len(p) != len(q) {
 		return math.NaN()
 	}

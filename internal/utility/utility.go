@@ -11,6 +11,7 @@ package utility
 
 import (
 	"fmt"
+	"math/big"
 
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
@@ -88,15 +89,26 @@ type LossConfig struct {
 // come from the ORIGINAL table so that suppression-heavy anonymizations
 // cannot shrink their own denominator.
 func LossVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error) {
+	out := make([]float64, anon.Len())
+	err := eachCellLoss(anon, orig, cfg, func(i int, loss float64) { out[i] += loss })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachCellLoss calls fn with the loss of every quasi-identifier cell of
+// anon, row by row and within a row in schema order.
+func eachCellLoss(anon, orig *dataset.Table, cfg LossConfig, fn func(row int, loss float64)) error {
 	if anon.Len() != orig.Len() {
-		return nil, fmt.Errorf("utility: anonymized table has %d rows, original has %d", anon.Len(), orig.Len())
+		return fmt.Errorf("utility: anonymized table has %d rows, original has %d", anon.Len(), orig.Len())
 	}
 	if anon.Schema.Len() != orig.Schema.Len() {
-		return nil, fmt.Errorf("utility: schema width mismatch")
+		return fmt.Errorf("utility: schema width mismatch")
 	}
 	qi := anon.Schema.QuasiIdentifiers()
 	if len(qi) == 0 {
-		return nil, fmt.Errorf("utility: no quasi-identifiers to score")
+		return fmt.Errorf("utility: no quasi-identifiers to score")
 	}
 	type domain struct{ lo, hi float64 }
 	domains := make(map[int]domain, len(qi))
@@ -109,21 +121,18 @@ func LossVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error) {
 			domains[j] = domain{lo, hi}
 		}
 	}
-	out := make([]float64, anon.Len())
 	for i := range anon.Rows {
-		sum := 0.0
 		for _, j := range qi {
 			attr := anon.Schema.Attrs[j]
 			d := domains[j]
 			loss, err := CellLoss(anon.At(i, j), orig.At(i, j), attr, d.lo, d.hi, cfg.Taxonomies[attr.Name])
 			if err != nil {
-				return nil, fmt.Errorf("utility: row %d: %w", i, err)
+				return fmt.Errorf("utility: row %d: %w", i, err)
 			}
-			sum += loss
+			fn(i, loss)
 		}
-		out[i] = sum
 	}
-	return out, nil
+	return nil
 }
 
 // UtilityVector converts a per-tuple loss vector into the paper's
@@ -142,21 +151,54 @@ func UtilityVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error)
 }
 
 // GeneralLossMetric is Iyengar's LM: the average per-cell loss over all
-// quasi-identifier cells, in [0,1].
+// quasi-identifier cells, in [0,1]. The cell losses are counted by value
+// and summed exactly (LossTally), so the result does not depend on row
+// order and matches any other tally of the same cells bit for bit.
 func GeneralLossMetric(anon, orig *dataset.Table, cfg LossConfig) (float64, error) {
-	loss, err := LossVector(anon, orig, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if len(loss) == 0 {
+	if anon.Len() == 0 {
 		return 0, fmt.Errorf("utility: loss metric of empty table")
 	}
-	q := float64(len(anon.Schema.QuasiIdentifiers()))
-	sum := 0.0
-	for _, l := range loss {
-		sum += l
+	tally := LossTally{}
+	if err := eachCellLoss(anon, orig, cfg, func(_ int, loss float64) { tally.Add(loss, 1) }); err != nil {
+		return 0, err
 	}
-	return sum / (q * float64(len(loss))), nil
+	q := float64(len(anon.Schema.QuasiIdentifiers()))
+	return tally.Sum() / (q * float64(anon.Len())), nil
+}
+
+// LossTally counts cell losses by value. Its Sum is the exact Σ n·loss
+// rounded once, so LM comes out the same whichever order the cells are
+// visited in and however they were grouped before being counted: row by
+// row here, per frequency-set tuple in package engine.
+type LossTally map[float64]int64
+
+// Add counts n cells of the given loss.
+func (t LossTally) Add(loss float64, n int64) {
+	if n != 0 {
+		t[loss] += n
+	}
+}
+
+// exactPrec is a big.Float precision at which every step of Sum is exact:
+// a float64 spans bits 2^-1074 .. 2^1023 and an int64 count adds 63 more,
+// so 2304 bits hold any sum of up to 2^140 such products.
+const exactPrec = 2304
+
+// Sum returns Σ n·loss over the tally, computed exactly and rounded once to
+// the nearest float64 (ties to even).
+func (t LossTally) Sum() float64 {
+	sum := new(big.Float).SetPrec(exactPrec)
+	var term, n big.Float
+	term.SetPrec(exactPrec)
+	n.SetPrec(exactPrec)
+	for loss, cnt := range t {
+		n.SetInt64(cnt)
+		term.SetFloat64(loss)
+		term.Mul(&term, &n)
+		sum.Add(sum, &term)
+	}
+	f, _ := sum.Float64()
+	return f
 }
 
 // DiscernibilityMetric is Bayardo–Agrawal's DM: each tuple incurs a penalty

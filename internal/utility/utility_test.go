@@ -212,6 +212,44 @@ func TestGeneralLossMetric(t *testing.T) {
 	}
 }
 
+// TestLossTallySumIsExact pins the exact summation behind LM: ten cells
+// of loss 0.1 sum to exactly 1 (a running float sum gives
+// 0.9999999999999999), the result does not depend on how the cells were
+// counted, and huge counts do not lose the small terms.
+func TestLossTallySumIsExact(t *testing.T) {
+	naive := 0.0
+	for i := 0; i < 10; i++ {
+		naive += 0.1
+	}
+	if naive == 1 {
+		t.Fatal("the float64 running sum of ten 0.1s is expected to miss 1")
+	}
+	tally := LossTally{}
+	tally.Add(0.1, 10)
+	if got := tally.Sum(); got != 1 {
+		t.Errorf("tally of ten 0.1s = %v, want exactly 1", got)
+	}
+	split := LossTally{}
+	for i := 0; i < 10; i++ {
+		split.Add(0.1, 1)
+	}
+	split.Add(0.7, 0)
+	if len(split) != 1 || split.Sum() != tally.Sum() {
+		t.Errorf("one-by-one tally %v (%d keys) != counted tally %v", split.Sum(), len(split), tally.Sum())
+	}
+	// Adding 0.5 to 2^53 one cell at a time rounds back to 2^53 each
+	// time; the exact sum keeps all four halves.
+	big := LossTally{}
+	big.Add(1, 1<<53)
+	big.Add(0.5, 4)
+	if got, want := big.Sum(), float64(1<<53)+2; got != want {
+		t.Errorf("2^53 + 4·0.5 = %v, want %v", got, want)
+	}
+	if (LossTally{}).Sum() != 0 {
+		t.Error("empty tally must sum to 0")
+	}
+}
+
 func TestDiscernibilityMetric(t *testing.T) {
 	// T3a: 3² + 3² + 4² = 34; T3b: 3² + 7² = 58; T4: 4² + 6² = 52.
 	p3a, _ := eqclass.FromGroups(10, [][]int{{0, 3, 7}, {1, 2, 8}, {4, 5, 6, 9}})
