@@ -80,6 +80,24 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 	if cfg.MinLDiversity > 0 || cfg.MaxTCloseness > 0 || cfg.MinEntropyL > 0 || (cfg.RecursiveC > 0 && cfg.RecursiveL > 0) {
 		sensitive = t.Column(t.Schema.SensitiveIndex())
 	}
+	// t-closeness prices a candidate as the engine prices a class: the
+	// column's support and each row's place in it are fixed once per run,
+	// and a candidate's distribution is its counts over its size.
+	var global, local []float64
+	var supportPos []int
+	if cfg.MaxTCloseness > 0 {
+		var keys []string
+		keys, global = privacy.Support(sensitive, false)
+		at := make(map[string]int, len(keys))
+		for i, k := range keys {
+			at[k] = i
+		}
+		supportPos = make([]int, len(sensitive))
+		for r, v := range sensitive {
+			supportPos[r] = at[v.Key()]
+		}
+		local = make([]float64, len(keys))
+	}
 	valid := func(rows []int) bool {
 		if len(rows) < cfg.K {
 			return false
@@ -94,8 +112,15 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 			}
 		}
 		if cfg.MaxTCloseness > 0 {
-			d, err := privacy.ClassEMD(sensitive, rows, false)
-			if err != nil || d > cfg.MaxTCloseness+1e-12 {
+			clear(local)
+			for _, r := range rows {
+				local[supportPos[r]]++
+			}
+			total := float64(len(rows))
+			for i := range local {
+				local[i] /= total
+			}
+			if privacy.EMD(local, global, false) > cfg.MaxTCloseness+1e-12 {
 				return false
 			}
 		}

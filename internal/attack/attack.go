@@ -27,11 +27,16 @@
 // distinct quasi-identifier regions (equivalence classes) and matched
 // per-attribute through hash, interval-stabbing and taxonomy lookups over
 // region bitsets, so a victim costs O(regions) instead of O(rows·|QI|).
-// Victim tuples are memoized by signature, the risk vectors fan out across
-// GOMAXPROCS workers (cancellable via context), and the journalist model
-// is inverted to one population sweep per distinct matched-region set. The
-// Naive* functions keep the direct row-scanning reference implementations;
-// the cross-validation tests pin both paths to identical vectors.
+// Victim tuples are memoized by signature, and the risk vectors fan out
+// across GOMAXPROCS workers (cancellable via context). The journalist model
+// is inverted: the population is resolved to matched-region sets once,
+// groups matching a single region are summed into a per-region tally, and
+// groups matching several regions are merged by region set and indexed
+// from each region, so a distinct victim region set is charged the tallies
+// of its regions plus the multi-region sets it hits, each counted once.
+// The Naive* functions keep the direct row-scanning reference
+// implementations; the cross-validation tests pin both paths to identical
+// vectors.
 package attack
 
 import (
@@ -435,10 +440,10 @@ func MarketerRisk(orig *dataset.Table, adv *Adversary) (float64, error) {
 // journalist risk never exceeds prosecutor risk.
 //
 // The sweep is inverted: population rows are grouped by ground signature
-// and resolved to matched-region sets through the shared memo, then each
-// DISTINCT victim region set is charged one pass over the population
-// groups — candidates(S) = Σ |group| over groups whose region set
-// intersects S.
+// and resolved to matched-region sets through the shared memo, and the
+// groups are folded into a populationTally, so each DISTINCT victim region
+// set S costs its own regions, not a pass over the population:
+// candidates(S) = Σ |group| over groups whose region set intersects S.
 func JournalistVectorContext(ctx context.Context, sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	if sample.Len() != adv.anon.Len() {
 		return nil, fmt.Errorf("attack: sample has %d rows, anonymized %d", sample.Len(), adv.anon.Len())
@@ -496,7 +501,7 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	}
 
 	// Candidate counts depend only on the matched-region SET, so dedupe the
-	// victims' sets and sweep the population groups once per distinct set.
+	// victims' sets and count each distinct set once.
 	setIndex := make(map[string]int)
 	var sets []bitset
 	setOf := make([]int, len(victims))
@@ -512,16 +517,14 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	}
 	span.SetAttr(telemetry.Int("victim_groups", len(victims)),
 		telemetry.Int("region_sets", len(sets)))
+	tally := newPopulationTally(adv.index.n, popRegs, popCounts)
 	tr.AddTotal(len(sets))
 	cand := make([]int, len(sets))
+	stamps := sync.Pool{New: func() any { return make([]int32, len(tally.multi)) }}
 	if err := forEachParallel(ctx, len(sets), func(si int) error {
-		c := 0
-		for pg, pm := range popRegs {
-			if sets[si].intersects(pm.regs) {
-				c += popCounts[pg]
-			}
-		}
-		cand[si] = c
+		stamp := stamps.Get().([]int32)
+		cand[si] = tally.candidates(sets[si], int32(si)+1, stamp)
+		stamps.Put(stamp) //nolint:staticcheck // slice header, not pointer
 		tr.Add(1)
 		return nil
 	}); err != nil {
@@ -639,4 +642,60 @@ func TargetedRiskContext(ctx context.Context, orig *dataset.Table, adv *Adversar
 // TargetedRisk is TargetedRiskContext without cancellation.
 func TargetedRisk(orig *dataset.Table, adv *Adversary, rows []int) (mean, worst float64, err error) {
 	return TargetedRiskContext(context.Background(), orig, adv, rows)
+}
+
+// populationTally folds the population's matched-region sets into counts a
+// victim region set can be charged in O(|S| + multi-region hits):
+// population groups matching exactly one region are summed into that
+// region's tally, and groups matching several regions are merged by region
+// set and inverted into region -> set lists. Groups matching no region
+// never count.
+type populationTally struct {
+	// single[r] is the population matching region r and no other.
+	single []int
+	// multi[m] is the population whose matched-region set is the m-th
+	// distinct set of two or more regions; in[r] lists the sets holding r.
+	multi []int
+	in    [][]int32
+}
+
+func newPopulationTally(regions int, popRegs []*regionMatch, popCounts []int) *populationTally {
+	t := &populationTally{single: make([]int, regions), in: make([][]int32, regions)}
+	multiIndex := make(map[string]int32)
+	for pg, pm := range popRegs {
+		switch pm.regions {
+		case 0:
+		case 1:
+			pm.regs.forEach(func(r int) { t.single[r] += popCounts[pg] })
+		default:
+			k := pm.regs.key()
+			mi, ok := multiIndex[k]
+			if !ok {
+				mi = int32(len(t.multi))
+				multiIndex[k] = mi
+				t.multi = append(t.multi, 0)
+				pm.regs.forEach(func(r int) { t.in[r] = append(t.in[r], mi) })
+			}
+			t.multi[mi] += popCounts[pg]
+		}
+	}
+	return t
+}
+
+// candidates counts the population records matching at least one region of
+// s. stamp (len(multi)) marks the multi-region sets already counted with
+// id, which must differ from every id the buffer has been used with
+// before; its other entries may hold any earlier ids.
+func (t *populationTally) candidates(s bitset, id int32, stamp []int32) int {
+	c := 0
+	s.forEach(func(r int) {
+		c += t.single[r]
+		for _, mi := range t.in[r] {
+			if stamp[mi] != id {
+				stamp[mi] = id
+				c += t.multi[mi]
+			}
+		}
+	})
+	return c
 }

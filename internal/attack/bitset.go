@@ -58,15 +58,6 @@ func (b bitset) empty() bool {
 	return true
 }
 
-func (b bitset) intersects(c bitset) bool {
-	for i, w := range b {
-		if w&c[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (b bitset) count() int {
 	n := 0
 	for _, w := range b {

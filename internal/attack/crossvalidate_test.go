@@ -488,3 +488,111 @@ func TestProsecutorVectorCache(t *testing.T) {
 		t.Fatalf("dependent measures resolved %d new signatures, want 0", got-misses)
 	}
 }
+
+// TestJournalistMultiRegionSets pins the journalist sweep's multi-region
+// path on a hand-made release: closed interval hulls share endpoints, so
+// population tuples on a boundary match two or three regions; two distinct
+// ground tuples match the same pair of regions through suppressed cells;
+// and one region matches no population tuple at all, which sends its
+// victims to the prosecutor fallback.
+func TestJournalistMultiRegionSets(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
+		dataset.Attribute{Name: "Zip", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
+	)
+	row := func(age float64, zip string) []dataset.Value {
+		return []dataset.Value{dataset.NumVal(age), dataset.StrVal(zip)}
+	}
+	iv := dataset.IntervalVal
+	regions := []struct {
+		cells  []dataset.Value
+		sample [][]dataset.Value
+	}{
+		{[]dataset.Value{iv(20, 30), dataset.StrVal("A")}, [][]dataset.Value{row(25, "A"), row(30, "A")}},
+		{[]dataset.Value{iv(30, 40), dataset.StrVal("A")}, [][]dataset.Value{row(35, "A"), row(40, "A")}},
+		{[]dataset.Value{iv(40, 50), dataset.StrVal("A")}, [][]dataset.Value{row(45, "A"), row(50, "A")}},
+		{[]dataset.Value{dataset.NumVal(30), dataset.StrVal("A")}, [][]dataset.Value{row(30, "A")}},
+		{[]dataset.Value{iv(20, 40), dataset.StrVal("B")}, [][]dataset.Value{row(20, "B"), row(40, "B")}},
+		{[]dataset.Value{iv(80, 90), dataset.StarVal()}, [][]dataset.Value{row(80, "E"), row(85, "F")}},
+		{[]dataset.Value{iv(85, 95), dataset.StarVal()}, [][]dataset.Value{row(95, "E"), row(90, "G")}},
+		// No population tuple falls in this region.
+		{[]dataset.Value{iv(60, 70), dataset.StrVal("C")}, [][]dataset.Value{row(60, "C"), row(70, "C")}},
+	}
+	anon, sample := dataset.NewTable(schema), dataset.NewTable(schema)
+	for _, r := range regions {
+		for _, s := range r.sample {
+			anon.MustAppend(r.cells...)
+			sample.MustAppend(s...)
+		}
+	}
+	population := dataset.NewTable(schema)
+	for _, p := range []struct {
+		row   []dataset.Value
+		times int
+	}{
+		{row(30, "A"), 3}, // regions 0, 1 and 3
+		{row(40, "A"), 2}, // regions 1 and 2
+		{row(20, "A"), 1}, {row(25, "A"), 2}, {row(45, "A"), 1}, {row(50, "A"), 1},
+		{row(30, "B"), 1}, {row(40, "B"), 2},
+		{row(88, "A"), 1}, {row(88, "B"), 2}, // regions 5 and 6 through suppressed Zip cells
+		{row(82, "Q"), 1}, {row(93, "Q"), 1},
+		{row(99, "A"), 1}, {row(30, "C"), 1}, // no region
+	} {
+		for i := 0; i < p.times; i++ {
+			population.MustAppend(p.row...)
+		}
+	}
+
+	// Guard the fixture: some population group must match several regions,
+	// two groups the same several, and some region must match none.
+	adv, err := NewAdversary(anon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popVictims, _, err := victimGroupsCounted(population, adv.qi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := make(map[int]bool)
+	multiSets := make(map[string]int)
+	for _, v := range popVictims {
+		m, err := adv.matchRegions(context.Background(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.regs.forEach(func(r int) { hit[r] = true })
+		if m.regions >= 2 {
+			multiSets[m.regs.key()]++
+		}
+	}
+	shared := false
+	for _, n := range multiSets {
+		shared = shared || n >= 2
+	}
+	if len(multiSets) < 2 || !shared || len(hit) != adv.index.n-1 {
+		t.Fatalf("fixture lost its shape: %d multi-region sets (shared %v), %d of %d regions hit",
+			len(multiSets), shared, len(hit), adv.index.n)
+	}
+
+	want, err := NaiveJournalistVector(sample, population, adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := want[len(want)-1]; last != 0.5 {
+		t.Fatalf("victim of the unmatched region: naive risk %v, want the prosecutor fallback 1/2", last)
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			adv, err := NewAdversary(anon, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := JournalistVector(sample, population, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalVectors(t, fmt.Sprintf("GOMAXPROCS=%d journalist", procs), got, want)
+		}()
+	}
+}

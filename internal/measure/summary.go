@@ -36,7 +36,9 @@ type Summary struct {
 	ClassSizeMax    float64 `json:"class_size_max"`
 }
 
-// Summarize computes the scalar digest of the context's anonymization.
+// Summarize computes the scalar digest of the context's anonymization. The
+// diversity fields stay zero when the schema has no sensitive attribute;
+// any other failure to compute them is returned.
 func Summarize(c *Context) (*Summary, error) {
 	sizes := c.Partition.SizeVector()
 	lm, err := utility.GeneralLossMetric(c.Anon, c.Orig, utility.LossConfig{Taxonomies: c.Taxonomies})
@@ -55,16 +57,25 @@ func Summarize(c *Context) (*Summary, error) {
 		ClassSizeMedian: dist.Median,
 		ClassSizeMax:    dist.Max,
 	}
-	if col, err := c.SensitiveColumn(); err == nil {
-		if dl, err := privacy.DistinctLDiversity(c.Partition, col); err == nil {
-			s.DistinctL = dl
-		}
-		if el, err := privacy.EntropyLDiversity(c.Partition, col); err == nil {
-			s.EntropyL = el
-		}
-		if tc, err := privacy.TCloseness(c.Partition, col, false); err == nil {
-			s.TCloseness = tc
-		}
+	if c.Orig.Schema.SensitiveIndex() < 0 {
+		return s, nil
+	}
+	// DistinctL, EntropyL and t all read the context's shared per-class
+	// histograms; only t's support scans the column once more.
+	col, err := c.SensitiveColumn()
+	if err != nil {
+		return nil, err
+	}
+	hist, err := c.ClassHistograms()
+	if err != nil {
+		return nil, err
+	}
+	s.DistinctL = privacy.DistinctLFromCounts(hist)
+	if s.EntropyL, err = privacy.EntropyLFromCounts(hist); err != nil {
+		return nil, err
+	}
+	if s.TCloseness, err = privacy.TClosenessFromCounts(c.Partition, col, hist, false); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

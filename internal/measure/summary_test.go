@@ -2,10 +2,21 @@ package measure
 
 import (
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"microdata/internal/algorithm"
+	"microdata/internal/algorithm/datafly"
+	"microdata/internal/algorithm/mondrian"
+	"microdata/internal/algorithm/optimal"
+	"microdata/internal/algorithm/samarati"
+	"microdata/internal/dataset"
+	"microdata/internal/eqclass"
+	"microdata/internal/generator"
 	"microdata/internal/paperdata"
+	"microdata/internal/privacy"
 )
 
 func TestSummarizePaperT3a(t *testing.T) {
@@ -80,4 +91,130 @@ func TestSummarizeWithoutSensitive(t *testing.T) {
 	if s.KAnonymity != 3 {
 		t.Errorf("k = %d", s.KAnonymity)
 	}
+}
+
+func TestSummarizeFailsOnHistogramMismatch(t *testing.T) {
+	c := ctx(t, paperdata.T3a())
+	c.histOnce.Do(func() {
+		c.hist = make([]map[string]int, c.Partition.NumClasses())
+		for ci := range c.hist {
+			c.hist[ci] = map[string]int{"not-a-marital-status": 1}
+		}
+	})
+	if s, err := Summarize(c); err == nil {
+		t.Fatalf("histogram keys outside the sensitive column summarized as %+v", s)
+	}
+}
+
+// TestSummarizeMatchesDirectDefinitions pins Summarize's diversity fields,
+// read from the context's shared histograms, bit for bit to the direct
+// definitions on real releases; t is checked against a reference that
+// rescans the column for every class, under both ground metrics.
+func TestSummarizeMatchesDirectDefinitions(t *testing.T) {
+	orig, err := generator.Generate(generator.Config{N: 3000, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := algorithm.Config{
+		K: 5, Hierarchies: generator.Hierarchies(), Taxonomies: generator.Taxonomies(),
+		MaxSuppression: 0.05, Metric: algorithm.MetricLM,
+	}
+	sens := orig.Column(orig.Schema.SensitiveIndex())
+	age := orig.Column(orig.Schema.Index("Age"))
+	for _, alg := range []algorithm.Algorithm{datafly.New(), optimal.New(), mondrian.New(), samarati.New()} {
+		r, err := alg.Anonymize(orig, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		c, err := NewContext(orig, r.Table, generator.Taxonomies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Summarize(c)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		p := c.Partition
+		dl, err := privacy.DistinctLDiversity(p, sens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		el, err := privacy.EntropyLDiversity(p, sens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.DistinctL != dl || math.Float64bits(s.EntropyL) != math.Float64bits(el) {
+			t.Errorf("%s: summary ℓ = (%d, %v), direct (%d, %v)", alg.Name(), s.DistinctL, s.EntropyL, dl, el)
+		}
+		if want := referenceTCloseness(p, sens, false); math.Float64bits(s.TCloseness) != math.Float64bits(want) {
+			t.Errorf("%s: summary t = %v, per-class rescan %v", alg.Name(), s.TCloseness, want)
+		}
+		for _, col := range [][]dataset.Value{sens, age} {
+			for _, ordered := range []bool{false, true} {
+				got, err := privacy.TCloseness(p, col, ordered)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceTCloseness(p, col, ordered); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: t (ordered=%v) = %v, per-class rescan %v", alg.Name(), ordered, got, want)
+				}
+			}
+		}
+	}
+}
+
+// referenceTCloseness is t-closeness by its definition: every class
+// distribution is tallied from the class's rows over the canonical order of
+// all the column's values (numeric order for an ordered all-number column,
+// else lexicographic) and compared with the column's own.
+func referenceTCloseness(p *eqclass.Partition, col []dataset.Value, ordered bool) float64 {
+	seen := map[string]bool{}
+	nums := map[string]float64{}
+	var keys []string
+	numeric := true
+	for _, v := range col {
+		k := v.Key()
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+			if v.Kind() == dataset.Num {
+				nums[k] = v.Float()
+			} else {
+				numeric = false
+			}
+		}
+	}
+	if ordered && numeric {
+		sort.Slice(keys, func(i, j int) bool { return nums[keys[i]] < nums[keys[j]] })
+	} else {
+		sort.Strings(keys)
+	}
+	pos := map[string]int{}
+	for i, k := range keys {
+		pos[k] = i
+	}
+	distribution := func(rows []int) []float64 {
+		d := make([]float64, len(keys))
+		total := 0.0
+		for _, r := range rows {
+			d[pos[col[r].Key()]]++
+			total++
+		}
+		for i := range d {
+			d[i] /= total
+		}
+		return d
+	}
+	all := make([]int, len(col))
+	for i := range all {
+		all[i] = i
+	}
+	global := distribution(all)
+	worst := 0.0
+	for _, rows := range p.Classes {
+		if d := privacy.EMD(distribution(rows), global, ordered); d > worst {
+			worst = d
+		}
+	}
+	return worst
 }

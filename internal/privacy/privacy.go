@@ -43,8 +43,14 @@ func DistinctLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (int, e
 	if err != nil {
 		return 0, err
 	}
+	return DistinctLFromCounts(counts), nil
+}
+
+// DistinctLFromCounts is DistinctLDiversity computed from precomputed
+// per-class sensitive histograms (Partition.ValueCounts output).
+func DistinctLFromCounts(counts []map[string]int) int {
 	if len(counts) == 0 {
-		return 0, nil
+		return 0
 	}
 	min := len(counts[0])
 	for _, m := range counts[1:] {
@@ -52,7 +58,7 @@ func DistinctLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (int, e
 			min = len(m)
 		}
 	}
-	return min, nil
+	return min
 }
 
 // IsDistinctLDiverse reports whether every class holds at least l distinct
@@ -79,6 +85,12 @@ func EntropyLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (float64
 	if err != nil {
 		return 0, err
 	}
+	return EntropyLFromCounts(counts)
+}
+
+// EntropyLFromCounts is EntropyLDiversity computed from precomputed
+// per-class sensitive histograms (Partition.ValueCounts output).
+func EntropyLFromCounts(counts []map[string]int) (float64, error) {
 	if len(counts) == 0 {
 		return 0, fmt.Errorf("privacy: entropy ℓ-diversity of empty partition")
 	}

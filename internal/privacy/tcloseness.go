@@ -16,25 +16,29 @@ import (
 // (EMD = total variation distance), true uses the ordered-distance metric
 // for numeric or ordinal attributes.
 func TCloseness(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) (float64, error) {
-	if len(sensitive) != p.N() {
-		return 0, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	counts, err := p.ValueCounts(sensitive)
+	if err != nil {
+		return 0, err
 	}
+	return TClosenessFromCounts(p, sensitive, counts, ordered)
+}
+
+// TClosenessFromCounts is TCloseness computed from precomputed per-class
+// sensitive histograms (Partition.ValueCounts output).
+func TClosenessFromCounts(p *eqclass.Partition, sensitive []dataset.Value, counts []map[string]int, ordered bool) (float64, error) {
 	if p.N() == 0 {
 		return 0, fmt.Errorf("privacy: t-closeness of empty partition")
 	}
-	// Establish the global distribution over a canonical value order.
-	keys, global := distribution(sensitive, nil, ordered)
+	perClass, err := classEMDs(p, sensitive, counts, ordered)
+	if err != nil {
+		return 0, err
+	}
 	worst := 0.0
-	for _, rows := range p.Classes {
-		_, local := distribution(sensitive, rows, ordered)
-		// Align local to the global key order (distribution guarantees
-		// identical key sets because it enumerates the global keys).
-		d := EMD(local, global, ordered)
+	for _, d := range perClass {
 		if d > worst {
 			worst = d
 		}
 	}
-	_ = keys
 	return worst, nil
 }
 
@@ -55,20 +59,11 @@ func IsTClose(p *eqclass.Partition, sensitive []dataset.Value, t float64, ordere
 // property. Under the paper's higher-is-better convention callers should
 // negate it (lower distance means better privacy).
 func TClosenessVector(p *eqclass.Partition, sensitive []dataset.Value, ordered bool) ([]float64, error) {
-	if len(sensitive) != p.N() {
-		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	counts, err := p.ValueCounts(sensitive)
+	if err != nil {
+		return nil, err
 	}
-	perClass := make([]float64, p.NumClasses())
-	_, global := distribution(sensitive, nil, ordered)
-	for ci, rows := range p.Classes {
-		_, local := distribution(sensitive, rows, ordered)
-		perClass[ci] = EMD(local, global, ordered)
-	}
-	out := make([]float64, p.N())
-	for i := range out {
-		out[i] = perClass[p.ClassOf[i]]
-	}
-	return out, nil
+	return TClosenessVectorFromCounts(p, sensitive, counts, ordered)
 }
 
 // TClosenessVectorFromCounts is TClosenessVector computed from precomputed
@@ -76,38 +71,9 @@ func TClosenessVector(p *eqclass.Partition, sensitive []dataset.Value, ordered b
 // distributions come from the integer tallies — exact in float64 — so the
 // result is identical to TClosenessVector's.
 func TClosenessVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value, counts []map[string]int, ordered bool) ([]float64, error) {
-	if len(sensitive) != p.N() {
-		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
-	}
-	if err := checkCounts(p, counts); err != nil {
+	perClass, err := classEMDs(p, sensitive, counts, ordered)
+	if err != nil {
 		return nil, err
-	}
-	keys, global := distribution(sensitive, nil, ordered)
-	pos := make(map[string]int, len(keys))
-	for i, k := range keys {
-		pos[k] = i
-	}
-	perClass := make([]float64, p.NumClasses())
-	local := make([]float64, len(keys))
-	for ci, m := range counts {
-		for i := range local {
-			local[i] = 0
-		}
-		total := 0.0
-		for k, cnt := range m {
-			j, ok := pos[k]
-			if !ok {
-				return nil, fmt.Errorf("privacy: histogram key %q not in sensitive column", k)
-			}
-			local[j] = float64(cnt)
-			total += float64(cnt)
-		}
-		if total > 0 {
-			for i := range local {
-				local[i] /= total
-			}
-		}
-		perClass[ci] = EMD(local, global, ordered)
 	}
 	out := make([]float64, p.N())
 	for i := range out {
@@ -118,9 +84,7 @@ func TClosenessVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value,
 
 // ClassEMD returns the earth mover's distance between the sensitive-value
 // distribution of the selected rows and the distribution of the whole
-// column — the quantity t-closeness bounds per equivalence class. Exposed
-// for algorithms (Mondrian) that must check candidate classes before a
-// partition exists.
+// column — the quantity t-closeness bounds per equivalence class.
 func ClassEMD(col []dataset.Value, rows []int, ordered bool) (float64, error) {
 	if len(col) == 0 {
 		return 0, fmt.Errorf("privacy: ClassEMD of empty column")
@@ -128,69 +92,110 @@ func ClassEMD(col []dataset.Value, rows []int, ordered bool) (float64, error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("privacy: ClassEMD of empty class")
 	}
+	counts := make(map[string]int)
 	for _, r := range rows {
 		if r < 0 || r >= len(col) {
 			return 0, fmt.Errorf("privacy: ClassEMD row %d out of range", r)
 		}
+		counts[col[r].Key()]++
 	}
-	_, global := distribution(col, nil, ordered)
-	_, local := distribution(col, rows, ordered)
-	return EMD(local, global, ordered), nil
+	s := newSupport(col, ordered)
+	return s.emd(counts, make([]float64, len(s.keys)))
 }
 
-// distribution tallies the sensitive values of the selected rows (all rows
-// when rows is nil) into a probability vector over the canonical ordering
-// of ALL values appearing in the full column, so every distribution shares
-// one support. Ordered attributes sort numerically when possible, else
-// lexicographically.
-func distribution(col []dataset.Value, rows []int, ordered bool) ([]string, []float64) {
-	// Canonical key order over the whole column.
-	seen := map[string]int{}
+// classEMDs prices every class against the column: element ci is the EMD
+// between class ci's histogram and the whole column's distribution, all
+// over one support established in a single pass over the column.
+func classEMDs(p *eqclass.Partition, sensitive []dataset.Value, counts []map[string]int, ordered bool) ([]float64, error) {
+	if len(sensitive) != p.N() {
+		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
+	}
+	if err := checkCounts(p, counts); err != nil {
+		return nil, err
+	}
+	s := newSupport(sensitive, ordered)
+	local := make([]float64, len(s.keys))
+	out := make([]float64, len(counts))
+	for ci, m := range counts {
+		d, err := s.emd(m, local)
+		if err != nil {
+			return nil, err
+		}
+		out[ci] = d
+	}
+	return out, nil
+}
+
+// support is the canonical order of ALL values appearing in a sensitive
+// column, so every class distribution shares one support, together with
+// the column's own distribution over it. Ordered attributes sort
+// numerically when every value is a number, else lexicographically.
+type support struct {
+	keys    []string
+	pos     map[string]int
+	global  []float64
+	ordered bool
+}
+
+// newSupport establishes the support of the column in one pass.
+func newSupport(col []dataset.Value, ordered bool) *support {
+	first := map[string]int{}
 	var keys []string
+	var tally []int
 	numeric := true
 	nums := map[string]float64{}
 	for _, v := range col {
 		k := v.Key()
-		if _, ok := seen[k]; !ok {
-			seen[k] = 0
+		i, ok := first[k]
+		if !ok {
+			i = len(keys)
+			first[k] = i
 			keys = append(keys, k)
+			tally = append(tally, 0)
 			if v.Kind() == dataset.Num {
 				nums[k] = v.Float()
 			} else {
 				numeric = false
 			}
 		}
+		tally[i]++
 	}
 	if ordered && numeric {
 		sort.Slice(keys, func(i, j int) bool { return nums[keys[i]] < nums[keys[j]] })
 	} else {
 		sort.Strings(keys)
 	}
-	pos := make(map[string]int, len(keys))
+	s := &support{keys: keys, pos: make(map[string]int, len(keys)), global: make([]float64, len(keys)), ordered: ordered}
+	n := float64(len(col))
 	for i, k := range keys {
-		pos[k] = i
+		s.pos[k] = i
+		s.global[i] = float64(tally[first[k]]) / n
 	}
-	counts := make([]float64, len(keys))
+	return s
+}
+
+// emd returns the EMD between the class with the given value counts and
+// the column. The class distribution is aligned on the support in local
+// (scratch of len(keys)), each entry its count over the class size; the
+// integer tallies are exact in float64, so the distance does not depend on
+// how the counts were gathered.
+func (s *support) emd(counts map[string]int, local []float64) (float64, error) {
+	clear(local)
 	total := 0.0
-	add := func(v dataset.Value) {
-		counts[pos[v.Key()]]++
-		total++
-	}
-	if rows == nil {
-		for _, v := range col {
-			add(v)
+	for k, c := range counts {
+		j, ok := s.pos[k]
+		if !ok {
+			return 0, fmt.Errorf("privacy: histogram key %q not in sensitive column", k)
 		}
-	} else {
-		for _, r := range rows {
-			add(col[r])
-		}
+		local[j] = float64(c)
+		total += float64(c)
 	}
 	if total > 0 {
-		for i := range counts {
-			counts[i] /= total
+		for i := range local {
+			local[i] /= total
 		}
 	}
-	return keys, counts
+	return EMD(local, s.global, s.ordered), nil
 }
 
 // Support returns the canonical order of the sensitive column's values —
@@ -199,7 +204,8 @@ func distribution(col []dataset.Value, rows []int, ordered bool) ([]string, []fl
 // aligned on the same keys, each entry its count over the class size, is
 // what EMD compares against the global one.
 func Support(sensitive []dataset.Value, ordered bool) (keys []string, global []float64) {
-	return distribution(sensitive, nil, ordered)
+	s := newSupport(sensitive, ordered)
+	return s.keys, s.global
 }
 
 // EMD computes the earth mover's distance between two aligned
