@@ -497,6 +497,9 @@ type (
 	WorkloadReport = workload.Report
 	// WorkloadEstimator answers queries under the uniformity assumption.
 	WorkloadEstimator = workload.Estimator
+	// PreparedWorkload is a workload bound to its original table, ready to
+	// evaluate any number of releases.
+	PreparedWorkload = workload.Prepared
 )
 
 // Workload generation and evaluation.
@@ -504,6 +507,7 @@ var (
 	GenerateWorkload     = workload.Generate
 	TrueCount            = workload.TrueCount
 	NewWorkloadEstimator = workload.NewEstimator
+	PrepareWorkload      = workload.Prepare
 	EvaluateWorkload     = workload.Evaluate
 )
 

@@ -146,6 +146,12 @@ func e18(opts Options) Experiment {
 				if err != nil {
 					return err
 				}
+				// The estimator and true answers are shared read-only by
+				// every release's goroutine.
+				prepared, err := workload.Prepare(tab, queries, generator.Taxonomies())
+				if err != nil {
+					return err
+				}
 				fmt.Fprintf(w, "  workload: 150 COUNT queries, %d predicate(s), k=%d\n", npred, cfg.K)
 				fmt.Fprintf(w, "  %-20s %12s %12s %12s\n", "algorithm", "meanAbsErr", "medAbsErr", "meanRelErr")
 				lines := make([]string, len(algs))
@@ -159,7 +165,7 @@ func e18(opts Options) Experiment {
 							lines[i] = fmt.Sprintf("  %-20s failed: %v\n", algs[i].Name(), releases[i].fail)
 							return
 						}
-						rep, err := workload.Evaluate(tab, releases[i].table, queries, generator.Taxonomies())
+						rep, err := prepared.Evaluate(releases[i].table)
 						if err != nil {
 							errs[i] = err
 							return

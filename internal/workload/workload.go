@@ -11,6 +11,15 @@
 // contributes the fraction of its region that overlaps the predicate.
 // Accuracy is reported as the distribution of absolute and relative errors
 // over the workload.
+//
+// A cell's selectivity depends only on its value, so every count prices
+// each predicate once per entry of its column's dictionary and then reads
+// one row's factor by its code. The rows multiply their factors in
+// predicate order and are summed in row order, as a per-row loop would,
+// so each count keeps its bits. Prepare does the release-independent work
+// once per workload: the estimator's domains, each categorical predicate's
+// value set and the true answers. Its Prepared then evaluates any number
+// of releases, concurrently if wanted.
 package workload
 
 import (
@@ -100,6 +109,9 @@ func Generate(orig *dataset.Table, cfg Config) ([]Query, error) {
 				vals = append(vals, v.Text())
 			}
 		}
+		if len(vals) == 0 {
+			return nil, fmt.Errorf("workload: categorical attribute %q has no ground values", orig.Schema.Attrs[j].Name)
+		}
 		sort.Strings(vals)
 		doms[d] = dom{values: vals}
 	}
@@ -135,36 +147,96 @@ func Generate(orig *dataset.Table, cfg Config) ([]Query, error) {
 	return queries, nil
 }
 
-// TrueCount answers the query exactly on the original table.
-func TrueCount(orig *dataset.Table, q Query) (float64, error) {
-	count := 0.0
-	for i := 0; i < orig.Len(); i++ {
-		sel := 1.0
-		for _, p := range q.Predicates {
-			j := orig.Schema.Index(p.Attr)
-			if j < 0 {
-				return 0, fmt.Errorf("workload: unknown attribute %q", p.Attr)
+// pred is a predicate ready to price: a categorical predicate's Values
+// become a set once, so membership is a lookup instead of a scan.
+type pred struct {
+	Predicate
+	in map[string]bool
+}
+
+func compile(q Query) []pred {
+	preds := make([]pred, len(q.Predicates))
+	for k, p := range q.Predicates {
+		preds[k].Predicate = p
+		if len(p.Values) > 0 {
+			preds[k].in = make(map[string]bool, len(p.Values))
+			for _, s := range p.Values {
+				preds[k].in[s] = true
 			}
-			f, err := groundSelectivity(orig.At(i, j), p)
+		}
+	}
+	return preds
+}
+
+// priced is one predicate's selectivity per dictionary entry of its
+// column, with the column's row codes to read it by.
+type priced struct {
+	codes []uint32
+	sel   []float64
+}
+
+// price evaluates each predicate once per distinct value of its column
+// in t. A column's dictionary holds only values that occur in it, so a
+// value that cannot be priced fails here, whatever the other predicates
+// say about its rows.
+func price(t *dataset.Table, preds []pred, cell func(dataset.Value, pred) (float64, error)) ([]priced, error) {
+	out := make([]priced, len(preds))
+	for k, p := range preds {
+		j := t.Schema.Index(p.Attr)
+		if j < 0 {
+			return nil, fmt.Errorf("workload: unknown attribute %q", p.Attr)
+		}
+		col := t.ColumnVector(j)
+		sel := make([]float64, col.Card())
+		for c, v := range col.Dict() {
+			f, err := cell(v, p)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			sel *= f
+			sel[c] = f
+		}
+		out[k] = priced{codes: col.Codes(), sel: sel}
+	}
+	return out, nil
+}
+
+// sum multiplies each row's factors in predicate order, stopping at the
+// first zero, and adds the rows in row order.
+func sum(rows int, preds []priced) float64 {
+	count := 0.0
+	for i := 0; i < rows; i++ {
+		sel := 1.0
+		for _, p := range preds {
+			sel *= p.sel[p.codes[i]]
+			if sel == 0 {
+				break
+			}
 		}
 		count += sel
 	}
-	return count, nil
+	return count
 }
 
-func groundSelectivity(v dataset.Value, p Predicate) (float64, error) {
-	if len(p.Values) > 0 {
+// TrueCount answers the query exactly on the original table.
+func TrueCount(orig *dataset.Table, q Query) (float64, error) {
+	return trueCount(orig, compile(q))
+}
+
+func trueCount(orig *dataset.Table, preds []pred) (float64, error) {
+	ps, err := price(orig, preds, groundSelectivity)
+	if err != nil {
+		return 0, err
+	}
+	return sum(orig.Len(), ps), nil
+}
+
+func groundSelectivity(v dataset.Value, p pred) (float64, error) {
+	if p.in != nil {
 		if v.Kind() != dataset.Str {
 			return 0, fmt.Errorf("workload: categorical predicate on %v cell", v.Kind())
 		}
-		for _, s := range p.Values {
-			if v.Text() == s {
-				return 1, nil
-			}
+		if p.in[v.Text()] {
+			return 1, nil
 		}
 		return 0, nil
 	}
@@ -184,9 +256,9 @@ func groundSelectivity(v dataset.Value, p Predicate) (float64, error) {
 // predicate's share of the whole domain rather than zero.
 type Estimator struct {
 	taxs    map[string]*hierarchy.Taxonomy
+	leaves  map[string][]string   // attr -> its taxonomy's leaves
 	numDom  map[string][2]float64 // attr -> observed [lo, hi]
-	catDom  map[string]int        // attr -> observed distinct ground values
-	catVals map[string][]string   // attr -> the values themselves
+	catVals map[string][]string   // attr -> observed distinct ground values
 }
 
 // NewEstimator captures the original table's domains.
@@ -196,9 +268,14 @@ func NewEstimator(orig *dataset.Table, taxonomies map[string]*hierarchy.Taxonomy
 	}
 	e := &Estimator{
 		taxs:    taxonomies,
+		leaves:  map[string][]string{},
 		numDom:  map[string][2]float64{},
-		catDom:  map[string]int{},
 		catVals: map[string][]string{},
+	}
+	for attr, tax := range taxonomies {
+		if tax != nil {
+			e.leaves[attr] = tax.Leaves()
+		}
 	}
 	for j, attr := range orig.Schema.Attrs {
 		if attr.Kind == dataset.Numeric {
@@ -208,52 +285,40 @@ func NewEstimator(orig *dataset.Table, taxonomies map[string]*hierarchy.Taxonomy
 			}
 			continue
 		}
-		seen := map[string]bool{}
-		for i := 0; i < orig.Len(); i++ {
-			v := orig.At(i, j)
-			if v.Kind() == dataset.Str && !seen[v.Text()] {
-				seen[v.Text()] = true
+		for _, v := range orig.ColumnVector(j).Dict() {
+			if v.Kind() == dataset.Str {
 				e.catVals[attr.Name] = append(e.catVals[attr.Name], v.Text())
 			}
 		}
-		e.catDom[attr.Name] = len(seen)
 	}
 	return e, nil
 }
 
 // Count answers the query on the anonymized table. Each record
 // contributes the product over predicates of the overlap fraction between
-// its (possibly generalized) cell and the predicate.
+// its (possibly generalized) cell and the predicate. Every distinct cell
+// value of a predicate's column is priced, so a cell the estimator cannot
+// price (a Set label without a taxonomy, a kind the predicate does not
+// take) fails the count even on a row another predicate already zeroes.
 func (e *Estimator) Count(anon *dataset.Table, q Query) (float64, error) {
-	count := 0.0
-	for i := 0; i < anon.Len(); i++ {
-		sel := 1.0
-		for _, p := range q.Predicates {
-			j := anon.Schema.Index(p.Attr)
-			if j < 0 {
-				return 0, fmt.Errorf("workload: unknown attribute %q", p.Attr)
-			}
-			f, err := e.cellSelectivity(anon.At(i, j), p)
-			if err != nil {
-				return 0, err
-			}
-			sel *= f
-			if sel == 0 {
-				break
-			}
-		}
-		count += sel
+	return e.count(anon, compile(q))
+}
+
+func (e *Estimator) count(anon *dataset.Table, preds []pred) (float64, error) {
+	ps, err := price(anon, preds, e.cellSelectivity)
+	if err != nil {
+		return 0, err
 	}
-	return count, nil
+	return sum(anon.Len(), ps), nil
 }
 
 // cellSelectivity is the fraction of the cell's region satisfying the
 // predicate, under uniformity.
-func (e *Estimator) cellSelectivity(v dataset.Value, p Predicate) (float64, error) {
-	if len(p.Values) > 0 {
+func (e *Estimator) cellSelectivity(v dataset.Value, p pred) (float64, error) {
+	if p.in != nil {
 		return e.categoricalSelectivity(v, p)
 	}
-	return e.numericSelectivity(v, p)
+	return e.numericSelectivity(v, p.Predicate)
 }
 
 func (e *Estimator) numericSelectivity(v dataset.Value, p Predicate) (float64, error) {
@@ -296,14 +361,23 @@ func intervalOverlap(lo, hi float64) func(Predicate) float64 {
 	}
 }
 
-func (e *Estimator) categoricalSelectivity(v dataset.Value, p Predicate) (float64, error) {
+// listed counts the values the predicate lists.
+func listed(vals []string, p pred) int {
+	n := 0
+	for _, v := range vals {
+		if p.in[v] {
+			n++
+		}
+	}
+	return n
+}
+
+func (e *Estimator) categoricalSelectivity(v dataset.Value, p pred) (float64, error) {
 	tax := e.taxs[p.Attr]
 	switch v.Kind() {
 	case dataset.Str:
-		for _, s := range p.Values {
-			if v.Text() == s {
-				return 1, nil
-			}
+		if p.in[v.Text()] {
+			return 1, nil
 		}
 		return 0, nil
 	case dataset.Set:
@@ -312,16 +386,13 @@ func (e *Estimator) categoricalSelectivity(v dataset.Value, p Predicate) (float6
 		}
 		covered := 0
 		total := 0
-		for _, leaf := range tax.Leaves() {
+		for _, leaf := range e.leaves[p.Attr] {
 			if !tax.CoversValue(v.Text(), leaf) {
 				continue
 			}
 			total++
-			for _, s := range p.Values {
-				if leaf == s {
-					covered++
-					break
-				}
+			if p.in[leaf] {
+				covered++
 			}
 		}
 		if total == 0 {
@@ -350,32 +421,14 @@ func (e *Estimator) categoricalSelectivity(v dataset.Value, p Predicate) (float6
 		// Could be any ground value: spread over the taxonomy's leaves
 		// when one exists, else over the observed domain.
 		if tax != nil {
-			leaves := tax.Leaves()
+			leaves := e.leaves[p.Attr]
 			if len(leaves) == 0 {
 				return 0, nil
 			}
-			matching := 0
-			for _, leaf := range leaves {
-				for _, s := range p.Values {
-					if leaf == s {
-						matching++
-						break
-					}
-				}
-			}
-			return float64(matching) / float64(len(leaves)), nil
+			return float64(listed(leaves, p)) / float64(len(leaves)), nil
 		}
-		if n := e.catDom[p.Attr]; n > 0 {
-			matching := 0
-			for _, val := range e.catVals[p.Attr] {
-				for _, s := range p.Values {
-					if val == s {
-						matching++
-						break
-					}
-				}
-			}
-			return float64(matching) / float64(n), nil
+		if vals := e.catVals[p.Attr]; len(vals) > 0 {
+			return float64(listed(vals, p)) / float64(len(vals)), nil
 		}
 		return 0, nil
 	default:
@@ -395,37 +448,71 @@ type Report struct {
 	AbsErrors []float64
 }
 
-// Evaluate runs the workload against one anonymization.
-func Evaluate(orig, anon *dataset.Table, queries []Query, taxonomies map[string]*hierarchy.Taxonomy) (*Report, error) {
+// Prepared is a workload bound to its original table: the estimator,
+// each query's compiled predicates and the true answers, computed once.
+// It is read-only after Prepare, so goroutines may share it to evaluate
+// different releases.
+type Prepared struct {
+	est     *Estimator
+	queries [][]pred
+	truth   []float64
+	rows    int
+}
+
+// Prepare does the release-independent part of evaluating a workload.
+func Prepare(orig *dataset.Table, queries []Query, taxonomies map[string]*hierarchy.Taxonomy) (*Prepared, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("workload: empty workload")
 	}
-	if orig.Len() != anon.Len() {
-		return nil, fmt.Errorf("workload: table size mismatch")
-	}
-	est8r, err := NewEstimator(orig, taxonomies)
+	est, err := NewEstimator(orig, taxonomies)
 	if err != nil {
 		return nil, err
 	}
-	abs := make([]float64, len(queries))
-	rel := 0.0
+	p := &Prepared{
+		est:     est,
+		queries: make([][]pred, len(queries)),
+		truth:   make([]float64, len(queries)),
+		rows:    orig.Len(),
+	}
 	for qi, q := range queries {
-		truth, err := TrueCount(orig, q)
+		p.queries[qi] = compile(q)
+		if p.truth[qi], err = trueCount(orig, p.queries[qi]); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Evaluate runs the workload against one anonymization of the original
+// table.
+func (p *Prepared) Evaluate(anon *dataset.Table) (*Report, error) {
+	if anon.Len() != p.rows {
+		return nil, fmt.Errorf("workload: table size mismatch")
+	}
+	abs := make([]float64, len(p.queries))
+	rel := 0.0
+	for qi, q := range p.queries {
+		est, err := p.est.count(anon, q)
 		if err != nil {
 			return nil, err
 		}
-		est, err := est8r.Count(anon, q)
-		if err != nil {
-			return nil, err
-		}
-		abs[qi] = math.Abs(est - truth)
-		rel += abs[qi] / math.Max(truth, 1)
+		abs[qi] = math.Abs(est - p.truth[qi])
+		rel += abs[qi] / math.Max(p.truth[qi], 1)
 	}
 	return &Report{
-		Queries:        len(queries),
+		Queries:        len(p.queries),
 		MeanAbsError:   stats.Mean(abs),
 		MedianAbsError: stats.Median(abs),
-		MeanRelError:   rel / float64(len(queries)),
+		MeanRelError:   rel / float64(len(p.queries)),
 		AbsErrors:      abs,
 	}, nil
+}
+
+// Evaluate runs the workload against one anonymization.
+func Evaluate(orig, anon *dataset.Table, queries []Query, taxonomies map[string]*hierarchy.Taxonomy) (*Report, error) {
+	p, err := Prepare(orig, queries, taxonomies)
+	if err != nil {
+		return nil, err
+	}
+	return p.Evaluate(anon)
 }
