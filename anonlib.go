@@ -100,7 +100,7 @@ type (
 	// Float64Column is the typed, non-dictionary numeric column: the flat
 	// path for high-cardinality numeric attributes.
 	Float64Column = dataset.Float64Column
-	// Columnar is a column-oriented table under construction or backing a Table.
+	// Columnar builds a Table row by row; Table() seals it.
 	Columnar = dataset.Columnar
 	// CSVIngester parses CSV fed in arbitrary chunks straight into columns.
 	CSVIngester = dataset.CSVIngester
@@ -119,7 +119,6 @@ const (
 var (
 	NewSchema   = dataset.NewSchema
 	MustSchema  = dataset.MustSchema
-	NewTable    = dataset.NewTable
 	NumVal      = dataset.NumVal
 	StrVal      = dataset.StrVal
 	IntervalVal = dataset.IntervalVal
@@ -706,7 +705,8 @@ var (
 )
 
 // TableHash returns the SHA-256 content hash of a table (schema + cells),
-// independent of its backing — the dataset fingerprint perf packs record.
+// independent of its dictionary order — the dataset fingerprint perf packs
+// record.
 func TableHash(t *Table) (string, error) { return t.Hash() }
 
 // Correctness-provenance observability (internal/telemetry/resultpack,

@@ -464,12 +464,15 @@ func BenchmarkProsecutorVector(b *testing.B) {
 func BenchmarkJournalistVector(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		tab, anon := attackBenchRelease(b, n)
-		population := tab.Clone()
 		extra, err := generator.Generate(generator.Config{N: n, Seed: 18})
 		if err != nil {
 			b.Fatal(err)
 		}
-		population.Rows = append(population.Rows, extra.Rows...)
+		pc := NewColumnar(tab.Schema)
+		if err := pc.AppendTable(tab, extra); err != nil {
+			b.Fatal(err)
+		}
+		population := pc.Table()
 		naiveAdv, err := attack.NewAdversary(anon, generator.Taxonomies())
 		if err != nil {
 			b.Fatal(err)

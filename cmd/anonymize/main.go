@@ -11,8 +11,10 @@
 // Education, MaritalStatus, Disease); generate a template with -gen.
 //
 // Exit codes follow the stable contract shared with anonbench and compare
-// (see README "Exit codes"): 0 ok, 1 failure, 6 invalid input (bad flags,
-// an unreadable or malformed input CSV, an unknown algorithm).
+// (see README "Exit codes"): 0 ok, 1 failure, 6 invalid input (bad flags
+// such as -k outside [1,N] or -sup outside [0,1], an unreadable or
+// malformed input CSV, a cell outside the census hierarchies' ground
+// domain, an unknown algorithm).
 package main
 
 import (
@@ -103,13 +105,17 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 	if err != nil {
 		return perf.Exit(perf.ExitInvalid, err)
 	}
-	res, err := microdata.AnonymizeContext(context.Background(), a, tab, microdata.AlgorithmConfig{
+	cfg := microdata.AlgorithmConfig{
 		K:              k,
 		Hierarchies:    microdata.CensusHierarchies(),
 		MaxSuppression: sup,
 		Taxonomies:     microdata.CensusTaxonomies(),
 		Seed:           seed,
-	})
+	}
+	if err := cfg.Validate(tab); err != nil {
+		return perf.Exit(perf.ExitInvalid, err)
+	}
+	res, err := microdata.AnonymizeContext(context.Background(), a, tab, cfg)
 	if err != nil {
 		return err
 	}

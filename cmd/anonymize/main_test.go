@@ -49,12 +49,33 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(ragged, []byte(csv), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Cells outside the census hierarchies' ground domain: non-finite
+	// ages, an unknown category, and already generalized values.
+	domain := func(name, row string) []string {
+		path := filepath.Join(dir, name+".csv")
+		csv := "Age,ZipCode,Education,MaritalStatus,Disease\n34,13053,Bachelors,Divorced,Flu\n" + row + "\n"
+		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return []string{"-in", path, "-alg", "datafly", "-k", "1", "-out", filepath.Join(dir, "anon.csv")}
+	}
 	out := filepath.Join(dir, "anon.csv")
 	cases := []struct {
 		name string
 		args []string
 		want int
 	}{
+		{"k zero", []string{"-gen", "50", "-k", "0", "-out", out}, perf.ExitInvalid},
+		{"k above N", []string{"-gen", "50", "-k", "51", "-out", out}, perf.ExitInvalid},
+		{"sup above 1", []string{"-gen", "50", "-sup", "2", "-out", out}, perf.ExitInvalid},
+		{"sup NaN", []string{"-gen", "50", "-sup", "NaN", "-out", out}, perf.ExitInvalid},
+		{"NaN age", domain("nan", "NaN,13053,Bachelors,Divorced,Flu"), perf.ExitInvalid},
+		{"Inf age", domain("inf", "Inf,13053,Bachelors,Divorced,Flu"), perf.ExitInvalid},
+		{"unknown category", domain("nope", "34,13053,Nope,Divorced,Flu"), perf.ExitInvalid},
+		{"interval age", domain("interval", `"(20,30]",13053,Bachelors,Divorced,Flu`), perf.ExitInvalid},
+		{"prefix zip", domain("prefix", "34,1305*,Bachelors,Divorced,Flu"), perf.ExitInvalid},
+		{"star cell", domain("star", "34,13053,*,Divorced,Flu"), perf.ExitInvalid},
+		{"in-domain csv", domain("good", "41,13068,Masters,Divorced,Flu"), perf.ExitOK},
 		{"ragged csv", []string{"-in", ragged, "-out", out}, perf.ExitInvalid},
 		{"missing file", []string{"-in", filepath.Join(dir, "none.csv"), "-out", out}, perf.ExitInvalid},
 		{"unknown algorithm", []string{"-gen", "50", "-alg", "nope", "-out", out}, perf.ExitInvalid},

@@ -18,7 +18,7 @@ func main() {
 		microdata.Attribute{Name: "ZipCode", Kind: microdata.Categorical, Role: microdata.QuasiIdentifier},
 		microdata.Attribute{Name: "Diagnosis", Kind: microdata.Categorical, Role: microdata.Sensitive},
 	)
-	t := microdata.NewTable(schema)
+	c := microdata.NewColumnar(schema)
 	for _, r := range []struct {
 		age  float64
 		zip  string
@@ -31,8 +31,9 @@ func main() {
 		{42, "13268", "Gastritis"}, {45, "13269", "Flu"},
 		{44, "13261", "Diabetes"}, {47, "13263", "Flu"},
 	} {
-		t.MustAppend(microdata.NumVal(r.age), microdata.StrVal(r.zip), microdata.StrVal(r.diag))
+		c.MustAppend(microdata.NumVal(r.age), microdata.StrVal(r.zip), microdata.StrVal(r.diag))
 	}
+	t := c.Table()
 
 	// Generalization ladders: ages into widening bands, zips by prefix.
 	hs := microdata.MustHierarchySet(

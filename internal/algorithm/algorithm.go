@@ -136,7 +136,20 @@ func (c Config) Validate(t *dataset.Table) error {
 	if c.HasDiversityConstraints() && t.Schema.SensitiveIndex() < 0 {
 		return fmt.Errorf("algorithm: diversity constraints need a sensitive attribute")
 	}
-	return c.Hierarchies.CoverQI(t.Schema)
+	if err := c.Hierarchies.CoverQI(t.Schema); err != nil {
+		return err
+	}
+	// Every quasi-identifier value must lie in its hierarchy's ground
+	// domain; one check per distinct value.
+	for _, j := range t.Schema.QuasiIdentifiers() {
+		name := t.Schema.Attrs[j].Name
+		for _, v := range t.ColumnVector(j).Dict() {
+			if _, err := c.Hierarchies[name].Generalize(v, 0); err != nil {
+				return fmt.Errorf("algorithm: attribute %q: %w", name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Result is the outcome of an anonymization run.
@@ -360,9 +373,7 @@ func FinishGlobalContext(ctx context.Context, name string, t *dataset.Table, cfg
 		return nil, fmt.Errorf("algorithm: node %v needs %d suppressions, budget is %d", node, len(small), budget)
 	}
 	if len(small) > 0 {
-		hierarchy.SuppressRows(anon, small)
-		p, err = eqclass.FromTable(anon)
-		if err != nil {
+		if anon, p, err = suppress(anon, small); err != nil {
 			return nil, err
 		}
 	}
@@ -398,13 +409,25 @@ func NodeCost(t *dataset.Table, cfg Config, node lattice.Node) (float64, error) 
 		return math.Inf(1), nil
 	}
 	if len(small) > 0 {
-		hierarchy.SuppressRows(anon, small)
-		p, err = eqclass.FromTable(anon)
-		if err != nil {
+		if anon, p, err = suppress(anon, small); err != nil {
 			return 0, err
 		}
 	}
 	return cost(anon, t, p, cfg, node)
+}
+
+// suppress stars the quasi-identifiers of the given rows and regroups the
+// result.
+func suppress(anon *dataset.Table, rows []int) (*dataset.Table, *eqclass.Partition, error) {
+	anon, err := hierarchy.SuppressRows(anon, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := eqclass.FromTable(anon)
+	if err != nil {
+		return nil, nil, err
+	}
+	return anon, p, nil
 }
 
 func cost(anon, orig *dataset.Table, p *eqclass.Partition, cfg Config, node lattice.Node) (float64, error) {

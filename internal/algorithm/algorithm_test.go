@@ -31,7 +31,7 @@ func hierSet() hierarchy.Set {
 }
 
 func table() *dataset.Table {
-	t := dataset.NewTable(schema3())
+	c := dataset.NewColumnar(schema3())
 	rows := []struct {
 		zip     string
 		age     float64
@@ -44,9 +44,9 @@ func table() *dataset.Table {
 		{"13269", 42, "Separated"}, {"13250", 47, "Separated"},
 	}
 	for _, r := range rows {
-		t.MustAppend(dataset.StrVal(r.zip), dataset.NumVal(r.age), dataset.StrVal(r.marital))
+		c.MustAppend(dataset.StrVal(r.zip), dataset.NumVal(r.age), dataset.StrVal(r.marital))
 	}
-	return t
+	return c.Table()
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -72,7 +72,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(nil); err == nil {
 		t.Error("nil table should fail")
 	}
-	if err := good.Validate(dataset.NewTable(schema3())); err == nil {
+	if err := good.Validate(dataset.NewColumnar(schema3()).Table()); err == nil {
 		t.Error("empty table should fail")
 	}
 }
@@ -126,13 +126,16 @@ func TestSatisfiesK(t *testing.T) {
 	// Suppress the two undersized classes for k=4: the star class is
 	// exempt regardless of its size.
 	_, _, small, _ := ApplyNode(tab, Config{K: 4, Hierarchies: hierSet()}, lattice.Node{1, 1})
-	hierarchy.SuppressRows(anon, small)
+	anon, err = hierarchy.SuppressRows(anon, small)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p2, _ := eqclass.FromTable(anon)
 	if !SatisfiesK(p2, anon, 4) {
 		t.Error("after suppressing undersized classes, k=4 should hold")
 	}
 	empty, _ := eqclass.FromGroups(0, nil)
-	if SatisfiesK(empty, dataset.NewTable(schema3()), 1) {
+	if SatisfiesK(empty, dataset.NewColumnar(schema3()).Table(), 1) {
 		t.Error("empty partition never satisfies")
 	}
 }

@@ -114,8 +114,8 @@ func CheckDeterminism(t *testing.T, alg algorithm.Algorithm, orig *dataset.Table
 	if err != nil {
 		t.Fatalf("%s: %v", alg.Name(), err)
 	}
-	for i := range r1.Table.Rows {
-		for j := range r1.Table.Rows[i] {
+	for i := 0; i < r1.Table.Len(); i++ {
+		for j := 0; j < r1.Table.Schema.Len(); j++ {
 			if !r1.Table.At(i, j).Equal(r2.Table.At(i, j)) {
 				t.Fatalf("%s: nondeterministic at cell (%d,%d)", alg.Name(), i, j)
 			}
@@ -140,7 +140,7 @@ func CheckCommonFailures(t *testing.T, alg algorithm.Algorithm) {
 			t.Errorf("%s: bad config %d accepted", alg.Name(), i)
 		}
 	}
-	if _, err := alg.Anonymize(dataset.NewTable(paperdata.Schema()), good); err == nil {
+	if _, err := alg.Anonymize(dataset.NewColumnar(paperdata.Schema()).Table(), good); err == nil {
 		t.Errorf("%s: empty table accepted", alg.Name())
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
+	"microdata/internal/hierarchy"
 	"microdata/internal/lattice"
 	"microdata/internal/privacy"
 )
@@ -28,12 +29,13 @@ func TestConfigValidateConstraints(t *testing.T) {
 		}
 	}
 	// Constraints without a sensitive attribute must be rejected.
-	noSens := dataset.NewTable(dataset.MustSchema(
+	noSensB := dataset.NewColumnar(dataset.MustSchema(
 		dataset.Attribute{Name: "ZipCode", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 	))
-	noSens.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28))
-	noSens.MustAppend(dataset.StrVal("13052"), dataset.NumVal(31))
+	noSensB.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28))
+	noSensB.MustAppend(dataset.StrVal("13052"), dataset.NumVal(31))
+	noSens := noSensB.Table()
 	c := Config{K: 1, Hierarchies: hierSet(), MinLDiversity: 2}
 	if err := c.Validate(noSens); err == nil {
 		t.Error("constraints without sensitive attribute should fail")
@@ -114,8 +116,10 @@ func TestSatisfiesConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anon2 := anon.Clone()
-	suppressQI(anon2, small)
+	anon2, err := hierarchy.SuppressRows(anon, small)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p2, err := eqclass.FromTable(anon2)
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +127,6 @@ func TestSatisfiesConstraints(t *testing.T) {
 	ok, err = SatisfiesConstraints(p2, anon2, cfg)
 	if err != nil || !ok {
 		t.Fatalf("after suppression ℓ=3 should hold: %v, %v", ok, err)
-	}
-}
-
-func suppressQI(tab *dataset.Table, rows []int) {
-	for _, i := range rows {
-		for _, j := range tab.Schema.QuasiIdentifiers() {
-			tab.Rows[i][j] = dataset.StarVal()
-		}
 	}
 }
 

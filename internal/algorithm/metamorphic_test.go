@@ -26,12 +26,17 @@ func TestSearchesInvariantUnderRowPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm := dataset.NewTable(tab.Schema)
+	pc := dataset.NewColumnar(tab.Schema)
+	row := make([]dataset.Value, tab.Schema.Len())
 	for _, i := range rand.New(rand.NewSource(17)).Perm(tab.Len()) {
-		if err := perm.Append(tab.Rows[i]); err != nil {
+		for j := range row {
+			row[j] = tab.At(i, j)
+		}
+		if err := pc.AppendRow(row); err != nil {
 			t.Fatal(err)
 		}
 	}
+	perm := pc.Table()
 	cost := func(tb *dataset.Table, r *algorithm.Result) float64 {
 		eng, err := engine.New(tb, cfg)
 		if err != nil {

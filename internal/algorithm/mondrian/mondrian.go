@@ -182,19 +182,34 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 	_, msp := telemetry.Start(ctx, "algorithm.materialize",
 		telemetry.String("algorithm", m.Name()))
 	defer msp.End()
-	anon := t.Clone()
-	for _, region := range regions {
-		for _, j := range qi {
+	// Each quasi-identifier column of the release has one dictionary
+	// entry per region, and row r's code is its region's index.
+	regionOf := make([]uint32, t.Len())
+	for ri, region := range regions {
+		for _, r := range region {
+			regionOf[r] = uint32(ri)
+		}
+	}
+	cols := t.Columns()
+	dict := make([]dataset.Value, len(regions))
+	for _, j := range qi {
+		for ri, region := range regions {
 			v, err := m.generalizeRegion(t, j, region, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("mondrian: %w", err)
 			}
-			for _, r := range region {
-				anon.Rows[r][j] = v
-			}
+			dict[ri] = v
 		}
+		col, err := dataset.ColumnFromCodes(dict, regionOf)
+		if err != nil {
+			return nil, fmt.Errorf("mondrian: %w", err)
+		}
+		cols[j] = col
 	}
-	anon.InvalidateColumns()
+	anon, err := dataset.TableOf(t.Schema, cols)
+	if err != nil {
+		return nil, fmt.Errorf("mondrian: %w", err)
+	}
 	p, err := eqclass.FromGroups(t.Len(), regions)
 	if err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)

@@ -73,10 +73,10 @@ func TestMondrianRegionGeneralization(t *testing.T) {
 		dataset.Attribute{Name: "Education", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "Disease", Kind: dataset.Categorical, Role: dataset.Sensitive},
 	)
-	tab := dataset.NewTable(schema)
-	tab.MustAppend(dataset.NumVal(20), dataset.StrVal("13051"), dataset.StrVal("No-HS"), dataset.StrVal("Flu"))
-	tab.MustAppend(dataset.NumVal(30), dataset.StrVal("13052"), dataset.StrVal("HS-Grad"), dataset.StrVal("Flu"))
-	tab, cfg, err := withCensusHierarchies(tab)
+	c := dataset.NewColumnar(schema)
+	c.MustAppend(dataset.NumVal(20), dataset.StrVal("13051"), dataset.StrVal("No-HS"), dataset.StrVal("Flu"))
+	c.MustAppend(dataset.NumVal(30), dataset.StrVal("13052"), dataset.StrVal("HS-Grad"), dataset.StrVal("Flu"))
+	tab, cfg, err := withCensusHierarchies(c.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestMondrianUniformColumnStaysExact(t *testing.T) {
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "ZipCode", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 	)
-	tab := dataset.NewTable(schema)
+	c := dataset.NewColumnar(schema)
 	for i := 0; i < 4; i++ {
-		tab.MustAppend(dataset.NumVal(25), dataset.StrVal("13051"))
+		c.MustAppend(dataset.NumVal(25), dataset.StrVal("13051"))
 	}
-	tab2, cfg, err := withCensusHierarchies(tab)
+	tab2, cfg, err := withCensusHierarchies(c.Table())
 	if err != nil {
 		t.Fatal(err)
 	}

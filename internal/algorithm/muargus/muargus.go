@@ -163,7 +163,10 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 						all = append(all, r)
 					}
 				}
-				hierarchy.SuppressRows(anon, all)
+				if anon, err = hierarchy.SuppressRows(anon, all); err != nil {
+					msp.End()
+					return nil, fmt.Errorf("mu-argus: %w", err)
+				}
 				p, err := eqclass.FromTable(anon)
 				msp.End()
 				if err != nil {

@@ -44,7 +44,7 @@ func TestMuArgusGuaranteeGapOnWiderQI(t *testing.T) {
 	for a := 0; a < len(qi); a++ {
 		for b := a; b < len(qi); b++ {
 			counts := map[string][]int{}
-			for i := range r.Table.Rows {
+			for i := 0; i < r.Table.Len(); i++ {
 				key := r.Table.At(i, qi[a]).Key() + "\x1f" + r.Table.At(i, qi[b]).Key()
 				counts[key] = append(counts[key], i)
 			}

@@ -208,7 +208,7 @@ func (a *Adversary) NaiveMatchSet(victim []dataset.Value) ([]int, error) {
 	}
 	var matches []int
 rows:
-	for i := range a.anon.Rows {
+	for i := 0; i < a.anon.Len(); i++ {
 		for vi, j := range a.qi {
 			if !a.covers(a.anon.At(i, j), victim[vi], a.anon.Schema.Attrs[j]) {
 				continue rows
@@ -389,7 +389,7 @@ func NaiveProsecutorVector(orig *dataset.Table, adv *Adversary) (core.PropertyVe
 		return nil, fmt.Errorf("attack: original has %d rows, anonymized %d", orig.Len(), adv.anon.Len())
 	}
 	out := make(core.PropertyVector, orig.Len())
-	for i := range orig.Rows {
+	for i := 0; i < orig.Len(); i++ {
 		matches, err := adv.NaiveMatchSet(victimOf(orig, adv.qi, i))
 		if err != nil {
 			return nil, err
@@ -581,7 +581,7 @@ func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (c
 		var regions []int
 		for _, m := range matches {
 			sb.Reset()
-			eqclass.WriteSignature(&sb, adv.anon.Rows[m], qi)
+			eqclass.WriteSignature(&sb, adv.anon, m, qi)
 			if !seen[sb.String()] {
 				seen[sb.String()] = true
 				regions = append(regions, m)

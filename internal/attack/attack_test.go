@@ -21,13 +21,13 @@ func TestNewAdversaryValidation(t *testing.T) {
 	if _, err := NewAdversary(nil, nil); err == nil {
 		t.Error("nil table should fail")
 	}
-	empty := dataset.NewTable(paperdata.Schema())
+	empty := dataset.NewColumnar(paperdata.Schema()).Table()
 	if _, err := NewAdversary(empty, nil); err == nil {
 		t.Error("empty table should fail")
 	}
-	noQI := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
-	noQI.MustAppend(dataset.StrVal("x"))
-	if _, err := NewAdversary(noQI, nil); err == nil {
+	noQIB := dataset.NewColumnar(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
+	noQIB.MustAppend(dataset.StrVal("x"))
+	if _, err := NewAdversary(noQIB.Table(), nil); err == nil {
 		t.Error("no-QI table should fail")
 	}
 }
@@ -217,14 +217,20 @@ func TestJournalistVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	population := sample.Clone()
+	pc := dataset.NewColumnar(sample.Schema)
+	if err := pc.AppendTable(sample); err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []int64{44, 45} {
 		extra, err := generator.Generate(generator.Config{N: 150, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		population.Rows = append(population.Rows, extra.Rows...)
+		if err := pc.AppendTable(extra); err != nil {
+			t.Fatal(err)
+		}
 	}
+	population := pc.Table()
 	cfg := algorithm.Config{
 		K: 4, Hierarchies: generator.Hierarchies(),
 		MaxSuppression: 0.05, Taxonomies: generator.Taxonomies(),
@@ -261,8 +267,7 @@ func TestJournalistVector(t *testing.T) {
 	if _, err := JournalistVector(sample, nil, adv); err == nil {
 		t.Error("nil population should fail")
 	}
-	short := sample.Clone()
-	short.Rows = short.Rows[:10]
+	short := headRows(t, sample, 10)
 	if _, err := JournalistVector(sample, short, adv); err == nil {
 		t.Error("undersized population should fail")
 	}
@@ -273,10 +278,17 @@ func TestJournalistVector(t *testing.T) {
 
 func TestInconsistentAnonymizationDetected(t *testing.T) {
 	orig := paperdata.T1()
-	bogus := paperdata.T3a()
 	// Replace every row's zip with a region that excludes the originals.
-	for i := range bogus.Rows {
-		bogus.Rows[i][0] = dataset.PrefixVal("9999", 1)
+	t3a := paperdata.T3a()
+	cols := t3a.Columns()
+	zip, err := dataset.ColumnFromCodes([]dataset.Value{dataset.PrefixVal("9999", 1)}, make([]uint32, t3a.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols[0] = zip
+	bogus, err := dataset.TableOf(t3a.Schema, cols)
+	if err != nil {
+		t.Fatal(err)
 	}
 	adv, err := NewAdversary(bogus, maritalTaxs())
 	if err != nil {
@@ -285,9 +297,25 @@ func TestInconsistentAnonymizationDetected(t *testing.T) {
 	if _, err := ProsecutorVector(orig, adv); err == nil {
 		t.Error("inconsistent anonymization should be detected")
 	}
-	short := paperdata.T1()
-	short.Rows = short.Rows[:3]
+	short := headRows(t, paperdata.T1(), 3)
 	if _, err := ProsecutorVector(short, adv); err == nil {
 		t.Error("size mismatch should fail")
 	}
+}
+
+// headRows returns a table of tab's first n rows.
+func headRows(t *testing.T, tab *dataset.Table, n int) *dataset.Table {
+	t.Helper()
+	cols := tab.Columns()
+	for j, c := range cols {
+		var err error
+		if cols[j], err = dataset.ColumnFromCodes(c.Dict(), c.Codes()[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := dataset.TableOf(tab.Schema, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -110,12 +110,15 @@ func TestIndexedMatchesNaiveOnCensusSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	population := sample.Clone()
 	extra, err := generator.Generate(generator.Config{N: 250, Seed: 72})
 	if err != nil {
 		t.Fatal(err)
 	}
-	population.Rows = append(population.Rows, extra.Rows...)
+	pc := dataset.NewColumnar(sample.Schema)
+	if err := pc.AppendTable(sample, extra); err != nil {
+		t.Fatal(err)
+	}
+	population := pc.Table()
 	cfg := algorithm.Config{
 		K: 5, Hierarchies: generator.Hierarchies(),
 		MaxSuppression: 0.05, Taxonomies: generator.Taxonomies(),
@@ -174,12 +177,15 @@ func TestVectorsSameAtAnyGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	population := sample.Clone()
 	extra, err := generator.Generate(generator.Config{N: 300, Seed: 74})
 	if err != nil {
 		t.Fatal(err)
 	}
-	population.Rows = append(population.Rows, extra.Rows...)
+	pc := dataset.NewColumnar(sample.Schema)
+	if err := pc.AppendTable(sample, extra); err != nil {
+		t.Fatal(err)
+	}
+	population := pc.Table()
 	cfg := algorithm.Config{
 		K: 5, Hierarchies: generator.Hierarchies(),
 		MaxSuppression: 0.05, Taxonomies: generator.Taxonomies(),
@@ -304,7 +310,7 @@ func TestRandomizedIndexedVsNaive(t *testing.T) {
 	}
 
 	for trial := 0; trial < 30; trial++ {
-		anon := dataset.NewTable(schema)
+		anonB := dataset.NewColumnar(schema)
 		regions := 2 + rng.Intn(10)
 		for r := 0; r < regions; r++ {
 			cells := []dataset.Value{ageCell(), zipCell(), maritalCell()}
@@ -314,17 +320,23 @@ func TestRandomizedIndexedVsNaive(t *testing.T) {
 				cells = []dataset.Value{dataset.StarVal(), dataset.StarVal(), dataset.StarVal()}
 			}
 			for size := 1 + rng.Intn(3); size > 0; size-- {
-				anon.MustAppend(cells...)
+				anonB.MustAppend(cells...)
 			}
 		}
-		orig := dataset.NewTable(schema)
+		anon := anonB.Table()
+		origB := dataset.NewColumnar(schema)
 		for i := 0; i < anon.Len(); i++ {
-			orig.MustAppend(ageGround(), zipGround(), maritalGround())
+			origB.MustAppend(ageGround(), zipGround(), maritalGround())
 		}
-		population := orig.Clone()
+		orig := origB.Table()
+		popB := dataset.NewColumnar(schema)
+		if err := popB.AppendTable(orig); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < anon.Len(); i++ {
-			population.MustAppend(ageGround(), zipGround(), maritalGround())
+			popB.MustAppend(ageGround(), zipGround(), maritalGround())
 		}
+		population := popB.Table()
 
 		adv, err := NewAdversary(anon, taxs)
 		if err != nil {
@@ -518,14 +530,15 @@ func TestJournalistMultiRegionSets(t *testing.T) {
 		// No population tuple falls in this region.
 		{[]dataset.Value{iv(60, 70), dataset.StrVal("C")}, [][]dataset.Value{row(60, "C"), row(70, "C")}},
 	}
-	anon, sample := dataset.NewTable(schema), dataset.NewTable(schema)
+	anonB, sampleB := dataset.NewColumnar(schema), dataset.NewColumnar(schema)
 	for _, r := range regions {
 		for _, s := range r.sample {
-			anon.MustAppend(r.cells...)
-			sample.MustAppend(s...)
+			anonB.MustAppend(r.cells...)
+			sampleB.MustAppend(s...)
 		}
 	}
-	population := dataset.NewTable(schema)
+	anon, sample := anonB.Table(), sampleB.Table()
+	popB := dataset.NewColumnar(schema)
 	for _, p := range []struct {
 		row   []dataset.Value
 		times int
@@ -539,9 +552,10 @@ func TestJournalistMultiRegionSets(t *testing.T) {
 		{row(99, "A"), 1}, {row(30, "C"), 1}, // no region
 	} {
 		for i := 0; i < p.times; i++ {
-			population.MustAppend(p.row...)
+			popB.MustAppend(p.row...)
 		}
 	}
+	population := popB.Table()
 
 	// Guard the fixture: some population group must match several regions,
 	// two groups the same several, and some region must match none.

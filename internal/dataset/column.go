@@ -5,59 +5,99 @@ import (
 	"sync"
 )
 
-// Column is a dictionary-encoded column vector: the typed columnar backing
-// behind Columnar tables. Every distinct cell value (by Value.Key) is
-// stored once in the dictionary, in first-appearance order, and each row
-// holds only a compact uint32 code. This single encoding covers every
-// ValueKind uniformly — exact numerics and strings as well as the
-// generalized Interval/Prefix/Set/Star/Missing forms — while keeping the
-// hot loops (equivalence-class grouping, fragment precompute, histogram
-// tallies) on integer vectors instead of tagged-union cells.
+// Column is a dictionary-encoded column vector: the storage behind every
+// Table. Every distinct cell value (by Value.Key) is stored once in the
+// dictionary, in first-appearance row order, and each row holds only a
+// compact uint32 code. Every dictionary entry is used by at least one row.
+// This single encoding covers every ValueKind uniformly — exact numerics
+// and strings as well as the generalized Interval/Prefix/Set/Star/Missing
+// forms — while keeping the hot loops (equivalence-class grouping,
+// fragment precompute, histogram tallies) on integer vectors instead of
+// tagged-union cells.
 //
-// Numeric columns additionally carry a dictionary-aligned float64 payload,
-// so full-column numeric scans (ranges, sorts, the permutation-model
-// measures queued on the roadmap) run on flat float data.
-//
-// Concurrency contract: a Column has a SINGLE writer while it is being
-// built (Append/Grow, one goroutine) and becomes safe for any number of
-// concurrent readers once building stops. The lazily materialized views
-// (Values, Float64View) are internally synchronized and may be
-// requested concurrently by readers, but never while a writer is still
-// appending.
+// A Column is written only by the Columnar builder that owns it, or built
+// whole by ColumnFromCodes; once part of a Table it never changes and is
+// safe for any number of concurrent readers. The lazily materialized views
+// (Values, Float64View) are internally synchronized.
 type Column struct {
 	codes  []uint32
 	dict   []Value
-	keys   []string // dict-aligned canonical Value.Key strings
-	index  map[string]uint32
-	nums   []float64 // dict-aligned float payload; meaningful iff allNum
-	allNum bool
+	keys   []string          // dict-aligned canonical Value.Key strings
+	index  map[string]uint32 // key -> code; builder columns only
+	allNum bool              // every dictionary entry is an exact Num
 
 	mu     sync.Mutex
 	values []Value        // lazily materialized row-aligned view; treat as read-only
 	f64    *Float64Column // lazily materialized typed view, iff IsNumeric
 }
 
-// NewColumn returns an empty dictionary-encoded column.
-func NewColumn() *Column {
+func newColumn() *Column {
 	return &Column{index: make(map[string]uint32), allNum: true}
 }
 
-// Append adds one cell and returns its dictionary code.
-func (c *Column) Append(v Value) uint32 {
+// ColumnFromCodes builds a column whose row i holds dict[codes[i]]. It is
+// the one constructor of derived columns (generalized, suppressed or
+// locally recoded): dictionary entries with equal keys are merged, unused
+// entries are dropped, and codes are renumbered in first-appearance row
+// order, so the result is exactly the column a builder would produce by
+// appending the same cells. An out-of-range code is an error. Neither
+// input is retained.
+func ColumnFromCodes(dict []Value, codes []uint32) (*Column, error) {
+	const unseen = ^uint32(0)
+	// canon[d] is the first dictionary index sharing d's key; remap[d]
+	// is the new code of canonical entry d once a row has used it.
+	canon := make([]uint32, len(dict))
+	keys := make([]string, len(dict))
+	remap := make([]uint32, len(dict))
+	first := make(map[string]uint32, len(dict))
+	for d, v := range dict {
+		k := v.Key()
+		c, ok := first[k]
+		if !ok {
+			c = uint32(d)
+			first[k] = c
+		}
+		canon[d], keys[d], remap[d] = c, k, unseen
+	}
+	c := &Column{codes: make([]uint32, len(codes)), allNum: true}
+	for i, code := range codes {
+		if int(code) >= len(dict) {
+			return nil, fmt.Errorf("dataset: row %d has code %d, dictionary has %d entries", i, code, len(dict))
+		}
+		d := canon[code]
+		nc := remap[d]
+		if nc == unseen {
+			nc = c.addEntry(dict[d], keys[d])
+			remap[d] = nc
+		}
+		c.codes[i] = nc
+	}
+	return c, nil
+}
+
+// addEntry appends a dictionary entry and returns its code.
+func (c *Column) addEntry(v Value, key string) uint32 {
+	code := uint32(len(c.dict))
+	c.dict = append(c.dict, v)
+	c.keys = append(c.keys, key)
+	c.allNum = c.allNum && v.Kind() == Num
+	return code
+}
+
+// intern returns v's code, adding v to the dictionary if it is new.
+func (c *Column) intern(v Value) uint32 {
 	k := v.Key()
 	code, ok := c.index[k]
 	if !ok {
-		code = uint32(len(c.dict))
+		code = c.addEntry(v, k)
 		c.index[k] = code
-		c.dict = append(c.dict, v)
-		c.keys = append(c.keys, k)
-		if v.Kind() == Num {
-			c.nums = append(c.nums, v.Float())
-		} else {
-			c.nums = append(c.nums, 0)
-			c.allNum = false
-		}
 	}
+	return code
+}
+
+// append adds one cell and returns its dictionary code.
+func (c *Column) append(v Value) uint32 {
+	code := c.intern(v)
 	c.codes = append(c.codes, code)
 	return code
 }
@@ -83,19 +123,12 @@ func (c *Column) Dict() []Value { return c.dict }
 // code order. The slice is shared; treat it as read-only.
 func (c *Column) DictKeys() []string { return c.keys }
 
-// DictValue returns the dictionary value for a code.
-func (c *Column) DictValue(code uint32) Value { return c.dict[code] }
-
 // Value returns row i's cell value.
 func (c *Column) Value(i int) Value { return c.dict[c.codes[i]] }
 
 // IsNumeric reports whether every dictionary entry is an exact Num value,
 // enabling the flat float64 fast path.
 func (c *Column) IsNumeric() bool { return c.allNum && len(c.dict) > 0 }
-
-// NumericDict returns the dictionary-aligned float64 payload, valid only
-// when IsNumeric: row i's number is NumericDict()[Code(i)].
-func (c *Column) NumericDict() []float64 { return c.nums }
 
 // Floats materializes the column as a flat []float64, ok=false when the
 // column is not purely numeric.
@@ -105,15 +138,14 @@ func (c *Column) Floats() ([]float64, bool) {
 	}
 	out := make([]float64, len(c.codes))
 	for i, code := range c.codes {
-		out[i] = c.nums[code]
+		out[i] = c.dict[code].Float()
 	}
 	return out, true
 }
 
-// Grow reserves capacity for n more rows in the code vector, so bulk
+// grow reserves capacity for n more rows in the code vector, so bulk
 // ingest paths with a known chunk size avoid repeated slice regrowth.
-// Single-writer, like Append.
-func (c *Column) Grow(n int) {
+func (c *Column) grow(n int) {
 	if n <= cap(c.codes)-len(c.codes) {
 		return
 	}
@@ -129,19 +161,16 @@ func (c *Column) Grow(n int) {
 
 // Float64View returns the column as a typed Float64Column — the flat
 // non-dictionary numeric fast path — materialized at most once and cached.
-// ok is false when the column is not purely numeric. The typed column
-// shares no mutable state with the dictionary view; treat it as read-only.
+// ok is false when the column is not purely numeric. Treat the typed
+// column as read-only.
 func (c *Column) Float64View() (*Float64Column, bool) {
 	if !c.IsNumeric() {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f64 == nil || c.f64.Len() != len(c.codes) {
-		vals := make([]float64, len(c.codes))
-		for i, code := range c.codes {
-			vals[i] = c.nums[code]
-		}
+	if c.f64 == nil {
+		vals, _ := c.Floats()
 		c.f64 = Float64ColumnOf(vals)
 	}
 	return c.f64, true
@@ -153,7 +182,7 @@ func (c *Column) Float64View() (*Float64Column, bool) {
 func (c *Column) Values() []Value {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.values) != len(c.codes) {
+	if c.values == nil {
 		vals := make([]Value, len(c.codes))
 		for i, code := range c.codes {
 			vals[i] = c.dict[code]
@@ -163,65 +192,61 @@ func (c *Column) Values() []Value {
 	return c.values
 }
 
-// Columnar is the column-oriented microdata table: a schema plus one
-// dictionary-encoded Column per attribute. It is the substrate behind
-// streaming CSV ingest and the vectorized hot paths; Table offers the
-// row-oriented compatibility view over the same data (Table.Columnar /
-// Columnar.Table convert between the two, sharing the columns).
+// Columnar builds a Table column by column: a schema plus one
+// dictionary-encoded Column per attribute, appended row by row. Table
+// seals the builder and returns the table in O(1), sharing the columns;
+// any append after that is an error, so a table never changes once read.
 //
-// Build single-goroutine (AppendRow), then read concurrently.
+// Build on a single goroutine.
 type Columnar struct {
 	schema *Schema
 	cols   []*Column
 	rows   int
+	table  *Table // non-nil once sealed
 }
 
-// NewColumnar returns an empty columnar table over the schema.
+// NewColumnar returns an empty builder over the schema.
 func NewColumnar(schema *Schema) *Columnar {
 	cols := make([]*Column, schema.Len())
 	for j := range cols {
-		cols[j] = NewColumn()
+		cols[j] = newColumn()
 	}
 	return &Columnar{schema: schema, cols: cols}
 }
 
-// Schema returns the table schema.
-func (c *Columnar) Schema() *Schema { return c.schema }
-
-// Len returns the number of rows.
+// Len returns the number of rows appended so far.
 func (c *Columnar) Len() int { return c.rows }
 
-// Col returns column j.
-func (c *Columnar) Col(j int) *Column { return c.cols[j] }
-
-// ColByName returns the named column.
-func (c *Columnar) ColByName(name string) (*Column, error) {
-	j := c.schema.Index(name)
-	if j < 0 {
-		return nil, fmt.Errorf("dataset: no attribute %q", name)
-	}
-	return c.cols[j], nil
-}
-
-// At returns the cell at row i, column j.
-func (c *Columnar) At(i, j int) Value { return c.cols[j].Value(i) }
-
 // Grow reserves capacity for n more rows in every column, so chunked
-// ingest with a known size estimate avoids per-column slice regrowth.
-// Single-writer, like AppendRow.
+// ingest with a known size estimate avoids per-column slice regrowth. It
+// does nothing once the builder is sealed.
 func (c *Columnar) Grow(n int) {
+	if c.table != nil {
+		return
+	}
 	for _, col := range c.cols {
-		col.Grow(n)
+		col.grow(n)
 	}
 }
 
-// AppendRow adds a row after validating its width.
+func (c *Columnar) checkOpen() error {
+	if c.table != nil {
+		return fmt.Errorf("dataset: append after Table sealed the builder")
+	}
+	return nil
+}
+
+// AppendRow adds a row after validating its width. It fails once Table
+// has sealed the builder.
 func (c *Columnar) AppendRow(row []Value) error {
+	if err := c.checkOpen(); err != nil {
+		return err
+	}
 	if len(row) != c.schema.Len() {
 		return fmt.Errorf("dataset: row has %d cells, schema has %d attributes", len(row), c.schema.Len())
 	}
 	for j, v := range row {
-		c.cols[j].Append(v)
+		c.cols[j].append(v)
 	}
 	c.rows++
 	return nil
@@ -234,25 +259,40 @@ func (c *Columnar) MustAppend(row ...Value) {
 	}
 }
 
-// appendCell grows column j without the per-row width check; the caller
-// (the CSV ingest paths) advances the row count itself.
-func (c *Columnar) appendCell(j int, v Value) { c.cols[j].Append(v) }
-
-// Table materializes the row-oriented compatibility view: a Table whose
-// Rows share the dictionary cells and whose columnar backing is this
-// Columnar, so the vectorized paths (eqclass grouping, engine precompute,
-// histogram tallies) reuse the codes without re-encoding.
-func (c *Columnar) Table() *Table {
-	rows := make([][]Value, c.rows)
-	ncol := len(c.cols)
-	cells := make([]Value, c.rows*ncol)
-	for i := range rows {
-		rows[i] = cells[i*ncol : (i+1)*ncol : (i+1)*ncol]
-		for j, col := range c.cols {
-			rows[i][j] = col.dict[col.codes[i]]
+// AppendTable appends every row of each table in turn; their schemas must
+// have the builder's width. It interns each dictionary entry once per
+// column and then copies codes, so concatenating tables costs O(N)
+// integer work.
+func (c *Columnar) AppendTable(tables ...*Table) error {
+	if err := c.checkOpen(); err != nil {
+		return err
+	}
+	for _, t := range tables {
+		if t.Schema.Len() != c.schema.Len() {
+			return fmt.Errorf("dataset: table has %d attributes, schema has %d", t.Schema.Len(), c.schema.Len())
 		}
 	}
-	t := &Table{Schema: c.schema, Rows: rows}
-	t.cols = c
-	return t
+	for _, t := range tables {
+		for j, src := range t.cols {
+			dst := c.cols[j]
+			remap := make([]uint32, src.Card())
+			for d, v := range src.dict {
+				remap[d] = dst.intern(v)
+			}
+			for _, code := range src.codes {
+				dst.codes = append(dst.codes, remap[code])
+			}
+		}
+		c.rows += t.n
+	}
+	return nil
+}
+
+// Table seals the builder and returns its table, sharing the columns. It
+// costs O(1) and returns the same table on every call.
+func (c *Columnar) Table() *Table {
+	if c.table == nil {
+		c.table = &Table{Schema: c.schema, cols: c.cols, n: c.rows}
+	}
+	return c.table
 }

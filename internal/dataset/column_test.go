@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -15,13 +16,13 @@ func demoTable(t *testing.T) *Table {
 }
 
 func TestColumnDictionary(t *testing.T) {
-	c := NewColumn()
+	c := newColumn()
 	codes := []uint32{
-		c.Append(StrVal("a")),
-		c.Append(StrVal("b")),
-		c.Append(StrVal("a")),
-		c.Append(StarVal()),
-		c.Append(StrVal("b")),
+		c.append(StrVal("a")),
+		c.append(StrVal("b")),
+		c.append(StrVal("a")),
+		c.append(StarVal()),
+		c.append(StrVal("b")),
 	}
 	want := []uint32{0, 1, 0, 2, 1}
 	for i, cd := range codes {
@@ -44,16 +45,15 @@ func TestColumnDictionary(t *testing.T) {
 }
 
 func TestColumnNumericDict(t *testing.T) {
-	c := NewColumn()
-	c.Append(NumVal(28))
-	c.Append(NumVal(41))
-	c.Append(NumVal(28))
+	c := newColumn()
+	c.append(NumVal(28))
+	c.append(NumVal(41))
+	c.append(NumVal(28))
 	if !c.IsNumeric() {
 		t.Fatal("all-Num column should be numeric")
 	}
-	nums := c.NumericDict()
-	if len(nums) != 2 || nums[0] != 28 || nums[1] != 41 {
-		t.Fatalf("NumericDict = %v", nums)
+	if c.Card() != 2 {
+		t.Fatalf("Card = %d, want 2", c.Card())
 	}
 	floats, ok := c.Floats()
 	if !ok {
@@ -64,60 +64,62 @@ func TestColumnNumericDict(t *testing.T) {
 			t.Errorf("Floats[%d] = %v, want %v", i, floats[i], want)
 		}
 	}
-	c.Append(StarVal())
+	c.append(StarVal())
 	if c.IsNumeric() {
 		t.Error("column with a star should not be numeric")
 	}
 }
 
 func TestColumnValuesView(t *testing.T) {
-	c := NewColumn()
-	c.Append(StrVal("x"))
+	c := newColumn()
+	c.append(StrVal("x"))
+	c.append(StrVal("y"))
 	v1 := c.Values()
-	if len(v1) != 1 {
-		t.Fatalf("view length %d", len(v1))
+	if len(v1) != 2 || v1[1].Text() != "y" {
+		t.Fatalf("view = %v", v1)
 	}
-	c.Append(StrVal("y"))
-	v2 := c.Values()
-	if len(v2) != 2 || v2[1].Text() != "y" {
-		t.Fatalf("view after append: %v", v2)
+	if v2 := c.Values(); &v2[0] != &v1[0] {
+		t.Error("view not cached")
 	}
 }
 
 func TestTableColumnarBacking(t *testing.T) {
 	tab := demoTable(t)
-	bc := tab.Columnar()
-	if bc == nil || bc.Len() != tab.Len() {
-		t.Fatal("missing columnar backing")
-	}
-	if tab.Columnar() != bc {
-		t.Error("backing not cached")
-	}
-	// Cell-level agreement between the row view and the columns.
-	for i := range tab.Rows {
-		for j := range tab.Rows[i] {
-			if got, want := bc.At(i, j).Key(), tab.At(i, j).Key(); got != want {
+	// Cell-level agreement between At and the dictionary-encoded columns.
+	for j := 0; j < tab.Schema.Len(); j++ {
+		col := tab.ColumnVector(j)
+		if col.Len() != tab.Len() {
+			t.Fatalf("column %d has %d rows, table %d", j, col.Len(), tab.Len())
+		}
+		for i := 0; i < tab.Len(); i++ {
+			if got, want := col.DictKeys()[col.Code(i)], tab.At(i, j).Key(); got != want {
 				t.Errorf("cell (%d,%d): %q != %q", i, j, got, want)
 			}
 		}
 	}
-	// Append invalidates; the next Columnar call rebuilds at the new size.
-	tab.MustAppend(StrVal("13070"), NumVal(33), StrVal("Divorced"))
-	bc2 := tab.Columnar()
-	if bc2 == bc || bc2.Len() != tab.Len() {
-		t.Fatal("backing not rebuilt after Append")
+}
+
+func TestAppendAfterTableFails(t *testing.T) {
+	c := NewColumnar(demoSchema(t))
+	c.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
+	tab := c.Table()
+	if err := c.AppendRow([]Value{StrVal("13068"), NumVal(29), StrVal("Divorced")}); err == nil {
+		t.Fatal("AppendRow after Table succeeded")
 	}
-	// In-place cell mutation requires explicit invalidation.
-	tab.Rows[0][2] = StrVal("Widowed")
-	tab.InvalidateColumns()
-	if got := tab.Columnar().At(0, 2).Text(); got != "Widowed" {
-		t.Fatalf("stale backing after InvalidateColumns: %q", got)
+	if err := c.AppendTable(tab); err == nil {
+		t.Fatal("AppendTable after Table succeeded")
+	}
+	c.Grow(10)
+	if tab.Len() != 1 || c.Len() != 1 || tab.ColumnVector(0).Len() != 1 {
+		t.Fatalf("sealed table changed: Len=%d", tab.Len())
+	}
+	if c.Table() != tab {
+		t.Error("Table is not idempotent")
 	}
 }
 
 func TestTableColumnSharesBacking(t *testing.T) {
 	tab := demoTable(t)
-	tab.Columnar()
 	col := tab.Column(1)
 	if len(col) != tab.Len() {
 		t.Fatalf("column length %d", len(col))
@@ -126,6 +128,9 @@ func TestTableColumnSharesBacking(t *testing.T) {
 		if !col[i].Equal(tab.At(i, 1)) {
 			t.Errorf("row %d: %v != %v", i, col[i], tab.At(i, 1))
 		}
+	}
+	if again := tab.Column(1); &again[0] != &col[0] {
+		t.Error("Column is not shared")
 	}
 }
 
@@ -141,8 +146,8 @@ func TestColumnarTableRoundTrip(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	if tab.Columnar() != c {
-		t.Error("materialized table should carry its columnar backing")
+	if c.Table() != tab {
+		t.Error("Table should return the one sealed table")
 	}
 	if got := tab.At(1, 1); !got.Equal(IntervalVal(25, 35)) {
 		t.Errorf("cell (1,1) = %v", got)
@@ -165,14 +170,73 @@ func TestSchemaIndexMemo(t *testing.T) {
 
 func TestDistinctCountColumnarFastPath(t *testing.T) {
 	tab := demoTable(t)
-	fresh := NewTable(tab.Schema)
-	for _, row := range tab.Rows {
-		fresh.MustAppend(row...)
+	seen := map[string]bool{}
+	for i := 0; i < tab.Len(); i++ {
+		seen[tab.At(i, 0).Key()] = true
 	}
-	want := fresh.DistinctCount(0) // unbacked slow path
-	tab.Columnar()                 // warm the backing; fast path must agree
-	got := tab.DistinctCount(0)
-	if got != want {
-		t.Fatalf("DistinctCount fast path %d != %d", got, want)
+	if got := tab.DistinctCount(0); got != len(seen) {
+		t.Fatalf("DistinctCount %d != %d distinct keys", got, len(seen))
+	}
+}
+
+func TestColumnFromCodes(t *testing.T) {
+	// Duplicate keys merge, unused entries drop, and codes renumber in
+	// first-appearance row order.
+	dict := []Value{StrVal("a"), StrVal("b"), StrVal("a"), StarVal(), NumVal(1)}
+	c, err := ColumnFromCodes(dict, []uint32{3, 2, 1, 0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newColumn()
+	for _, v := range []Value{StarVal(), StrVal("a"), StrVal("b"), StrVal("a"), StarVal()} {
+		want.append(v)
+	}
+	if c.Card() != want.Card() || c.Len() != want.Len() {
+		t.Fatalf("Card=%d Len=%d, want %d %d", c.Card(), c.Len(), want.Card(), want.Len())
+	}
+	for i := range want.Codes() {
+		if c.Code(i) != want.Code(i) {
+			t.Errorf("code %d = %d, want %d", i, c.Code(i), want.Code(i))
+		}
+	}
+	for d := range want.Dict() {
+		if c.DictKeys()[d] != want.DictKeys()[d] {
+			t.Errorf("dict %d = %q, want %q", d, c.DictKeys()[d], want.DictKeys()[d])
+		}
+	}
+	num, err := ColumnFromCodes([]Value{NumVal(2), StarVal()}, []uint32{0, 0})
+	if err != nil || !num.IsNumeric() {
+		t.Fatalf("unused non-numeric entry should drop: numeric=%v err=%v", num.IsNumeric(), err)
+	}
+	if _, err := ColumnFromCodes(dict, []uint32{0, 5}); err == nil {
+		t.Error("out-of-range code accepted")
+	}
+}
+
+func TestAppendTable(t *testing.T) {
+	a := demoTable(t)
+	c := NewColumnar(a.Schema)
+	c.MustAppend(StrVal("99999"), NumVal(1), StrVal("Widowed"))
+	if err := c.AppendTable(a); err != nil {
+		t.Fatal(err)
+	}
+	want := NewColumnar(a.Schema)
+	want.MustAppend(StrVal("99999"), NumVal(1), StrVal("Widowed"))
+	for i := 0; i < a.Len(); i++ {
+		row := make([]Value, a.Schema.Len())
+		for j := range row {
+			row[j] = a.At(i, j)
+		}
+		want.MustAppend(row...)
+	}
+	got, w := c.Table(), want.Table()
+	for j := 0; j < w.Schema.Len(); j++ {
+		gc, wc := got.ColumnVector(j), w.ColumnVector(j)
+		if fmt.Sprint(gc.Codes()) != fmt.Sprint(wc.Codes()) || fmt.Sprint(gc.DictKeys()) != fmt.Sprint(wc.DictKeys()) {
+			t.Errorf("column %d differs from row-by-row appends", j)
+		}
+	}
+	if err := NewColumnar(MustSchema(Attribute{Name: "X"})).AppendTable(a); err == nil {
+		t.Error("width mismatch accepted")
 	}
 }

@@ -15,8 +15,7 @@ import (
 // categorical column is an exact string.
 //
 // Ingest is columnar: cells stream straight into dictionary-encoded
-// columns and the row-oriented Rows view is materialized once at the end,
-// already carrying its columnar backing.
+// columns, and the table is the sealed builder.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	c, err := ReadCSVColumnar(r, schema)
 	if err != nil {
@@ -25,10 +24,9 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	return c.Table(), nil
 }
 
-// ReadCSVColumnar is ReadCSV without the row materialization: it streams
-// records into a Columnar table, never holding more than one CSV record of
-// row-oriented state. This is the ingest path for workloads that stay on
-// the columnar substrate.
+// ReadCSVColumnar is ReadCSV returning the unsealed builder: it streams
+// records into a Columnar, never holding more than one CSV record of
+// row-oriented state.
 func ReadCSVColumnar(r io.Reader, schema *Schema) (*Columnar, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = schema.Len()
@@ -43,6 +41,7 @@ func ReadCSVColumnar(r io.Reader, schema *Schema) (*Columnar, error) {
 		}
 	}
 	c := NewColumnar(schema)
+	row := make([]Value, schema.Len())
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -56,9 +55,11 @@ func ReadCSVColumnar(r io.Reader, schema *Schema) (*Columnar, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d, column %q: %w", line, schema.Attrs[j].Name, err)
 			}
-			c.appendCell(j, v)
+			row[j] = v
 		}
-		c.rows++
+		if err := c.AppendRow(row); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -106,8 +107,18 @@ func ParseValue(s string, kind AttrKind) (Value, error) {
 }
 
 // WriteCSV writes the table with a header row, rendering cells with
-// Value.String so that ReadCSV round-trips generalized values.
+// Value.String so that ReadCSV round-trips generalized values. Each
+// dictionary entry is rendered once per column. A cell whose text holds
+// "\r\n" is an error: CSV readers fold it to "\n", so it cannot round-trip.
 func WriteCSV(w io.Writer, t *Table) error {
+	text := t.renderedColumns()
+	for j, col := range text {
+		for _, s := range col {
+			if strings.Contains(s, "\r\n") {
+				return fmt.Errorf("dataset: column %q: cell %q holds \\r\\n, which CSV cannot carry", t.Schema.Attrs[j].Name, s)
+			}
+		}
+	}
 	cw := csv.NewWriter(w)
 	header := make([]string, t.Schema.Len())
 	for j, a := range t.Schema.Attrs {
@@ -117,9 +128,9 @@ func WriteCSV(w io.Writer, t *Table) error {
 		return fmt.Errorf("dataset: writing CSV header: %w", err)
 	}
 	rec := make([]string, t.Schema.Len())
-	for _, row := range t.Rows {
-		for j, v := range row {
-			rec[j] = v.String()
+	for i := 0; i < t.n; i++ {
+		for j, c := range t.cols {
+			rec[j] = text[j][c.codes[i]]
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("dataset: writing CSV row: %w", err)

@@ -76,8 +76,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Len() != orig.Len() {
 		t.Fatalf("round trip changed length: %d != %d", back.Len(), orig.Len())
 	}
-	for i := range orig.Rows {
-		for j := range orig.Rows[i] {
+	for i := 0; i < orig.Len(); i++ {
+		for j := 0; j < orig.Schema.Len(); j++ {
 			a, b := orig.At(i, j), back.At(i, j)
 			// Str and Set converge to Str after a round trip; compare
 			// by rendered form, which is the stable contract.

@@ -102,8 +102,8 @@ func FuzzCSVIngesterChunks(f *testing.F) {
 		if a.Len() != b.Len() {
 			t.Fatalf("chunk=%d: %d rows != %d rows", chunk, a.Len(), b.Len())
 		}
-		for i := range a.Rows {
-			for j := range a.Rows[i] {
+		for i := 0; i < a.Len(); i++ {
+			for j := 0; j < a.Schema.Len(); j++ {
 				if x, y := a.At(i, j).Key(), b.At(i, j).Key(); x != y {
 					t.Fatalf("chunk=%d cell (%d,%d): %q != %q", chunk, i, j, x, y)
 				}
@@ -132,11 +132,17 @@ func FuzzCSVRoundTrip(f *testing.F) {
 			return
 		}
 		// Rendering must not collide with CSV structure after encoding.
-		tab := NewTable(schema)
-		tab.MustAppend(zv, av, mv)
+		c := NewColumnar(schema)
+		c.MustAppend(zv, av, mv)
+		tab := c.Table()
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, tab); err != nil {
-			t.Fatalf("write: %v", err)
+			// The one cell text CSV cannot carry is "\r\n", which
+			// readers fold to "\n"; every other table must write.
+			if !strings.Contains(zv.String()+"\x00"+av.String()+"\x00"+mv.String(), "\r\n") {
+				t.Fatalf("write: %v", err)
+			}
+			return
 		}
 		back, err := ReadCSV(&buf, schema)
 		if err != nil {

@@ -9,9 +9,9 @@ import (
 // Hash returns the SHA-256 (hex) content hash of the table: the schema's
 // attribute names, kinds and roles followed by every cell rendered the way
 // WriteCSV renders it. Two tables with identical schemas and identical
-// row contents hash identically regardless of their backing (row slices
-// vs columnar), which makes the hash a stable dataset fingerprint for
-// perf packs and result caching.
+// rendered rows hash identically whatever their dictionary order, which
+// makes the hash a stable dataset fingerprint for perf packs and result
+// caching.
 func (t *Table) Hash() (string, error) {
 	h := sha256.New()
 	for _, a := range t.Schema.Attrs {

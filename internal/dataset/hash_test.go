@@ -12,10 +12,16 @@ func hashTestTable(t *testing.T) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := NewTable(s)
-	tab.MustAppend(NumVal(30), StrVal("021*"), StrVal("flu"))
-	tab.MustAppend(NumVal(41), StrVal("022*"), StrVal("cold"))
-	return tab
+	return hashTable(t, s, NumVal(41))
+}
+
+// hashTable builds the two-row hash fixture with age41 in cell (1,0).
+func hashTable(t *testing.T, s *Schema, age41 Value) *Table {
+	t.Helper()
+	c := NewColumnar(s)
+	c.MustAppend(NumVal(30), StrVal("021*"), StrVal("flu"))
+	c.MustAppend(age41, StrVal("022*"), StrVal("cold"))
+	return c.Table()
 }
 
 func TestHashDeterministicAndBackingIndependent(t *testing.T) {
@@ -35,14 +41,13 @@ func TestHashDeterministicAndBackingIndependent(t *testing.T) {
 	if len(ha) != 64 {
 		t.Errorf("hash is not sha256 hex: %q", ha)
 	}
-	// Materializing the columnar backing must not change the hash.
-	b.Columnar()
-	hc, err := b.Hash()
-	if err != nil {
+	// The same rows re-appended through AppendTable hash alike.
+	c := NewColumnar(a.Schema)
+	if err := c.AppendTable(a); err != nil {
 		t.Fatal(err)
 	}
-	if hc != ha {
-		t.Errorf("columnar backing changed the hash: %s vs %s", hc, ha)
+	if hc, err := c.Table().Hash(); err != nil || hc != ha {
+		t.Errorf("re-appended table hashes differently: %s vs %s (%v)", hc, ha, err)
 	}
 }
 
@@ -53,9 +58,7 @@ func TestHashSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A single cell change changes the hash.
-	b := hashTestTable(t)
-	b.Rows[1][0] = NumVal(42)
-	b.InvalidateColumns()
+	b := hashTable(t, a.Schema, NumVal(42))
 	hb, err := b.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +67,9 @@ func TestHashSensitivity(t *testing.T) {
 		t.Error("cell edit did not change the hash")
 	}
 	// A role change (same cell text) changes the hash too.
-	c := hashTestTable(t)
-	c.Schema = c.Schema.Clone()
-	c.Schema.Attrs[1].Role = Insensitive
-	hc, err := c.Hash()
+	roles := a.Schema.Clone()
+	roles.Attrs[1].Role = Insensitive
+	hc, err := hashTable(t, roles, NumVal(41)).Hash()
 	if err != nil {
 		t.Fatal(err)
 	}

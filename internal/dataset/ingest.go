@@ -36,13 +36,14 @@ type CSVIngester struct {
 	err       error
 
 	fields []string // per-record scratch
+	row    []Value  // per-record scratch
 }
 
 // NewCSVIngester returns an ingester for the schema. Feed chunks with
 // Write, then Close; the accumulated table is available via Columnar or
 // Table.
 func NewCSVIngester(schema *Schema) *CSVIngester {
-	return &CSVIngester{schema: schema, cols: NewColumnar(schema)}
+	return &CSVIngester{schema: schema, cols: NewColumnar(schema), row: make([]Value, schema.Len())}
 }
 
 // Write feeds one chunk. It implements io.Writer: every call consumes the
@@ -104,12 +105,12 @@ func (g *CSVIngester) Close() error {
 // Len returns the number of data rows ingested so far.
 func (g *CSVIngester) Len() int { return g.cols.Len() }
 
-// Columnar returns the accumulated columnar table. Call after Close; the
-// result reflects only fully parsed records.
+// Columnar returns the accumulated builder. Call after Close; it holds
+// only fully parsed records.
 func (g *CSVIngester) Columnar() *Columnar { return g.cols }
 
-// Table returns the accumulated table materialized as the row-oriented
-// compatibility view, carrying its columnar backing.
+// Table seals the accumulated builder and returns its table; a later
+// Write fails.
 func (g *CSVIngester) Table() *Table { return g.cols.Table() }
 
 // ingestChunk is the read-buffer size IngestCSV pipelines with: large
@@ -178,8 +179,7 @@ func IngestCSV(r io.Reader, schema *Schema) (*Columnar, error) {
 	return g.Columnar(), nil
 }
 
-// IngestCSVTable is IngestCSV materializing the row-oriented compatibility
-// view, carrying its columnar backing.
+// IngestCSVTable is IngestCSV returning the sealed table.
 func IngestCSVTable(r io.Reader, schema *Schema) (*Table, error) {
 	c, err := IngestCSV(r, schema)
 	if err != nil {
@@ -250,10 +250,9 @@ func (g *CSVIngester) endRecord(line []byte) error {
 		if err != nil {
 			return fmt.Errorf("dataset: line %d, column %q: %w", g.record, g.schema.Attrs[j].Name, err)
 		}
-		g.cols.appendCell(j, v)
+		g.row[j] = v
 	}
-	g.cols.rows++
-	return nil
+	return g.cols.AppendRow(g.row)
 }
 
 // splitRecord splits one record into fields with RFC 4180 strict-quote

@@ -46,8 +46,8 @@ func TestCSVIngesterMatchesReadCSV(t *testing.T) {
 		if got.Len() != want.Len() {
 			t.Fatalf("Len %d != %d", got.Len(), want.Len())
 		}
-		for i := range want.Rows {
-			for j := range want.Rows[i] {
+		for i := 0; i < want.Len(); i++ {
+			for j := 0; j < want.Schema.Len(); j++ {
 				if g, w := got.At(i, j).Key(), want.At(i, j).Key(); g != w {
 					t.Errorf("cell (%d,%d): %q != %q", i, j, g, w)
 				}
@@ -71,8 +71,8 @@ func TestCSVIngesterChunkBoundaryInvariance(t *testing.T) {
 		if got.Len() != whole.Len() {
 			t.Fatalf("chunk=%d: Len %d != %d", chunk, got.Len(), whole.Len())
 		}
-		for i := range whole.Rows {
-			for j := range whole.Rows[i] {
+		for i := 0; i < whole.Len(); i++ {
+			for j := 0; j < whole.Schema.Len(); j++ {
 				if g, w := got.At(i, j).Key(), whole.At(i, j).Key(); g != w {
 					t.Errorf("chunk=%d cell (%d,%d): %q != %q", chunk, i, j, g, w)
 				}

@@ -3,8 +3,7 @@
 // one dictionary slot per DISTINCT value — ideal for categorical and
 // generalized data, wasteful for a measurement column where most values
 // are unique. Float64Column stores the column as a flat float64 vector
-// instead, so whole-attribute statistics (the utility-loss domains of
-// Table.NumericRange) scan flat floats.
+// instead, so whole-attribute statistics scan flat floats.
 //
 // A typed column is immutable once built and safe for any number of
 // concurrent readers.

@@ -38,9 +38,9 @@ func TestFloat64ColumnMinMax(t *testing.T) {
 }
 
 func TestColumnTypedViews(t *testing.T) {
-	num := NewColumn()
+	num := newColumn()
 	for _, v := range []float64{1, 2, 1, 3} {
-		num.Append(NumVal(v))
+		num.append(NumVal(v))
 	}
 	fc, ok := num.Float64View()
 	if !ok {
@@ -51,35 +51,30 @@ func TestColumnTypedViews(t *testing.T) {
 			t.Fatalf("view[%d] = %v, want %v", i, fc.At(i), want)
 		}
 	}
-	// The view is cached until the column grows.
+	// The view is cached.
 	if fc2, _ := num.Float64View(); fc2 != fc {
 		t.Error("Float64View not cached")
 	}
-	num.Append(NumVal(9))
-	fc3, ok := num.Float64View()
-	if !ok || fc3.Len() != 5 || fc3.At(4) != 9 {
-		t.Fatalf("view after growth: ok=%v len=%d", ok, fc3.Len())
-	}
 
 	// Fractional values are float-viewable.
-	frac := NewColumn()
-	frac.Append(NumVal(1.5))
+	frac := newColumn()
+	frac.append(NumVal(1.5))
 	if _, ok := frac.Float64View(); !ok {
 		t.Error("Float64View should accept fractions")
 	}
 
 	// Non-numeric columns expose no typed view.
-	str := NewColumn()
-	str.Append(StrVal("x"))
+	str := newColumn()
+	str.append(StrVal("x"))
 	if _, ok := str.Float64View(); ok {
 		t.Error("Float64View on Str column should fail")
 	}
 }
 
 func TestColumnGrow(t *testing.T) {
-	c := NewColumn()
-	c.Append(NumVal(1))
-	c.Grow(100)
+	c := newColumn()
+	c.append(NumVal(1))
+	c.grow(100)
 	if c.Len() != 1 || cap(c.Codes()) < 101 {
 		t.Fatalf("Grow: len=%d cap=%d", c.Len(), cap(c.Codes()))
 	}
@@ -91,8 +86,8 @@ func TestColumnGrow(t *testing.T) {
 	cols := NewColumnar(schema)
 	cols.Grow(50)
 	for j := 0; j < schema.Len(); j++ {
-		if cap(cols.Col(j).Codes()) < 50 {
-			t.Fatalf("Columnar.Grow: col %d cap=%d", j, cap(cols.Col(j).Codes()))
+		if cap(cols.cols[j].Codes()) < 50 {
+			t.Fatalf("Columnar.Grow: col %d cap=%d", j, cap(cols.cols[j].Codes()))
 		}
 	}
 }
@@ -102,12 +97,11 @@ func TestTableFloat64Column(t *testing.T) {
 		Attribute{Name: "A", Kind: Numeric, Role: QuasiIdentifier},
 		Attribute{Name: "B", Kind: Categorical, Role: Sensitive},
 	)
-	tab := NewTable(schema)
+	c := NewColumnar(schema)
 	for i := 0; i < 10; i++ {
-		tab.MustAppend(NumVal(float64(i*i)), StrVal("s"))
+		c.MustAppend(NumVal(float64(i*i)), StrVal("s"))
 	}
-
-	// Plain (row-backed) path: direct row scan, no dictionary built.
+	tab := c.Table()
 	fc, ok := tab.Float64Column(0)
 	if !ok || fc.Len() != 10 || fc.At(3) != 9 {
 		t.Fatalf("Float64Column: ok=%v", ok)
@@ -115,33 +109,12 @@ func TestTableFloat64Column(t *testing.T) {
 	if fc2, _ := tab.Float64Column(0); fc2 != fc {
 		t.Error("typed column not cached")
 	}
-	// The non-numeric column is negatively cached.
 	if _, ok := tab.Float64Column(1); ok {
 		t.Error("Float64Column on categorical should fail")
 	}
-	if _, ok := tab.Float64Column(1); ok {
-		t.Error("negative cache should persist")
-	}
-
-	// NumericRange prefers the already-materialized typed column.
 	lo, hi, ok := tab.NumericRange(0)
 	if !ok || lo != 0 || hi != 81 {
 		t.Fatalf("NumericRange = %v %v %v", lo, hi, ok)
-	}
-
-	// Mutation invalidates: appended rows must be visible afterwards.
-	tab.InvalidateColumns()
-	tab.MustAppend(NumVal(1000), StrVal("s"))
-	fc3, ok := tab.Float64Column(0)
-	if !ok || fc3.Len() != 11 || fc3.At(10) != 1000 {
-		t.Fatalf("after invalidate: ok=%v len=%d", ok, fc3.Len())
-	}
-
-	// Columnar-backed path delegates to the dictionary-expansion view.
-	tab.Columnar()
-	fc4, ok := tab.Float64Column(0)
-	if !ok || fc4.Len() != 11 || fc4.At(10) != 1000 {
-		t.Fatalf("backed path: ok=%v len=%d", ok, fc4.Len())
 	}
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Role classifies how an attribute participates in disclosure control.
@@ -158,151 +157,59 @@ func (s *Schema) Clone() *Schema {
 	return &Schema{Attrs: attrs, byName: byName}
 }
 
-// Table is a microdata table: a schema plus N rows of cells. Tables are
-// mutable; anonymization algorithms operate on copies (see Clone) so the
-// original data set stays available for property measurement.
-//
-// A Table may carry a lazily built columnar backing (see Columnar): the
-// dictionary-encoded view the vectorized hot paths run on. The backing is
-// dropped automatically by Append and never copied by Clone; code that
-// rewrites cells of t.Rows in place must call InvalidateColumns afterwards
-// (every mutator in this module does), otherwise the columnar view goes
-// stale undetected.
+// Table is a microdata table: a schema plus N rows held as one sealed,
+// dictionary-encoded Column per attribute. Tables are immutable: a
+// Columnar builder produces them, and a derived table (a generalization,
+// a suppression) is a new Table that shares every column it does not
+// change. The original data set therefore stays available for property
+// measurement without copying, and no cached view can go stale.
 type Table struct {
 	Schema *Schema
-	Rows   [][]Value
-
-	colMu   sync.Mutex
-	cols    *Columnar
-	numCols map[int]*Float64Column // typed-column cache for backing-less tables
+	cols   []*Column
+	n      int
 }
 
-// NewTable returns an empty table with the given schema.
-func NewTable(schema *Schema) *Table {
-	return &Table{Schema: schema}
-}
-
-// Append adds a row after validating its width.
-func (t *Table) Append(row []Value) error {
-	if len(row) != t.Schema.Len() {
-		return fmt.Errorf("dataset: row has %d cells, schema has %d attributes", len(row), t.Schema.Len())
+// TableOf assembles a table from one column per schema attribute; every
+// column must hold the same number of rows. The columns are shared, not
+// copied.
+func TableOf(schema *Schema, cols []*Column) (*Table, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("dataset: %d columns for %d attributes", len(cols), schema.Len())
 	}
-	t.Rows = append(t.Rows, row)
-	t.InvalidateColumns()
-	return nil
-}
-
-// MustAppend is Append that panics on error, for fixtures.
-func (t *Table) MustAppend(row ...Value) {
-	if err := t.Append(row); err != nil {
-		panic(err)
+	n := 0
+	for j, c := range cols {
+		if j == 0 {
+			n = c.Len()
+		} else if c.Len() != n {
+			return nil, fmt.Errorf("dataset: column %q has %d rows, column %q has %d", schema.Attrs[j].Name, c.Len(), schema.Attrs[0].Name, n)
+		}
 	}
+	return &Table{Schema: schema, cols: cols, n: n}, nil
 }
 
 // Len returns the number of rows (the paper's N).
-func (t *Table) Len() int { return len(t.Rows) }
+func (t *Table) Len() int { return t.n }
 
 // At returns the cell at row i, column j.
-func (t *Table) At(i, j int) Value { return t.Rows[i][j] }
+func (t *Table) At(i, j int) Value { return t.cols[j].Value(i) }
 
-// InvalidateColumns drops the cached columnar backing. Call after
-// rewriting cells of Rows in place; Append and Clone handle themselves.
-func (t *Table) InvalidateColumns() {
-	t.colMu.Lock()
-	t.cols = nil
-	t.numCols = nil
-	t.colMu.Unlock()
-}
+// Columns returns a fresh slice of the table's columns, the starting point
+// for deriving a table with TableOf. The columns themselves are shared.
+func (t *Table) Columns() []*Column { return append([]*Column(nil), t.cols...) }
 
-// Columnar returns the dictionary-encoded columnar view of the table,
-// built at most once and cached (safe for concurrent use). Tables
-// materialized from a Columnar (streaming CSV ingest, the generator) carry
-// their backing from birth, so the call is free there.
-func (t *Table) Columnar() *Columnar {
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if t.cols != nil && t.cols.rows == len(t.Rows) {
-		return t.cols
-	}
-	c := NewColumnar(t.Schema)
-	for _, row := range t.Rows {
-		for j, v := range row {
-			c.cols[j].Append(v)
-		}
-	}
-	c.rows = len(t.Rows)
-	t.cols = c
-	return c
-}
+// ColumnVector returns column j as a dictionary-encoded Column.
+func (t *Table) ColumnVector(j int) *Column { return t.cols[j] }
 
-// backing returns the cached columnar view only when it is present and
-// consistent with the current row count; it never builds one.
-func (t *Table) backing() *Columnar {
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if t.cols != nil && t.cols.rows == len(t.Rows) {
-		return t.cols
-	}
-	return nil
-}
+// Column returns column j as a row-aligned []Value, materialized once per
+// column and shared; treat it as read-only.
+func (t *Table) Column(j int) []Value { return t.cols[j].Values() }
 
-// ColumnVector returns column j as a dictionary-encoded Column, served
-// from the columnar backing (building and caching it on first use).
-func (t *Table) ColumnVector(j int) *Column { return t.Columnar().Col(j) }
+// Float64Column returns column j as a typed, non-dictionary Float64Column,
+// built at most once and shared; ok is false unless every cell is an exact
+// Num.
+func (t *Table) Float64Column(j int) (*Float64Column, bool) { return t.cols[j].Float64View() }
 
-// Column returns column j as a []Value. For tables with a columnar
-// backing this is the backing's cached view — no copy, treat it as
-// read-only; for plain tables it is a fresh copy.
-func (t *Table) Column(j int) []Value {
-	if bc := t.backing(); bc != nil {
-		return bc.Col(j).Values()
-	}
-	col := make([]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		col[i] = r[j]
-	}
-	return col
-}
-
-// Float64Column returns column j as a typed, non-dictionary Float64Column
-// — the fast path for high-cardinality numeric attributes — built at most
-// once and cached; ok is false unless every cell is an exact Num. Tables
-// with a columnar backing expand the dictionary payload; plain tables scan
-// rows directly, skipping dictionary encoding entirely. The typed column
-// is shared; treat it as read-only. InvalidateColumns drops the cache
-// along with the columnar backing.
-func (t *Table) Float64Column(j int) (*Float64Column, bool) {
-	if bc := t.backing(); bc != nil {
-		return bc.Col(j).Float64View()
-	}
-	t.colMu.Lock()
-	if fc, ok := t.numCols[j]; ok {
-		t.colMu.Unlock()
-		return fc, fc != nil
-	}
-	t.colMu.Unlock()
-	var fc *Float64Column
-	vals := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		if r[j].Kind() != Num {
-			vals = nil
-			break
-		}
-		vals[i] = r[j].Float()
-	}
-	if vals != nil {
-		fc = Float64ColumnOf(vals)
-	}
-	t.colMu.Lock()
-	if t.numCols == nil {
-		t.numCols = make(map[int]*Float64Column)
-	}
-	t.numCols[j] = fc
-	t.colMu.Unlock()
-	return fc, fc != nil
-}
-
-// ColumnByName returns a copy of the named column.
+// ColumnByName returns the named column as a shared []Value.
 func (t *Table) ColumnByName(name string) ([]Value, error) {
 	j := t.Schema.Index(name)
 	if j < 0 {
@@ -311,64 +218,22 @@ func (t *Table) ColumnByName(name string) ([]Value, error) {
 	return t.Column(j), nil
 }
 
-// Clone returns a deep copy of the table. Rows are copied; Values are
-// immutable so cells are shared structurally.
-func (t *Table) Clone() *Table {
-	rows := make([][]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = make([]Value, len(r))
-		copy(rows[i], r)
-	}
-	return &Table{Schema: t.Schema.Clone(), Rows: rows}
-}
-
 // DistinctCount returns the number of distinct values (by Key) in column j.
-func (t *Table) DistinctCount(j int) int {
-	if bc := t.backing(); bc != nil {
-		return bc.Col(j).Card()
-	}
-	seen := make(map[string]struct{}, len(t.Rows))
-	for _, r := range t.Rows {
-		seen[r[j].Key()] = struct{}{}
-	}
-	return len(seen)
-}
+func (t *Table) DistinctCount(j int) int { return t.cols[j].Card() }
 
 // NumericRange returns the min and max of a Numeric column over exact
 // values. Interval cells contribute their bounds. It returns ok=false if
-// the column holds no numeric information.
+// the column holds no numeric information. The scan runs over the
+// dictionary, in first-appearance order, so it costs O(distinct values).
 func (t *Table) NumericRange(j int) (lo, hi float64, ok bool) {
-	if bc := t.backing(); bc != nil {
-		if col := bc.Col(j); col.IsNumeric() {
-			// Purely numeric column: the range is a scan over the (small)
-			// dictionary payload, independent of the row count.
-			for d, f := range col.NumericDict() {
-				if d == 0 || f < lo {
-					lo = f
-				}
-				if d == 0 || f > hi {
-					hi = f
-				}
-			}
-			return lo, hi, true
-		}
-	}
-	t.colMu.Lock()
-	fc := t.numCols[j]
-	t.colMu.Unlock()
-	if fc != nil {
-		// A typed column was already materialized for this attribute: the
-		// range is its sharded MinMax kernel.
-		return fc.MinMax()
-	}
 	first := true
-	for _, r := range t.Rows {
+	for _, v := range t.cols[j].Dict() {
 		var l, h float64
-		switch r[j].Kind() {
+		switch v.Kind() {
 		case Num:
-			l, h = r[j].Float(), r[j].Float()
+			l, h = v.Float(), v.Float()
 		case Interval:
-			l, h = r[j].Bounds()
+			l, h = v.Bounds()
 		default:
 			continue
 		}
@@ -386,6 +251,19 @@ func (t *Table) NumericRange(j int) (lo, hi float64, ok bool) {
 	return lo, hi, !first
 }
 
+// renderedColumns renders every dictionary entry of every column once,
+// with Value.String; cell (i, j) renders as out[j][t.cols[j].Code(i)].
+func (t *Table) renderedColumns() [][]string {
+	out := make([][]string, len(t.cols))
+	for j, c := range t.cols {
+		out[j] = make([]string, c.Card())
+		for d, v := range c.Dict() {
+			out[j][d] = v.String()
+		}
+	}
+	return out
+}
+
 // Format renders the table as an aligned text table in the style the paper
 // uses, with a row-index column when index is true.
 func (t *Table) Format(index bool) string {
@@ -397,18 +275,18 @@ func (t *Table) Format(index bool) string {
 		header[j] = a.Name
 		widths[j] = len(a.Name)
 	}
-	cells := make([][]string, len(t.Rows))
-	for i, r := range t.Rows {
-		cells[i] = make([]string, ncol)
-		for j, v := range r {
-			s := v.String()
-			cells[i][j] = s
+	text := t.renderedColumns()
+	for j := range text {
+		// Every dictionary entry is used by some row, so the widest entry
+		// is the widest cell.
+		for _, s := range text[j] {
 			if len(s) > widths[j] {
 				widths[j] = len(s)
 			}
 		}
 	}
-	idxW := len(fmt.Sprint(len(t.Rows)))
+	idxW := len(fmt.Sprint(t.n))
+	row := make([]string, ncol)
 	writeRow := func(idx string, row []string) {
 		if index {
 			fmt.Fprintf(&b, "%*s  ", idxW, idx)
@@ -422,8 +300,11 @@ func (t *Table) Format(index bool) string {
 		b.WriteByte('\n')
 	}
 	writeRow("", header)
-	for i := range cells {
-		writeRow(fmt.Sprint(i+1), cells[i])
+	for i := 0; i < t.n; i++ {
+		for j, c := range t.cols {
+			row[j] = text[j][c.Code(i)]
+		}
+		writeRow(fmt.Sprint(i+1), row)
 	}
 	return b.String()
 }

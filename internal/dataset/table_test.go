@@ -71,17 +71,18 @@ func TestSchemaLookups(t *testing.T) {
 }
 
 func TestTableAppendAndAccess(t *testing.T) {
-	tab := NewTable(demoSchema(t))
-	tab.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
-	tab.MustAppend(StrVal("13268"), NumVal(41), StrVal("Separated"))
+	c := NewColumnar(demoSchema(t))
+	c.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
+	c.MustAppend(StrVal("13268"), NumVal(41), StrVal("Separated"))
+	if err := c.AppendRow([]Value{StrVal("x")}); err == nil {
+		t.Fatal("expected width error")
+	}
+	tab := c.Table()
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
 	if got := tab.At(0, 1); !got.Equal(NumVal(28)) {
 		t.Fatalf("At(0,1) = %v", got)
-	}
-	if err := tab.Append([]Value{StrVal("x")}); err == nil {
-		t.Fatal("expected width error")
 	}
 	col, err := tab.ColumnByName("Age")
 	if err != nil || len(col) != 2 || !col[1].Equal(NumVal(41)) {
@@ -93,34 +94,21 @@ func TestTableAppendAndAccess(t *testing.T) {
 }
 
 func TestMustAppendPanics(t *testing.T) {
-	tab := NewTable(demoSchema(t))
+	c := NewColumnar(demoSchema(t))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tab.MustAppend(StrVal("only-one"))
-}
-
-func TestTableCloneIsDeep(t *testing.T) {
-	tab := NewTable(demoSchema(t))
-	tab.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
-	cp := tab.Clone()
-	cp.Rows[0][1] = NumVal(99)
-	cp.Schema.Attrs[0].Name = "Changed"
-	if tab.At(0, 1).Float() != 28 {
-		t.Fatal("clone shares row storage")
-	}
-	if tab.Schema.Attrs[0].Name != "ZipCode" {
-		t.Fatal("clone shares schema storage")
-	}
+	c.MustAppend(StrVal("only-one"))
 }
 
 func TestDistinctCount(t *testing.T) {
-	tab := NewTable(demoSchema(t))
-	tab.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
-	tab.MustAppend(StrVal("13053"), NumVal(41), StrVal("Separated"))
-	tab.MustAppend(StrVal("13268"), NumVal(41), StrVal("Separated"))
+	c := NewColumnar(demoSchema(t))
+	c.MustAppend(StrVal("13053"), NumVal(28), StrVal("CF-Spouse"))
+	c.MustAppend(StrVal("13053"), NumVal(41), StrVal("Separated"))
+	c.MustAppend(StrVal("13268"), NumVal(41), StrVal("Separated"))
+	tab := c.Table()
 	if got := tab.DistinctCount(0); got != 2 {
 		t.Fatalf("DistinctCount(zip) = %d", got)
 	}
@@ -130,10 +118,11 @@ func TestDistinctCount(t *testing.T) {
 }
 
 func TestNumericRange(t *testing.T) {
-	tab := NewTable(demoSchema(t))
-	tab.MustAppend(StrVal("a"), NumVal(26), StrVal("x"))
-	tab.MustAppend(StrVal("b"), NumVal(55), StrVal("y"))
-	tab.MustAppend(StrVal("c"), IntervalVal(20, 60), StrVal("z"))
+	c := NewColumnar(demoSchema(t))
+	c.MustAppend(StrVal("a"), NumVal(26), StrVal("x"))
+	c.MustAppend(StrVal("b"), NumVal(55), StrVal("y"))
+	c.MustAppend(StrVal("c"), IntervalVal(20, 60), StrVal("z"))
+	tab := c.Table()
 	lo, hi, ok := tab.NumericRange(1)
 	if !ok || lo != 20 || hi != 60 {
 		t.Fatalf("NumericRange = %v %v %v", lo, hi, ok)
@@ -144,8 +133,9 @@ func TestNumericRange(t *testing.T) {
 }
 
 func TestTableFormat(t *testing.T) {
-	tab := NewTable(demoSchema(t))
-	tab.MustAppend(PrefixVal("1305", 1), IntervalVal(25, 35), SetVal("Married"))
+	c := NewColumnar(demoSchema(t))
+	c.MustAppend(PrefixVal("1305", 1), IntervalVal(25, 35), SetVal("Married"))
+	tab := c.Table()
 	out := tab.Format(true)
 	for _, want := range []string{"ZipCode", "1305*", "(25,35]", "Married", "1  "} {
 		if !strings.Contains(out, want) {

@@ -224,14 +224,11 @@ func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config, opt
 // precompute builds the per-attribute, per-level fragment tables, their
 // nesting maps and distinct losses. The distinct-ground-value pass IS the
 // table's dictionary encoding: each quasi-identifier's codes and
-// dictionary come straight from the columnar backing (free for tables born
-// columnar — CSV ingest, the generator — and built once and cached
-// otherwise).
+// dictionary come straight from the table's columns.
 func (e *Engine) precompute() error {
 	qi := e.t.Schema.QuasiIdentifiers()
 	needLoss := e.cfg.Metric == algorithm.MetricLM
 	e.attrs = make([]attrFrags, len(qi))
-	columnar := e.t.Columnar()
 	for li, j := range qi {
 		attr := e.t.Schema.Attrs[j]
 		h, ok := e.cfg.Hierarchies[attr.Name]
@@ -240,7 +237,7 @@ func (e *Engine) precompute() error {
 		}
 		// Distinct ground values in first-appearance order: the column's
 		// dictionary. Codes and dictionary are shared read-only.
-		col := columnar.Col(j)
+		col := e.t.ColumnVector(j)
 		distinct := col.Dict()
 		// The loss domain mirrors utility.GeneralLossMetric: numeric
 		// attributes take their domain from the ORIGINAL table.

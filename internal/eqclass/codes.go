@@ -146,25 +146,6 @@ func fromGroupIDs(ids []uint32, groups int) *Partition {
 	return p
 }
 
-// FromColumnar partitions a columnar table over an explicit set of column
-// indices, running entirely on dictionary codes.
-func FromColumnar(c *dataset.Columnar, cols []int) (*Partition, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("eqclass: no columns to partition on")
-	}
-	vecs := make([][]uint32, len(cols))
-	cards := make([]int, len(cols))
-	for vi, j := range cols {
-		if j < 0 || j >= c.Schema().Len() {
-			return nil, fmt.Errorf("eqclass: column index %d out of range", j)
-		}
-		col := c.Col(j)
-		vecs[vi] = col.Codes()
-		cards[vi] = col.Card()
-	}
-	return FromCodes(vecs, cards)
-}
-
 // ValueCountsColumn is Partition.ValueCounts computed over a
 // dictionary-encoded column: per-class tallies run on integer codes with a
 // pooled cardinality-sized scratch vector, and value keys are resolved once

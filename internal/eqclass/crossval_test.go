@@ -23,9 +23,9 @@ func referencePartition(t *testing.T, tab *dataset.Table, cols []int) *eqclass.P
 	t.Helper()
 	sigs := make([]string, tab.Len())
 	var sb strings.Builder
-	for i, row := range tab.Rows {
+	for i := range sigs {
 		sb.Reset()
-		eqclass.WriteSignature(&sb, row, cols)
+		eqclass.WriteSignature(&sb, tab, i, cols)
 		sigs[i] = sb.String()
 	}
 	p, err := eqclass.FromSignatures(sigs)
@@ -120,7 +120,9 @@ func TestFromColumnsMatchesSignaturesCensusSweep(t *testing.T) {
 				bad = append(bad, rows...)
 			}
 		}
-		hierarchy.SuppressRows(anon, bad)
+		if anon, err = hierarchy.SuppressRows(anon, bad); err != nil {
+			t.Fatal(err)
+		}
 		crossValidate(t, fmt.Sprintf("node %v suppressed", node), anon, qi)
 	}
 }
@@ -146,15 +148,15 @@ func TestFromColumnsMatchesSignaturesRandomized(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		n := 1 + rng.Intn(400)
-		tab := dataset.NewTable(schema)
+		c := dataset.NewColumnar(schema)
 		for i := 0; i < n; i++ {
-			tab.MustAppend(
+			c.MustAppend(
 				pool[rng.Intn(len(pool))],
 				pool[rng.Intn(len(pool))],
 				pool[rng.Intn(len(pool))],
 			)
 		}
-		crossValidate(t, fmt.Sprintf("trial %d", trial), tab, []int{0, 1, 2})
+		crossValidate(t, fmt.Sprintf("trial %d", trial), c.Table(), []int{0, 1, 2})
 	}
 }
 
@@ -238,8 +240,8 @@ func TestValueCountsColumnMatchesValueCounts(t *testing.T) {
 	}
 }
 
-// benchTable returns a generalized census table of n rows with a warmed
-// columnar backing, the shape the engine and measure paths group over.
+// benchTable returns a generalized census table of n rows, the shape the
+// engine and measure paths group over.
 func benchTable(b *testing.B, n int) *dataset.Table {
 	b.Helper()
 	tab, err := generator.Generate(generator.Config{N: n, Seed: 1})
@@ -250,7 +252,6 @@ func benchTable(b *testing.B, n int) *dataset.Table {
 	if err != nil {
 		b.Fatal(err)
 	}
-	anon.Columnar()
 	return anon
 }
 
@@ -261,9 +262,9 @@ func BenchmarkGroupBySignatures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sigs := make([]string, tab.Len())
 		var sb strings.Builder
-		for r, row := range tab.Rows {
+		for r := range sigs {
 			sb.Reset()
-			eqclass.WriteSignature(&sb, row, qi)
+			eqclass.WriteSignature(&sb, tab, r, qi)
 			sigs[r] = sb.String()
 		}
 		if _, err := eqclass.FromSignatures(sigs); err != nil {

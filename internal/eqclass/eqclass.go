@@ -36,12 +36,11 @@ func FromTable(t *dataset.Table) (*Partition, error) {
 
 // FromColumns partitions the table over an explicit set of column indices.
 //
-// The grouping runs vectorized: the table's dictionary-encoded columnar
-// backing (built and cached on first use) supplies per-column code
-// vectors, and FromCodes combines them with radix/hash passes — no
-// per-row signature strings. The result is element-identical to signing
-// every row with WriteSignature and grouping via FromSignatures, which
-// the cross-validation tests pin.
+// The grouping runs vectorized: the table's dictionary-encoded columns
+// supply per-column code vectors, and FromCodes combines them with
+// radix/hash passes — no per-row signature strings. The result is
+// element-identical to signing every row with WriteSignature and grouping
+// via FromSignatures, which the cross-validation tests pin.
 func FromColumns(t *dataset.Table, cols []int) (*Partition, error) {
 	for _, j := range cols {
 		if j < 0 || j >= t.Schema.Len() {
@@ -54,16 +53,24 @@ func FromColumns(t *dataset.Table, cols []int) (*Partition, error) {
 	if t.Len() == 0 {
 		return &Partition{ClassOf: []int{}, n: 0}, nil
 	}
-	return FromColumnar(t.Columnar(), cols)
+	vecs := make([][]uint32, len(cols))
+	cards := make([]int, len(cols))
+	for vi, j := range cols {
+		col := t.ColumnVector(j)
+		vecs[vi] = col.Codes()
+		cards[vi] = col.Card()
+	}
+	return FromCodes(vecs, cards)
 }
 
-// WriteSignature appends the '\x1f'-separated Value.Key signature of row
-// restricted to cols — the grouping key FromColumns partitions by. Callers
-// that signature many rows reuse one strings.Builder (Reset between rows)
-// to avoid the quadratic cost of string concatenation in a loop.
-func WriteSignature(sb *strings.Builder, row []dataset.Value, cols []int) {
+// WriteSignature appends the '\x1f'-separated Value.Key signature of row i
+// of t restricted to cols — the grouping key FromColumns partitions by.
+// Callers that signature many rows reuse one strings.Builder (Reset
+// between rows) to avoid the quadratic cost of string concatenation in a
+// loop.
+func WriteSignature(sb *strings.Builder, t *dataset.Table, i int, cols []int) {
 	for _, j := range cols {
-		sb.WriteString(row[j].Key())
+		sb.WriteString(t.At(i, j).Key())
 		sb.WriteByte('\x1f')
 	}
 }

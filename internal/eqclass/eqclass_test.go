@@ -22,9 +22,9 @@ func schema3(t *testing.T) *dataset.Schema {
 // with the ground sensitive column, in T1's original row order (1..10).
 func t3a(t *testing.T) *dataset.Table {
 	t.Helper()
-	tab := dataset.NewTable(schema3(t))
+	c := dataset.NewColumnar(schema3(t))
 	add := func(zipPrefix string, lo, hi float64, marital string) {
-		tab.MustAppend(dataset.PrefixVal(zipPrefix, 1), dataset.IntervalVal(lo, hi), dataset.StrVal(marital))
+		c.MustAppend(dataset.PrefixVal(zipPrefix, 1), dataset.IntervalVal(lo, hi), dataset.StrVal(marital))
 	}
 	add("1305", 25, 35, "CF-Spouse")      // 1
 	add("1326", 35, 45, "Separated")      // 2
@@ -36,7 +36,7 @@ func t3a(t *testing.T) *dataset.Table {
 	add("1305", 25, 35, "Spouse Present") // 8
 	add("1326", 35, 45, "Separated")      // 9
 	add("1325", 45, 55, "Separated")      // 10
-	return tab
+	return c.Table()
 }
 
 func TestFromTablePaperT3a(t *testing.T) {
@@ -86,11 +86,11 @@ func TestSensitiveCountVectorPaperT3a(t *testing.T) {
 
 func TestFromTableErrors(t *testing.T) {
 	noQI := dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive})
-	tab := dataset.NewTable(noQI)
+	tab := dataset.NewColumnar(noQI).Table()
 	if _, err := FromTable(tab); err == nil {
 		t.Error("no quasi-identifiers should fail")
 	}
-	tab2 := dataset.NewTable(schema3(t))
+	tab2 := dataset.NewColumnar(schema3(t)).Table()
 	if _, err := FromColumns(tab2, []int{7}); err == nil {
 		t.Error("out-of-range column should fail")
 	}
@@ -100,7 +100,7 @@ func TestFromTableErrors(t *testing.T) {
 }
 
 func TestEmptyTablePartition(t *testing.T) {
-	p, err := FromTable(dataset.NewTable(schema3(t)))
+	p, err := FromTable(dataset.NewColumnar(schema3(t)).Table())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +159,18 @@ func TestPartitionInvariantsQuick(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%40 + 1
 		rng := rand.New(rand.NewSource(seed))
-		tab := dataset.NewTable(dataset.MustSchema(
+		c := dataset.NewColumnar(dataset.MustSchema(
 			dataset.Attribute{Name: "A", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 			dataset.Attribute{Name: "B", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 		))
 		letters := []string{"x", "y", "z"}
 		for i := 0; i < n; i++ {
-			tab.MustAppend(
+			c.MustAppend(
 				dataset.StrVal(letters[rng.Intn(len(letters))]),
 				dataset.NumVal(float64(rng.Intn(3))),
 			)
 		}
+		tab := c.Table()
 		p, err := FromTable(tab)
 		if err != nil {
 			return false
@@ -261,8 +262,17 @@ func TestSensitiveCountsSumToClassSizeQuick(t *testing.T) {
 
 func TestSignatureHelpers(t *testing.T) {
 	row := []dataset.Value{dataset.StrVal("13053"), dataset.NumVal(28), dataset.StarVal()}
+	c := dataset.NewColumnar(dataset.MustSchema(
+		dataset.Attribute{Name: "A", Role: dataset.QuasiIdentifier},
+		dataset.Attribute{Name: "B", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
+		dataset.Attribute{Name: "C", Role: dataset.QuasiIdentifier},
+	))
+	c.MustAppend(row...)
+	c.MustAppend(row...)
+	c.MustAppend(dataset.StrVal("y"), dataset.NumVal(28), dataset.StarVal())
+	tab := c.Table()
 	var sb strings.Builder
-	WriteSignature(&sb, row, []int{0, 1, 2})
+	WriteSignature(&sb, tab, 0, []int{0, 1, 2})
 	want := "s:13053\x1fn:28\x1f*\x1f"
 	if sb.String() != want {
 		t.Fatalf("WriteSignature = %q, want %q", sb.String(), want)
@@ -272,19 +282,12 @@ func TestSignatureHelpers(t *testing.T) {
 	}
 	// Column subsetting and builder reuse.
 	sb.Reset()
-	WriteSignature(&sb, row, []int{1})
+	WriteSignature(&sb, tab, 0, []int{1})
 	if sb.String() != "n:28\x1f" {
 		t.Fatalf("subset signature = %q", sb.String())
 	}
 	// FromColumns groups by exactly this signature: rows with equal
-	// KeySignature land in one class.
-	tab := dataset.NewTable(dataset.MustSchema(
-		dataset.Attribute{Name: "A", Role: dataset.QuasiIdentifier},
-		dataset.Attribute{Name: "B", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
-	))
-	tab.MustAppend(dataset.StrVal("x"), dataset.NumVal(1))
-	tab.MustAppend(dataset.StrVal("x"), dataset.NumVal(1))
-	tab.MustAppend(dataset.StrVal("y"), dataset.NumVal(1))
+	// signatures land in one class.
 	p, err := FromColumns(tab, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +295,15 @@ func TestSignatureHelpers(t *testing.T) {
 	if p.NumClasses() != 2 || p.ClassOf[0] != p.ClassOf[1] || p.ClassOf[0] == p.ClassOf[2] {
 		t.Fatalf("partition = %+v", p)
 	}
-	if KeySignature(tab.Rows[0]) != KeySignature(tab.Rows[1]) {
+	sig := func(i int) string {
+		var sb strings.Builder
+		WriteSignature(&sb, tab, i, []int{0, 1})
+		return sb.String()
+	}
+	if sig(0) != sig(1) {
 		t.Error("equal rows must share a signature")
 	}
-	if KeySignature(tab.Rows[0]) == KeySignature(tab.Rows[2]) {
+	if sig(0) == sig(2) {
 		t.Error("distinct rows must not share a signature")
 	}
 }

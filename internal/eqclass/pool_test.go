@@ -49,10 +49,14 @@ func TestPooledScratchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sens := dataset.NewColumn()
 	vals := []dataset.Value{dataset.StrVal("a"), dataset.StrVal("b"), dataset.StrVal("c")}
-	for i := 0; i < n; i++ {
-		sens.Append(vals[i%len(vals)])
+	codes := make([]uint32, n)
+	for i := range codes {
+		codes[i] = uint32(i % len(vals))
+	}
+	sens, err := dataset.ColumnFromCodes(vals, codes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	wantCounts, err := want.ValueCountsColumn(sens)
 	if err != nil {

@@ -194,9 +194,11 @@ func captureAttack(ctx context.Context, tab *dataset.Table, opts Options, k int)
 	if err != nil {
 		return nil, nil, err
 	}
-	population := tab.Clone()
-	population.Rows = append(population.Rows, extra.Rows...)
-	population.InvalidateColumns()
+	pc := dataset.NewColumnar(tab.Schema)
+	if err := pc.AppendTable(tab, extra); err != nil {
+		return nil, nil, err
+	}
+	population := pc.Table()
 	popHash, err := population.Hash()
 	if err != nil {
 		return nil, nil, err

@@ -61,8 +61,8 @@ func Schema() *dataset.Schema {
 }
 
 // Generate draws a deterministic synthetic census table. Rows go straight
-// into dictionary-encoded columns, so the returned table carries a columnar
-// backing and downstream grouping never re-encodes it.
+// into dictionary-encoded columns, which downstream grouping reads without
+// re-encoding.
 func Generate(cfg Config) (*dataset.Table, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("generator: N must be positive, got %d", cfg.N)

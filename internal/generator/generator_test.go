@@ -19,8 +19,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.Len() != 200 || b.Len() != 200 {
 		t.Fatalf("lengths %d, %d", a.Len(), b.Len())
 	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < a.Schema.Len(); j++ {
 			if !a.At(i, j).Equal(b.At(i, j)) {
 				t.Fatalf("row %d col %d differs across identical seeds", i, j)
 			}
@@ -31,8 +31,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < a.Schema.Len(); j++ {
 			if !a.At(i, j).Equal(c.At(i, j)) {
 				same = false
 			}
@@ -158,7 +158,7 @@ func TestGuards(t *testing.T) {
 			t.Fatal("Guards not deterministic")
 		}
 	}
-	noDis := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "X"}))
+	noDis := dataset.NewColumnar(dataset.MustSchema(dataset.Attribute{Name: "X"})).Table()
 	if _, err := Guards(noDis, 1); err == nil {
 		t.Error("missing Disease column should fail")
 	}

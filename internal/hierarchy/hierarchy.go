@@ -87,45 +87,76 @@ func (s Set) MaxLevels(schema *dataset.Schema) ([]int, error) {
 	return levels, nil
 }
 
+// GeneralizeColumn maps every cell of col to its form at the given level.
+// It calls h.Generalize once per dictionary entry, not once per row, and
+// gathers the row codes through the result.
+func GeneralizeColumn(col *dataset.Column, h Hierarchy, level int) (*dataset.Column, error) {
+	dict := make([]dataset.Value, col.Card())
+	for d, v := range col.Dict() {
+		g, err := h.Generalize(v, level)
+		if err != nil {
+			return nil, err
+		}
+		dict[d] = g
+	}
+	if level == 0 {
+		// Level 0 is the identity, and tables are immutable.
+		return col, nil
+	}
+	return dataset.ColumnFromCodes(dict, col.Codes())
+}
+
 // GeneralizeTable applies per-attribute levels (aligned with the schema's
-// quasi-identifier order) to every row of the table, returning a new table.
-// Non-QI columns are copied unchanged; sensitive columns are never
+// quasi-identifier order) to the table, returning a new table. Non-QI
+// columns are shared with the input; sensitive columns are never
 // generalized here.
 func GeneralizeTable(t *dataset.Table, s Set, levels []int) (*dataset.Table, error) {
 	qi := t.Schema.QuasiIdentifiers()
 	if len(levels) != len(qi) {
 		return nil, fmt.Errorf("hierarchy: %d levels for %d quasi-identifiers", len(levels), len(qi))
 	}
-	out := t.Clone()
+	cols := t.Columns()
 	for li, j := range qi {
-		h, ok := s[t.Schema.Attrs[j].Name]
+		name := t.Schema.Attrs[j].Name
+		h, ok := s[name]
 		if !ok {
-			return nil, fmt.Errorf("hierarchy: no hierarchy for quasi-identifier %q", t.Schema.Attrs[j].Name)
+			return nil, fmt.Errorf("hierarchy: no hierarchy for quasi-identifier %q", name)
 		}
-		for i := range out.Rows {
-			g, err := h.Generalize(t.Rows[i][j], levels[li])
-			if err != nil {
-				return nil, fmt.Errorf("hierarchy: row %d attribute %q: %w", i, t.Schema.Attrs[j].Name, err)
-			}
-			out.Rows[i][j] = g
+		g, err := GeneralizeColumn(cols[j], h, levels[li])
+		if err != nil {
+			return nil, fmt.Errorf("hierarchy: attribute %q: %w", name, err)
 		}
+		cols[j] = g
 	}
-	return out, nil
+	return dataset.TableOf(t.Schema, cols)
 }
 
-// SuppressRows replaces every quasi-identifier cell of the selected rows with
-// the suppressed value, in place. This is how algorithms realize tuple
-// suppression while keeping the table size constant (paper §3).
-func SuppressRows(t *dataset.Table, rows []int) {
-	qi := t.Schema.QuasiIdentifiers()
-	for _, i := range rows {
-		for _, j := range qi {
-			t.Rows[i][j] = dataset.StarVal()
+// SuppressRows returns a copy of t in which every quasi-identifier cell of
+// the listed rows is the suppressed value "*". This is how algorithms
+// realize tuple suppression while keeping the table size constant (paper
+// §3). Columns other than the quasi-identifiers are shared with t.
+func SuppressRows(t *dataset.Table, rows []int) (*dataset.Table, error) {
+	if len(rows) == 0 {
+		return t, nil
+	}
+	cols := t.Columns()
+	for _, j := range t.Schema.QuasiIdentifiers() {
+		col := cols[j]
+		star := uint32(col.Card())
+		dict := append(col.Dict()[:star:star], dataset.StarVal())
+		codes := append([]uint32(nil), col.Codes()...)
+		for _, i := range rows {
+			if i < 0 || i >= len(codes) {
+				return nil, fmt.Errorf("hierarchy: suppressed row %d out of range [0,%d)", i, len(codes))
+			}
+			codes[i] = star
+		}
+		var err error
+		if cols[j], err = dataset.ColumnFromCodes(dict, codes); err != nil {
+			return nil, err
 		}
 	}
-	if len(rows) > 0 {
-		t.InvalidateColumns()
-	}
+	return dataset.TableOf(t.Schema, cols)
 }
 
 func checkLevel(level, max int) error {

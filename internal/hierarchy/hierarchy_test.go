@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -422,9 +423,10 @@ func TestGeneralizeTable(t *testing.T) {
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical, Role: dataset.Sensitive},
 	)
-	tab := dataset.NewTable(schema)
-	tab.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28), dataset.StrVal("CF-Spouse"))
-	tab.MustAppend(dataset.StrVal("13268"), dataset.NumVal(41), dataset.StrVal("Separated"))
+	c := dataset.NewColumnar(schema)
+	c.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28), dataset.StrVal("CF-Spouse"))
+	c.MustAppend(dataset.StrVal("13268"), dataset.NumVal(41), dataset.StrVal("Separated"))
+	tab := c.Table()
 	set := MustSet(MustPrefixMask("ZipCode", 5, 10), ageLadder(t))
 
 	out, err := GeneralizeTable(tab, set, []int{1, 1})
@@ -463,21 +465,64 @@ func TestSuppressRows(t *testing.T) {
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical, Role: dataset.Sensitive},
 	)
-	tab := dataset.NewTable(schema)
-	tab.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28), dataset.StrVal("CF-Spouse"))
-	tab.MustAppend(dataset.StrVal("13268"), dataset.NumVal(41), dataset.StrVal("Separated"))
-	SuppressRows(tab, []int{1})
-	if !tab.At(1, 0).IsSuppressed() || !tab.At(1, 1).IsSuppressed() {
+	c := dataset.NewColumnar(schema)
+	c.MustAppend(dataset.StrVal("13053"), dataset.NumVal(28), dataset.StrVal("CF-Spouse"))
+	c.MustAppend(dataset.StrVal("13268"), dataset.NumVal(41), dataset.StrVal("Separated"))
+	tab := c.Table()
+	out, err := SuppressRows(tab, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.At(1, 0).IsSuppressed() || !out.At(1, 1).IsSuppressed() {
 		t.Error("row 1 QI cells should be suppressed")
 	}
-	if tab.At(1, 2).IsSuppressed() {
+	if out.At(1, 2).IsSuppressed() {
 		t.Error("sensitive cell should not be suppressed")
 	}
-	if tab.At(0, 0).IsSuppressed() {
-		t.Error("row 0 should be untouched")
+	if out.At(0, 0).IsSuppressed() || tab.At(1, 0).IsSuppressed() {
+		t.Error("row 0 and the input should be untouched")
 	}
-	if tab.Len() != 2 {
+	if out.Len() != 2 {
 		t.Error("suppression must not drop rows")
+	}
+	if _, err := SuppressRows(tab, []int{2}); err == nil {
+		t.Error("out-of-range row should fail")
+	}
+}
+
+// TestDerivingLeavesInputUnchanged pins table immutability: generalizing
+// and suppressing build new tables, and the input's hash is unchanged.
+func TestDerivingLeavesInputUnchanged(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "ZipCode", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
+		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
+		dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical, Role: dataset.Sensitive},
+	)
+	c := dataset.NewColumnar(schema)
+	for i := 0; i < 200; i++ {
+		c.MustAppend(dataset.StrVal(fmt.Sprintf("130%02d", i%37)), dataset.NumVal(float64(18+i%61)), dataset.StrVal(fmt.Sprint("s", i%5)))
+	}
+	tab := c.Table()
+	before, err := tab.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := MustSet(MustPrefixMask("ZipCode", 5, 10), ageLadder(t))
+	for _, levels := range [][]int{{0, 0}, {1, 1}, {2, 3}, {5, 4}} {
+		anon, err := GeneralizeTable(tab, set, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SuppressRows(anon, []int{0, 7, 199}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := tab.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("input hash changed: %s -> %s", before, after)
 	}
 }
 

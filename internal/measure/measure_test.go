@@ -6,6 +6,7 @@ import (
 
 	"microdata/internal/core"
 	"microdata/internal/dataset"
+	"microdata/internal/hierarchy"
 	"microdata/internal/paperdata"
 )
 
@@ -25,12 +26,15 @@ func TestNewContextValidation(t *testing.T) {
 	if _, err := NewContext(paperdata.T1(), nil, nil); err == nil {
 		t.Error("nil anon should fail")
 	}
-	short := paperdata.T3a()
-	short.Rows = short.Rows[:5]
+	full, sb := paperdata.T3a(), dataset.NewColumnar(paperdata.Schema())
+	for i := 0; i < 5; i++ {
+		sb.MustAppend(full.At(i, 0), full.At(i, 1), full.At(i, 2))
+	}
+	short := sb.Table()
 	if _, err := NewContext(paperdata.T1(), short, nil); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	empty := dataset.NewTable(paperdata.Schema())
+	empty := dataset.NewColumnar(paperdata.Schema()).Table()
 	if _, err := NewContext(empty, empty, nil); err == nil {
 		t.Error("empty tables should fail")
 	}
@@ -95,11 +99,14 @@ func TestTClosenessSafety(t *testing.T) {
 	}
 	// A single whole-table class has perfect safety 1 everywhere: build
 	// one by suppressing every quasi-identifier.
-	star := paperdata.T1()
-	for i := range star.Rows {
-		for _, j := range star.Schema.QuasiIdentifiers() {
-			star.Rows[i][j] = dataset.StarVal()
-		}
+	t1 := paperdata.T1()
+	all := make([]int, t1.Len())
+	for i := range all {
+		all[i] = i
+	}
+	star, err := hierarchy.SuppressRows(t1, all)
+	if err != nil {
+		t.Fatal(err)
 	}
 	whole, err := NewContext(paperdata.T1(), star, nil)
 	if err != nil {
@@ -219,8 +226,9 @@ func TestSensitivePropertyNeedsSensitiveAttribute(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "A", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 	)
-	tab := dataset.NewTable(schema)
-	tab.MustAppend(dataset.StrVal("x"))
+	b := dataset.NewColumnar(schema)
+	b.MustAppend(dataset.StrVal("x"))
+	tab := b.Table()
 	c, err := NewContext(tab, tab, nil)
 	if err != nil {
 		t.Fatal(err)

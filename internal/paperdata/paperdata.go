@@ -47,11 +47,11 @@ var t1Rows = []struct {
 
 // T1 returns the paper's Table 1: the hypothetical 10-tuple microdata set.
 func T1() *dataset.Table {
-	t := dataset.NewTable(Schema())
+	c := dataset.NewColumnar(Schema())
 	for _, r := range t1Rows {
-		t.MustAppend(dataset.StrVal(r.Zip), dataset.NumVal(r.Age), dataset.StrVal(r.Marital))
+		c.MustAppend(dataset.StrVal(r.Zip), dataset.NumVal(r.Age), dataset.StrVal(r.Marital))
 	}
-	return t
+	return c.Table()
 }
 
 // MaritalTaxonomy returns the Marital Status taxonomy implied by Table 2:
@@ -101,22 +101,17 @@ var (
 // the sensitive column through the marital taxonomy (Table 2 prints
 // "Married (CF-Spouse)"; Table 3 prints "*").
 func generalize(levels lattice.Node, maritalLevel int) (*dataset.Table, error) {
-	t1 := T1()
-	anon, err := hierarchy.GeneralizeTable(t1, Hierarchies(), levels)
+	anon, err := hierarchy.GeneralizeTable(T1(), Hierarchies(), levels)
 	if err != nil {
 		return nil, fmt.Errorf("paperdata: %w", err)
 	}
 	if maritalLevel > 0 {
-		tax := MaritalTaxonomy()
+		cols := anon.Columns()
 		j := anon.Schema.Index("MaritalStatus")
-		for i := range anon.Rows {
-			g, err := tax.Generalize(t1.At(i, j), maritalLevel)
-			if err != nil {
-				return nil, fmt.Errorf("paperdata: %w", err)
-			}
-			anon.Rows[i][j] = g
+		if cols[j], err = hierarchy.GeneralizeColumn(cols[j], MaritalTaxonomy(), maritalLevel); err != nil {
+			return nil, fmt.Errorf("paperdata: %w", err)
 		}
-		anon.InvalidateColumns()
+		return dataset.TableOf(anon.Schema, cols)
 	}
 	return anon, nil
 }

@@ -179,9 +179,6 @@ func groupbySuite(opts Options) (perf.SuiteSpec, error) {
 	columnar := perf.BenchmarkSpec{
 		Name: "columnar",
 		Setup: func(ctx context.Context) (func(context.Context) error, error) {
-			// Warm the dictionary backing once so repetitions time the
-			// group-by, not column materialization.
-			anon.Columnar()
 			return func(ctx context.Context) error {
 				_, err := eqclass.FromTable(anon)
 				return err
@@ -194,9 +191,9 @@ func groupbySuite(opts Options) (perf.SuiteSpec, error) {
 			return func(ctx context.Context) error {
 				sigs := make([]string, anon.Len())
 				var sb strings.Builder
-				for i, row := range anon.Rows {
+				for i := range sigs {
 					sb.Reset()
-					eqclass.WriteSignature(&sb, row, qis)
+					eqclass.WriteSignature(&sb, anon, i, qis)
 					sigs[i] = sb.String()
 				}
 				_, err := eqclass.FromSignatures(sigs)
@@ -245,8 +242,8 @@ func typedcolSuite(opts Options) (perf.SuiteSpec, error) {
 		}),
 		run("minmax/value-scan", func() error {
 			lo, hi := 0.0, 0.0
-			for i, r := range tab.Rows {
-				v := r[j].Float()
+			for i := 0; i < tab.Len(); i++ {
+				v := tab.At(i, j).Float()
 				if i == 0 || v < lo {
 					lo = v
 				}
@@ -405,9 +402,11 @@ func journalistBenches(opts Options, cfg algorithm.Config) (naive, indexed perf.
 	if err != nil {
 		return naive, indexed, err
 	}
-	population := sample.Clone()
-	population.Rows = append(population.Rows, extra.Rows...)
-	population.InvalidateColumns()
+	pc := dataset.NewColumnar(sample.Schema)
+	if err := pc.AppendTable(sample, extra); err != nil {
+		return naive, indexed, err
+	}
+	population := pc.Table()
 	var anon *dataset.Table
 	release := func(ctx context.Context) (*dataset.Table, error) {
 		if anon == nil {

@@ -121,7 +121,7 @@ func eachCellLoss(anon, orig *dataset.Table, cfg LossConfig, fn func(row int, lo
 			domains[j] = domain{lo, hi}
 		}
 	}
-	for i := range anon.Rows {
+	for i := 0; i < anon.Len(); i++ {
 		for _, j := range qi {
 			attr := anon.Schema.Attrs[j]
 			d := domains[j]

@@ -81,7 +81,7 @@ func TestCellLossSet(t *testing.T) {
 // Build T1's QI columns and a generalized variant at given zip/age levels.
 func t1Table(t *testing.T) *dataset.Table {
 	t.Helper()
-	tab := dataset.NewTable(schema3(t))
+	c := dataset.NewColumnar(schema3(t))
 	rows := []struct {
 		zip     string
 		age     float64
@@ -94,9 +94,9 @@ func t1Table(t *testing.T) *dataset.Table {
 		{"13269", 42, "Separated"}, {"13250", 47, "Separated"},
 	}
 	for _, r := range rows {
-		tab.MustAppend(dataset.StrVal(r.zip), dataset.NumVal(r.age), dataset.StrVal(r.marital))
+		c.MustAppend(dataset.StrVal(r.zip), dataset.NumVal(r.age), dataset.StrVal(r.marital))
 	}
-	return tab
+	return c.Table()
 }
 
 func hierSet(t *testing.T) hierarchy.Set {
@@ -170,21 +170,24 @@ func TestUtilityVectorOrientation(t *testing.T) {
 func TestLossVectorErrors(t *testing.T) {
 	orig := t1Table(t)
 	anon, _ := hierarchy.GeneralizeTable(orig, hierSet(t), []int{1, 1})
-	short := anon.Clone()
-	short.Rows = short.Rows[:5]
-	if _, err := LossVector(short, orig, LossConfig{}); err == nil {
+	short := dataset.NewColumnar(anon.Schema)
+	for i := 0; i < 5; i++ {
+		short.MustAppend(anon.At(i, 0), anon.At(i, 1), anon.At(i, 2))
+	}
+	if _, err := LossVector(short.Table(), orig, LossConfig{}); err == nil {
 		t.Error("row-count mismatch should fail")
 	}
-	noQI := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
-	noQI.MustAppend(dataset.StrVal("x"))
+	noQIB := dataset.NewColumnar(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
+	noQIB.MustAppend(dataset.StrVal("x"))
+	noQI := noQIB.Table()
 	if _, err := LossVector(noQI, noQI, LossConfig{}); err == nil {
 		t.Error("no-QI table should fail")
 	}
-	wide := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.QuasiIdentifier}))
+	wide := dataset.NewColumnar(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.QuasiIdentifier}))
 	for i := 0; i < orig.Len(); i++ {
 		wide.MustAppend(dataset.StrVal("x"))
 	}
-	if _, err := LossVector(wide, orig, LossConfig{}); err == nil {
+	if _, err := LossVector(wide.Table(), orig, LossConfig{}); err == nil {
 		t.Error("schema width mismatch should fail")
 	}
 }
@@ -206,7 +209,7 @@ func TestGeneralLossMetric(t *testing.T) {
 	if lm != 1 {
 		t.Errorf("full-suppression LM = %v, want 1", lm)
 	}
-	empty := dataset.NewTable(schema3(t))
+	empty := dataset.NewColumnar(schema3(t)).Table()
 	if _, err := GeneralLossMetric(empty, empty, LossConfig{}); err == nil {
 		t.Error("empty table should fail")
 	}
@@ -330,12 +333,13 @@ func TestLossVectorWithTaxonomyColumn(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 	)
-	orig := dataset.NewTable(schema)
-	orig.MustAppend(dataset.StrVal("CF-Spouse"))
-	orig.MustAppend(dataset.StrVal("Divorced"))
-	anon := dataset.NewTable(schema)
-	anon.MustAppend(dataset.SetVal("Married"))
-	anon.MustAppend(dataset.SetVal("Not Married"))
+	origB := dataset.NewColumnar(schema)
+	origB.MustAppend(dataset.StrVal("CF-Spouse"))
+	origB.MustAppend(dataset.StrVal("Divorced"))
+	anonB := dataset.NewColumnar(schema)
+	anonB.MustAppend(dataset.SetVal("Married"))
+	anonB.MustAppend(dataset.SetVal("Not Married"))
+	orig, anon := origB.Table(), anonB.Table()
 	cfg := LossConfig{Taxonomies: map[string]*hierarchy.Taxonomy{"MaritalStatus": maritalTax(t)}}
 	loss, err := LossVector(anon, orig, cfg)
 	if err != nil {

@@ -176,13 +176,13 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(nil, Config{}); err == nil {
 		t.Error("nil table should fail")
 	}
-	empty := dataset.NewTable(paperdata.Schema())
+	empty := dataset.NewColumnar(paperdata.Schema()).Table()
 	if _, err := Generate(empty, Config{}); err == nil {
 		t.Error("empty table should fail")
 	}
-	noQI := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
+	noQI := dataset.NewColumnar(dataset.MustSchema(dataset.Attribute{Name: "A", Role: dataset.Sensitive}))
 	noQI.MustAppend(dataset.StrVal("x"))
-	if _, err := Generate(noQI, Config{}); err == nil {
+	if _, err := Generate(noQI.Table(), Config{}); err == nil {
 		t.Error("no-QI table should fail")
 	}
 }
@@ -369,8 +369,11 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate(orig, orig, nil, nil); err == nil {
 		t.Error("empty workload should fail")
 	}
-	short := paperdata.T1()
-	short.Rows = short.Rows[:4]
+	full, sb := paperdata.T1(), dataset.NewColumnar(paperdata.Schema())
+	for i := 0; i < 4; i++ {
+		sb.MustAppend(full.At(i, 0), full.At(i, 1), full.At(i, 2))
+	}
+	short := sb.Table()
 	qs, _ := Generate(orig, Config{Queries: 3, Seed: 1})
 	if _, err := Evaluate(orig, short, qs, nil); err == nil {
 		t.Error("size mismatch should fail")
@@ -382,9 +385,9 @@ func TestGenerateRejectsCategoricalWithoutGroundValues(t *testing.T) {
 	// to draw a predicate from.
 	schema := dataset.MustSchema(dataset.Attribute{Name: "Zip", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier})
 	for _, v := range []dataset.Value{dataset.StarVal(), dataset.SetVal("Any"), dataset.PrefixVal("130", 2)} {
-		tab := dataset.NewTable(schema)
+		tab := dataset.NewColumnar(schema)
 		tab.MustAppend(v)
-		if _, err := Generate(tab, Config{Queries: 3, Seed: 1}); err == nil {
+		if _, err := Generate(tab.Table(), Config{Queries: 3, Seed: 1}); err == nil {
 			t.Errorf("all-%v column should fail", v.Kind())
 		}
 	}
@@ -498,10 +501,11 @@ func TestCountPricesCellsOfZeroedRows(t *testing.T) {
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 		dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical, Role: dataset.QuasiIdentifier},
 	)
-	orig := dataset.NewTable(schema)
-	orig.MustAppend(dataset.NumVal(30), dataset.StrVal("Married"))
-	anon := dataset.NewTable(schema)
-	anon.MustAppend(dataset.NumVal(30), dataset.SetVal("Not Married"))
+	origB := dataset.NewColumnar(schema)
+	origB.MustAppend(dataset.NumVal(30), dataset.StrVal("Married"))
+	anonB := dataset.NewColumnar(schema)
+	anonB.MustAppend(dataset.NumVal(30), dataset.SetVal("Not Married"))
+	orig, anon := origB.Table(), anonB.Table()
 	q := Query{Predicates: []Predicate{
 		{Attr: "Age", Lo: 50, Hi: 60},
 		{Attr: "MaritalStatus", Values: []string{"Married"}},
