@@ -6,6 +6,7 @@ import (
 
 	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/algtest"
+	"microdata/internal/dataset"
 )
 
 // TestCodeMaterializedReleaseMatchesRowPath pins the region-coded release
@@ -34,49 +35,74 @@ func TestCodeMaterializedReleaseMatchesRowPath(t *testing.T) {
 					constrain(&cfg)
 					for _, m := range []*Mondrian{New(), NewRelaxed()} {
 						label := fmt.Sprintf("%s N=%d seed=%d k=%d %s", m.Name(), n, seed, k, cname)
-						r, err := m.Anonymize(orig, cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						want := make([][]string, orig.Len())
-						for i := range want {
-							want[i] = make([]string, orig.Schema.Len())
-							for j := range want[i] {
-								want[i][j] = orig.At(i, j).Key()
-							}
-						}
-						for _, region := range r.Partition.Classes {
-							for _, j := range orig.Schema.QuasiIdentifiers() {
-								v, err := m.generalizeRegion(orig, j, region, cfg)
-								if err != nil {
-									t.Fatal(err)
-								}
-								for _, i := range region {
-									want[i][j] = v.Key()
-								}
-							}
-						}
-						for j := range orig.Schema.Attrs {
-							col := r.Table.ColumnVector(j)
-							next := uint32(0)
-							for i := range want {
-								code := col.Code(i)
-								if got := col.DictKeys()[code]; got != want[i][j] {
-									t.Fatalf("%s: cell (%d,%d) = %q, reference %q", label, i, j, got, want[i][j])
-								}
-								if code > next {
-									t.Fatalf("%s: column %d dictionary is not in first-appearance order", label, j)
-								} else if code == next {
-									next++
-								}
-							}
-							if int(next) != col.Card() {
-								t.Fatalf("%s: column %d has %d dictionary entries, rows use %d", label, j, col.Card(), next)
-							}
-						}
+						checkReleaseMatchesRowPath(t, label, m, orig, cfg)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkReleaseMatchesRowPath anonymizes orig and compares the release
+// with refGeneralizeRegion applied to every region of its partition, rows
+// in partition order (the region tests pin that order to the reference).
+// When the row path fails on some region, the release must fail the same
+// way.
+func checkReleaseMatchesRowPath(t *testing.T, label string, m *Mondrian, orig *dataset.Table, cfg algorithm.Config) {
+	t.Helper()
+	regions, err := codeRegions(m, orig, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := make([][]string, orig.Len())
+	for i := range want {
+		want[i] = make([]string, orig.Schema.Len())
+		for j := range want[i] {
+			want[i][j] = orig.At(i, j).Key()
+		}
+	}
+	var refErr error
+	for _, j := range orig.Schema.QuasiIdentifiers() {
+		for _, region := range regions {
+			v, err := refGeneralizeRegion(orig, j, region, cfg)
+			if err != nil {
+				refErr = fmt.Errorf("mondrian: %w", err)
+				break
+			}
+			for _, i := range region {
+				want[i][j] = v.Key()
+			}
+		}
+		if refErr != nil {
+			break
+		}
+	}
+	r, err := m.Anonymize(orig, cfg)
+	if refErr != nil {
+		if err == nil || err.Error() != refErr.Error() {
+			t.Fatalf("%s: release error %v, row path %v", label, err, refErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for j := range orig.Schema.Attrs {
+		col := r.Table.ColumnVector(j)
+		next := uint32(0)
+		for i := range want {
+			code := col.Code(i)
+			if got := col.DictKeys()[code]; got != want[i][j] {
+				t.Fatalf("%s: cell (%d,%d) = %q, reference %q", label, i, j, got, want[i][j])
+			}
+			if code > next {
+				t.Fatalf("%s: column %d dictionary is not in first-appearance order", label, j)
+			} else if code == next {
+				next++
+			}
+		}
+		if int(next) != col.Card() {
+			t.Fatalf("%s: column %d has %d dictionary entries, rows use %d", label, j, col.Card(), next)
 		}
 	}
 }

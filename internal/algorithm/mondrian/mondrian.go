@@ -6,7 +6,10 @@
 //
 // Strict mode keeps all tuples sharing a value on the same side of a cut;
 // Relaxed mode splits ties to balance the halves (guaranteeing progress
-// whenever a region holds 2k or more tuples).
+// whenever a region holds 2k or more tuples). Strict mode is equivariant
+// under a permutation of the input rows: the release of a permuted table
+// is the same permutation of the release. Relaxed mode is not, because it
+// splits a run of tied values in row order.
 //
 // Being a local recoding, Mondrian does not use a generalization lattice;
 // each final region is generalized minimally on its own: numeric columns to
@@ -14,16 +17,34 @@
 // notation with the low endpoint attained), categorical columns to the
 // lowest common taxonomy ancestor when cfg.Taxonomies has one, else to the
 // longest common prefix for fixed-length codes, else to suppression.
+//
+// The partition works on the table's dictionary codes. Each
+// quasi-identifier's dictionary is ranked once in cut order: in a Numeric
+// column two numbers compare by value and anything else by Value.Key; in
+// other columns every entry compares by Key. A NaN or ±Inf in a Numeric
+// quasi-identifier is an error, as it is for the interval hierarchies: it
+// has no finite hull, and NaN has no place in the order. -0 and +0 share a
+// rank, so a cut keeps them in row order, but they are distinct values and
+// strict mode may cut between them. A cut attempt on a region of n rows
+// sorts it with a stable counting sort on rank in O(n + D), for a column
+// of D distinct values; region widths come from code tallies in O(n) per
+// dimension; and a candidate side's ℓ, entropy ℓ, recursive (c,ℓ) and t
+// come from its sensitive-code counts in O(n) plus the number of distinct
+// sensitive values.
 package mondrian
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"microdata/internal/algorithm"
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
+	"microdata/internal/hierarchy"
 	"microdata/internal/privacy"
 	"microdata/internal/telemetry"
 )
@@ -60,123 +81,16 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 	ctx, sp := telemetry.Start(ctx, m.Name()+".search",
 		telemetry.Int("k", cfg.K), telemetry.Bool("relaxed", m.Relaxed))
 	defer sp.End()
-	reg := telemetry.NewRunRegistry()
-	cutsC := reg.Counter(m.Name() + ".cuts")
 	if err := cfg.Validate(t); err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
 	}
-	qi := t.Schema.QuasiIdentifiers()
-	// Global normalization spans per attribute.
-	spans := make([]float64, len(qi))
-	for d, j := range qi {
-		spans[d] = m.span(t, j, allRows(t.Len()))
-		if spans[d] == 0 {
-			spans[d] = 1
-		}
+	p, err := m.newPartitioner(t, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("mondrian: %w", err)
 	}
-	// Allowable-cut validity: both sides must meet k and every configured
-	// secondary privacy property (ℓ-diverse / t-close Mondrian).
-	var sensitive []dataset.Value
-	if cfg.MinLDiversity > 0 || cfg.MaxTCloseness > 0 || cfg.MinEntropyL > 0 || (cfg.RecursiveC > 0 && cfg.RecursiveL > 0) {
-		sensitive = t.Column(t.Schema.SensitiveIndex())
-	}
-	// t-closeness prices a candidate as the engine prices a class: the
-	// column's support and each row's place in it are fixed once per run,
-	// and a candidate's distribution is its counts over its size.
-	var global, local []float64
-	var supportPos []int
-	if cfg.MaxTCloseness > 0 {
-		var keys []string
-		keys, global = privacy.Support(sensitive, false)
-		at := make(map[string]int, len(keys))
-		for i, k := range keys {
-			at[k] = i
-		}
-		supportPos = make([]int, len(sensitive))
-		for r, v := range sensitive {
-			supportPos[r] = at[v.Key()]
-		}
-		local = make([]float64, len(keys))
-	}
-	valid := func(rows []int) bool {
-		if len(rows) < cfg.K {
-			return false
-		}
-		if cfg.MinLDiversity > 0 {
-			distinct := map[string]struct{}{}
-			for _, r := range rows {
-				distinct[sensitive[r].Key()] = struct{}{}
-			}
-			if len(distinct) < cfg.MinLDiversity {
-				return false
-			}
-		}
-		if cfg.MaxTCloseness > 0 {
-			clear(local)
-			for _, r := range rows {
-				local[supportPos[r]]++
-			}
-			total := float64(len(rows))
-			for i := range local {
-				local[i] /= total
-			}
-			if privacy.EMD(local, global, false) > cfg.MaxTCloseness+1e-12 {
-				return false
-			}
-		}
-		if cfg.RecursiveC > 0 && cfg.RecursiveL > 0 {
-			counts := map[string]int{}
-			for _, r := range rows {
-				counts[sensitive[r].Key()]++
-			}
-			freqs := make([]int, 0, len(counts))
-			for _, f := range counts {
-				freqs = append(freqs, f)
-			}
-			if !privacy.RecursiveCL(freqs, cfg.RecursiveC, cfg.RecursiveL) {
-				return false
-			}
-		}
-		if cfg.MinEntropyL > 0 {
-			counts := map[string]int{}
-			for _, r := range rows {
-				counts[sensitive[r].Key()]++
-			}
-			if privacy.ClassEntropyL(counts) < cfg.MinEntropyL-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	var regions [][]int
-	var cancelErr error
-	var partition func(rows []int)
-	partition = func(rows []int) {
-		if cancelErr != nil {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			cancelErr = err
-			return
-		}
-		if len(rows) >= 2*cfg.K {
-			// Try dimensions in decreasing normalized width.
-			order := m.dimensionOrder(t, qi, rows, spans)
-			for _, d := range order {
-				left, right, ok := m.split(t, qi[d], rows, cfg.K, valid)
-				if ok {
-					cutsC.Inc()
-					partition(left)
-					partition(right)
-					return
-				}
-			}
-		}
-		regions = append(regions, rows)
-	}
-	partition(allRows(t.Len()))
-	if cancelErr != nil {
-		return nil, fmt.Errorf("mondrian: %w", cancelErr)
+	regions, err := p.run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("mondrian: %w", err)
 	}
 
 	_, msp := telemetry.Start(ctx, "algorithm.materialize",
@@ -192,9 +106,10 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 	}
 	cols := t.Columns()
 	dict := make([]dataset.Value, len(regions))
-	for _, j := range qi {
+	for d, j := range t.Schema.QuasiIdentifiers() {
+		tax := cfg.Taxonomies[t.Schema.Attrs[j].Name]
 		for ri, region := range regions {
-			v, err := m.generalizeRegion(t, j, region, cfg)
+			v, err := p.dims[d].generalize(region, tax)
 			if err != nil {
 				return nil, fmt.Errorf("mondrian: %w", err)
 			}
@@ -210,162 +125,433 @@ func (m *Mondrian) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg a
 	if err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
 	}
-	p, err := eqclass.FromGroups(t.Len(), regions)
+	part, err := eqclass.FromGroups(t.Len(), regions)
 	if err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
 	}
-	if ok, err := algorithm.SatisfiesConstraints(p, anon, cfg); err != nil {
+	if ok, err := algorithm.SatisfiesConstraints(part, anon, cfg); err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
 	} else if !ok {
 		return nil, fmt.Errorf("mondrian: the table cannot satisfy the privacy constraints without suppression (whole-table region already violates them)")
 	}
+	reg := telemetry.NewRunRegistry()
+	reg.Counter(m.Name() + ".cuts").Add(p.cuts)
+	reg.Counter(m.Name() + ".cut_attempts").Add(p.attempts)
 	reg.Gauge(m.Name() + ".regions").Set(float64(len(regions)))
 	stats := map[string]float64{}
 	reg.Snapshot().MergeInto(stats, m.Name()+".")
 	telemetry.L().Info("mondrian: partitioning complete", "algorithm", m.Name(),
-		"cuts", cutsC.Value(), "regions", len(regions))
+		"cuts", p.cuts, "cut_attempts", p.attempts, "regions", len(regions))
 	return &algorithm.Result{
 		Algorithm: m.Name(),
 		Table:     anon,
-		Partition: p,
+		Partition: part,
 		Stats:     stats,
 	}, nil
 }
 
-func allRows(n int) []int {
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
+// dim is one quasi-identifier column as the partitioner sees it: the row
+// codes, each dictionary entry's rank in cut order, and scratch.
+type dim struct {
+	name     string
+	dict     []dataset.Value
+	codes    []uint32
+	rank     []uint32  // by code
+	numeric  bool      // Numeric attribute: the width is a value range
+	num      []bool    // by rank: the entry is a number (Numeric only)
+	val      []float64 // by rank: the number (Numeric only)
+	bins     []int     // by rank: counting-sort bins, zero between sorts
+	seen     []uint32  // by code: stamp of the last tally that met it
+	stamp    uint32
+	distinct []uint32 // a region's distinct codes
 }
 
-// span measures the width of a region along one attribute: numeric range
-// for Numeric columns, distinct-count for categorical ones.
-func (m *Mondrian) span(t *dataset.Table, col int, rows []int) float64 {
-	if t.Schema.Attrs[col].Kind == dataset.Numeric {
-		lo, hi, any := 0.0, 0.0, false
+// newDim ranks a quasi-identifier column's dictionary in cut order.
+func newDim(col *dataset.Column, attr dataset.Attribute) (*dim, error) {
+	dict, keys := col.Dict(), col.DictKeys()
+	d := &dim{
+		name:    attr.Name,
+		dict:    dict,
+		codes:   col.Codes(),
+		rank:    make([]uint32, len(dict)),
+		numeric: attr.Kind == dataset.Numeric,
+		seen:    make([]uint32, len(dict)),
+	}
+	if d.numeric {
+		d.num, d.val = make([]bool, len(dict)), make([]float64, len(dict))
+	}
+	isNum := func(c int) bool { return d.numeric && dict[c].Kind() == dataset.Num }
+	for c := range dict {
+		if !isNum(c) {
+			continue
+		}
+		if x := dict[c].Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("column %q: non-finite value %v", attr.Name, x)
+		}
+	}
+	compare := func(a, b int) int {
+		if isNum(a) && isNum(b) {
+			return cmp.Compare(dict[a].Float(), dict[b].Float())
+		}
+		return strings.Compare(keys[a], keys[b])
+	}
+	byRank := make([]int, len(dict))
+	for c := range byRank {
+		byRank[c] = c
+	}
+	slices.SortFunc(byRank, compare)
+	rk := 0
+	for i, c := range byRank {
+		if i > 0 && compare(byRank[i-1], c) != 0 {
+			rk++
+		}
+		d.rank[c] = uint32(rk)
+		if isNum(c) {
+			d.num[rk], d.val[rk] = true, dict[c].Float()
+		}
+	}
+	d.bins = make([]int, rk+1)
+	return d, nil
+}
+
+// nextStamp returns a stamp no entry of seen holds.
+func (d *dim) nextStamp() uint32 {
+	d.stamp++
+	if d.stamp == 0 {
+		clear(d.seen)
+		d.stamp = 1
+	}
+	return d.stamp
+}
+
+// width measures a region along the dimension: the numeric range of its
+// numbers for a Numeric attribute, its distinct values less one otherwise.
+func (d *dim) width(rows []int) float64 {
+	if d.numeric {
+		lo, hi := -1, -1
 		for _, r := range rows {
-			v := t.At(r, col)
-			if v.Kind() != dataset.Num {
-				continue
-			}
-			x := v.Float()
-			if !any {
-				lo, hi, any = x, x, true
-			} else if x < lo {
-				lo = x
-			} else if x > hi {
-				hi = x
+			rk := int(d.rank[d.codes[r]])
+			if d.num[rk] {
+				if lo < 0 || rk < lo {
+					lo = rk
+				}
+				hi = max(hi, rk)
 			}
 		}
-		return hi - lo
+		if lo < 0 {
+			return 0
+		}
+		return d.val[hi] - d.val[lo]
 	}
-	seen := map[string]struct{}{}
+	s, distinct := d.nextStamp(), 0
 	for _, r := range rows {
-		seen[t.At(r, col).Key()] = struct{}{}
-	}
-	return float64(len(seen) - 1)
-}
-
-// dimensionOrder ranks quasi-identifier dimensions by decreasing normalized
-// span within the region.
-func (m *Mondrian) dimensionOrder(t *dataset.Table, qi []int, rows []int, spans []float64) []int {
-	type dw struct {
-		d int
-		w float64
-	}
-	ws := make([]dw, len(qi))
-	for d, j := range qi {
-		ws[d] = dw{d, m.span(t, j, rows) / spans[d]}
-	}
-	sort.SliceStable(ws, func(a, b int) bool { return ws[a].w > ws[b].w })
-	out := make([]int, len(ws))
-	for i, x := range ws {
-		out[i] = x.d
-	}
-	return out
-}
-
-// sortKey orders rows along a column: numerically for Numeric, by value key
-// for categorical.
-func (m *Mondrian) sortRows(t *dataset.Table, col int, rows []int) []int {
-	s := append([]int(nil), rows...)
-	numeric := t.Schema.Attrs[col].Kind == dataset.Numeric
-	sort.SliceStable(s, func(a, b int) bool {
-		va, vb := t.At(s[a], col), t.At(s[b], col)
-		if numeric && va.Kind() == dataset.Num && vb.Kind() == dataset.Num {
-			return va.Float() < vb.Float()
+		if c := d.codes[r]; d.seen[c] != s {
+			d.seen[c] = s
+			distinct++
 		}
-		return va.Key() < vb.Key()
+	}
+	return float64(distinct - 1)
+}
+
+// sort writes rows into out in stable rank order: a counting sort,
+// O(len(rows) + D).
+func (d *dim) sort(rows, out []int) {
+	for _, r := range rows {
+		d.bins[d.rank[d.codes[r]]]++
+	}
+	at := 0
+	for rk, n := range d.bins {
+		d.bins[rk] = at
+		at += n
+	}
+	for _, r := range rows {
+		rk := d.rank[d.codes[r]]
+		out[d.bins[rk]] = r
+		d.bins[rk]++
+	}
+	clear(d.bins)
+}
+
+// partitioner holds one Mondrian run's coded view of the table and the
+// scratch its cuts reuse.
+type partitioner struct {
+	relaxed bool
+	dims    []*dim
+	spans   []float64 // whole-table widths, the normalizers
+	rows    []int     // every row; cuts reorder it in place
+	ctx     context.Context
+	err     error
+	regions [][]int
+
+	sorted []int // a cut's rows in rank order
+	bounds []int // strict-mode boundaries of a sorted region
+	order  []int // dimensions by decreasing normalized width
+	widths []float64
+
+	cfg            algorithm.Config
+	sens           []uint32 // sensitive codes; nil when only k is checked
+	counts         []int    // by sensitive code, zero between checks
+	sensHit        []uint32 // sensitive codes a check met
+	freqs          []int
+	supportPos     []int // by sensitive code: index in the t support
+	global, local  []float64
+	cuts, attempts int64
+}
+
+// newPartitioner ranks every quasi-identifier and, when a diversity or
+// closeness bound is set, prepares the sensitive-code tallies.
+func (m *Mondrian) newPartitioner(t *dataset.Table, cfg algorithm.Config) (*partitioner, error) {
+	qi := t.Schema.QuasiIdentifiers()
+	p := &partitioner{
+		relaxed: m.Relaxed,
+		spans:   make([]float64, len(qi)),
+		sorted:  make([]int, t.Len()),
+		order:   make([]int, len(qi)),
+		widths:  make([]float64, len(qi)),
+		cfg:     cfg,
+		rows:    make([]int, t.Len()),
+	}
+	for r := range p.rows {
+		p.rows[r] = r
+	}
+	for i, j := range qi {
+		d, err := newDim(t.ColumnVector(j), t.Schema.Attrs[j])
+		if err != nil {
+			return nil, err
+		}
+		p.dims = append(p.dims, d)
+		if p.spans[i] = d.width(p.rows); p.spans[i] == 0 {
+			p.spans[i] = 1
+		}
+	}
+	if !cfg.HasDiversityConstraints() {
+		return p, nil
+	}
+	sens := t.ColumnVector(t.Schema.SensitiveIndex())
+	p.sens = sens.Codes()
+	p.counts = make([]int, sens.Card())
+	if cfg.MaxTCloseness > 0 {
+		// t prices a candidate as the engine prices a class: on the
+		// column's support, with each dictionary entry's place in it
+		// fixed once per run.
+		var keys []string
+		keys, p.global = privacy.Support(t.Column(t.Schema.SensitiveIndex()), false)
+		at := make(map[string]int, len(keys))
+		for i, k := range keys {
+			at[k] = i
+		}
+		p.supportPos = make([]int, sens.Card())
+		for c, k := range sens.DictKeys() {
+			p.supportPos[c] = at[k]
+		}
+		p.local = make([]float64, len(keys))
+	}
+	return p, nil
+}
+
+// run partitions the whole table and returns the final regions in
+// depth-first, left-first order, as windows of p.rows.
+func (p *partitioner) run(ctx context.Context) ([][]int, error) {
+	p.ctx = ctx
+	p.partition(p.rows)
+	return p.regions, p.err
+}
+
+// partition cuts rows along the widest dimension that admits an
+// allowable cut, recursing on both sides, or emits rows as a region.
+func (p *partitioner) partition(rows []int) {
+	if p.err != nil {
+		return
+	}
+	if err := p.ctx.Err(); err != nil {
+		p.err = err
+		return
+	}
+	if len(rows) >= 2*p.cfg.K {
+		for _, d := range p.dimensionOrder(rows) {
+			if cut, ok := p.split(p.dims[d], rows); ok {
+				p.cuts++
+				p.partition(rows[:cut])
+				p.partition(rows[cut:])
+				return
+			}
+		}
+	}
+	p.regions = append(p.regions, rows)
+}
+
+// dimensionOrder ranks the dimensions by decreasing normalized width
+// within the region, ties in dimension order. The result is scratch. The
+// comparison is "greater than" rather than cmp.Compare so that a NaN
+// width (Inf/Inf, when a numeric range overflows) ties with everything.
+func (p *partitioner) dimensionOrder(rows []int) []int {
+	for i, d := range p.dims {
+		p.order[i] = i
+		p.widths[i] = d.width(rows) / p.spans[i]
+	}
+	slices.SortStableFunc(p.order, func(a, b int) int {
+		switch wa, wb := p.widths[a], p.widths[b]; {
+		case wa > wb:
+			return -1
+		case wb > wa:
+			return 1
+		}
+		return 0
 	})
-	return s
+	return p.order
 }
 
-// split attempts a median cut along the column; both sides must pass the
-// validity check (k plus any secondary privacy properties). Returns
-// ok=false when no allowable cut exists.
-func (m *Mondrian) split(t *dataset.Table, col int, rows []int, k int, valid func([]int) bool) (left, right []int, ok bool) {
-	if len(rows) < 2*k {
-		return nil, nil, false
-	}
-	s := m.sortRows(t, col, rows)
-	if m.Relaxed {
-		mid := len(s) / 2
-		if valid(s[:mid]) && valid(s[mid:]) {
-			return s[:mid], s[mid:], true
+// split looks for an allowable cut of rows along d: a median cut in
+// relaxed mode; in strict mode the boundary between distinct values
+// nearest the median that leaves both sides valid. On success it reorders
+// rows by rank so the cut is rows[:cut] | rows[cut:].
+func (p *partitioner) split(d *dim, rows []int) (cut int, ok bool) {
+	n := len(rows)
+	s := p.sorted[:n]
+	d.sort(rows, s)
+	mid := n / 2
+	if p.relaxed {
+		ok = p.allowable(s, mid)
+		cut = mid
+	} else {
+		// Boundaries are where the code changes, not the rank: -0 and
+		// +0 share a rank but are distinct values.
+		b := p.bounds[:0]
+		for i := 1; i < n; i++ {
+			if d.codes[s[i]] != d.codes[s[i-1]] {
+				b = append(b, i)
+			}
 		}
-		return nil, nil, false
-	}
-	// Strict: cut only between distinct values; try the boundary nearest
-	// the median first.
-	mid := len(s) / 2
-	key := func(i int) string { return t.At(s[i], col).Key() }
-	var boundaries []int
-	for i := 1; i < len(s); i++ {
-		if key(i) != key(i-1) {
-			boundaries = append(boundaries, i)
+		p.bounds = b
+		// Visit the boundaries nearest the median first, the lower of
+		// two equally near ones first, within [k, n-k].
+		hi, _ := slices.BinarySearch(b, mid)
+		lo := hi - 1
+		for !ok {
+			left := lo >= 0 && b[lo] >= p.cfg.K
+			right := hi < len(b) && b[hi] <= n-p.cfg.K
+			switch {
+			case left && (!right || mid-b[lo] <= b[hi]-mid):
+				cut = b[lo]
+				lo--
+			case right:
+				cut = b[hi]
+				hi++
+			default:
+				return 0, false
+			}
+			ok = p.allowable(s, cut)
 		}
 	}
-	sort.SliceStable(boundaries, func(a, b int) bool {
-		return abs(boundaries[a]-mid) < abs(boundaries[b]-mid)
-	})
-	for _, cut := range boundaries {
-		if cut >= k && len(s)-cut >= k && valid(s[:cut]) && valid(s[cut:]) {
-			return s[:cut], s[cut:], true
-		}
+	if ok {
+		copy(rows, s)
 	}
-	return nil, nil, false
+	return cut, ok
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+// allowable reports whether both sides of the cut are valid regions.
+func (p *partitioner) allowable(s []int, cut int) bool {
+	p.attempts++
+	return p.valid(s[:cut]) && p.valid(s[cut:])
 }
 
-// generalizeRegion produces the minimal generalized value for one column of
-// a final region.
-func (m *Mondrian) generalizeRegion(t *dataset.Table, col int, rows []int, cfg algorithm.Config) (dataset.Value, error) {
-	attr := t.Schema.Attrs[col]
-	first := t.At(rows[0], col)
+// valid reports whether a candidate region holds at least k rows and
+// meets every configured diversity and closeness bound.
+func (p *partitioner) valid(rows []int) bool {
+	if len(rows) < p.cfg.K {
+		return false
+	}
+	if p.sens == nil {
+		return true
+	}
+	hit := p.sensHit[:0]
+	for _, r := range rows {
+		c := p.sens[r]
+		if p.counts[c] == 0 {
+			hit = append(hit, c)
+		}
+		p.counts[c]++
+	}
+	p.sensHit = hit
+	ok := p.diverse(len(rows))
+	for _, c := range hit {
+		p.counts[c] = 0
+	}
+	return ok
+}
+
+// diverse checks the bounds on the tallied sensitive-code counts. Every
+// check depends only on the multiset of counts, so it agrees with the
+// same check on a class's value histogram.
+func (p *partitioner) diverse(n int) bool {
+	cfg := p.cfg
+	if cfg.MinLDiversity > 0 && len(p.sensHit) < cfg.MinLDiversity {
+		return false
+	}
+	if cfg.MaxTCloseness > 0 {
+		clear(p.local)
+		for _, c := range p.sensHit {
+			p.local[p.supportPos[c]] = float64(p.counts[c])
+		}
+		for i := range p.local {
+			p.local[i] /= float64(n)
+		}
+		if privacy.EMD(p.local, p.global, false) > cfg.MaxTCloseness+1e-12 {
+			return false
+		}
+	}
+	recursive := cfg.RecursiveC > 0 && cfg.RecursiveL > 0
+	if !recursive && cfg.MinEntropyL <= 0 {
+		return true
+	}
+	freqs := p.freqs[:0]
+	for _, c := range p.sensHit {
+		freqs = append(freqs, p.counts[c])
+	}
+	p.freqs = freqs
+	if recursive && !privacy.RecursiveCL(freqs, cfg.RecursiveC, cfg.RecursiveL) {
+		return false
+	}
+	return cfg.MinEntropyL <= 0 || privacy.EntropyL(freqs) >= cfg.MinEntropyL-1e-12
+}
+
+// generalize returns a final region's generalized value: the shared value
+// of a uniform region, else the numeric hull, the taxonomy LCA (tax may be
+// nil), the common prefix of fixed-length codes, or suppression. The
+// region's distinct codes are visited in first-appearance row order, so
+// every choice matches reading the rows one by one.
+func (d *dim) generalize(rows []int, tax *hierarchy.Taxonomy) (dataset.Value, error) {
+	s := d.nextStamp()
+	distinct := d.distinct[:0]
+	for _, r := range rows {
+		if c := d.codes[r]; d.seen[c] != s {
+			d.seen[c] = s
+			distinct = append(distinct, c)
+		}
+	}
+	d.distinct = distinct
+	dict := d.dict
+	first := dict[distinct[0]]
+	// Value.Equal is ==, so -0 equals +0 and a NaN-bearing value equals
+	// nothing, itself included.
 	uniform := true
-	for _, r := range rows[1:] {
-		if !t.At(r, col).Equal(first) {
-			uniform = false
-			break
+	if len(rows) > 1 {
+		for _, c := range distinct {
+			if !dict[c].Equal(first) {
+				uniform = false
+				break
+			}
 		}
 	}
 	if uniform {
 		return first, nil
 	}
-	if attr.Kind == dataset.Numeric {
+	if d.numeric {
 		lo, hi := 0.0, 0.0
-		for i, r := range rows {
-			v := t.At(r, col)
+		for i, c := range distinct {
+			v := dict[c]
 			if v.Kind() != dataset.Num {
-				return dataset.Value{}, fmt.Errorf("non-ground numeric cell in column %q", attr.Name)
+				return dataset.Value{}, fmt.Errorf("non-ground numeric cell in column %q", d.name)
 			}
 			x := v.Float()
 			if i == 0 {
@@ -378,13 +564,12 @@ func (m *Mondrian) generalizeRegion(t *dataset.Table, col int, rows []int, cfg a
 		}
 		return dataset.IntervalVal(lo, hi), nil
 	}
-	// Categorical: taxonomy LCA if available.
-	if tax := cfg.Taxonomies[attr.Name]; tax != nil {
-		grounds := make([]string, len(rows))
-		for i, r := range rows {
-			v := t.At(r, col)
+	if tax != nil {
+		grounds := make([]string, len(distinct))
+		for i, c := range distinct {
+			v := dict[c]
 			if v.Kind() != dataset.Str {
-				return dataset.Value{}, fmt.Errorf("non-ground categorical cell in column %q", attr.Name)
+				return dataset.Value{}, fmt.Errorf("non-ground categorical cell in column %q", d.name)
 			}
 			grounds[i] = v.Text()
 		}
@@ -397,39 +582,36 @@ func (m *Mondrian) generalizeRegion(t *dataset.Table, col int, rows []int, cfg a
 		}
 		return dataset.SetVal(label), nil
 	}
-	// Fixed-length codes: longest common prefix.
-	if v, ok := m.commonPrefix(t, col, rows); ok {
-		return v, nil
-	}
-	return dataset.StarVal(), nil
+	return d.commonPrefix(distinct), nil
 }
 
-// commonPrefix generalizes equal-length string codes to their shared prefix.
-func (m *Mondrian) commonPrefix(t *dataset.Table, col int, rows []int) (dataset.Value, bool) {
-	first := t.At(rows[0], col)
+// commonPrefix generalizes equal-length string codes to their shared
+// prefix, and anything else to suppression.
+func (d *dim) commonPrefix(distinct []uint32) dataset.Value {
+	dict := d.dict
+	first := dict[distinct[0]]
 	if first.Kind() != dataset.Str {
-		return dataset.Value{}, false
+		return dataset.StarVal()
 	}
 	base := first.Text()
 	n := len(base)
 	common := n
-	for _, r := range rows[1:] {
-		v := t.At(r, col)
+	for _, c := range distinct[1:] {
+		v := dict[c]
 		if v.Kind() != dataset.Str || len(v.Text()) != n {
-			return dataset.Value{}, false
+			return dataset.StarVal()
 		}
 		s := v.Text()
 		i := 0
 		for i < common && s[i] == base[i] {
 			i++
 		}
-		common = i
-		if common == 0 {
-			return dataset.StarVal(), true
+		if common = i; common == 0 {
+			return dataset.StarVal()
 		}
 	}
 	if common == n {
-		return first, true
+		return first
 	}
-	return dataset.PrefixVal(base[:common], n-common), true
+	return dataset.PrefixVal(base[:common], n-common)
 }

@@ -17,7 +17,8 @@ var engineKeys = []string{
 }
 
 // wantStatsKeys pins the exact Result.Stats key set per algorithm, as it
-// was before the telemetry layer. Telemetry-only counters (e.g.
+// was before the telemetry layer, plus Mondrian's cut_attempts (the
+// candidate cuts whose validity was checked). Telemetry-only counters (e.g.
 // samarati.strata_evaluated, incognito.nodes_inherited) must NOT leak into
 // Result.Stats — they are visible only through the -metrics snapshot.
 var wantStatsKeys = map[string][]string{
@@ -26,8 +27,8 @@ var wantStatsKeys = map[string][]string{
 	"genetic":             append([]string{"best_fitness", "fitness_evaluations", "generations", "suppressed"}, engineKeys...),
 	"genetic-constrained": append([]string{"best_fitness", "fitness_evaluations", "generations", "suppressed"}, engineKeys...),
 	"incognito":           append([]string{"minimal_nodes", "nodes_evaluated", "suppressed"}, engineKeys...),
-	"mondrian":            {"cuts", "regions"},
-	"mondrian-relaxed":    {"cuts", "regions"},
+	"mondrian":            {"cut_attempts", "cuts", "regions"},
+	"mondrian-relaxed":    {"cut_attempts", "cuts", "regions"},
 	"mu-argus":            append([]string{"combination_order", "generalization_steps", "suppressed"}, engineKeys...),
 	"ola":                 append([]string{"nodes_evaluated", "nodes_tagged", "suppressed"}, engineKeys...),
 	"optimal":             append([]string{"best_cost", "nodes_evaluated", "suppressed"}, engineKeys...),
