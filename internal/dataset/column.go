@@ -24,6 +24,7 @@ type Column struct {
 	dict   []Value
 	keys   []string          // dict-aligned canonical Value.Key strings
 	index  map[string]uint32 // key -> code; builder columns only
+	memo   map[string]uint32 // raw CSV field text -> code; builder columns only, nil past memoCutoff
 	allNum bool              // every dictionary entry is an exact Num
 
 	mu     sync.Mutex
@@ -32,8 +33,12 @@ type Column struct {
 }
 
 func newColumn() *Column {
-	return &Column{index: make(map[string]uint32), allNum: true}
+	return &Column{index: make(map[string]uint32), memo: make(map[string]uint32), allNum: true}
 }
+
+// memoCutoff is the memo size past which a column whose texts barely
+// repeat stops memoizing field text: see remember.
+const memoCutoff = 2048
 
 // ColumnFromCodes builds a column whose row i holds dict[codes[i]]. It is
 // the one constructor of derived columns (generalized, suppressed or
@@ -93,6 +98,20 @@ func (c *Column) intern(v Value) uint32 {
 		c.index[k] = code
 	}
 	return code
+}
+
+// remember memoizes the code of a CSV field text. A column stops
+// memoizing for good once its memo holds more than memoCutoff texts and
+// more than half as many texts as rows: its texts barely repeat, so the
+// memo would cost a map insert per row and save almost no parses.
+func (c *Column) remember(text string, code uint32) {
+	if c.memo == nil {
+		return
+	}
+	c.memo[text] = code
+	if n := len(c.memo); n > memoCutoff && 2*n > len(c.codes) {
+		c.memo = nil
+	}
 }
 
 // append adds one cell and returns its dictionary code.
@@ -194,8 +213,9 @@ func (c *Column) Values() []Value {
 
 // Columnar builds a Table column by column: a schema plus one
 // dictionary-encoded Column per attribute, appended row by row. Table
-// seals the builder and returns the table in O(1), sharing the columns;
-// any append after that is an error, so a table never changes once read.
+// seals the builder and returns the table in O(columns), sharing the
+// columns; any append after that is an error, so a table never changes
+// once read.
 //
 // Build on a single goroutine.
 type Columnar struct {
@@ -203,6 +223,11 @@ type Columnar struct {
 	cols   []*Column
 	rows   int
 	table  *Table // non-nil once sealed
+
+	// Per-record scratch of appendFields.
+	codeBuf []uint32
+	textBuf []string
+	valBuf  []Value
 }
 
 // NewColumnar returns an empty builder over the schema.
@@ -211,7 +236,9 @@ func NewColumnar(schema *Schema) *Columnar {
 	for j := range cols {
 		cols[j] = newColumn()
 	}
-	return &Columnar{schema: schema, cols: cols}
+	n := schema.Len()
+	return &Columnar{schema: schema, cols: cols,
+		codeBuf: make([]uint32, n), textBuf: make([]string, n), valBuf: make([]Value, n)}
 }
 
 // Len returns the number of rows appended so far.
@@ -289,9 +316,13 @@ func (c *Columnar) AppendTable(tables ...*Table) error {
 }
 
 // Table seals the builder and returns its table, sharing the columns. It
-// costs O(1) and returns the same table on every call.
+// drops the builder-only maps (the key index and the field-text memo) and
+// returns the same table on every call.
 func (c *Columnar) Table() *Table {
 	if c.table == nil {
+		for _, col := range c.cols {
+			col.index, col.memo = nil, nil
+		}
 		c.table = &Table{Schema: c.schema, cols: c.cols, n: c.rows}
 	}
 	return c.table

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -41,7 +43,6 @@ func ReadCSVColumnar(r io.Reader, schema *Schema) (*Columnar, error) {
 		}
 	}
 	c := NewColumnar(schema)
-	row := make([]Value, schema.Len())
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -50,18 +51,52 @@ func ReadCSVColumnar(r io.Reader, schema *Schema) (*Columnar, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading CSV: %w", err)
 		}
-		for j, field := range rec {
-			v, err := ParseValue(strings.TrimSpace(field), schema.Attrs[j].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d, column %q: %w", line, schema.Attrs[j].Name, err)
-			}
-			row[j] = v
-		}
-		if err := c.AppendRow(row); err != nil {
+		if err := appendFields(c, rec, line); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// unresolved marks a record field whose text missed its column's memo.
+const unresolved = ^uint32(0)
+
+// appendFields appends one CSV record, given as raw field text with one
+// field per attribute, to the builder; line numbers the record in errors.
+// It is the one cell path of both CSV readers, which check the field
+// count. Each column memoizes field text to dictionary code, so a text
+// seen before costs one map lookup, which allocates nothing for byte-slice
+// fields. A new text is trimmed, parsed with ParseValue and interned,
+// exactly as a per-cell ingest would: ParseValue is a pure function of the
+// text and the kind, so the dictionaries (in first-appearance order) and
+// the codes do not depend on the memo. Every field is resolved before any
+// is appended, so a failing record leaves the builder unchanged.
+func appendFields[F string | []byte](c *Columnar, fields []F, line int) error {
+	if err := c.checkOpen(); err != nil {
+		return err
+	}
+	for j, f := range fields {
+		if code, ok := c.cols[j].memo[string(f)]; ok {
+			c.codeBuf[j] = code
+			continue
+		}
+		text := string(f)
+		v, err := ParseValue(strings.TrimSpace(text), c.schema.Attrs[j].Kind)
+		if err != nil {
+			return fmt.Errorf("dataset: line %d, column %q: %w", line, c.schema.Attrs[j].Name, err)
+		}
+		c.codeBuf[j], c.textBuf[j], c.valBuf[j] = unresolved, text, v
+	}
+	for j, col := range c.cols {
+		if code := c.codeBuf[j]; code != unresolved {
+			col.codes = append(col.codes, code)
+			continue
+		}
+		code := col.append(c.valBuf[j])
+		col.remember(c.textBuf[j], code)
+	}
+	c.rows++
+	return nil
 }
 
 // ParseValue parses one CSV field according to the attribute kind. See
@@ -108,34 +143,54 @@ func ParseValue(s string, kind AttrKind) (Value, error) {
 
 // WriteCSV writes the table with a header row, rendering cells with
 // Value.String so that ReadCSV round-trips generalized values. Each
-// dictionary entry is rendered once per column. A cell whose text holds
-// "\r\n" is an error: CSV readers fold it to "\n", so it cannot round-trip.
+// dictionary entry is rendered and quoted once per column, with
+// encoding/csv's own quoting rules; rows are then written as bytes.
+// Quoting is per field, so the output is byte-identical to writing every
+// row through a csv.Writer. A cell whose text holds "\r\n" is an error:
+// CSV readers fold it to "\n", so it cannot round-trip.
 func WriteCSV(w io.Writer, t *Table) error {
-	text := t.renderedColumns()
-	for j, col := range text {
-		for _, s := range col {
+	// quote returns s as encoding/csv writes it in a record: the field is
+	// written as a one-field record and its newline dropped.
+	var scratch bytes.Buffer
+	cw := csv.NewWriter(&scratch)
+	field := make([]string, 1)
+	quote := func(s string) string {
+		scratch.Reset()
+		field[0] = s
+		cw.Write(field) // writes to a bytes.Buffer cannot fail
+		cw.Flush()
+		return string(scratch.Bytes()[:scratch.Len()-1])
+	}
+	// quoted[j][d] is dictionary entry d of column j as it appears in a row.
+	quoted := t.renderedColumns()
+	for j, col := range quoted {
+		for d, s := range col {
 			if strings.Contains(s, "\r\n") {
 				return fmt.Errorf("dataset: column %q: cell %q holds \\r\\n, which CSV cannot carry", t.Schema.Attrs[j].Name, s)
 			}
+			col[d] = quote(s)
 		}
 	}
-	cw := csv.NewWriter(w)
-	header := make([]string, t.Schema.Len())
+	// A bufio.Writer keeps its first write error and Flush returns it.
+	bw := bufio.NewWriterSize(w, 64<<10)
 	for j, a := range t.Schema.Attrs {
-		header[j] = a.Name
+		if j > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteString(quote(a.Name))
 	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: writing CSV header: %w", err)
-	}
-	rec := make([]string, t.Schema.Len())
+	bw.WriteByte('\n')
 	for i := 0; i < t.n; i++ {
 		for j, c := range t.cols {
-			rec[j] = text[j][c.codes[i]]
+			if j > 0 {
+				bw.WriteByte(',')
+			}
+			bw.WriteString(quoted[j][c.codes[i]])
 		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: writing CSV row: %w", err)
-		}
+		bw.WriteByte('\n')
 	}
-	cw.Flush()
-	return cw.Error()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("dataset: writing CSV: %w", err)
+	}
+	return nil
 }

@@ -98,16 +98,52 @@ func FuzzCSVIngesterChunks(f *testing.F) {
 		if werr != nil {
 			return
 		}
-		a, b := whole.Table(), chunked.Table()
-		if a.Len() != b.Len() {
-			t.Fatalf("chunk=%d: %d rows != %d rows", chunk, a.Len(), b.Len())
+		if err := SameEncoding(chunked.Table(), whole.Table()); err != nil {
+			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		for i := 0; i < a.Len(); i++ {
-			for j := 0; j < a.Schema.Len(); j++ {
-				if x, y := a.At(i, j).Key(), b.At(i, j).Key(); x != y {
-					t.Fatalf("chunk=%d cell (%d,%d): %q != %q", chunk, i, j, x, y)
-				}
-			}
+	})
+}
+
+// FuzzCSVReadersAgree checks that the two CSV parsers, ReadCSV on
+// encoding/csv and the chunk-tolerant CSVIngester, accept the same
+// inputs and build the same dictionaries and codes from them.
+func FuzzCSVReadersAgree(f *testing.F) {
+	header := "ZipCode,Age,MaritalStatus\n"
+	for _, body := range []string{
+		"13053,28,CF-Spouse\n13053,28.0,CF-Spouse\n",
+		"1305*,\"(25,35]\",Married\n*,*,*\n",
+		"\"13053\",\" 28\",\"Married\"\r\n13053,-0,Married\n13053,0,Married",
+		"13053,28,\"quote\"\"inside\"\n",
+		"13053,28,\"line\nbreak\"\n",
+		"13053,28,\"crlf\r\nbreak\"\r\n",
+		"13053,28,lone\rcr\n",
+		"\n\n13053,28,x",
+		"13\"053,28,x\n",
+		"13053,abc,x\n",
+		"13053,28\n",
+	} {
+		f.Add(header + body)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		schema := MustSchema(
+			Attribute{Name: "ZipCode", Kind: Categorical, Role: QuasiIdentifier},
+			Attribute{Name: "Age", Kind: Numeric, Role: QuasiIdentifier},
+			Attribute{Name: "MaritalStatus", Kind: Categorical, Role: Sensitive},
+		)
+		want, rerr := ReadCSV(strings.NewReader(in), schema)
+		g := NewCSVIngester(schema)
+		_, gerr := g.Write([]byte(in))
+		if gerr == nil {
+			gerr = g.Close()
+		}
+		if (rerr == nil) != (gerr == nil) {
+			t.Fatalf("outcome diverged: ReadCSV=%v CSVIngester=%v", rerr, gerr)
+		}
+		if rerr != nil {
+			return
+		}
+		if err := SameEncoding(g.Table(), want); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

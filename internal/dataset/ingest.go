@@ -35,15 +35,15 @@ type CSVIngester struct {
 	closed    bool
 	err       error
 
-	fields []string // per-record scratch
-	row    []Value  // per-record scratch
+	fields  [][]byte // per-record scratch: field text, aliasing buf or unquote
+	unquote []byte   // per-record scratch: unescaped quoted fields
 }
 
 // NewCSVIngester returns an ingester for the schema. Feed chunks with
 // Write, then Close; the accumulated table is available via Columnar or
 // Table.
 func NewCSVIngester(schema *Schema) *CSVIngester {
-	return &CSVIngester{schema: schema, cols: NewColumnar(schema), row: make([]Value, schema.Len())}
+	return &CSVIngester{schema: schema, cols: NewColumnar(schema)}
 }
 
 // Write feeds one chunk. It implements io.Writer: every call consumes the
@@ -113,65 +113,33 @@ func (g *CSVIngester) Columnar() *Columnar { return g.cols }
 // Write fails.
 func (g *CSVIngester) Table() *Table { return g.cols.Table() }
 
-// ingestChunk is the read-buffer size IngestCSV pipelines with: large
-// enough to amortize syscalls, small enough that two in-flight buffers
-// stay cache- and memory-friendly.
+// ingestChunk is the read-buffer size of IngestCSV: large enough to
+// amortize read calls and column growth, small enough to stay
+// cache-friendly.
 const ingestChunk = 256 << 10
 
-// IngestCSV streams a CSV source straight into dictionary-encoded columns
-// through the chunk-tolerant push ingester, pipelining reads against
-// parsing: a reader goroutine fills one fixed-size buffer while the
-// calling goroutine parses the other, so chunks flow into the column
-// builders with no full-input materialization barrier and at most two
-// chunks of input are ever resident. Parsing semantics are exactly
+// IngestCSV streams a CSV source straight into dictionary-encoded columns:
+// it reads ingestChunk bytes at a time and feeds each read to the
+// chunk-tolerant push ingester, so no more than a chunk of input and an
+// unconsumed record tail are ever resident. Parsing semantics are exactly
 // CSVIngester's (RFC 4180 strict quoting, header validated against the
 // schema).
 func IngestCSV(r io.Reader, schema *Schema) (*Columnar, error) {
 	g := NewCSVIngester(schema)
-	free := make(chan []byte, 2)
-	free <- make([]byte, ingestChunk)
-	free <- make([]byte, ingestChunk)
-	full := make(chan []byte, 2)
-	readErr := make(chan error, 1)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(full)
-		for {
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-done:
-				return
-			}
-			n, err := r.Read(buf[:ingestChunk])
-			if n > 0 {
-				select {
-				case full <- buf[:n]:
-				case <-done:
-					return
-				}
-			}
-			if err != nil {
-				if err == io.EOF {
-					err = nil
-				}
-				readErr <- err
-				return
+	buf := make([]byte, ingestChunk)
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			if _, werr := g.Write(buf[:n]); werr != nil {
+				return nil, werr
 			}
 		}
-	}()
-	for buf := range full {
-		if _, err := g.Write(buf); err != nil {
-			return nil, err
+		if err == io.EOF {
+			break
 		}
-		select {
-		case free <- buf[:ingestChunk]:
-		default: // reader already gone; buffer no longer needed
+		if err != nil {
+			return nil, fmt.Errorf("dataset: CSV ingest: %w", err)
 		}
-	}
-	if err := <-readErr; err != nil {
-		return nil, fmt.Errorf("dataset: CSV ingest: %w", err)
 	}
 	if err := g.Close(); err != nil {
 		return nil, err
@@ -238,38 +206,34 @@ func (g *CSVIngester) endRecord(line []byte) error {
 	}
 	if !g.sawHeader {
 		for j, a := range g.schema.Attrs {
-			if strings.TrimSpace(fields[j]) != a.Name {
+			if strings.TrimSpace(string(fields[j])) != a.Name {
 				return fmt.Errorf("dataset: CSV column %d is %q, schema expects %q", j, fields[j], a.Name)
 			}
 		}
 		g.sawHeader = true
 		return nil
 	}
-	for j, field := range fields {
-		v, err := ParseValue(strings.TrimSpace(field), g.schema.Attrs[j].Kind)
-		if err != nil {
-			return fmt.Errorf("dataset: line %d, column %q: %w", g.record, g.schema.Attrs[j].Name, err)
-		}
-		g.row[j] = v
-	}
-	return g.cols.AppendRow(g.row)
+	return appendFields(g.cols, fields, g.record)
 }
 
 // splitRecord splits one record into fields with RFC 4180 strict-quote
-// semantics, matching encoding/csv for well-formed input.
-func (g *CSVIngester) splitRecord(line []byte) ([]string, error) {
+// semantics, matching encoding/csv for well-formed input. An unquoted
+// field aliases line; a quoted one is unescaped into the per-record
+// scratch buffer. Both are valid until the next record.
+func (g *CSVIngester) splitRecord(line []byte) ([][]byte, error) {
 	fields := g.fields[:0]
+	unquote := g.unquote[:0]
 	i := 0
 	for {
 		if i < len(line) && line[i] == '"' {
 			i++
-			var b strings.Builder
+			start := len(unquote)
 			closed := false
 			for i < len(line) {
 				c := line[i]
 				if c == '"' {
 					if i+1 < len(line) && line[i+1] == '"' {
-						b.WriteByte('"')
+						unquote = append(unquote, '"')
 						i += 2
 						continue
 					}
@@ -279,11 +243,11 @@ func (g *CSVIngester) splitRecord(line []byte) ([]string, error) {
 				}
 				if c == '\r' && i+1 < len(line) && line[i+1] == '\n' {
 					// encoding/csv normalizes \r\n inside quoted fields.
-					b.WriteByte('\n')
+					unquote = append(unquote, '\n')
 					i += 2
 					continue
 				}
-				b.WriteByte(c)
+				unquote = append(unquote, c)
 				i++
 			}
 			if !closed {
@@ -292,7 +256,10 @@ func (g *CSVIngester) splitRecord(line []byte) ([]string, error) {
 			if i < len(line) && line[i] != ',' {
 				return nil, fmt.Errorf("dataset: CSV ingest: record %d: extraneous data after quoted field", g.record)
 			}
-			fields = append(fields, b.String())
+			// Capped, so a later append that grows the scratch in place
+			// cannot reach into this field; one that reallocates leaves it
+			// on the old array.
+			fields = append(fields, unquote[start:len(unquote):len(unquote)])
 		} else {
 			start := i
 			for i < len(line) && line[i] != ',' {
@@ -301,13 +268,13 @@ func (g *CSVIngester) splitRecord(line []byte) ([]string, error) {
 				}
 				i++
 			}
-			fields = append(fields, string(line[start:i]))
+			fields = append(fields, line[start:i:i])
 		}
 		if i >= len(line) {
 			break
 		}
 		i++ // consume the comma; a trailing comma yields a final empty field
 	}
-	g.fields = fields
+	g.fields, g.unquote = fields, unquote
 	return fields, nil
 }

@@ -43,15 +43,8 @@ func TestCSVIngesterMatchesReadCSV(t *testing.T) {
 		if werr != nil {
 			continue
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("Len %d != %d", got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			for j := 0; j < want.Schema.Len(); j++ {
-				if g, w := got.At(i, j).Key(), want.At(i, j).Key(); g != w {
-					t.Errorf("cell (%d,%d): %q != %q", i, j, g, w)
-				}
-			}
+		if err := SameEncoding(got, want); err != nil {
+			t.Error(err)
 		}
 	}
 }

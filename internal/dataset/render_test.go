@@ -3,7 +3,6 @@ package dataset_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"fmt"
 	"strings"
@@ -13,31 +12,6 @@ import (
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
 )
-
-// rowCSV renders a table cell by cell, the way WriteCSV did before it
-// rendered each dictionary entry once.
-func rowCSV(t *testing.T, tab *dataset.Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	rec := make([]string, tab.Schema.Len())
-	for j, a := range tab.Schema.Attrs {
-		rec[j] = a.Name
-	}
-	if err := w.Write(rec); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tab.Len(); i++ {
-		for j := range rec {
-			rec[j] = tab.At(i, j).String()
-		}
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	return buf.Bytes()
-}
 
 // rowFormat is Format rendered cell by cell.
 func rowFormat(tab *dataset.Table, index bool) string {
@@ -105,7 +79,11 @@ func TestRenderingMatchesRowReference(t *testing.T) {
 		if err := dataset.WriteCSV(&got, tab); err != nil {
 			t.Fatal(err)
 		}
-		want := rowCSV(t, tab)
+		var ref bytes.Buffer
+		if err := dataset.ReferenceWriteCSV(&ref, tab); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Bytes()
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatal("WriteCSV differs from the cell-by-cell rendering")
 		}
