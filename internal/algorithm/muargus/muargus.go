@@ -11,18 +11,19 @@
 // must verify with privacy.IsKAnonymous. This makes μ-Argus a genuinely
 // different — and genuinely biased — baseline for the comparison framework.
 //
-// The combination tables are grouped on the shared evaluation engine's
-// precomputed fragment ids, and the local-suppression fixpoint updates
-// group occupancies incrementally on a worklist instead of rescanning the
+// Each combination's frequency table is an eqclass.GroupCodes group-by
+// over the shared evaluation engine's precomputed fragment ids. The cells
+// of all combinations share one id space: every row lists its cell per
+// combination in one flat vector, and every cell lists its rows in a
+// counting-sort layout. The local-suppression fixpoint updates cell
+// occupancies incrementally on a worklist instead of rescanning the
 // table each iteration; the generalized table is materialized only once,
 // for the final node.
 package muargus
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"microdata/internal/algorithm"
 	"microdata/internal/dataset"
@@ -45,13 +46,6 @@ func New() *MuArgus { return &MuArgus{} }
 
 // Name implements algorithm.Algorithm.
 func (*MuArgus) Name() string { return "mu-argus" }
-
-// comboGroup is one cell of one combination's frequency table: the rows
-// sharing a value combination, and how many of them are not yet suppressed.
-type comboGroup struct {
-	rows  []int
-	alive int
-}
 
 // Anonymize implements algorithm.Algorithm.
 func (m *MuArgus) Anonymize(t *dataset.Table, cfg algorithm.Config) (*algorithm.Result, error) {
@@ -91,59 +85,39 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mu-argus: %w", err)
 		}
-		// Build each combination's frequency table by grouping rows on the
-		// engine's fragment ids at the current levels — no generalized
-		// table is materialized.
-		frags := make([][]uint32, eng.NumQI())
-		for li := range frags {
-			if frags[li], err = eng.FragmentIDs(li, node[li]); err != nil {
-				return nil, fmt.Errorf("mu-argus: %w", err)
-			}
-		}
-		var groups []*comboGroup
-		comboGroups := make([][]*comboGroup, len(combos))
-		rowGroups := make([][]*comboGroup, n)
-		buf := make([]byte, 4*order)
-		for ci, combo := range combos {
-			index := make(map[string]*comboGroup)
-			for i := 0; i < n; i++ {
-				for bi, li := range combo {
-					binary.LittleEndian.PutUint32(buf[4*bi:], frags[li][i])
-				}
-				key := string(buf[:4*len(combo)])
-				g := index[key]
-				if g == nil {
-					g = &comboGroup{}
-					index[key] = g
-					groups = append(groups, g)
-					comboGroups[ci] = append(comboGroups[ci], g)
-				}
-				g.rows = append(g.rows, i)
-				rowGroups[i] = append(rowGroups[i], g)
-			}
+		tab, err := buildTables(eng, node, combos, n)
+		if err != nil {
+			return nil, fmt.Errorf("mu-argus: %w", err)
 		}
 		// Local suppression runs to a fixpoint: removing an outlier can
-		// push a surviving combination below k, so group occupancies are
-		// decremented as rows are suppressed and only the groups that just
-		// dropped below k are re-examined (a previously rare group has no
-		// unsuppressed rows left and cannot contribute again).
-		suppressed := make([]bool, n)
-		nSuppressed := 0
-		var work []*comboGroup
-		for _, g := range groups {
-			g.alive = len(g.rows)
-			if g.alive < cfg.K {
+		// push a surviving cell below k, so cell occupancies are
+		// decremented as rows are suppressed and only the cells that just
+		// dropped below k are re-examined (a previously rare cell has no
+		// unsuppressed rows left and cannot contribute again). Occupancies
+		// only fall, so a cell drops to k-1 at most once and is queued at
+		// most once. A row is marked when it joins a round's rare set:
+		// the round then either suppresses every rare row or abandons the
+		// node, so the marks are exactly the suppressed rows.
+		nc := len(combos)
+		cells := len(tab.start) - 1
+		alive := make([]int, cells)
+		var work []int
+		for g := range alive {
+			alive[g] = tab.size(g)
+			if alive[g] < cfg.K {
 				work = append(work, g)
 			}
 		}
+		suppressed := make([]bool, n)
+		nSuppressed := 0
+		var rare []int
 		for {
-			var rare []int
-			seen := make(map[int]bool)
+			rare = rare[:0]
 			for _, g := range work {
-				for _, r := range g.rows {
-					if !suppressed[r] && !seen[r] {
-						seen[r] = true
-						rare = append(rare, r)
+				for _, r := range tab.rows[tab.start[g]:tab.start[g+1]] {
+					if !suppressed[r] {
+						suppressed[r] = true
+						rare = append(rare, int(r))
 					}
 				}
 			}
@@ -178,7 +152,7 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 				reg.Snapshot().MergeInto(stats, "mu-argus.")
 				eng.Stats().MergeInto(stats)
 				telemetry.L().Info("mu-argus: fixpoint reached",
-					"steps", stepsC.Value(), "suppressed", len(all), "node", fmt.Sprint(node))
+					"steps", stepsC.Value(), "suppressed", len(all), "node", node.String())
 				return &algorithm.Result{
 					Algorithm:  m.Name(),
 					Table:      anon,
@@ -191,22 +165,16 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 			if nSuppressed+len(rare) > budget {
 				break // generalize instead
 			}
-			sort.Ints(rare)
-			var next []*comboGroup
-			queued := make(map[*comboGroup]bool)
+			nSuppressed += len(rare)
+			work = work[:0]
 			for _, r := range rare {
-				suppressed[r] = true
-				nSuppressed++
-				for _, g := range rowGroups[r] {
-					was := g.alive
-					g.alive--
-					if g.alive < cfg.K && was >= cfg.K && !queued[g] {
-						queued[g] = true
-						next = append(next, g)
+				for _, g := range tab.cellOf[r*nc : (r+1)*nc] {
+					alive[g]--
+					if alive[g] == cfg.K-1 {
+						work = append(work, int(g))
 					}
 				}
 			}
-			work = next
 		}
 		// Generalize the attribute participating in the most rare
 		// combinations (greedy, mirroring μ-Argus's interactive advice).
@@ -216,9 +184,9 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 		scores := make([]int, eng.NumQI())
 		for ci, combo := range combos {
 			rare := 0
-			for _, g := range comboGroups[ci] {
-				if len(g.rows) < cfg.K {
-					rare += len(g.rows)
+			for g := tab.first[ci]; g < tab.first[ci+1]; g++ {
+				if sz := tab.size(g); sz < cfg.K {
+					rare += sz
 				}
 			}
 			for _, li := range combo {
@@ -240,6 +208,74 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 		node[best]++
 		stepsC.Inc()
 	}
+}
+
+// tables holds the frequency tables of every checked combination at one
+// node. Cells of all combinations share one id space: combination ci owns
+// ids first[ci] .. first[ci+1]-1.
+type tables struct {
+	// cellOf[i*len(combos)+ci] is row i's cell in combination ci.
+	cellOf []uint32
+	// rows[start[g]:start[g+1]] are cell g's rows, ascending.
+	start []int
+	rows  []uint32
+	first []int
+}
+
+// size returns the number of rows in cell g.
+func (tb *tables) size(g int) int { return tb.start[g+1] - tb.start[g] }
+
+// buildTables groups the rows of every combination at the node on the
+// engine's fragment ids, so no generalized table is materialized, and
+// lays each cell's rows out by counting sort.
+func buildTables(eng *engine.Engine, node lattice.Node, combos [][]int, n int) (*tables, error) {
+	frags := make([][]uint32, eng.NumQI())
+	cards := make([]int, eng.NumQI())
+	for li := range frags {
+		var err error
+		if frags[li], err = eng.FragmentIDs(li, node[li]); err != nil {
+			return nil, err
+		}
+		if cards[li], err = eng.DistinctAtLevel(li, node[li]); err != nil {
+			return nil, err
+		}
+	}
+	nc := len(combos)
+	tb := &tables{cellOf: make([]uint32, n*nc), first: make([]int, nc+1)}
+	var cols [][]uint32
+	var cs []int
+	for ci, combo := range combos {
+		cols, cs = cols[:0], cs[:0]
+		for _, li := range combo {
+			cols = append(cols, frags[li])
+			cs = append(cs, cards[li])
+		}
+		ids, groups, err := eqclass.GroupCodes(cols, cs)
+		if err != nil {
+			return nil, err
+		}
+		base := uint32(tb.first[ci])
+		for i, g := range ids {
+			tb.cellOf[i*nc+ci] = base + g
+		}
+		tb.first[ci+1] = tb.first[ci] + groups
+	}
+	tb.start = make([]int, tb.first[nc]+1)
+	for _, g := range tb.cellOf {
+		tb.start[g+1]++
+	}
+	for g := 1; g < len(tb.start); g++ {
+		tb.start[g] += tb.start[g-1]
+	}
+	next := append([]int(nil), tb.start[:len(tb.start)-1]...)
+	tb.rows = make([]uint32, len(tb.cellOf))
+	for i := 0; i < n; i++ {
+		for _, g := range tb.cellOf[i*nc : (i+1)*nc] {
+			tb.rows[next[g]] = uint32(i)
+			next[g]++
+		}
+	}
+	return tb, nil
 }
 
 // combinations enumerates all index subsets of {0..n-1} with size 1..order.

@@ -268,8 +268,8 @@ func (e *Engine) precompute() error {
 					}
 					if needLoss && e.lossErr == nil {
 						// A cell's loss depends on its generalized value
-						// alone, so one ground value per fragment prices it.
-						loss, err := utility.CellLoss(g, v, attr, domLo, domHi, tax)
+						// alone, so each fragment is priced once.
+						loss, err := utility.CellLoss(g, attr, domLo, domHi, tax)
 						if err != nil {
 							// Defer: constraint checking never needs losses.
 							e.lossErr = fmt.Errorf("engine: %w", err)

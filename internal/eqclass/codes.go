@@ -78,7 +78,8 @@ func GroupCodes(cols [][]uint32, cards []int) (ids []uint32, groups int, err err
 }
 
 // combine refines the group ids in place with one more code column,
-// returning the new group count. New ids are assigned in first-appearance
+// returning the new group count. Both paths reject a code at or above
+// card, so a packed key never aliases another tuple's. New ids are assigned in first-appearance
 // (row-scan) order, which keeps the final class order canonical. The radix
 // table is pooled per-call scratch, so concurrent combines (concurrent
 // engine node evaluations) never share state.
@@ -108,6 +109,9 @@ func combine(ids []uint32, codes []uint32, groups, card int) (int, error) {
 	}
 	m := make(map[uint64]uint32, groups)
 	for i, cd := range codes {
+		if int64(cd) >= int64(card) {
+			return 0, fmt.Errorf("eqclass: code %d exceeds cardinality %d", cd, card)
+		}
 		k := uint64(ids[i])<<32 | uint64(cd)
 		g, ok := m[k]
 		if !ok {

@@ -205,6 +205,16 @@ func TestFromCodesErrors(t *testing.T) {
 	if _, err := eqclass.FromCodes([][]uint32{{5}}, []int{2}); err == nil {
 		t.Error("code exceeding cardinality should fail")
 	}
+	// 3000×3000 groups overflow the radix table, so the second column
+	// takes the hash path, which must check cardinality too.
+	a, b := make([]uint32, 3000), make([]uint32, 3000)
+	for i := range a {
+		a[i], b[i] = uint32(i), uint32(i)
+	}
+	b[1234] = 5000
+	if _, err := eqclass.FromCodes([][]uint32{a, b}, []int{3000, 3000}); err == nil {
+		t.Error("code exceeding cardinality on the hash path should fail")
+	}
 }
 
 func TestValueCountsColumnMatchesValueCounts(t *testing.T) {

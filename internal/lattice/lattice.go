@@ -11,6 +11,7 @@ package lattice
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Node is a vector of generalization levels, one per quasi-identifier in
@@ -60,11 +61,22 @@ func (n Node) AtMost(m Node) bool {
 	return true
 }
 
-// Key returns a canonical string for use as a map key.
-func (n Node) Key() string { return fmt.Sprint([]int(n)) }
+// Key returns a canonical string for use as a map key: the level vector
+// as fmt prints a []int, "[a b c]". Packs record nodes in this form.
+func (n Node) Key() string {
+	var arr [64]byte // on the stack; lattices of a dozen attributes fit
+	buf := append(arr[:0], '[')
+	for i, l := range n {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(l), 10)
+	}
+	return string(append(buf, ']'))
+}
 
 // String renders the node as its level vector.
-func (n Node) String() string { return fmt.Sprint([]int(n)) }
+func (n Node) String() string { return n.Key() }
 
 // Lattice is the set of all level vectors bounded by per-attribute maxima.
 type Lattice struct {

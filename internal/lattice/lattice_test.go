@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +26,26 @@ func TestNodeBasics(t *testing.T) {
 	if n.Key() != "[1 2 0]" || n.String() != "[1 2 0]" {
 		t.Errorf("Key/String = %q/%q", n.Key(), n.String())
 	}
+}
+
+// TestNodeKeyMatchesSprint pins Key and String to fmt's rendering of the
+// level vector, the form packs record and Incognito sorts by.
+func TestNodeKeyMatchesSprint(t *testing.T) {
+	check := func(n Node) {
+		t.Helper()
+		want := fmt.Sprint([]int(n))
+		if n.Key() != want || n.String() != want {
+			t.Errorf("Key/String of %v = %q/%q, want %q", []int(n), n.Key(), n.String(), want)
+		}
+	}
+	Must([]int{4, 2, 11, 0, 3}).All(func(n Node) bool {
+		check(n)
+		return true
+	})
+	check(nil)
+	check(Node{})
+	check(Node{10, 123456789, 0, 7})
+	check(Node{-1, 3, -42, math.MinInt, math.MaxInt})
 }
 
 func TestNewValidation(t *testing.T) {

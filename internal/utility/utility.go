@@ -7,6 +7,10 @@
 // Loss-like quantities are lower-is-better; the paper's property vectors
 // are higher-is-better, so vector producers also offer a utility-oriented
 // form (per-tuple retained information = attributes − loss).
+//
+// A cell's loss depends only on its generalized value, so LossVector and
+// GeneralLossMetric score each dictionary code of a release's columns
+// once, on first use, and read every other cell's loss from that memo.
 package utility
 
 import (
@@ -28,9 +32,9 @@ import (
 //   - a Set requires the attribute's taxonomy to count covered leaves:
 //     (leaves − 1) / (totalLeaves − 1).
 //
-// The original ground value orig is needed only for Set cells (to locate
-// the taxonomy leaf).
-func CellLoss(anon, orig dataset.Value, attr dataset.Attribute, domLo, domHi float64, tax *hierarchy.Taxonomy) (float64, error) {
+// The loss depends on the generalized value alone, never on the ground
+// value it replaced, so callers score each distinct value once.
+func CellLoss(anon dataset.Value, attr dataset.Attribute, domLo, domHi float64, tax *hierarchy.Taxonomy) (float64, error) {
 	switch anon.Kind() {
 	case dataset.Num, dataset.Str:
 		return 0, nil
@@ -90,7 +94,7 @@ type LossConfig struct {
 // cannot shrink their own denominator.
 func LossVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error) {
 	out := make([]float64, anon.Len())
-	err := eachCellLoss(anon, orig, cfg, func(i int, loss float64) { out[i] += loss })
+	_, err := eachCellLoss(anon, orig, cfg, func(i, _ int, _ uint32, loss float64) { out[i] += loss })
 	if err != nil {
 		return nil, err
 	}
@@ -98,41 +102,59 @@ func LossVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error) {
 }
 
 // eachCellLoss calls fn with the loss of every quasi-identifier cell of
-// anon, row by row and within a row in schema order.
-func eachCellLoss(anon, orig *dataset.Table, cfg LossConfig, fn func(row int, loss float64)) error {
+// anon, row by row and within a row in schema order; q is the cell's
+// position among the quasi-identifiers and code its dictionary code. A
+// cell's loss depends on its value alone, so each column scores each
+// dictionary code once, on the code's first use: an entry no row uses is
+// never scored, and the first unscoreable cell in row order is the one
+// the error names. It returns the per-column, per-code losses it scored.
+func eachCellLoss(anon, orig *dataset.Table, cfg LossConfig, fn func(row, q int, code uint32, loss float64)) ([][]float64, error) {
 	if anon.Len() != orig.Len() {
-		return fmt.Errorf("utility: anonymized table has %d rows, original has %d", anon.Len(), orig.Len())
+		return nil, fmt.Errorf("utility: anonymized table has %d rows, original has %d", anon.Len(), orig.Len())
 	}
 	if anon.Schema.Len() != orig.Schema.Len() {
-		return fmt.Errorf("utility: schema width mismatch")
+		return nil, fmt.Errorf("utility: schema width mismatch")
 	}
 	qi := anon.Schema.QuasiIdentifiers()
 	if len(qi) == 0 {
-		return fmt.Errorf("utility: no quasi-identifiers to score")
+		return nil, fmt.Errorf("utility: no quasi-identifiers to score")
 	}
-	type domain struct{ lo, hi float64 }
-	domains := make(map[int]domain, len(qi))
-	for _, j := range qi {
-		if anon.Schema.Attrs[j].Kind == dataset.Numeric {
-			lo, hi, ok := orig.NumericRange(j)
-			if !ok {
-				lo, hi = 0, 0
+	type column struct {
+		codes        []uint32
+		dict         []dataset.Value
+		attr         dataset.Attribute
+		domLo, domHi float64
+		tax          *hierarchy.Taxonomy
+		scored       []bool
+	}
+	cols := make([]column, len(qi))
+	losses := make([][]float64, len(qi))
+	for q, j := range qi {
+		vec, attr := anon.ColumnVector(j), anon.Schema.Attrs[j]
+		c := &cols[q]
+		*c = column{codes: vec.Codes(), dict: vec.Dict(), attr: attr, tax: cfg.Taxonomies[attr.Name], scored: make([]bool, vec.Card())}
+		if attr.Kind == dataset.Numeric {
+			if lo, hi, ok := orig.NumericRange(j); ok {
+				c.domLo, c.domHi = lo, hi
 			}
-			domains[j] = domain{lo, hi}
 		}
+		losses[q] = make([]float64, vec.Card())
 	}
 	for i := 0; i < anon.Len(); i++ {
-		for _, j := range qi {
-			attr := anon.Schema.Attrs[j]
-			d := domains[j]
-			loss, err := CellLoss(anon.At(i, j), orig.At(i, j), attr, d.lo, d.hi, cfg.Taxonomies[attr.Name])
-			if err != nil {
-				return fmt.Errorf("utility: row %d: %w", i, err)
+		for q := range cols {
+			c := &cols[q]
+			code := c.codes[i]
+			if !c.scored[code] {
+				loss, err := CellLoss(c.dict[code], c.attr, c.domLo, c.domHi, c.tax)
+				if err != nil {
+					return nil, fmt.Errorf("utility: row %d: %w", i, err)
+				}
+				losses[q][code], c.scored[code] = loss, true
 			}
-			fn(i, loss)
+			fn(i, q, code, losses[q][code])
 		}
 	}
-	return nil
+	return losses, nil
 }
 
 // UtilityVector converts a per-tuple loss vector into the paper's
@@ -151,25 +173,36 @@ func UtilityVector(anon, orig *dataset.Table, cfg LossConfig) ([]float64, error)
 }
 
 // GeneralLossMetric is Iyengar's LM: the average per-cell loss over all
-// quasi-identifier cells, in [0,1]. The cell losses are counted by value
-// and summed exactly (LossTally), so the result does not depend on row
-// order and matches any other tally of the same cells bit for bit.
+// quasi-identifier cells, in [0,1]. Cells are counted per dictionary code
+// and each code's loss is added once with its count; LossTally sums
+// exactly, so the result does not depend on row order or grouping and
+// matches any other tally of the same cells bit for bit.
 func GeneralLossMetric(anon, orig *dataset.Table, cfg LossConfig) (float64, error) {
 	if anon.Len() == 0 {
 		return 0, fmt.Errorf("utility: loss metric of empty table")
 	}
-	tally := LossTally{}
-	if err := eachCellLoss(anon, orig, cfg, func(_ int, loss float64) { tally.Add(loss, 1) }); err != nil {
+	qi := anon.Schema.QuasiIdentifiers()
+	counts := make([][]int64, len(qi))
+	for q, j := range qi {
+		counts[q] = make([]int64, anon.ColumnVector(j).Card())
+	}
+	losses, err := eachCellLoss(anon, orig, cfg, func(_, q int, code uint32, _ float64) { counts[q][code]++ })
+	if err != nil {
 		return 0, err
 	}
-	q := float64(len(anon.Schema.QuasiIdentifiers()))
-	return tally.Sum() / (q * float64(anon.Len())), nil
+	tally := LossTally{}
+	for q, byCode := range counts {
+		for code, n := range byCode {
+			tally.Add(losses[q][code], n)
+		}
+	}
+	return tally.Sum() / (float64(len(qi)) * float64(anon.Len())), nil
 }
 
 // LossTally counts cell losses by value. Its Sum is the exact Σ n·loss
 // rounded once, so LM comes out the same whichever order the cells are
-// visited in and however they were grouped before being counted: row by
-// row here, per frequency-set tuple in package engine.
+// visited in and however they were grouped before being counted: per
+// dictionary code here, per frequency-set tuple in package engine.
 type LossTally map[float64]int64
 
 // Add counts n cells of the given loss.

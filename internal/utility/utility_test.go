@@ -41,7 +41,7 @@ func TestCellLoss(t *testing.T) {
 		{"prefix", dataset.PrefixVal("1305", 1), 0.2},
 	}
 	for _, c := range cases {
-		got, err := CellLoss(c.anon, dataset.NumVal(28), attr, 26, 55, nil)
+		got, err := CellLoss(c.anon, attr, 26, 55, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -50,7 +50,7 @@ func TestCellLoss(t *testing.T) {
 		}
 	}
 	// Degenerate numeric domain: interval loss saturates at 1.
-	got, err := CellLoss(dataset.IntervalVal(1, 2), dataset.NumVal(1), attr, 5, 5, nil)
+	got, err := CellLoss(dataset.IntervalVal(1, 2), attr, 5, 5, nil)
 	if err != nil || got != 1 {
 		t.Errorf("degenerate domain: %v, %v", got, err)
 	}
@@ -59,21 +59,21 @@ func TestCellLoss(t *testing.T) {
 func TestCellLossSet(t *testing.T) {
 	tax := maritalTax(t)
 	attr := dataset.Attribute{Name: "MaritalStatus", Kind: dataset.Categorical}
-	got, err := CellLoss(dataset.SetVal("Married"), dataset.StrVal("CF-Spouse"), attr, 0, 0, tax)
+	got, err := CellLoss(dataset.SetVal("Married"), attr, 0, 0, tax)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-0.2) > 1e-12 { // (2-1)/(6-1)
 		t.Errorf("Married loss = %v, want 0.2", got)
 	}
-	got, err = CellLoss(dataset.SetVal("Not Married"), dataset.StrVal("Divorced"), attr, 0, 0, tax)
+	got, err = CellLoss(dataset.SetVal("Not Married"), attr, 0, 0, tax)
 	if err != nil || math.Abs(got-0.6) > 1e-12 { // (4-1)/(6-1)
 		t.Errorf("Not Married loss = %v, %v; want 0.6", got, err)
 	}
-	if _, err := CellLoss(dataset.SetVal("Married"), dataset.StrVal("CF-Spouse"), attr, 0, 0, nil); err == nil {
+	if _, err := CellLoss(dataset.SetVal("Married"), attr, 0, 0, nil); err == nil {
 		t.Error("missing taxonomy should fail")
 	}
-	if _, err := CellLoss(dataset.SetVal("Nonexistent"), dataset.StrVal("CF-Spouse"), attr, 0, 0, tax); err == nil {
+	if _, err := CellLoss(dataset.SetVal("Nonexistent"), attr, 0, 0, tax); err == nil {
 		t.Error("unknown set label should fail")
 	}
 }
