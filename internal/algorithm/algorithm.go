@@ -13,6 +13,7 @@ import (
 
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
+	"microdata/internal/freqset"
 	"microdata/internal/hierarchy"
 	"microdata/internal/lattice"
 	"microdata/internal/privacy"
@@ -84,6 +85,12 @@ type Config struct {
 	// (Machanavajjhala et al.). Requires a sensitive attribute.
 	RecursiveC float64
 	RecursiveL int
+	// Store, when set, supplies the frequency sets of lattice nodes. One
+	// store shared by every run over the same table and hierarchy set rolls
+	// each node up once for all of them; it must come from freqset.New
+	// with this table, Hierarchies and Taxonomies, or the engine rejects
+	// it. Nil gives each engine a private store.
+	Store *freqset.Store
 }
 
 // HasDiversityConstraints reports whether any secondary privacy property
@@ -95,8 +102,22 @@ func (c Config) HasDiversityConstraints() bool {
 }
 
 // Budget returns the number of rows the configuration allows suppressing in
-// a table of n rows.
-func (c Config) Budget(n int) int { return int(c.MaxSuppression * float64(n)) }
+// a table of n rows: the largest b <= n with b/n <= MaxSuppression.
+func (c Config) Budget(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	// The product can round across an integer: 0.29×100 evaluates to
+	// 28.999999999999996. Settle on the ratio instead.
+	b := int(c.MaxSuppression * float64(n))
+	for b < n && float64(b+1)/float64(n) <= c.MaxSuppression {
+		b++
+	}
+	for b > 0 && float64(b)/float64(n) > c.MaxSuppression {
+		b--
+	}
+	return b
+}
 
 // Validate rejects unusable configurations for the given table.
 func (c Config) Validate(t *dataset.Table) error {

@@ -237,3 +237,49 @@ func TestResultCost(t *testing.T) {
 		t.Errorf("nil-Levels precision fallback failed: %v", err)
 	}
 }
+
+// TestBudgetExactOnDecimalFractions pins Budget to the largest b <= n with
+// b/n <= MaxSuppression. The plain product truncates one row short where
+// the fraction has no exact binary form: 0.29×100 evaluates to
+// 28.999999999999996.
+func TestBudgetExactOnDecimalFractions(t *testing.T) {
+	for _, tc := range []struct {
+		frac float64
+		n    int
+		want int
+	}{
+		{0.29, 100, 29},
+		{0.57, 100, 57},
+		{0.58, 100, 58},
+		{0.29, 10000, 2900},
+		{0.57, 10000, 5700},
+		{0.58, 10000, 5800},
+		{0.69, 10000, 6900},
+		{0.29, 100000, 29000},
+		{0.57, 100000, 57000},
+		{0.58, 100000, 58000},
+		{0.69, 100000, 69000},
+		{0.05, 1000, 50},
+		{0.05, 1000000, 50000},
+		{0, 100, 0},
+		{1, 7, 7},
+		{0.5, 7, 3},
+		{0.05, 0, 0},
+	} {
+		if got := (Config{MaxSuppression: tc.frac}).Budget(tc.n); got != tc.want {
+			t.Errorf("Budget(%d) at %v = %d, want %d", tc.n, tc.frac, got, tc.want)
+		}
+	}
+	// Every percentage and per-mille fraction agrees with exact integer
+	// arithmetic, floor(p·n/d).
+	for _, n := range []int{1, 7, 100, 1234, 10000, 100000, 1000000} {
+		for _, d := range []int{100, 1000} {
+			for p := 0; p <= d; p++ {
+				cfg := Config{MaxSuppression: float64(p) / float64(d)}
+				if got, want := cfg.Budget(n), p*n/d; got != want {
+					t.Fatalf("Budget(%d) at %d/%d = %d, want %d", n, p, d, got, want)
+				}
+			}
+		}
+	}
+}

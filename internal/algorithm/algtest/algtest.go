@@ -50,7 +50,7 @@ func CheckResult(t *testing.T, orig *dataset.Table, cfg algorithm.Config, r *alg
 	if !algorithm.SatisfiesK(r.Partition, r.Table, cfg.K) {
 		t.Fatalf("%s: output violates %d-anonymity", r.Algorithm, cfg.K)
 	}
-	budget := int(cfg.MaxSuppression * float64(orig.Len()))
+	budget := cfg.Budget(orig.Len())
 	if len(r.Suppressed) > budget {
 		t.Fatalf("%s: suppressed %d rows, budget %d", r.Algorithm, len(r.Suppressed), budget)
 	}

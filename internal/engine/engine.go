@@ -5,32 +5,32 @@
 //
 // A node is priced on its frequency set — its distinct generalized
 // quasi-identifier tuples, each with the number of rows it stands for —
-// never on the rows themselves:
+// never on the rows themselves. An Engine is a frequency-set store
+// (package freqset) plus one configuration:
 //
-//   - Generalization maps are precomputed ONCE per (table, hierarchy set):
-//     for each quasi-identifier and each level, the distinct ground values
-//     are mapped to compact fragment ids such that two rows share a
-//     fragment id exactly when their generalized values coincide. Alongside
-//     come each level's distinct Iyengar cell losses and a nesting table
-//     recording which finer level's fragments map into a coarser level's.
-//   - The base frequency set is built once, with the precompute, by one
-//     group-by over the rows' ground dictionary codes. When the
-//     configuration constrains the sensitive attribute (ℓ-diversity,
-//     t-closeness), the sensitive code joins the grouping key, so a tuple
-//     is a (quasi-identifier tuple, sensitive value) pair.
-//   - Every node is evaluated by rolling up (Incognito's roll-up property,
-//     LeFevre, DeWitt & Ramakrishnan 2005) the smallest cached frequency
-//     set that can be its source: a node P at or below the evaluated node
-//     X in every attribute whose fragments at P's levels nest inside X's.
-//     The base always qualifies. The source's tuples are mapped to X's
-//     fragments and regrouped with summed counts.
+//   - The store owns everything that depends only on the table and the
+//     hierarchy set: the per-level generalization maps, precomputed once
+//     per store; one base frequency set per sensitive keying, built on the
+//     keying's first roll-up; and a node → frequency-set cache that rolls
+//     each node up once (Incognito's roll-up property, LeFevre, DeWitt &
+//     Ramakrishnan 2005) from the smallest cached set that can be its
+//     source. When the configuration constrains the sensitive attribute
+//     (ℓ-diversity, t-closeness), the engine asks for the keying whose
+//     tuples are (quasi-identifier tuple, sensitive value) pairs.
+//   - A caller running many configurations over one table — the
+//     experiment runner, once per generated table — builds one store and
+//     passes it in algorithm.Config.Store to every run, so the frequency
+//     sets are rolled up once for all of them. NewContext rejects a store
+//     built for another table, hierarchy set or taxonomy map. Without one,
+//     each engine gets a private store.
 //   - The constraint verdict and the cost come from the tuple counts: k,
 //     the ℓ-variants and t-closeness per class, DM as a sum of squared
 //     class sizes, LM as an exact count-weighted sum (utility.LossTally).
 //     None depends on tuple order, so a node gets the same bits whichever
 //     source it was rolled up from.
-//   - Evaluations are memoized in a bounded LRU cache keyed by
-//     lattice.Node.Key(); the cached frequency sets are the roll-up sources.
+//   - Each engine memoizes its verdicts and costs in a bounded LRU cache
+//     keyed by lattice.Node.Key(); verdicts are never shared, since they
+//     depend on the configuration.
 //   - EvaluateAll evaluates a batch of nodes on a worker pool sized by
 //     runtime.GOMAXPROCS, in ascending height, for Incognito's per-level
 //     sweeps, OLA's binary search strata, Samarati's height strata and the
@@ -60,22 +60,26 @@ import (
 	"microdata/internal/algorithm"
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
+	"microdata/internal/freqset"
 	"microdata/internal/lattice"
+	"microdata/internal/lru"
 	"microdata/internal/privacy"
 	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/progress"
 	"microdata/internal/utility"
 )
 
-// DefaultCacheSize bounds the memoized node cache unless WithCacheSize
-// overrides it. Full-domain lattices in the experiments hold hundreds of
-// nodes; evolutionary searches revisit far fewer distinct ones.
-const DefaultCacheSize = 4096
+// DefaultCacheSize bounds the memoized node cache, and a private store's
+// frequency sets, unless WithCacheSize overrides it. Full-domain lattices
+// in the experiments hold hundreds of nodes; evolutionary searches revisit
+// far fewer distinct ones.
+const DefaultCacheSize = freqset.DefaultCapacity
 
 // Option customizes an Engine.
 type Option func(*Engine)
 
-// WithCacheSize bounds the memoized node cache to n evaluations (n >= 1).
+// WithCacheSize bounds the memoized node cache to n evaluations (n >= 1),
+// and a private store to n frequency sets per keying.
 func WithCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n >= 1 {
@@ -84,94 +88,41 @@ func WithCacheSize(n int) Option {
 	}
 }
 
-// groundLevel marks a frequency set whose codes are an attribute's ground
-// dictionary codes — the base's — rather than fragment ids of a level.
-const groundLevel = -1
-
-// levelFrags is one rung of one attribute's precomputed generalization map.
-type levelFrags struct {
-	// frag maps a distinct-ground-value id to its fragment id at this
-	// level; rows share a fragment id iff their generalized values are
-	// identical (by dataset.Value.Key).
-	frag []uint32
-	// nFrag is the number of distinct fragment ids (the distinct count of
-	// the generalized column).
-	nFrag int
-	// star is the fragment id of the fully suppressed value, or -1 when no
-	// ground value generalizes to "*" at this level.
-	star int32
-	// up[lx] maps this level's fragment ids to level lx's when every
-	// fragment here lies inside one fragment at lx (lx >= this level);
-	// nil when the two levels do not nest.
-	up [][]uint32
-	// lossIdx maps a fragment id to its Iyengar cell loss in lossVals, the
-	// level's distinct losses; nil when the engine skipped losses.
-	lossIdx  []uint32
-	lossVals []float64
-}
-
-// attrFrags is the full generalization map of one quasi-identifier.
-type attrFrags struct {
-	ground []uint32 // row index -> distinct-ground-value id
-	levels []levelFrags
-}
-
-// toLevel returns the map from codes at level from (groundLevel for the
-// base) to fragment ids at level to, or nil when from's codes do not
-// determine to's fragments.
-func (at *attrFrags) toLevel(from, to int) []uint32 {
-	if from == groundLevel {
-		return at.levels[to].frag
-	}
-	if from > to {
-		return nil
-	}
-	return at.levels[from].up[to]
-}
-
-// Engine evaluates lattice nodes for one (table, config) pair. It is safe
-// for concurrent use; construct one per search.
+// Engine evaluates lattice nodes for one (table, config) pair: a
+// frequency-set store plus one configuration's budget, constraints and
+// metric, with its own memo of verdicts and costs. It is safe for
+// concurrent use; construct one per search.
 type Engine struct {
 	t      *dataset.Table
 	cfg    algorithm.Config
 	lat    *lattice.Lattice
 	budget int
-	attrs  []attrFrags
-	// base is the frequency set of the ground codes, the source every
-	// node can roll up from.
-	base *freqSet
+	// store supplies the frequency sets; attrs are its generalization maps.
+	store *freqset.Store
+	attrs []freqset.Attr
 	// sens describes the sensitive attribute when the configuration
-	// constrains it; nil for k-only configurations.
-	sens *sensInfo
+	// constrains it, and selects the store's sensitive keying; nil for
+	// k-only configurations.
+	sens *freqset.Sensitive
 	// lossErr defers a loss-precomputation failure (e.g. a Set hierarchy
 	// without a taxonomy) until a cost is actually requested, matching the
 	// direct pipeline where ApplyNode succeeds and only NodeCost fails.
 	lossErr error
 
 	cacheSize int
-	cache     *lruCache
+	cache     *lru.Cache[*Evaluation]
 	counters  *instruments
 	// scratch pools the per-row code vectors RowPartition gathers (one
 	// []uint32 per quasi-identifier, table-length).
 	scratch sync.Pool
 }
 
-// sensInfo is what the count-based diversity checks need of the sensitive
-// attribute.
-type sensInfo struct {
-	codes []uint32 // row index -> sensitive dictionary code
-	card  int
-	// pos maps a sensitive code to its index in the canonical value order
-	// of privacy.Support; global is the column's distribution over it.
-	pos    []int
-	global []float64
-}
-
-// New builds an engine for the table under the configuration. The
-// precomputation pass generalizes each attribute's DISTINCT ground values
-// once per level — O(Σ_attr distinct×levels) hierarchy calls — and groups
-// the rows once into the base frequency set, independent of how many
-// nodes the search will visit.
+// New builds an engine for the table under the configuration. It uses
+// cfg.Store when set — after checking it was built for this table,
+// hierarchy set and taxonomy map — and a private store otherwise. The
+// store's precomputation generalizes each attribute's DISTINCT ground
+// values once per level — O(Σ_attr distinct×levels) hierarchy calls —
+// independent of how many nodes the search will visit.
 func New(t *dataset.Table, cfg algorithm.Config, opts ...Option) (*Engine, error) {
 	return NewContext(context.Background(), t, cfg, opts...)
 }
@@ -196,158 +147,53 @@ func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config, opt
 		cfg:       cfg,
 		lat:       lat,
 		budget:    cfg.Budget(t.Len()),
+		store:     cfg.Store,
 		cacheSize: DefaultCacheSize,
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.cache = newLRUCache(e.cacheSize)
+	if e.store == nil {
+		e.store = freqset.New(t, cfg.Hierarchies, cfg.Taxonomies, e.cacheSize)
+	} else if err := e.store.Check(t, cfg.Hierarchies, cfg.Taxonomies); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	e.cache = lru.New[*Evaluation](e.cacheSize)
 	e.counters = newInstruments(lat.Height())
 	e.counters.reg.Gauge("engine.cache.size").Set(float64(e.cacheSize))
 	_, sp := telemetry.Start(ctx, "engine.precompute",
 		telemetry.Int("rows", t.Len()), telemetry.Int("qi", len(t.Schema.QuasiIdentifiers())))
 	start := time.Now()
-	err = e.precompute()
-	if err == nil {
-		err = e.buildBase()
-	}
+	err = e.prepare()
 	e.counters.precomputeNS.Add(int64(time.Since(start)))
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	telemetry.L().Debug("engine: precompute complete",
-		"rows", t.Len(), "base_tuples", e.base.len(), "lattice_height", lat.Height(), "dur", time.Since(start))
+		"rows", t.Len(), "lattice_height", lat.Height(), "dur", time.Since(start))
 	return e, nil
 }
 
-// precompute builds the per-attribute, per-level fragment tables, their
-// nesting maps and distinct losses. The distinct-ground-value pass IS the
-// table's dictionary encoding: each quasi-identifier's codes and
-// dictionary come straight from the table's columns.
-func (e *Engine) precompute() error {
-	qi := e.t.Schema.QuasiIdentifiers()
-	needLoss := e.cfg.Metric == algorithm.MetricLM
-	e.attrs = make([]attrFrags, len(qi))
-	for li, j := range qi {
-		attr := e.t.Schema.Attrs[j]
-		h, ok := e.cfg.Hierarchies[attr.Name]
-		if !ok {
-			return fmt.Errorf("engine: no hierarchy for quasi-identifier %q", attr.Name)
-		}
-		// Distinct ground values in first-appearance order: the column's
-		// dictionary. Codes and dictionary are shared read-only.
-		col := e.t.ColumnVector(j)
-		distinct := col.Dict()
-		// The loss domain mirrors utility.GeneralLossMetric: numeric
-		// attributes take their domain from the ORIGINAL table.
-		var domLo, domHi float64
-		if attr.Kind == dataset.Numeric {
-			if lo, hi, ok := e.t.NumericRange(j); ok {
-				domLo, domHi = lo, hi
-			}
-		}
-		tax := e.cfg.Taxonomies[attr.Name]
-		levels := make([]levelFrags, h.MaxLevel()+1)
-		for l := range levels {
-			fragIndex := make(map[string]uint32)
-			lf := levelFrags{frag: make([]uint32, len(distinct)), star: -1}
-			var fragLoss []float64 // fragment id -> cell loss
-			for d, v := range distinct {
-				g, err := h.Generalize(v, l)
-				if err != nil {
-					return fmt.Errorf("engine: attribute %q level %d: %w", attr.Name, l, err)
-				}
-				key := g.Key()
-				id, seen := fragIndex[key]
-				if !seen {
-					id = uint32(len(fragIndex))
-					fragIndex[key] = id
-					if g.IsSuppressed() {
-						lf.star = int32(id)
-					}
-					if needLoss && e.lossErr == nil {
-						// A cell's loss depends on its generalized value
-						// alone, so each fragment is priced once.
-						loss, err := utility.CellLoss(g, attr, domLo, domHi, tax)
-						if err != nil {
-							// Defer: constraint checking never needs losses.
-							e.lossErr = fmt.Errorf("engine: %w", err)
-						}
-						fragLoss = append(fragLoss, loss)
-					}
-				}
-				lf.frag[d] = id
-			}
-			lf.nFrag = len(fragIndex)
-			if needLoss && e.lossErr == nil {
-				lf.lossIdx, lf.lossVals = distinctLosses(fragLoss)
-			}
-			levels[l] = lf
-		}
-		for l := range levels {
-			levels[l].up = make([][]uint32, len(levels))
-			for lx := l; lx < len(levels); lx++ {
-				levels[l].up[lx] = nestMap(&levels[l], &levels[lx])
-			}
-		}
-		e.attrs[li] = attrFrags{ground: col.Codes(), levels: levels}
+// prepare readies what the configuration needs of the store: the
+// generalization maps and cell losses, and the sensitive attribute under
+// diversity constraints. A shared store computes each once, for its first
+// engine.
+func (e *Engine) prepare() error {
+	if err := e.store.Prepare(); err != nil {
+		return err
+	}
+	e.attrs = e.store.Attrs()
+	if err := e.store.LossErr(); err != nil && e.cfg.Metric == algorithm.MetricLM {
+		e.lossErr = fmt.Errorf("engine: %w", err)
 	}
 	if e.cfg.HasDiversityConstraints() {
-		si := e.t.Schema.SensitiveIndex()
-		col := e.t.ColumnVector(si)
-		keys, global := privacy.Support(e.t.Column(si), false)
-		at := make(map[string]int, len(keys))
-		for i, k := range keys {
-			at[k] = i
+		var err error
+		if e.sens, err = e.store.Sensitive(); err != nil {
+			return err
 		}
-		pos := make([]int, col.Card())
-		for c, k := range col.DictKeys() {
-			pos[c] = at[k]
-		}
-		e.sens = &sensInfo{codes: col.Codes(), card: col.Card(), pos: pos, global: global}
 	}
 	return nil
-}
-
-// distinctLosses indexes a level's per-fragment losses by distinct value,
-// so pricing a node sums a handful of count·loss terms per attribute.
-func distinctLosses(fragLoss []float64) (idx []uint32, vals []float64) {
-	idx = make([]uint32, len(fragLoss))
-	seen := make(map[float64]uint32)
-	for f, loss := range fragLoss {
-		i, ok := seen[loss]
-		if !ok {
-			i = uint32(len(vals))
-			seen[loss] = i
-			vals = append(vals, loss)
-		}
-		idx[f] = i
-	}
-	return idx, vals
-}
-
-// nestMap returns the map from fine's fragment ids to coarse's when every
-// fine fragment lies inside a single coarse fragment, else nil. Interval
-// ladders with non-nested widths (3 then 5) are legal hierarchies, so
-// nesting is checked on the ground values, never assumed.
-func nestMap(fine, coarse *levelFrags) []uint32 {
-	const unset = math.MaxUint32
-	m := make([]uint32, fine.nFrag)
-	for i := range m {
-		m[i] = unset
-	}
-	for d, f := range fine.frag {
-		c := coarse.frag[d]
-		switch m[f] {
-		case unset:
-			m[f] = c
-		case c:
-		default:
-			return nil
-		}
-	}
-	return m
 }
 
 // Lattice returns the full-domain generalization lattice of the
@@ -364,7 +210,7 @@ func (e *Engine) NumQI() int { return len(e.attrs) }
 func (e *Engine) Stats() Stats { return e.counters.snapshot() }
 
 // CacheLen returns the number of memoized evaluations currently resident.
-func (e *Engine) CacheLen() int { return e.cache.len() }
+func (e *Engine) CacheLen() int { return e.cache.Len() }
 
 // DistinctAtLevel returns the number of distinct generalized values of
 // quasi-identifier li (QI order) at the given level — what
@@ -374,10 +220,10 @@ func (e *Engine) DistinctAtLevel(li, level int) (int, error) {
 	if li < 0 || li >= len(e.attrs) {
 		return 0, fmt.Errorf("engine: quasi-identifier index %d out of range", li)
 	}
-	if level < 0 || level >= len(e.attrs[li].levels) {
+	if level < 0 || level >= len(e.attrs[li].Levels) {
 		return 0, fmt.Errorf("engine: level %d out of range for quasi-identifier %d", level, li)
 	}
-	return e.attrs[li].levels[level].nFrag, nil
+	return e.attrs[li].Levels[level].NFrag, nil
 }
 
 // FragmentIDs returns, per row, the signature fragment id of
@@ -390,102 +236,15 @@ func (e *Engine) FragmentIDs(li, level int) ([]uint32, error) {
 		return nil, fmt.Errorf("engine: quasi-identifier index %d out of range", li)
 	}
 	at := &e.attrs[li]
-	if level < 0 || level >= len(at.levels) {
+	if level < 0 || level >= len(at.Levels) {
 		return nil, fmt.Errorf("engine: level %d out of range for quasi-identifier %d", level, li)
 	}
-	frag := at.levels[level].frag
-	out := make([]uint32, len(at.ground))
-	for i, g := range at.ground {
+	frag := at.Levels[level].Frag
+	out := make([]uint32, len(at.Ground))
+	for i, g := range at.Ground {
 		out[i] = frag[g]
 	}
 	return out, nil
-}
-
-// freqSet is a frequency set: distinct tuples of per-attribute codes, each
-// with the number of rows it stands for. With a sensitive attribute in the
-// key, one quasi-identifier class spans several tuples, one per sensitive
-// value it holds. Tuple order is first appearance in the source and
-// carries no meaning.
-type freqSet struct {
-	// levels[li] is the level attribute li's codes are at (groundLevel
-	// for the base).
-	levels []int
-	// codes[li][j] is tuple j's code of attribute li.
-	codes [][]uint32
-	// sens[j] is tuple j's sensitive code; nil for k-only configurations.
-	sens  []uint32
-	count []uint32
-}
-
-func (fs *freqSet) len() int { return len(fs.count) }
-
-// buildBase groups the rows by their ground codes (and sensitive code) —
-// the only row scan of a node search.
-func (e *Engine) buildBase() error {
-	n := e.t.Len()
-	cols := make([][]uint32, 0, len(e.attrs)+1)
-	cards := make([]int, 0, len(e.attrs)+1)
-	levels := make([]int, len(e.attrs))
-	for li := range e.attrs {
-		cols = append(cols, e.attrs[li].ground)
-		cards = append(cards, len(e.attrs[li].levels[0].frag))
-		// Where level 0 keeps every ground value apart (the usual exact
-		// rung), the ground codes ARE the level-0 fragment ids.
-		levels[li] = 0
-		for d, f := range e.attrs[li].levels[0].frag {
-			if f != uint32(d) {
-				levels[li] = groundLevel
-				break
-			}
-		}
-	}
-	if e.sens != nil {
-		cols = append(cols, e.sens.codes)
-		cards = append(cards, e.sens.card)
-	}
-	base, err := collapse(cols, cards, nil, levels)
-	if err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	e.base = base
-	e.counters.rowsScanned.Add(int64(n))
-	return nil
-}
-
-// collapse groups items (rows, or a source's tuples) by their code columns
-// into a frequency set at the given levels, summing count per group (each
-// item counts 1 when count is nil). A column past the quasi-identifiers is
-// the sensitive code.
-func collapse(cols [][]uint32, cards []int, count []uint32, levels []int) (*freqSet, error) {
-	ids, groups, err := eqclass.GroupCodes(cols, cards)
-	if err != nil {
-		return nil, err
-	}
-	q := len(levels)
-	withSens := len(cols) > q
-	fs := &freqSet{levels: levels, codes: make([][]uint32, q), count: make([]uint32, groups)}
-	for li := range fs.codes {
-		fs.codes[li] = make([]uint32, groups)
-	}
-	if withSens {
-		fs.sens = make([]uint32, groups)
-	}
-	for i, g := range ids {
-		if fs.count[g] == 0 {
-			for li := 0; li < q; li++ {
-				fs.codes[li][g] = cols[li][i]
-			}
-			if withSens {
-				fs.sens[g] = cols[q][i]
-			}
-		}
-		if count == nil {
-			fs.count[g]++
-		} else {
-			fs.count[g] += count[i]
-		}
-	}
-	return fs, nil
 }
 
 // Evaluation is the memoized outcome of evaluating one lattice node. All
@@ -501,7 +260,7 @@ type Evaluation struct {
 	// admissible for the search.
 	Satisfies bool
 
-	fs      *freqSet
+	fs      *freqset.Set
 	eng     *Engine
 	cost    float64
 	costErr error
@@ -516,9 +275,9 @@ func (ev *Evaluation) Cost() (float64, error) { return ev.cost, ev.costErr }
 // suppression, in no particular order.
 func (ev *Evaluation) ClassSizes() ([]int, error) {
 	fs := ev.fs
-	if fs.sens == nil {
-		out := make([]int, fs.len())
-		for j, c := range fs.count {
+	if fs.Sens == nil {
+		out := make([]int, fs.Len())
+		for j, c := range fs.Count {
 			out[j] = int(c)
 		}
 		return out, nil
@@ -529,7 +288,7 @@ func (ev *Evaluation) ClassSizes() ([]int, error) {
 	}
 	out := make([]int, nClass)
 	for j, c := range class {
-		out[c] += int(fs.count[j])
+		out[c] += int(fs.Count[j])
 	}
 	return out, nil
 }
@@ -545,12 +304,12 @@ func (ev *Evaluation) RowPartition() (*eqclass.Partition, error) {
 	defer e.scratch.Put(cs)
 	for li := range e.attrs {
 		at := &e.attrs[li]
-		lf := &at.levels[ev.Node[li]]
-		frag, dst := lf.frag, cs.cols[li]
-		for i, g := range at.ground {
+		lf := &at.Levels[ev.Node[li]]
+		frag, dst := lf.Frag, cs.cols[li]
+		for i, g := range at.Ground {
 			dst[i] = frag[g]
 		}
-		cs.cards[li] = lf.nFrag
+		cs.cards[li] = lf.NFrag
 	}
 	p, err := eqclass.FromCodes(cs.cols, cs.cards)
 	if err != nil {
@@ -586,7 +345,7 @@ func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, 
 		return nil, fmt.Errorf("engine: node %v outside lattice %v", node, e.lat.MaxLevels())
 	}
 	key := node.Key()
-	if ev := e.cache.get(key); ev != nil {
+	if ev, ok := e.cache.Get(key); ok {
 		e.counters.cacheHits.Inc()
 		return ev, nil
 	}
@@ -599,46 +358,24 @@ func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, 
 	if err != nil {
 		return nil, err
 	}
-	e.cache.put(key, ev)
+	e.cache.Put(key, ev)
 	return ev, nil
 }
 
-// canSource reports whether frequency set fs determines node x's
-// frequency set: in every attribute its codes map onto x's fragments.
-func (e *Engine) canSource(fs *freqSet, x lattice.Node) bool {
-	for li, from := range fs.levels {
-		if e.attrs[li].toLevel(from, x[li]) == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// source picks the smallest cached frequency set node x can roll up from;
-// the base when no cached node qualifies.
-func (e *Engine) source(x lattice.Node) *freqSet {
-	best := e.base
-	e.cache.each(func(ev *Evaluation) {
-		if ev.fs.len() < best.len() && e.canSource(ev.fs, x) {
-			best = ev.fs
-		}
-	})
-	return best
-}
-
-// evaluate rolls the node's frequency set up from its source, then prices
-// the verdict and the cost on the tuple counts.
+// evaluate takes the node's frequency set from the store, then prices the
+// verdict and the cost on the tuple counts.
 func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
-	src := e.source(node)
-	d := src.len()
 	e.counters.nodesEvaluated.Inc()
-	e.counters.rowsScanned.Add(int64(d))
 	if h := node.Height(); h >= 0 && h < len(e.counters.visited) {
 		e.counters.visited[h].Inc()
 	}
-	fs, err := e.rollUp(src, node)
+	fs, scanned, err := e.store.Get(node, e.sens != nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if scanned > 0 {
+		e.counters.rollups.Inc()
+		e.counters.rowsScanned.Add(int64(scanned))
 	}
 	ev := &Evaluation{Node: node.Clone(), fs: fs, eng: e}
 	v, err := e.verdict(fs, ev.Node)
@@ -655,52 +392,14 @@ func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
 	return ev, nil
 }
 
-// rollUp derives node's frequency set from src's: each tuple's codes are
-// mapped to the node's fragments and equal tuples merge, summing counts.
-// Attributes already at the node's level keep their codes; a source at the
-// node itself (the base, for the bottom node) is the answer.
-func (e *Engine) rollUp(src *freqSet, node lattice.Node) (*freqSet, error) {
-	q := len(e.attrs)
-	d := src.len()
-	cols := make([][]uint32, q, q+1)
-	cards := make([]int, q, q+1)
-	moved := false
-	for li := range e.attrs {
-		cards[li] = e.attrs[li].levels[node[li]].nFrag
-		if src.levels[li] == node[li] {
-			cols[li] = src.codes[li]
-			continue
-		}
-		moved = true
-		m := e.attrs[li].toLevel(src.levels[li], node[li])
-		col := make([]uint32, d)
-		for j, c := range src.codes[li] {
-			col[j] = m[c]
-		}
-		cols[li] = col
-	}
-	if !moved {
-		return src, nil
-	}
-	if src.sens != nil {
-		cols = append(cols, src.sens)
-		cards = append(cards, e.sens.card)
-	}
-	fs, err := collapse(cols, cards, src.count, append([]int(nil), node...))
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	return fs, nil
-}
-
 // classes groups a frequency set's tuples into the node's
 // quasi-identifier classes: class[j] is tuple j's class id.
-func (e *Engine) classes(fs *freqSet, node lattice.Node) (class []uint32, nClass int, err error) {
+func (e *Engine) classes(fs *freqset.Set, node lattice.Node) (class []uint32, nClass int, err error) {
 	cards := make([]int, len(e.attrs))
 	for li := range e.attrs {
-		cards[li] = e.attrs[li].levels[node[li]].nFrag
+		cards[li] = e.attrs[li].Levels[node[li]].NFrag
 	}
-	return eqclass.GroupCodes(fs.codes, cards)
+	return eqclass.GroupCodes(fs.Codes, cards)
 }
 
 // classVerdict is a node's constraint verdict over its frequency set.
@@ -717,10 +416,10 @@ type classVerdict struct {
 
 // verdict marks the classes violating the configured constraints, exactly
 // as algorithm.ViolatingClasses does on the row partition.
-func (e *Engine) verdict(fs *freqSet, node lattice.Node) (classVerdict, error) {
+func (e *Engine) verdict(fs *freqset.Set, node lattice.Node) (classVerdict, error) {
 	v := classVerdict{star: -1}
-	nClass := fs.len()
-	if fs.sens != nil {
+	nClass := fs.Len()
+	if fs.Sens != nil {
 		var err error
 		if v.class, nClass, err = e.classes(fs, node); err != nil {
 			return v, fmt.Errorf("engine: %w", err)
@@ -734,7 +433,7 @@ func (e *Engine) verdict(fs *freqSet, node lattice.Node) (classVerdict, error) {
 	}
 	v.size = make([]int, nClass)
 	seen := make([]bool, nClass)
-	for j, c := range fs.count {
+	for j, c := range fs.Count {
 		ci := classOf(j)
 		v.size[ci] += int(c)
 		if !seen[ci] {
@@ -745,7 +444,7 @@ func (e *Engine) verdict(fs *freqSet, node lattice.Node) (classVerdict, error) {
 		}
 	}
 	v.bad = make([]bool, nClass)
-	if fs.sens == nil {
+	if fs.Sens == nil {
 		for ci, s := range v.size {
 			v.bad[ci] = s < e.cfg.K
 		}
@@ -763,7 +462,7 @@ func (e *Engine) verdict(fs *freqSet, node lattice.Node) (classVerdict, error) {
 // diversity fills v.bad from each class's sensitive value counts: the
 // tuples of a class are (class, sensitive value) pairs, so a class's
 // histogram is the counts of its tuples.
-func (e *Engine) diversity(fs *freqSet, v classVerdict) {
+func (e *Engine) diversity(fs *freqset.Set, v classVerdict) {
 	nClass := len(v.size)
 	// Bucket the tuples by class (a counting sort).
 	start := make([]int, nClass+1)
@@ -782,12 +481,12 @@ func (e *Engine) diversity(fs *freqSet, v classVerdict) {
 	var counts []int
 	var local []float64
 	if e.cfg.MaxTCloseness > 0 {
-		local = make([]float64, len(e.sens.global))
+		local = make([]float64, len(e.sens.Global))
 	}
 	for ci := 0; ci < nClass; ci++ {
 		counts = counts[:0]
 		for _, j := range order[start[ci]:start[ci+1]] {
-			counts = append(counts, int(fs.count[j]))
+			counts = append(counts, int(fs.Count[j]))
 		}
 		emd := 0.0
 		if local != nil {
@@ -796,19 +495,19 @@ func (e *Engine) diversity(fs *freqSet, v classVerdict) {
 			clear(local)
 			total := float64(v.size[ci])
 			for _, j := range order[start[ci]:start[ci+1]] {
-				local[e.sens.pos[fs.sens[j]]] = float64(fs.count[j]) / total
+				local[e.sens.Pos[fs.Sens[j]]] = float64(fs.Count[j]) / total
 			}
-			emd = privacy.EMD(local, e.sens.global, false)
+			emd = privacy.EMD(local, e.sens.Global, false)
 		}
 		v.bad[ci] = e.cfg.ViolatesClass(v.size[ci], counts, emd)
 	}
 }
 
 // isStar reports whether tuple j is fully suppressed at the node.
-func (e *Engine) isStar(fs *freqSet, j int, node lattice.Node) bool {
+func (e *Engine) isStar(fs *freqset.Set, j int, node lattice.Node) bool {
 	for li := range e.attrs {
-		star := e.attrs[li].levels[node[li]].star
-		if star < 0 || fs.codes[li][j] != uint32(star) {
+		star := e.attrs[li].Levels[node[li]].Star
+		if star < 0 || fs.Codes[li][j] != uint32(star) {
 			return false
 		}
 	}
@@ -818,7 +517,7 @@ func (e *Engine) isStar(fs *freqSet, j int, node lattice.Node) bool {
 // price computes the configured utility metric of an admissible node from
 // its tuple counts, replicating algorithm.NodeCost: the violating rows are
 // suppressed into the all-star class, then the release is scored.
-func (e *Engine) price(fs *freqSet, node lattice.Node, v classVerdict) (float64, error) {
+func (e *Engine) price(fs *freqset.Set, node lattice.Node, v classVerdict) (float64, error) {
 	kept := func(j int) bool {
 		if v.class == nil {
 			return !v.bad[j]
@@ -836,15 +535,15 @@ func (e *Engine) price(fs *freqSet, node lattice.Node, v classVerdict) (float64,
 		tally := utility.LossTally{}
 		tally.Add(1, int64(v.badRows)*int64(q))
 		for li := range e.attrs {
-			lf := &e.attrs[li].levels[node[li]]
-			n := make([]int64, len(lf.lossVals))
-			for j, c := range fs.codes[li] {
+			lf := &e.attrs[li].Levels[node[li]]
+			n := make([]int64, len(lf.LossVals))
+			for j, c := range fs.Codes[li] {
 				if kept(j) {
-					n[lf.lossIdx[c]] += int64(fs.count[j])
+					n[lf.LossIdx[c]] += int64(fs.Count[j])
 				}
 			}
 			for k, cnt := range n {
-				tally.Add(lf.lossVals[k], cnt)
+				tally.Add(lf.LossVals[k], cnt)
 			}
 		}
 		return tally.Sum() / (float64(q) * float64(e.t.Len())), nil

@@ -10,6 +10,7 @@ import (
 	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/engine"
+	"microdata/internal/freqset"
 	"microdata/internal/lattice"
 )
 
@@ -276,6 +277,36 @@ func TestCostMonotoneAlongLatticeEdges(t *testing.T) {
 					t.Fatalf("%v: cost falls from %v at %v to %v at %v", m, c, n, cs, s)
 				}
 			}
+		}
+	}
+}
+
+// TestEngineRejectsForeignStore refuses a store built for another table,
+// another hierarchy set or another taxonomy map — equal in content but not
+// identical — instead of pricing nodes on the wrong frequency sets.
+func TestEngineRejectsForeignStore(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(200, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, other, err := algtest.CensusConfig(200, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := cfg
+	own.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies, 0)
+	if _, err := engine.New(tab, own); err != nil {
+		t.Fatalf("store of the configuration's own scope rejected: %v", err)
+	}
+	for name, store := range map[string]*freqset.Store{
+		"table":       freqset.New(twin, cfg.Hierarchies, cfg.Taxonomies, 0),
+		"hierarchies": freqset.New(tab, other.Hierarchies, cfg.Taxonomies, 0),
+		"taxonomies":  freqset.New(tab, cfg.Hierarchies, other.Taxonomies, 0),
+	} {
+		foreign := cfg
+		foreign.Store = store
+		if _, err := engine.New(tab, foreign); err == nil {
+			t.Errorf("engine accepted a store built for another %s", name)
 		}
 	}
 }

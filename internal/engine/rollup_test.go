@@ -4,16 +4,18 @@ import (
 	"context"
 	"testing"
 
+	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
 	"microdata/internal/lattice"
 )
 
-// TestRollUpSourceRespectsNesting pins the source rule on an Age ladder
-// whose widths (3 then 5) do not nest: a cached node at Age level 1 must
-// never be the source of a node at Age level 2, which then rolls up from
-// the base, while the nested census ladder reuses the finer node.
+// TestRollUpSourceRespectsNesting pins the source rule, read off the
+// tuples each roll-up scans, on an Age ladder whose widths (3 then 5) do
+// not nest: a cached node at Age level 1 must never be the source of a
+// node at Age level 2, which then rolls up from the base, while the nested
+// census ladder reuses the finer node.
 func TestRollUpSourceRespectsNesting(t *testing.T) {
 	tab, cfg, err := algtest.CensusConfig(200, 3, 5)
 	if err != nil {
@@ -31,39 +33,56 @@ func TestRollUpSourceRespectsNesting(t *testing.T) {
 		generator.MaritalTaxonomy(),
 	)
 	ctx := context.Background()
-	fine, coarse := lattice.Node{1, 0, 0, 0}, lattice.Node{2, 0, 0, 0}
+	bottom, fine, coarse := lattice.Node{0, 0, 0, 0}, lattice.Node{1, 0, 0, 0}, lattice.Node{2, 0, 0, 0}
+	// scan evaluates a node and returns the rows and tuples its roll-up read.
+	scan := func(eng *Engine, node lattice.Node) int64 {
+		t.Helper()
+		before := eng.Stats().RowsScanned
+		if _, err := eng.Evaluate(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats().RowsScanned - before
+	}
+	// tuples is the size of a k-only node's frequency set: one tuple per
+	// class.
+	tuples := func(eng *Engine, node lattice.Node) int64 {
+		t.Helper()
+		ev, err := eng.Evaluate(ctx, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := ev.ClassSizes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(sizes))
+	}
 
-	eng, err := New(tab, nonNested)
-	if err != nil {
-		t.Fatal(err)
-	}
-	age := &eng.attrs[0]
-	if age.levels[1].up[2] != nil {
-		t.Fatal("width-3 buckets recorded as nested in width-5 buckets")
-	}
-	if age.levels[0].up[2] == nil || age.levels[1].up[3] == nil {
-		t.Fatal("exact values and the star level must nest")
-	}
-	fineEv, err := eng.Evaluate(ctx, fine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fineEv.fs.len() >= eng.base.len() {
-		t.Fatalf("fine node has %d tuples, base %d: the test needs a smaller cached set", fineEv.fs.len(), eng.base.len())
-	}
-	if src := eng.source(coarse); src != eng.base {
-		t.Fatalf("node %v rolls up from a set at levels %v, want the base", coarse, src.levels)
-	}
-
-	eng, err = New(tab, nested)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fineEv, err = eng.Evaluate(ctx, fine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := eng.source(coarse); src != fineEv.fs {
-		t.Fatalf("node %v rolls up from a set at levels %v, want the cached %v", coarse, src.levels, fine)
+	for _, tc := range []struct {
+		name   string
+		cfg    algorithm.Config
+		nested bool
+	}{{"non-nested", nonNested, false}, {"nested", nested, true}} {
+		eng, err := New(tab, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bottom node's set is the base: building it reads the N rows,
+		// rolling the bottom node up from it reads its tuples.
+		base := scan(eng, bottom) - int64(tab.Len())
+		if got := scan(eng, fine); got != base {
+			t.Fatalf("%s: node %v read %d tuples, want the base's %d", tc.name, fine, got, base)
+		}
+		fineLen := tuples(eng, fine)
+		if fineLen >= base {
+			t.Fatalf("%s: fine node has %d tuples, base %d: the test needs a smaller cached set", tc.name, fineLen, base)
+		}
+		want := base
+		if tc.nested {
+			want = fineLen
+		}
+		if got := scan(eng, coarse); got != want {
+			t.Fatalf("%s: node %v read %d tuples, want %d", tc.name, coarse, got, want)
+		}
 	}
 }

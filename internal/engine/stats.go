@@ -18,6 +18,10 @@ const (
 	MetricRowsScanned    = "engine.rows.scanned"
 	MetricPrecomputeNS   = "engine.precompute.ns"
 	MetricEvalTotalNS    = "engine.eval.total_ns"
+	// MetricRollups counts the frequency sets the engine rolled up itself:
+	// store misses. Engines sharing a store split the roll-ups between
+	// them, so unlike the counters above it is not part of Stats.
+	MetricRollups = "engine.rollups"
 	// MetricEvalHistogram is the per-evaluation latency histogram (ns).
 	MetricEvalHistogram = "engine.eval.ns"
 	// MetricVisitedPrefix prefixes the per-lattice-level visit counters:
@@ -34,19 +38,20 @@ var evalBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 // spent inside the phase; under parallel batch evaluation the evaluation
 // timing sums across workers and can exceed elapsed wall time.
 type Stats struct {
-	// NodesEvaluated counts full node evaluations (cache misses that ran
-	// the roll-up + constraint + cost pipeline).
+	// NodesEvaluated counts full node evaluations: memo misses, each
+	// priced on the node's frequency set, one verdict per engine and node.
 	NodesEvaluated int64
 	// CacheHits and CacheMisses count memoized-cache lookups.
 	CacheHits   int64
 	CacheMisses int64
-	// RowsScanned counts the tuples the engine scanned: the N rows once
-	// for the base frequency set, then, per node evaluation, the tuples of
-	// the frequency set the node was rolled up from.
+	// RowsScanned counts the rows and tuples the engine's roll-ups read:
+	// the N rows when it built a base frequency set, then, per store miss,
+	// the tuples of the frequency set the node was rolled up from. Nodes
+	// another engine already rolled up on a shared store cost nothing.
 	RowsScanned int64
-	// Precompute is the time spent at engine construction: the
-	// per-attribute, per-level generalization fragments and the base
-	// frequency set.
+	// Precompute is the time spent at engine construction readying the
+	// store: the per-attribute, per-level generalization fragments and
+	// losses, computed once per store.
 	Precompute time.Duration
 	// Evaluation is the cumulative time spent evaluating nodes.
 	Evaluation time.Duration
@@ -82,6 +87,7 @@ type instruments struct {
 	rowsScanned    *telemetry.Counter
 	precomputeNS   *telemetry.Counter
 	evalTotalNS    *telemetry.Counter
+	rollups        *telemetry.Counter
 	evalHist       *telemetry.Histogram
 	// visited counts node evaluations per lattice height, index = height.
 	visited []*telemetry.Counter
@@ -100,6 +106,7 @@ func newInstruments(height int) *instruments {
 		rowsScanned:    reg.Counter(MetricRowsScanned),
 		precomputeNS:   reg.Counter(MetricPrecomputeNS),
 		evalTotalNS:    reg.Counter(MetricEvalTotalNS),
+		rollups:        reg.Counter(MetricRollups),
 		evalHist:       reg.Histogram(MetricEvalHistogram, evalBuckets),
 		visited:        make([]*telemetry.Counter, height+1),
 	}

@@ -98,3 +98,79 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPooledTablesAcrossSizes interleaves group-bys whose radix tables
+// differ in size by orders of magnitude, on one goroutine so they reuse
+// the pooled tables, with calls that fail halfway. Each must match a
+// map-keyed reference whatever an earlier call left in the pooled table.
+func TestPooledTablesAcrossSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type call struct {
+		cols  [][]uint32
+		cards []int
+		fails bool
+	}
+	gen := func(n int, cards ...int) call {
+		c := call{cols: make([][]uint32, len(cards)), cards: cards}
+		for j := range c.cols {
+			c.cols[j] = make([]uint32, n)
+			for i := range c.cols[j] {
+				c.cols[j][i] = uint32(rng.Intn(cards[j]))
+			}
+		}
+		return c
+	}
+	// Each step draws fresh codes, so a slot left set by an earlier call
+	// would misplace rows rather than repeat the earlier grouping.
+	large := func() call { return gen(2000, 200, 300) }
+	small := func() call { return gen(200, 3, 2, 4) }
+	tiny := func() call { return gen(5, 2) }
+	// A code past its cardinality fails after earlier rows set slots, in
+	// a large table and in a small one.
+	badLarge := func() call {
+		c := gen(400, 150, 400)
+		c.cols[1][300], c.fails = 400, true
+		return c
+	}
+	badSmall := func() call {
+		c := gen(400, 3, 3)
+		c.cols[1][300], c.fails = 3, true
+		return c
+	}
+
+	want := func(c call) []uint32 {
+		seen := map[[3]uint32]uint32{}
+		ids := make([]uint32, len(c.cols[0]))
+		for i := range ids {
+			var key [3]uint32
+			for j := range c.cols {
+				key[j] = c.cols[j][i]
+			}
+			g, ok := seen[key]
+			if !ok {
+				g = uint32(len(seen))
+				seen[key] = g
+			}
+			ids[i] = g
+		}
+		return ids
+	}
+	for step, next := range []func() call{large, small, tiny, badLarge, large, small, badSmall, large, tiny, badLarge, large} {
+		c := next()
+		ids, _, err := GroupCodes(c.cols, c.cards)
+		if c.fails {
+			if err == nil {
+				t.Fatalf("step %d: out-of-range code accepted", step)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range want(c) {
+			if ids[i] != g {
+				t.Fatalf("step %d (%d rows): row %d in group %d, want %d", step, len(ids), i, ids[i], g)
+			}
+		}
+	}
+}

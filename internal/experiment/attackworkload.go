@@ -21,18 +21,11 @@ func e17(opts Options) Experiment {
 	return Experiment{
 		ID: "E17", Title: "record-linkage attack risk per algorithm", Artifact: "§2 at scale",
 		Run: func(ctx context.Context, w io.Writer) error {
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
-			cfg := algorithm.Config{
-				K:              opts.Ks[len(opts.Ks)/2],
-				Hierarchies:    generator.Hierarchies(),
-				MaxSuppression: 0.05,
-				Metric:         algorithm.MetricLM,
-				Taxonomies:     generator.Taxonomies(),
-				Seed:           opts.Seed,
-			}
+			tab, cfg := c.tab, c.config(opts, opts.Ks[len(opts.Ks)/2])
 			// Targeted subset: carriers of infectious diseases — the
 			// individuals personalized privacy worries about.
 			dis := generator.DiseaseTaxonomy()
@@ -63,7 +56,7 @@ func e17(opts Options) Experiment {
 						rows[i] = attackRow{line: fmt.Sprintf("  %-20s failed: %v\n", alg.Name(), err)}
 						return
 					}
-					adv, err := attack.NewAdversary(r.Table, generator.Taxonomies())
+					adv, err := attack.NewAdversary(r.Table, c.tax)
 					if err != nil {
 						rows[i] = attackRow{err: err}
 						return
@@ -106,18 +99,11 @@ func e18(opts Options) Experiment {
 	return Experiment{
 		ID: "E18", Title: "range-count query accuracy per algorithm", Artifact: "§6 (LeFevre motivation)",
 		Run: func(ctx context.Context, w io.Writer) error {
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
-			cfg := algorithm.Config{
-				K:              opts.Ks[len(opts.Ks)/2],
-				Hierarchies:    generator.Hierarchies(),
-				MaxSuppression: 0.05,
-				Metric:         algorithm.MetricLM,
-				Taxonomies:     generator.Taxonomies(),
-				Seed:           opts.Seed,
-			}
+			tab, cfg := c.tab, c.config(opts, opts.Ks[len(opts.Ks)/2])
 			// Anonymize once; reuse the releases across the workloads.
 			algs := suite()
 			type release struct {
@@ -148,7 +134,7 @@ func e18(opts Options) Experiment {
 				}
 				// The estimator and true answers are shared read-only by
 				// every release's goroutine.
-				prepared, err := workload.Prepare(tab, queries, generator.Taxonomies())
+				prepared, err := workload.Prepare(tab, queries, c.tax)
 				if err != nil {
 					return err
 				}

@@ -20,7 +20,9 @@ import (
 	"microdata/internal/algorithm/topdown"
 	"microdata/internal/core"
 	"microdata/internal/dataset"
+	"microdata/internal/freqset"
 	"microdata/internal/generator"
+	"microdata/internal/hierarchy"
 	"microdata/internal/privacy"
 	"microdata/internal/stats"
 	"microdata/internal/utility"
@@ -40,6 +42,41 @@ func suite() []algorithm.Algorithm {
 		ola.New(),
 		genetic.New(),
 		topdown.New(),
+	}
+}
+
+// census is one seeded census draw with the scope every configuration over
+// it shares: one hierarchy set, one taxonomy map and one frequency-set
+// store, so each lattice node is rolled up once per draw, whichever k,
+// metric or algorithm asks for it.
+type census struct {
+	tab   *dataset.Table
+	hs    hierarchy.Set
+	tax   map[string]*hierarchy.Taxonomy
+	store *freqset.Store
+}
+
+func drawCensus(opts Options) (*census, error) {
+	tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	hs, tax := generator.Hierarchies(), generator.Taxonomies()
+	return &census{tab: tab, hs: hs, tax: tax, store: freqset.New(tab, hs, tax, 0)}, nil
+}
+
+// config is the algorithm configuration the scaled experiments (E14, E15,
+// E17, E18) use — captures must match them so the sealed measures certify
+// the same runs the tables print.
+func (c *census) config(opts Options, k int) algorithm.Config {
+	return algorithm.Config{
+		K:              k,
+		Hierarchies:    c.hs,
+		MaxSuppression: 0.05,
+		Metric:         algorithm.MetricLM,
+		Taxonomies:     c.tax,
+		Seed:           opts.Seed,
+		Store:          c.store,
 	}
 }
 
@@ -138,23 +175,17 @@ func e14(opts Options) Experiment {
 	return Experiment{
 		ID: "E14", Title: "algorithm comparison on synthetic census", Artifact: "§1–2 at scale",
 		Run: func(ctx context.Context, w io.Writer) error {
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
+			tab := c.tab
 			fmt.Fprintf(w, "synthetic census: N=%d seed=%d\n", opts.CensusN, opts.Seed)
 
 			midK := opts.Ks[len(opts.Ks)/2]
 			var midRuns []*algRun
 			for _, k := range opts.Ks {
-				cfg := algorithm.Config{
-					K:              k,
-					Hierarchies:    generator.Hierarchies(),
-					MaxSuppression: 0.05,
-					Metric:         algorithm.MetricLM,
-					Taxonomies:     generator.Taxonomies(),
-					Seed:           opts.Seed,
-				}
+				cfg := c.config(opts, k)
 				fmt.Fprintf(w, "\n--- k = %d ---\n", k)
 				fmt.Fprintf(w, "  %-20s %7s %7s %8s %6s %8s %10s %7s %7s %6s %7s %8s\n",
 					"algorithm", "k_act", "classes", "suppr", "LM", "DM", "C_avg", "Prec", "l_dist", "l_ent", "t_close", "Gini")
@@ -243,18 +274,11 @@ func e15(opts Options) Experiment {
 	return Experiment{
 		ID: "E15", Title: "genetic-algorithm ablation and privacy/utility trade-off", Artifact: "§6–7 extension",
 		Run: func(ctx context.Context, w io.Writer) error {
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
-			cfg := algorithm.Config{
-				K:              opts.Ks[len(opts.Ks)/2],
-				Hierarchies:    generator.Hierarchies(),
-				MaxSuppression: 0.05,
-				Metric:         algorithm.MetricLM,
-				Taxonomies:     generator.Taxonomies(),
-				Seed:           opts.Seed,
-			}
+			tab, cfg := c.tab, c.config(opts, opts.Ks[len(opts.Ks)/2])
 			fmt.Fprintf(w, "census N=%d, k=%d\n", opts.CensusN, cfg.K)
 			fmt.Fprintln(w, "  GA crossover ablation (cost = LM, lower is better):")
 			for _, alg := range []algorithm.Algorithm{genetic.New(), genetic.NewConstrained()} {

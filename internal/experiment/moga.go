@@ -7,7 +7,7 @@ import (
 
 	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/moga"
-	"microdata/internal/generator"
+	"microdata/internal/freqset"
 	"microdata/internal/paperdata"
 )
 
@@ -18,12 +18,14 @@ func e16(opts Options) Experiment {
 		ID: "E16", Title: "multi-objective privacy/utility Pareto front", Artifact: "§7 proposed extension",
 		Run: func(ctx context.Context, w io.Writer) error {
 			// Ground truth on the paper's own lattice.
+			t1, hs := paperdata.T1(), paperdata.Hierarchies()
 			cfg := algorithm.Config{
 				K:           1,
-				Hierarchies: paperdata.Hierarchies(),
+				Hierarchies: hs,
 				Metric:      algorithm.MetricLM,
+				Store:       freqset.New(t1, hs, nil, 0),
 			}
-			truth, err := moga.ExhaustiveFrontContext(ctx, paperdata.T1(), cfg)
+			truth, err := moga.ExhaustiveFrontContext(ctx, t1, cfg)
 			if err != nil {
 				return err
 			}
@@ -32,7 +34,7 @@ func e16(opts Options) Experiment {
 			for _, p := range truth.Points {
 				fmt.Fprintf(w, "  %-10s %12s %8s %8d\n", p.Node, trim(p.Obj.PrivacyRank), trim(p.Obj.Loss), p.KActual)
 			}
-			nsga, err := (&moga.NSGA2{}).ExploreContext(ctx, paperdata.T1(), cfg)
+			nsga, err := (&moga.NSGA2{}).ExploreContext(ctx, t1, cfg)
 			if err != nil {
 				return err
 			}
@@ -40,16 +42,18 @@ func e16(opts Options) Experiment {
 			writeKV(w, "NSGA-II evaluations (of 30 nodes)", nsga.Evaluations)
 
 			// Census scale: NSGA-II vs exhaustive on the nested ladders.
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
+			tab := c.tab
 			ccfg := algorithm.Config{
 				K:           1,
-				Hierarchies: generator.Hierarchies(),
+				Hierarchies: c.hs,
 				Metric:      algorithm.MetricLM,
-				Taxonomies:  generator.Taxonomies(),
+				Taxonomies:  c.tax,
 				Seed:        opts.Seed,
+				Store:       c.store,
 			}
 			ctruth, err := moga.ExhaustiveFrontContext(ctx, tab, ccfg)
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"microdata/internal/algorithm"
 	"microdata/internal/algorithm/incognito"
 	"microdata/internal/core"
-	"microdata/internal/generator"
 	"microdata/internal/utility"
 )
 
@@ -20,16 +19,18 @@ func e19(opts Options) Experiment {
 	return Experiment{
 		ID: "E19", Title: "prevalence of non-dominance among k-anonymous releases", Artifact: "§4–5 motivation",
 		Run: func(ctx context.Context, w io.Writer) error {
-			tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+			c, err := drawCensus(opts)
 			if err != nil {
 				return err
 			}
+			tab := c.tab
 			for _, k := range []int{opts.Ks[0], opts.Ks[len(opts.Ks)/2]} {
 				cfg := algorithm.Config{
 					K:           k,
-					Hierarchies: generator.Hierarchies(),
+					Hierarchies: c.hs,
 					Metric:      algorithm.MetricLM,
-					Taxonomies:  generator.Taxonomies(),
+					Taxonomies:  c.tax,
+					Store:       c.store,
 				}
 				// Every full-domain k-anonymous node (no suppression), via
 				// the pruned sweep plus upward closure — here we just take

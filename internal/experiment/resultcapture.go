@@ -51,10 +51,11 @@ func CaptureResults(ctx context.Context, cfg CaptureConfig) (*resultpack.Pack, e
 		telemetry.Int("n", opts.CensusN), telemetry.Int64("seed", opts.Seed))
 	defer sp.End()
 
-	tab, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed})
+	c, err := drawCensus(opts)
 	if err != nil {
 		return nil, err
 	}
+	tab := c.tab
 	hash, err := tab.Hash()
 	if err != nil {
 		return nil, err
@@ -80,17 +81,29 @@ func CaptureResults(ctx context.Context, cfg CaptureConfig) (*resultpack.Pack, e
 		Ks:            append([]int(nil), opts.Ks...),
 	}
 
+	// The mid-k suite run serves both the Algorithms and the Attack
+	// sections.
+	var midRuns []*algRun
+	var midErrs []error
 	if cfg.Algorithms {
 		for _, k := range opts.Ks {
-			rows, err := captureAlgorithms(ctx, tab, algConfig(opts, k))
+			acfg := c.config(opts, k)
+			runs, errs := runSuite(ctx, tab, acfg)
+			rows, err := captureAlgorithms(ctx, acfg, runs, errs)
 			if err != nil {
 				return nil, err
 			}
 			pack.Algorithms = append(pack.Algorithms, rows...)
+			if k == midK {
+				midRuns, midErrs = runs, errs
+			}
 		}
 	}
 	if cfg.Attack {
-		rows, pop, err := captureAttack(ctx, tab, opts, midK)
+		if midRuns == nil {
+			midRuns, midErrs = runSuite(ctx, tab, c.config(opts, midK))
+		}
+		rows, pop, err := captureAttack(ctx, c, opts, midK, midRuns, midErrs)
 		if err != nil {
 			return nil, err
 		}
@@ -117,25 +130,10 @@ func CaptureResults(ctx context.Context, cfg CaptureConfig) (*resultpack.Pack, e
 	return pack, nil
 }
 
-// algConfig is the algorithm configuration the scaled experiments (E14,
-// E17) use — captures must match them so the sealed measures certify the
-// same runs the tables print.
-func algConfig(opts Options, k int) algorithm.Config {
-	return algorithm.Config{
-		K:              k,
-		Hierarchies:    generator.Hierarchies(),
-		MaxSuppression: 0.05,
-		Metric:         algorithm.MetricLM,
-		Taxonomies:     generator.Taxonomies(),
-		Seed:           opts.Seed,
-	}
-}
-
-// captureAlgorithms runs the full roster at one k and condenses each run
-// into its sealed claims: chosen node, exact counts, measure values and
-// the equivalence-class shape summary.
-func captureAlgorithms(ctx context.Context, tab *dataset.Table, cfg algorithm.Config) ([]resultpack.AlgorithmResult, error) {
-	runs, errs := runSuite(ctx, tab, cfg)
+// captureAlgorithms condenses one k's suite run into its sealed claims:
+// chosen node, exact counts, measure values and the equivalence-class
+// shape summary.
+func captureAlgorithms(ctx context.Context, cfg algorithm.Config, runs []*algRun, errs []error) ([]resultpack.AlgorithmResult, error) {
 	algs := suite()
 	out := make([]resultpack.AlgorithmResult, 0, len(algs))
 	for i, ar := range runs {
@@ -185,11 +183,12 @@ func shapeOf(v []float64) *resultpack.ShapeStats {
 	}
 }
 
-// captureAttack measures the three adversary models per algorithm at one
-// k. The journalist population is the sample plus a second draw of the
-// same size at seed+1 (the PR 7 benchmark construction), recorded in the
-// pack so replay rebuilds it exactly.
-func captureAttack(ctx context.Context, tab *dataset.Table, opts Options, k int) ([]resultpack.AttackRisk, *resultpack.PopulationSpec, error) {
+// captureAttack measures the three adversary models on the suite's
+// releases at one k. The journalist population is the sample plus a second
+// draw of the same size at seed+1, recorded in the pack so replay rebuilds
+// it exactly.
+func captureAttack(ctx context.Context, c *census, opts Options, k int, runs []*algRun, errs []error) ([]resultpack.AttackRisk, *resultpack.PopulationSpec, error) {
+	tab := c.tab
 	extra, err := generator.Generate(generator.Config{N: opts.CensusN, Seed: opts.Seed + 1})
 	if err != nil {
 		return nil, nil, err
@@ -205,8 +204,6 @@ func captureAttack(ctx context.Context, tab *dataset.Table, opts Options, k int)
 	}
 	pop := &resultpack.PopulationSpec{N: population.Len(), Seed: opts.Seed + 1, Hash: popHash}
 
-	cfg := algConfig(opts, k)
-	runs, errs := runSuite(ctx, tab, cfg)
 	algs := suite()
 	out := make([]resultpack.AttackRisk, 0, len(algs))
 	for i, ar := range runs {
@@ -217,7 +214,7 @@ func captureAttack(ctx context.Context, tab *dataset.Table, opts Options, k int)
 			out = append(out, resultpack.AttackRisk{Algorithm: algs[i].Name(), K: k, Failed: errs[i].Error()})
 			continue
 		}
-		adv, err := attack.NewAdversary(ar.result.Table, generator.Taxonomies())
+		adv, err := attack.NewAdversary(ar.result.Table, c.tax)
 		if err != nil {
 			return nil, nil, err
 		}
