@@ -459,8 +459,8 @@ var (
 // Attack simulation: record-linkage re-identification risk (§2).
 type (
 	// Adversary links ground quasi-identifiers against an anonymized table
-	// through a region index, memoizing victim tuples and caching the
-	// prosecutor vector.
+	// through a region index, resolving each attacked table once per
+	// dictionary entry and caching the prosecutor vector.
 	Adversary = attack.Adversary
 	// AttackStats snapshots the adversary's indexing and cache counters.
 	AttackStats = attack.Stats

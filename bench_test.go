@@ -376,9 +376,9 @@ func BenchmarkNonDominance(b *testing.B) {
 }
 
 // BenchmarkAttack measures the record-linkage risk computation (E17). A
-// fresh adversary per iteration charges index construction and victim
-// memoization to the measurement (the prosecutor vector is cached per
-// adversary, so reusing one would time the cache copy).
+// fresh adversary per iteration charges index construction and the
+// table's resolution to the measurement (the prosecutor vector is cached
+// per adversary, so reusing one would time the cache copy).
 func BenchmarkAttack(b *testing.B) {
 	tab, err := generator.Generate(generator.Config{N: 400, Seed: 17})
 	if err != nil {
@@ -427,8 +427,8 @@ func attackBenchRelease(b *testing.B, n int) (tab *Table, anon *Table) {
 
 // BenchmarkProsecutorVector compares the naive row-scanning prosecutor
 // pipeline against the region-indexed one. The indexed variant rebuilds
-// the adversary every iteration so index construction and memoization are
-// charged to the measurement.
+// the adversary every iteration so index construction and the table's
+// resolution are charged to the measurement.
 func BenchmarkProsecutorVector(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		tab, anon := attackBenchRelease(b, n)
@@ -458,9 +458,10 @@ func BenchmarkProsecutorVector(b *testing.B) {
 }
 
 // BenchmarkJournalistVector compares the naive per-victim population scan
-// against the inverted, memoized journalist pipeline. Population = 2×
-// sample. The naive variant at N=10000 takes tens of seconds per
-// iteration; use -benchtime=1x or a -bench filter for quick runs.
+// against the inverted, dictionary-resolved journalist pipeline.
+// Population = 2× sample. The naive variant at N=10000 takes tens of
+// seconds per iteration; use -benchtime=1x or a -bench filter for quick
+// runs.
 func BenchmarkJournalistVector(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		tab, anon := attackBenchRelease(b, n)

@@ -23,17 +23,23 @@
 // coverage for Set cells), so local recodings (Mondrian regions) and
 // global recodings are attacked identically.
 //
-// Resolution is region-indexed: the anonymized rows are grouped into
-// distinct quasi-identifier regions (equivalence classes) and matched
-// per-attribute through hash, interval-stabbing and taxonomy lookups over
-// region bitsets, so a victim costs O(regions) instead of O(rows·|QI|).
-// Victim tuples are memoized by signature, and the risk vectors fan out
-// across GOMAXPROCS workers (cancellable via context). The journalist model
-// is inverted: the population is resolved to matched-region sets once,
-// groups matching a single region are summed into a per-region tally, and
-// groups matching several regions are merged by region set and indexed
-// from each region, so a distinct victim region set is charged the tallies
-// of its regions plus the multi-region sets it hits, each counted once.
+// Resolution is region-indexed and runs on dictionary codes. The
+// anonymized rows are grouped into distinct quasi-identifier regions
+// (equivalence classes), and each attribute gets hash, interval-stabbing
+// and taxonomy lookups over region bitsets. An attacked table (the
+// original, a sample or a population) must carry the release's
+// quasi-identifiers (same names and kinds, same order) and is resolved
+// column by column: every dictionary entry is matched through the index
+// once, and entries with identical region sets merge into one match
+// class. Rows are grouped by their tuple of match classes, and a group's
+// regions are the AND of its classes' bitsets, so the work grows with the
+// distinct tuples and the dictionaries, not with the rows. The groups fan
+// out across GOMAXPROCS workers (cancellable via context). The journalist
+// model is inverted: population groups matching a single region are
+// summed into a per-region tally, and groups matching several regions are
+// merged by region set and indexed from each region, so a distinct victim
+// region set is charged the tallies of its regions plus the multi-region
+// sets it hits, each counted once.
 // The Naive* functions keep the direct row-scanning reference
 // implementations; the cross-validation tests pin both paths to identical
 // vectors.
@@ -69,8 +75,6 @@ type Adversary struct {
 	index     *regionIndex
 	indexErr  error
 	ins       *instruments
-	// memo caches victim signature -> *regionMatch across all risk models.
-	memo sync.Map
 
 	// prosMu guards the cached prosecutor vector, keyed by the identity of
 	// the original table it was computed for. SafetyVector, MarketerRisk
@@ -133,30 +137,18 @@ func (a *Adversary) ensureIndex(ctx context.Context) (*regionIndex, error) {
 	return a.index, a.indexErr
 }
 
-// regionMatch is the memoized resolution of one victim tuple: the matched
-// region set, its cardinality, and the total anonymized rows it spans.
-type regionMatch struct {
-	regs    bitset
-	regions int
-	rows    int
-}
-
-// matchRegions resolves a victim tuple to its matched-region set through
-// the index, memoizing by signature.
-func (a *Adversary) matchRegions(ctx context.Context, victim []dataset.Value) (*regionMatch, error) {
+// MatchSet returns the row indices of the anonymized table consistent with
+// the victim's ground quasi-identifier values (aligned with the schema's
+// QI order). Rows are ascending; no match returns nil. Nothing is
+// memoized: each of the victim's values is resolved through the index.
+func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
 	if len(victim) != len(a.qi) {
 		return nil, fmt.Errorf("attack: victim has %d quasi-identifier values, schema has %d", len(victim), len(a.qi))
 	}
-	ix, err := a.ensureIndex(ctx)
+	ix, err := a.ensureIndex(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	sig := eqclass.KeySignature(victim)
-	if m, ok := a.memo.Load(sig); ok {
-		a.ins.cacheHits.Inc()
-		return m.(*regionMatch), nil
-	}
-	a.ins.cacheMisses.Inc()
 	regs := newBitset(ix.n)
 	regs.setAll(ix.n)
 	scratch := newBitset(ix.n)
@@ -164,38 +156,16 @@ func (a *Adversary) matchRegions(ctx context.Context, victim []dataset.Value) (*
 		scratch.zero()
 		a.matchAttrInto(&ix.attrs[vi], victim[vi], scratch)
 		regs.and(scratch)
-		if regs.empty() {
-			break
-		}
 	}
-	m := &regionMatch{regs: regs}
+	a.ins.cacheMisses.Add(int64(len(victim)))
+	var out []int
+	regions := 0
 	regs.forEach(func(r int) {
-		m.regions++
-		m.rows += ix.sizes[r]
+		out = append(out, ix.part.Classes[r]...)
+		regions++
 	})
-	a.ins.regionsProbed.Add(int64(m.regions))
-	a.ins.candidatesPruned.Add(int64(ix.n - m.regions))
-	if prev, loaded := a.memo.LoadOrStore(sig, m); loaded {
-		return prev.(*regionMatch), nil
-	}
-	return m, nil
-}
-
-// MatchSet returns the row indices of the anonymized table consistent with
-// the victim's ground quasi-identifier values (aligned with the schema's
-// QI order). Rows are ascending; no match returns nil.
-func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
-	m, err := a.matchRegions(context.Background(), victim)
-	if err != nil {
-		return nil, err
-	}
-	if m.rows == 0 {
-		return nil, nil
-	}
-	out := make([]int, 0, m.rows)
-	m.regs.forEach(func(r int) {
-		out = append(out, a.index.part.Classes[r]...)
-	})
+	a.ins.regionsProbed.Add(int64(regions))
+	a.ins.candidatesPruned.Add(int64(ix.n - regions))
 	sort.Ints(out)
 	return out, nil
 }
@@ -226,45 +196,6 @@ func victimOf(orig *dataset.Table, qi []int, i int) []dataset.Value {
 		v[vi] = orig.At(i, j)
 	}
 	return v
-}
-
-// victimGroups groups the table's rows by ground QI tuple: groupOf[i]
-// indexes the distinct victim tuple of row i in victims. Resolving each
-// distinct tuple once keeps the parallel fan-out deterministic and feeds
-// the signature memo. Grouping runs vectorized over the table's
-// dictionary-code columns, so no per-row signature strings are built.
-func victimGroups(t *dataset.Table, qi []int) (groupOf []int, victims [][]dataset.Value, err error) {
-	if t.Len() == 0 {
-		return []int{}, nil, nil
-	}
-	p, err := eqclass.FromColumns(t, qi)
-	if err != nil {
-		return nil, nil, err
-	}
-	victims = make([][]dataset.Value, len(p.Classes))
-	for g, rows := range p.Classes {
-		victims[g] = victimOf(t, qi, rows[0])
-	}
-	return p.ClassOf, victims, nil
-}
-
-// victimGroupsCounted is victimGroups keeping only multiplicities, for
-// population tables whose rows never need individual resolution.
-func victimGroupsCounted(t *dataset.Table, qi []int) (victims [][]dataset.Value, counts []int, err error) {
-	if t.Len() == 0 {
-		return nil, nil, nil
-	}
-	p, err := eqclass.FromColumns(t, qi)
-	if err != nil {
-		return nil, nil, err
-	}
-	victims = make([][]dataset.Value, len(p.Classes))
-	counts = make([]int, len(p.Classes))
-	for g, rows := range p.Classes {
-		victims[g] = victimOf(t, qi, rows[0])
-		counts[g] = len(rows)
-	}
-	return victims, counts, nil
 }
 
 // forEachParallel runs f over 0..n-1 across runtime.GOMAXPROCS(0) worker
@@ -329,6 +260,10 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 	if orig.Len() != adv.anon.Len() {
 		return nil, fmt.Errorf("attack: original has %d rows, anonymized %d", orig.Len(), adv.anon.Len())
 	}
+	qi, err := adv.checkQI(orig, "original")
+	if err != nil {
+		return nil, err
+	}
 	adv.prosMu.Lock()
 	if adv.prosOrig == orig && adv.prosVec != nil {
 		out := append(core.PropertyVector(nil), adv.prosVec...)
@@ -341,33 +276,28 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 		telemetry.Int("rows", orig.Len()))
 	defer span.End()
 
-	groupOf, victims, err := victimGroups(orig, adv.qi)
+	ix, err := adv.ensureIndex(ctx)
 	if err != nil {
 		return nil, err
 	}
-	span.SetAttr(telemetry.Int("victim_groups", len(victims)))
-	ctx, tr := progress.Start(ctx, "attack.prosecutor", len(victims))
+	res, err := adv.resolve(ix, orig, qi)
+	if err != nil {
+		return nil, err
+	}
+	span.SetAttr(telemetry.Int("victim_groups", res.groups()))
+	ctx, tr := progress.Start(ctx, "attack.prosecutor", res.groups())
 	defer tr.Finish()
-	matches := make([]*regionMatch, len(victims))
-	err = forEachParallel(ctx, len(victims), func(g int) error {
-		m, merr := adv.matchRegions(ctx, victims[g])
-		if merr != nil {
-			return merr
-		}
-		matches[g] = m
-		tr.Add(1)
-		return nil
-	})
+	lists, err := adv.regionLists(ctx, ix, res, tr)
 	if err != nil {
 		return nil, err
 	}
 	out := make(core.PropertyVector, orig.Len())
 	for i := range out {
-		m := matches[groupOf[i]]
-		if m.rows == 0 {
+		n := ix.rows(lists[res.groupOf[i]])
+		if n == 0 {
 			return nil, fmt.Errorf("attack: tuple %d matches no anonymized record — the anonymization is inconsistent with its input", i)
 		}
-		out[i] = 1 / float64(m.rows)
+		out[i] = 1 / float64(n)
 	}
 
 	adv.prosMu.Lock()
@@ -388,9 +318,13 @@ func NaiveProsecutorVector(orig *dataset.Table, adv *Adversary) (core.PropertyVe
 	if orig.Len() != adv.anon.Len() {
 		return nil, fmt.Errorf("attack: original has %d rows, anonymized %d", orig.Len(), adv.anon.Len())
 	}
+	qi, err := adv.checkQI(orig, "original")
+	if err != nil {
+		return nil, err
+	}
 	out := make(core.PropertyVector, orig.Len())
 	for i := 0; i < orig.Len(); i++ {
-		matches, err := adv.NaiveMatchSet(victimOf(orig, adv.qi, i))
+		matches, err := adv.NaiveMatchSet(victimOf(orig, qi, i))
 		if err != nil {
 			return nil, err
 		}
@@ -439,91 +373,70 @@ func MarketerRisk(orig *dataset.Table, adv *Adversary) (float64, error) {
 // sample the candidate set contains the whole sample match set, so
 // journalist risk never exceeds prosecutor risk.
 //
-// The sweep is inverted: population rows are grouped by ground signature
-// and resolved to matched-region sets through the shared memo, and the
-// groups are folded into a populationTally, so each DISTINCT victim region
-// set S costs its own regions, not a pass over the population:
-// candidates(S) = Σ |group| over groups whose region set intersects S.
+// The sweep is inverted: the population is resolved to match-class groups
+// first, and each group's matched regions are folded into a
+// populationTally. Each distinct region set S of the sample's groups is
+// then charged the tallies of its own regions, not a pass over the
+// population: candidates(S) = Σ |group| over population groups whose
+// region set intersects S.
 func JournalistVectorContext(ctx context.Context, sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
-	if sample.Len() != adv.anon.Len() {
-		return nil, fmt.Errorf("attack: sample has %d rows, anonymized %d", sample.Len(), adv.anon.Len())
+	sqi, pqi, err := adv.checkJournalist(sample, population)
+	if err != nil {
+		return nil, err
 	}
-	if population == nil || population.Len() < sample.Len() {
-		return nil, fmt.Errorf("attack: population must be at least the sample")
-	}
-	if population.Schema.Len() != sample.Schema.Len() {
-		return nil, fmt.Errorf("attack: population schema mismatch")
-	}
-	qi := sample.Schema.QuasiIdentifiers()
 
 	ctx, span := telemetry.Start(ctx, "attack.journalist",
 		telemetry.Int("sample", sample.Len()),
 		telemetry.Int("population", population.Len()))
 	defer span.End()
 
-	// The journalist sweep has three shard stages whose sizes become known
-	// one at a time; the tracker's total grows with each stage.
-	groupOf, victims, err := victimGroups(sample, qi)
+	ix, err := adv.ensureIndex(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ctx, tr := progress.Start(ctx, "attack.journalist", len(victims))
+	// The sweep has three shard stages whose sizes become known one at a
+	// time; the tracker's total grows with each stage.
+	pop, err := adv.resolve(ix, population, pqi)
+	if err != nil {
+		return nil, err
+	}
+	ctx, tr := progress.Start(ctx, "attack.journalist", pop.groups())
 	defer tr.Finish()
-	matches := make([]*regionMatch, len(victims))
-	if err := forEachParallel(ctx, len(victims), func(g int) error {
-		m, merr := adv.matchRegions(ctx, victims[g])
-		if merr != nil {
-			return merr
-		}
-		matches[g] = m
-		tr.Add(1)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	popVictims, popCounts, err := victimGroupsCounted(population, qi)
+	popRegs, err := adv.regionLists(ctx, ix, pop, tr)
 	if err != nil {
 		return nil, err
 	}
-	tr.AddTotal(len(popVictims))
-	popRegs := make([]*regionMatch, len(popVictims))
-	if err := forEachParallel(ctx, len(popVictims), func(g int) error {
-		m, merr := adv.matchRegions(ctx, popVictims[g])
-		if merr != nil {
-			return merr
-		}
-		popRegs[g] = m
-		tr.Add(1)
-		return nil
-	}); err != nil {
+	tally := newPopulationTally(ix.n, popRegs, pop.counts)
+
+	smp, err := adv.resolve(ix, sample, sqi)
+	if err != nil {
 		return nil, err
 	}
-
-	// Candidate counts depend only on the matched-region SET, so dedupe the
-	// victims' sets and count each distinct set once.
-	setIndex := make(map[string]int)
-	var sets []bitset
-	setOf := make([]int, len(victims))
-	for g, m := range matches {
-		k := m.regs.key()
-		si, ok := setIndex[k]
-		if !ok {
-			si = len(sets)
-			setIndex[k] = si
-			sets = append(sets, m.regs)
-		}
-		setOf[g] = si
+	tr.AddTotal(smp.groups())
+	smpRegs, err := adv.regionLists(ctx, ix, smp, tr)
+	if err != nil {
+		return nil, err
 	}
-	span.SetAttr(telemetry.Int("victim_groups", len(victims)),
-		telemetry.Int("region_sets", len(sets)))
-	tally := newPopulationTally(adv.index.n, popRegs, popCounts)
-	tr.AddTotal(len(sets))
-	cand := make([]int, len(sets))
+	// Candidate counts depend only on the matched-region set, so count
+	// each distinct set of the sample once.
+	var sets sliceSet[[]int32, int32]
+	setOf := make([]int32, smp.groups())
+	for g, regs := range smpRegs {
+		setOf[g], _ = sets.intern(regs)
+	}
+	span.SetAttr(telemetry.Int("victim_groups", smp.groups()),
+		telemetry.Int("population_groups", pop.groups()),
+		telemetry.Int("region_sets", len(sets.items)))
+	tr.AddTotal(len(sets.items))
+	rows := make([]int, len(sets.items))
+	cand := make([]int, len(sets.items))
 	stamps := sync.Pool{New: func() any { return make([]int32, len(tally.multi)) }}
-	if err := forEachParallel(ctx, len(sets), func(si int) error {
+	if err := forEachParallel(ctx, len(sets.items), func(si int) error {
 		stamp := stamps.Get().([]int32)
-		cand[si] = tally.candidates(sets[si], int32(si)+1, stamp)
+		rows[si] = ix.rows(sets.items[si])
+		for _, r := range sets.items[si] {
+			cand[si] += tally.charge(int(r), int32(si)+1, stamp)
+		}
 		stamps.Put(stamp) //nolint:staticcheck // slice header, not pointer
 		tr.Add(1)
 		return nil
@@ -533,19 +446,37 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 
 	out := make(core.PropertyVector, sample.Len())
 	for i := range out {
-		m := matches[groupOf[i]]
-		if m.rows == 0 {
+		si := setOf[smp.groupOf[i]]
+		if rows[si] == 0 {
 			return nil, fmt.Errorf("attack: sample row %d matches no anonymized record", i)
 		}
-		candidates := cand[setOf[groupOf[i]]]
-		if candidates < m.rows {
+		candidates := cand[si]
+		if candidates < rows[si] {
 			// Population does not contain the sample: fall back to the
 			// sample match set (prosecutor bound).
-			candidates = m.rows
+			candidates = rows[si]
 		}
 		out[i] = 1 / float64(candidates)
 	}
 	return out, nil
+}
+
+// checkJournalist validates a journalist attack's inputs and returns the
+// QI columns of the sample and of the population.
+func (a *Adversary) checkJournalist(sample, population *dataset.Table) (sqi, pqi []int, err error) {
+	if sample.Len() != a.anon.Len() {
+		return nil, nil, fmt.Errorf("attack: sample has %d rows, anonymized %d", sample.Len(), a.anon.Len())
+	}
+	if population == nil || population.Len() < sample.Len() {
+		return nil, nil, fmt.Errorf("attack: population must be at least the sample")
+	}
+	if sqi, err = a.checkQI(sample, "sample"); err != nil {
+		return nil, nil, err
+	}
+	if pqi, err = a.checkQI(population, "population"); err != nil {
+		return nil, nil, err
+	}
+	return sqi, pqi, nil
 }
 
 // JournalistVector is JournalistVectorContext without cancellation.
@@ -556,20 +487,14 @@ func JournalistVector(sample, population *dataset.Table, adv *Adversary) (core.P
 // NaiveJournalistVector is the reference per-victim population-scanning
 // journalist vector the inverted pipeline is cross-validated against.
 func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
-	if sample.Len() != adv.anon.Len() {
-		return nil, fmt.Errorf("attack: sample has %d rows, anonymized %d", sample.Len(), adv.anon.Len())
+	sqi, pqi, err := adv.checkJournalist(sample, population)
+	if err != nil {
+		return nil, err
 	}
-	if population == nil || population.Len() < sample.Len() {
-		return nil, fmt.Errorf("attack: population must be at least the sample")
-	}
-	if population.Schema.Len() != sample.Schema.Len() {
-		return nil, fmt.Errorf("attack: population schema mismatch")
-	}
-	qi := sample.Schema.QuasiIdentifiers()
 	out := make(core.PropertyVector, sample.Len())
 	var sb strings.Builder
 	for i := range out {
-		matches, err := adv.NaiveMatchSet(victimOf(sample, qi, i))
+		matches, err := adv.NaiveMatchSet(victimOf(sample, sqi, i))
 		if err != nil {
 			return nil, err
 		}
@@ -581,7 +506,7 @@ func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (c
 		var regions []int
 		for _, m := range matches {
 			sb.Reset()
-			eqclass.WriteSignature(&sb, adv.anon, m, qi)
+			eqclass.WriteSignature(&sb, adv.anon, m, adv.qi)
 			if !seen[sb.String()] {
 				seen[sb.String()] = true
 				regions = append(regions, m)
@@ -593,8 +518,8 @@ func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (c
 		for p := 0; p < population.Len(); p++ {
 			for _, m := range regions {
 				all := true
-				for _, j := range qi {
-					if !adv.covers(adv.anon.At(m, j), population.At(p, j), sample.Schema.Attrs[j]) {
+				for vi, j := range adv.qi {
+					if !adv.covers(adv.anon.At(m, j), population.At(p, pqi[vi]), adv.anon.Schema.Attrs[j]) {
 						all = false
 						break
 					}
@@ -644,58 +569,56 @@ func TargetedRisk(orig *dataset.Table, adv *Adversary, rows []int) (mean, worst 
 	return TargetedRiskContext(context.Background(), orig, adv, rows)
 }
 
-// populationTally folds the population's matched-region sets into counts a
-// victim region set can be charged in O(|S| + multi-region hits):
+// populationTally folds the population's matched regions into counts a
+// victim's regions can be charged in O(regions + multi-region hits):
 // population groups matching exactly one region are summed into that
-// region's tally, and groups matching several regions are merged by region
-// set and inverted into region -> set lists. Groups matching no region
-// never count.
+// region's tally, and groups matching several regions are merged by
+// region set and indexed from every region of the set. Groups matching no
+// region never count.
 type populationTally struct {
 	// single[r] is the population matching region r and no other.
 	single []int
-	// multi[m] is the population whose matched-region set is the m-th
-	// distinct set of two or more regions; in[r] lists the sets holding r.
+	// multi[m] is the population whose matched regions are the m-th
+	// distinct set of two or more; in[r] lists the sets holding r.
 	multi []int
 	in    [][]int32
 }
 
-func newPopulationTally(regions int, popRegs []*regionMatch, popCounts []int) *populationTally {
+func newPopulationTally(regions int, popRegs [][]int32, popCounts []int) *populationTally {
 	t := &populationTally{single: make([]int, regions), in: make([][]int32, regions)}
-	multiIndex := make(map[string]int32)
-	for pg, pm := range popRegs {
-		switch pm.regions {
+	var sets sliceSet[[]int32, int32]
+	for g, regs := range popRegs {
+		switch len(regs) {
 		case 0:
 		case 1:
-			pm.regs.forEach(func(r int) { t.single[r] += popCounts[pg] })
+			t.single[regs[0]] += popCounts[g]
 		default:
-			k := pm.regs.key()
-			mi, ok := multiIndex[k]
-			if !ok {
-				mi = int32(len(t.multi))
-				multiIndex[k] = mi
+			mi, added := sets.intern(regs)
+			if added {
 				t.multi = append(t.multi, 0)
-				pm.regs.forEach(func(r int) { t.in[r] = append(t.in[r], mi) })
+				for _, r := range regs {
+					t.in[r] = append(t.in[r], mi)
+				}
 			}
-			t.multi[mi] += popCounts[pg]
+			t.multi[mi] += popCounts[g]
 		}
 	}
 	return t
 }
 
-// candidates counts the population records matching at least one region of
-// s. stamp (len(multi)) marks the multi-region sets already counted with
-// id, which must differ from every id the buffer has been used with
-// before; its other entries may hold any earlier ids.
-func (t *populationTally) candidates(s bitset, id int32, stamp []int32) int {
-	c := 0
-	s.forEach(func(r int) {
-		c += t.single[r]
-		for _, mi := range t.in[r] {
-			if stamp[mi] != id {
-				stamp[mi] = id
-				c += t.multi[mi]
-			}
+// charge returns the population records region r adds to the candidates
+// of one victim set, counted under id: its single-region tally plus every
+// multi-region set holding r that the victim set has not counted yet.
+// stamp (len(multi)) marks the sets counted under id, which must differ from
+// every id the buffer has been used with for another set; its other
+// entries may hold any earlier ids.
+func (t *populationTally) charge(r int, id int32, stamp []int32) int {
+	c := t.single[r]
+	for _, mi := range t.in[r] {
+		if stamp[mi] != id {
+			stamp[mi] = id
+			c += t.multi[mi]
 		}
-	})
+	}
 	return c
 }

@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // bitset is a fixed-width set of region ids backed by 64-bit words. All
 // operands of the binary operations must share one width (they are always
@@ -49,23 +46,6 @@ func (b bitset) setAll(n int) {
 	}
 }
 
-func (b bitset) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 func (b bitset) clone() bitset { return append(bitset(nil), b...) }
 
 // forEach calls f with every set bit in ascending order.
@@ -76,14 +56,4 @@ func (b bitset) forEach(f func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// key returns the raw words as a string, grouping identical region sets
-// under one map key (the journalist sweep dedupes candidate sets by it).
-func (b bitset) key() string {
-	buf := make([]byte, 8*len(b))
-	for i, w := range b {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return string(buf)
 }

@@ -563,20 +563,24 @@ func TestJournalistMultiRegionSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popVictims, _, err := victimGroupsCounted(population, adv.qi)
+	ix, err := adv.ensureIndex(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := adv.resolve(ix, population, population.Schema.QuasiIdentifiers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hit := make(map[int]bool)
 	multiSets := make(map[string]int)
-	for _, v := range popVictims {
-		m, err := adv.matchRegions(context.Background(), v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.regs.forEach(func(r int) { hit[r] = true })
-		if m.regions >= 2 {
-			multiSets[m.regs.key()]++
+	for g := 0; g < pop.groups(); g++ {
+		var regs []int
+		pop.eachRegion(g, func(r int) {
+			hit[r] = true
+			regs = append(regs, r)
+		})
+		if len(regs) >= 2 {
+			multiSets[fmt.Sprint(regs)]++
 		}
 	}
 	shared := false

@@ -29,6 +29,15 @@ type regionIndex struct {
 	attrs []attrIndex
 }
 
+// rows returns the anonymized rows the regions regs span.
+func (ix *regionIndex) rows(regs []int32) int {
+	n := 0
+	for _, r := range regs {
+		n += ix.sizes[r]
+	}
+	return n
+}
+
 // cellEntry is one distinct generalized cell of one attribute together
 // with the set of regions carrying it. Distinct cells of one attribute
 // carry DISJOINT region sets — a region has exactly one cell per

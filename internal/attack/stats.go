@@ -10,13 +10,18 @@ import (
 // per-adversary run registry; with a telemetry.Collector active the same
 // increments also feed the global -metrics export.
 const (
-	// MetricRegionsProbed counts matched regions summed over victim
-	// resolutions (the survivors of the per-attribute pruning).
+	// MetricRegionsProbed counts matched regions summed over resolved
+	// groups (the survivors of the per-attribute pruning), once per
+	// match-class group of an attacked table and once per MatchSet call.
 	MetricRegionsProbed = "attack.regions.probed"
 	// MetricCandidatesPruned counts regions eliminated by the per-attribute
-	// indexes, summed over victim resolutions.
+	// indexes, summed over the same resolutions.
 	MetricCandidatesPruned = "attack.candidates.pruned"
-	// MetricCacheHit / MetricCacheMiss count victim-signature memo lookups.
+	// MetricCacheMiss counts values resolved through the index: one per
+	// (attribute, dictionary entry) of an attacked table, and one per
+	// attribute of a MatchSet victim. MetricCacheHit counts a group's
+	// attribute cells served from the per-entry match classes instead:
+	// one per (group, attribute).
 	MetricCacheHit  = "attack.cache.hit"
 	MetricCacheMiss = "attack.cache.miss"
 	// MetricIndexBuildNS is the region-index construction time.
@@ -31,11 +36,13 @@ const (
 type Stats struct {
 	// Regions is the number of distinct quasi-identifier regions indexed.
 	Regions int
-	// RegionsProbed counts matched regions summed over victim resolutions.
+	// RegionsProbed counts matched regions summed over resolved groups.
 	RegionsProbed int64
 	// CandidatesPruned counts regions the per-attribute indexes eliminated.
 	CandidatesPruned int64
-	// CacheHits and CacheMisses count victim-signature memo lookups.
+	// CacheMisses counts values resolved through the index (one per
+	// attribute and dictionary entry of an attacked table); CacheHits
+	// counts group attribute cells served from those resolutions.
 	CacheHits   int64
 	CacheMisses int64
 	// IndexBuild is the time spent constructing the region index.

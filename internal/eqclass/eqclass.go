@@ -75,18 +75,6 @@ func WriteSignature(sb *strings.Builder, t *dataset.Table, i int, cols []int) {
 	}
 }
 
-// KeySignature returns the signature of one explicit value tuple — what
-// WriteSignature produces when cols selects every element in order. Used
-// to key memoization of victim quasi-identifier tuples in package attack.
-func KeySignature(vals []dataset.Value) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		sb.WriteString(v.Key())
-		sb.WriteByte('\x1f')
-	}
-	return sb.String()
-}
-
 // FromSignatures groups rows by a precomputed per-row signature — the
 // partition FromColumns would produce if element i were the concatenation
 // of row i's column keys. It is the constructor behind package engine's

@@ -277,9 +277,6 @@ func TestSignatureHelpers(t *testing.T) {
 	if sb.String() != want {
 		t.Fatalf("WriteSignature = %q, want %q", sb.String(), want)
 	}
-	if got := KeySignature(row); got != want {
-		t.Fatalf("KeySignature = %q, want %q", got, want)
-	}
 	// Column subsetting and builder reuse.
 	sb.Reset()
 	WriteSignature(&sb, tab, 0, []int{1})

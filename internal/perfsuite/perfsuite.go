@@ -342,9 +342,9 @@ func attackSuite(opts Options) (perf.SuiteSpec, error) {
 
 // prosecutorIndexed builds an indexed prosecutor benchmark whose setup
 // verifies the indexed vector element-identical to the naive reference.
-// Each repetition builds a fresh adversary so index construction and
-// victim memoization are charged to the measurement, mirroring the PR 3
-// benchmark protocol.
+// Each repetition builds a fresh adversary so index construction and the
+// table's resolution are charged to the measurement, as the root
+// package's attack benchmarks do.
 func prosecutorIndexed(algName string, tab *dataset.Table, release func(context.Context) (*dataset.Table, error)) perf.BenchmarkSpec {
 	return perf.BenchmarkSpec{
 		Name: "prosecutor/" + algName + "/indexed",
