@@ -70,11 +70,8 @@ import (
 	"microdata/internal/privacy"
 	"microdata/internal/stats"
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/debugserver"
-	"microdata/internal/telemetry/export"
 	"microdata/internal/telemetry/ledger"
 	"microdata/internal/telemetry/perf"
-	"microdata/internal/telemetry/progress"
 	"microdata/internal/telemetry/report"
 	"microdata/internal/telemetry/resultpack"
 	"microdata/internal/utility"
@@ -612,22 +609,9 @@ type (
 	MetricsSnapshot = telemetry.Snapshot
 )
 
-// Live observability surface (internal/telemetry/{progress,export,
-// debugserver,report}): hierarchical progress trackers with smoothed ETAs
-// and an ANSI renderer, Prometheus text exposition over the metrics
-// registry, an embeddable HTTP debug server (/metrics, /debug/pprof/*,
-// /healthz, /progress, /runinfo), and the unified versioned JSON run
-// report. See README "Live observability".
+// Run report (internal/telemetry/report): the unified versioned JSON
+// document the CLIs write with -report. See README "Run report".
 type (
-	// ProgressTracker counts done/total work units with a smoothed ETA;
-	// nil trackers are no-ops, so instrumentation sites need no guards.
-	ProgressTracker = progress.Tracker
-	// ProgressNode is a JSON-ready snapshot of a tracker subtree.
-	ProgressNode = progress.Node
-	// ProgressRenderer redraws a tracker tree on an ANSI terminal.
-	ProgressRenderer = progress.Renderer
-	// DebugServer is the embedded HTTP observability endpoint.
-	DebugServer = debugserver.Server
 	// RunReport is the unified versioned JSON run report (-report).
 	RunReport = report.Report
 	// RunReportBuilder accumulates a run's identity for a RunReport.
@@ -640,19 +624,8 @@ const (
 	RunReportVersion = report.Version
 )
 
-// Progress, exposition, debug-server and run-report helpers.
-var (
-	EnableProgress      = progress.Enable
-	DisableProgress     = progress.Disable
-	ActiveProgress      = progress.Active
-	StartProgress       = progress.Start
-	NewProgressRenderer = progress.NewRenderer
-	WritePrometheus     = export.WritePrometheus
-	MetricsDelta        = export.Delta
-	ValidateExposition  = export.Validate
-	StartDebugServer    = debugserver.Start
-	BeginRunReport      = report.Begin
-)
+// BeginRunReport starts a run report for one CLI invocation.
+var BeginRunReport = report.Begin
 
 // Performance-trajectory observability (internal/telemetry/perf,
 // internal/perfsuite): canonical benchmark suites run under a harness that

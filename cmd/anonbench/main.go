@@ -13,15 +13,14 @@
 // Exit codes follow the stable contract shared with benchdiff and compare
 // (see README "Exit codes"): 0 ok, 1 failure, 2 verification failure
 // (e.g. an indexed attack vector diverging from its naive reference),
-// 6 invalid input (bad flags, unknown experiment or suite names).
+// 6 invalid input (bad flags such as -n below 1 or a -ks value above -n,
+// unknown experiment or suite names).
 //
-// Observability (see README "Observability" and "Live observability"):
+// Observability (see README "Observability"):
 //
 //	anonbench -run E14 -v -log-format json
 //	anonbench -run E1 -trace trace.json -metrics metrics.json
 //	anonbench -enginestats -n 5000 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	anonbench -run all -n 10000 -progress
-//	anonbench -run E14 -n 10000 -debug-addr :9090        # /metrics, /debug/pprof/*
 //	anonbench -run E14 -report run.json                  # unified JSON run report
 package main
 
@@ -31,13 +30,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"microdata"
@@ -64,11 +61,8 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 
-		progressUI = flag.Bool("progress", false, "render live progress (done/total, rate, ETA) on stderr")
-		debugAddr  = flag.String("debug-addr", "", "serve the HTTP debug endpoints (/metrics, /debug/pprof/*, /healthz, /progress, /runinfo) on this address (\":0\" picks a free port)")
-		debugHold  = flag.Bool("debug-hold", false, "with -debug-addr: keep serving after the run completes until interrupted")
-		reportOut  = flag.String("report", "", "write the unified JSON run report to this file (\"-\" for stdout)")
-		resultOut  = flag.String("result-out", "", "with -run: additionally capture the run's results (per-algorithm measures, attack risks, report digests) into a sealed result pack at this path (\"-\" for stdout; verify with `compare -verify`)")
+		reportOut = flag.String("report", "", "write the unified JSON run report to this file (\"-\" for stdout)")
+		resultOut = flag.String("result-out", "", "with -run: additionally capture the run's results (per-algorithm measures, attack risks, report digests) into a sealed result pack at this path (\"-\" for stdout; verify with `compare -verify`)")
 	)
 	flag.CommandLine.Init("anonbench", flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
@@ -83,7 +77,6 @@ func main() {
 		verbose: *verbose, logFormat: *logFormat,
 		traceOut: *traceOut, metricsOut: *metricsOut,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
-		progress: *progressUI, debugAddr: *debugAddr, debugHold: *debugHold,
 		reportOut: *reportOut, resultOut: *resultOut,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "anonbench:", err)
@@ -105,9 +98,6 @@ type options struct {
 	logFormat              string
 	traceOut, metricsOut   string
 	cpuProfile, memProfile string
-	progress               bool
-	debugAddr              string
-	debugHold              bool
 	reportOut              string
 	resultOut              string
 }
@@ -115,7 +105,7 @@ type options struct {
 // captureResults runs the selected experiments with the result-pack sink
 // attached: the text reports still stream to stdout while the capture
 // seals the per-algorithm measures, attack risks and report digests, and
-// the run report (schema v2) links the pack's manifest digest.
+// the run report links the pack's manifest digest.
 func captureResults(ctx context.Context, rb *microdata.RunReportBuilder, opts microdata.ExperimentOptions, ids []string, out string) error {
 	pack, err := microdata.CaptureResultPack(ctx, microdata.ResultCaptureConfig{
 		Opts:         opts,
@@ -140,9 +130,17 @@ func captureResults(ctx context.Context, rb *microdata.RunReportBuilder, opts mi
 // realMain wires the observability sinks around the selected mode so every
 // mode (-run, -list, -enginestats) profiles and traces the same way.
 func realMain(o options) error {
+	if o.n < 1 {
+		return perf.Invalidf("-n %d: census size must be at least 1", o.n)
+	}
 	kVals, err := parseKs(o.ks)
 	if err != nil {
 		return perf.Exit(perf.ExitInvalid, err)
+	}
+	for _, k := range kVals {
+		if k > o.n {
+			return perf.Invalidf("-ks %d exceeds the census size -n %d", k, o.n)
+		}
 	}
 	opts := microdata.ExperimentOptions{CensusN: o.n, Ks: kVals, Seed: o.seed}
 	if o.resultOut != "" && (o.list || o.engStat || o.benchSuite != "") {
@@ -152,44 +150,20 @@ func realMain(o options) error {
 	if o.verbose || o.logFormat != "" {
 		h, err := microdata.NewLogHandler(os.Stderr, o.logFormat, o.verbose)
 		if err != nil {
-			return err
+			return perf.Exit(perf.ExitInvalid, err)
 		}
 		microdata.SetLogHandler(h)
 	}
 
 	// A collector is installed whenever any span or metrics consumer is
 	// active: -trace and -metrics need it, -enginestats derives its
-	// per-phase breakdown from the recorded spans, the debug server's
-	// /metrics endpoint scrapes its registry, and -report merges all of it.
+	// per-phase breakdown from the recorded spans, and -report merges all
+	// of it.
 	var col *microdata.TelemetryCollector
-	if o.traceOut != "" || o.metricsOut != "" || o.engStat || o.debugAddr != "" || o.reportOut != "" {
+	if o.traceOut != "" || o.metricsOut != "" || o.engStat || o.reportOut != "" {
 		col = microdata.NewTelemetryCollector()
 		microdata.SetTelemetryCollector(col)
 		defer microdata.SetTelemetryCollector(nil)
-	}
-
-	// Progress tracking feeds both the -progress terminal renderer and the
-	// debug server's /progress endpoint and progress.* metric series.
-	var progRoot *microdata.ProgressTracker
-	if o.progress || o.debugAddr != "" {
-		progRoot = microdata.EnableProgress("anonbench")
-		defer microdata.DisableProgress()
-	}
-	var renderer *microdata.ProgressRenderer
-	if o.progress {
-		renderer = microdata.NewProgressRenderer(os.Stderr, progRoot, 0)
-		defer renderer.Stop()
-	}
-
-	var srv *microdata.DebugServer
-	if o.debugAddr != "" {
-		var err error
-		srv, err = microdata.StartDebugServer(o.debugAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "anonbench: debug server listening on %s\n", srv.URL())
 	}
 
 	if o.cpuProfile != "" {
@@ -262,12 +236,6 @@ func realMain(o options) error {
 		}
 	}()
 
-	// The renderer's final frame must land before any stdout report writers
-	// run, and the run report snapshots the tracker tree before it is torn
-	// down by the deferred DisableProgress.
-	if renderer != nil {
-		renderer.Stop()
-	}
 	if col != nil && o.traceOut != "" {
 		if err := writeFileOrStdout(o.traceOut, col.Tracer.WriteChromeTrace); err != nil {
 			return fmt.Errorf("trace: %w", err)
@@ -280,16 +248,10 @@ func realMain(o options) error {
 		}
 	}
 	if o.reportOut != "" {
-		rep := rb.Finish(col, progRoot)
+		rep := rb.Finish(col)
 		if err := writeFileOrStdout(o.reportOut, rep.WriteJSON); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
-	}
-	if srv != nil && o.debugHold && runErr == nil {
-		fmt.Fprintf(os.Stderr, "anonbench: run complete; holding debug server on %s (interrupt to exit)\n", srv.URL())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
 	}
 	return runErr
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -12,6 +14,61 @@ import (
 	"microdata"
 	"microdata/internal/telemetry/perf"
 )
+
+// TestMain lets the test binary stand in for the anonbench command: with
+// ANONBENCH_MAIN=1 it runs main on its arguments, so the tests can check
+// the exit codes the command reports.
+func TestMain(m *testing.M) {
+	if os.Getenv("ANONBENCH_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// exitCode runs the command with args and returns its exit status.
+func exitCode(t *testing.T, args ...string) int {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ANONBENCH_MAIN=1")
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0
+}
+
+// TestExitCodes pins the command to the shared exit-code contract: a
+// census size or k sweep the run cannot honour, an unknown experiment and
+// a removed flag exit 6 before any mode runs.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"n zero", []string{"-run", "E1", "-n", "0"}, perf.ExitInvalid},
+		{"n negative", []string{"-run", "E1", "-n", "-5"}, perf.ExitInvalid},
+		{"k not a number", []string{"-run", "E1", "-ks", "x"}, perf.ExitInvalid},
+		{"k above n", []string{"-run", "E14", "-ks", "10", "-n", "5"}, perf.ExitInvalid},
+		{"k above n enginestats", []string{"-enginestats", "-ks", "10", "-n", "5"}, perf.ExitInvalid},
+		{"unknown experiment", []string{"-run", "E99"}, perf.ExitInvalid},
+		{"bad log format", []string{"-run", "E1", "-log-format", "xml"}, perf.ExitInvalid},
+		{"removed progress flag", []string{"-run", "E1", "-progress"}, perf.ExitInvalid},
+		{"removed debug-addr flag", []string{"-run", "E1", "-debug-addr", ":0"}, perf.ExitInvalid},
+		{"removed debug-hold flag", []string{"-run", "E1", "-debug-hold"}, perf.ExitInvalid},
+		{"ok", []string{"-run", "E1"}, perf.ExitOK},
+	}
+	for _, c := range cases {
+		if got := exitCode(t, c.args...); got != c.want {
+			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
+		}
+	}
+}
 
 func TestParseKs(t *testing.T) {
 	ks, err := parseKs("2,5,10")
@@ -94,7 +151,7 @@ func TestEngineStatsOutputByteCompatible(t *testing.T) {
 
 // TestResultOutSealsPackAndLinksReport drives realMain with -run E1
 // -result-out -report and checks that (a) the sealed pack verifies, (b)
-// the v2 run report links the pack's manifest digest, and (c) the table
+// the v3 run report links the pack's manifest digest, and (c) the table
 // digest in the pack matches what a plain run prints.
 func TestResultOutSealsPackAndLinksReport(t *testing.T) {
 	dir := t.TempDir()
@@ -129,8 +186,11 @@ func TestResultOutSealsPackAndLinksReport(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("report is not JSON: %v", err)
 	}
-	if doc["version"] != float64(2) {
-		t.Errorf("run-report version = %v, want 2", doc["version"])
+	if doc["version"] != float64(3) {
+		t.Errorf("run-report version = %v, want 3", doc["version"])
+	}
+	if _, ok := doc["progress"]; ok {
+		t.Error("run report still carries a progress key")
 	}
 	link, ok := doc["result_pack"].(map[string]any)
 	if !ok {

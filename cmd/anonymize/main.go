@@ -41,7 +41,6 @@ func main() {
 
 		verbose   = flag.Bool("v", false, "enable debug-level structured logging on stderr")
 		logFormat = flag.String("log-format", "", "structured log format: text or json (implies logging even without -v)")
-		progress  = flag.Bool("progress", false, "render live progress (done/total, rate, ETA) on stderr")
 	)
 	flag.CommandLine.Init("anonymize", flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
@@ -49,31 +48,18 @@ func main() {
 	} else if err != nil {
 		os.Exit(perf.ExitInvalid)
 	}
-	if err := observe(*verbose, *logFormat, *progress, func() error {
-		return run(*in, *gen, *out, *alg, *k, *sup, *seed, *stats)
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "anonymize:", err)
-		os.Exit(perf.ExitCode(err))
-	}
-}
-
-// observe runs body under the requested structured logging and progress
-// rendering.
-func observe(verbose bool, logFormat string, progress bool, body func() error) error {
-	if verbose || logFormat != "" {
-		h, err := microdata.NewLogHandler(os.Stderr, logFormat, verbose)
+	if *verbose || *logFormat != "" {
+		h, err := microdata.NewLogHandler(os.Stderr, *logFormat, *verbose)
 		if err != nil {
-			return perf.Exit(perf.ExitInvalid, err)
+			fmt.Fprintln(os.Stderr, "anonymize:", err)
+			os.Exit(perf.ExitInvalid)
 		}
 		microdata.SetLogHandler(h)
 	}
-	if progress {
-		root := microdata.EnableProgress("anonymize")
-		defer microdata.DisableProgress()
-		r := microdata.NewProgressRenderer(os.Stderr, root, 0)
-		defer r.Stop()
+	if err := run(*in, *gen, *out, *alg, *k, *sup, *seed, *stats); err != nil {
+		fmt.Fprintln(os.Stderr, "anonymize:", err)
+		os.Exit(perf.ExitCode(err))
 	}
-	return body()
 }
 
 func run(in string, gen int, out, algName string, k int, sup float64, seed int64, stats bool) error {

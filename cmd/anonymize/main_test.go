@@ -82,6 +82,7 @@ func TestExitCodes(t *testing.T) {
 		{"gen with in", []string{"-gen", "50", "-in", ragged, "-out", out}, perf.ExitInvalid},
 		{"bad log format", []string{"-gen", "50", "-log-format", "xml", "-out", out}, perf.ExitInvalid},
 		{"removed workers flag", []string{"-gen", "50", "-workers", "2", "-out", out}, perf.ExitInvalid},
+		{"removed progress flag", []string{"-gen", "50", "-progress", "-out", out}, perf.ExitInvalid},
 		{"ok", []string{"-gen", "50", "-k", "3", "-out", out}, perf.ExitOK},
 	}
 	for _, c := range cases {

@@ -47,7 +47,6 @@ func main() {
 
 		verbose   = flag.Bool("v", false, "enable debug-level structured logging on stderr")
 		logFormat = flag.String("log-format", "", "structured log format: text or json (implies logging even without -v)")
-		progress  = flag.Bool("progress", false, "render live progress (done/total, rate, ETA) on stderr")
 	)
 	flag.CommandLine.Init("compare", flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
@@ -62,12 +61,6 @@ func main() {
 			os.Exit(perf.ExitInvalid)
 		}
 		microdata.SetLogHandler(h)
-	}
-	if *progress {
-		root := microdata.EnableProgress("compare")
-		defer microdata.DisableProgress()
-		r := microdata.NewProgressRenderer(os.Stderr, root, 0)
-		defer r.Stop()
 	}
 	var err error
 	if *verifyPack != "" {

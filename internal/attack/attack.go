@@ -60,7 +60,6 @@ import (
 	"microdata/internal/eqclass"
 	"microdata/internal/hierarchy"
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/progress"
 )
 
 // Adversary matches ground quasi-identifier values against an anonymized
@@ -285,9 +284,7 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 		return nil, err
 	}
 	span.SetAttr(telemetry.Int("victim_groups", res.groups()))
-	ctx, tr := progress.Start(ctx, "attack.prosecutor", res.groups())
-	defer tr.Finish()
-	lists, err := adv.regionLists(ctx, ix, res, tr)
+	lists, err := adv.regionLists(ctx, ix, res)
 	if err != nil {
 		return nil, err
 	}
@@ -394,15 +391,11 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	if err != nil {
 		return nil, err
 	}
-	// The sweep has three shard stages whose sizes become known one at a
-	// time; the tracker's total grows with each stage.
 	pop, err := adv.resolve(ix, population, pqi)
 	if err != nil {
 		return nil, err
 	}
-	ctx, tr := progress.Start(ctx, "attack.journalist", pop.groups())
-	defer tr.Finish()
-	popRegs, err := adv.regionLists(ctx, ix, pop, tr)
+	popRegs, err := adv.regionLists(ctx, ix, pop)
 	if err != nil {
 		return nil, err
 	}
@@ -412,8 +405,7 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	if err != nil {
 		return nil, err
 	}
-	tr.AddTotal(smp.groups())
-	smpRegs, err := adv.regionLists(ctx, ix, smp, tr)
+	smpRegs, err := adv.regionLists(ctx, ix, smp)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +419,6 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 	span.SetAttr(telemetry.Int("victim_groups", smp.groups()),
 		telemetry.Int("population_groups", pop.groups()),
 		telemetry.Int("region_sets", len(sets.items)))
-	tr.AddTotal(len(sets.items))
 	rows := make([]int, len(sets.items))
 	cand := make([]int, len(sets.items))
 	stamps := sync.Pool{New: func() any { return make([]int32, len(tally.multi)) }}
@@ -438,7 +429,6 @@ func JournalistVectorContext(ctx context.Context, sample, population *dataset.Ta
 			cand[si] += tally.charge(int(r), int32(si)+1, stamp)
 		}
 		stamps.Put(stamp) //nolint:staticcheck // slice header, not pointer
-		tr.Add(1)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -484,15 +474,19 @@ func JournalistVector(sample, population *dataset.Table, adv *Adversary) (core.P
 	return JournalistVectorContext(context.Background(), sample, population, adv)
 }
 
-// NaiveJournalistVector is the reference per-victim population-scanning
-// journalist vector the inverted pipeline is cross-validated against.
+// NaiveJournalistVector is the reference population-scanning journalist
+// vector the inverted pipeline is cross-validated against. The set of
+// matched-region signatures fixes both the candidate count and the match
+// count, so the population is scanned once per distinct set, not once per
+// sample row.
 func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	sqi, pqi, err := adv.checkJournalist(sample, population)
 	if err != nil {
 		return nil, err
 	}
 	out := make(core.PropertyVector, sample.Len())
-	var sb strings.Builder
+	risk := map[string]float64{}
+	var sb, key strings.Builder
 	for i := range out {
 		matches, err := adv.NaiveMatchSet(victimOf(sample, sqi, i))
 		if err != nil {
@@ -501,16 +495,23 @@ func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (c
 		if len(matches) == 0 {
 			return nil, fmt.Errorf("attack: sample row %d matches no anonymized record", i)
 		}
-		// Dedupe matched regions by their anonymized signature.
+		// Dedupe matched regions by their anonymized signature; the
+		// signatures joined in match order key the set.
 		seen := map[string]bool{}
 		var regions []int
+		key.Reset()
 		for _, m := range matches {
 			sb.Reset()
 			eqclass.WriteSignature(&sb, adv.anon, m, adv.qi)
 			if !seen[sb.String()] {
 				seen[sb.String()] = true
 				regions = append(regions, m)
+				key.WriteString(sb.String())
 			}
+		}
+		if r, ok := risk[key.String()]; ok {
+			out[i] = r
+			continue
 		}
 		// Count population candidates covered by any matched region.
 		candidates := 0
@@ -536,6 +537,7 @@ func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (c
 			candidates = len(matches)
 		}
 		out[i] = 1 / float64(candidates)
+		risk[key.String()] = out[i]
 	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
-	"microdata/internal/telemetry/progress"
 )
 
 // resolution is a table (the original, a sample or a population) resolved
@@ -121,11 +120,10 @@ func (r *resolution) eachRegion(g int, f func(region int)) {
 // regions on the victim-level fan-out. Each group serves its q attribute
 // cells from the per-entry memo, which the counters record as hits, and
 // counts its matched regions as probed and the rest as pruned.
-func (a *Adversary) regionLists(ctx context.Context, ix *regionIndex, r *resolution, tr *progress.Tracker) ([][]int32, error) {
+func (a *Adversary) regionLists(ctx context.Context, ix *regionIndex, r *resolution) ([][]int32, error) {
 	lists := make([][]int32, r.groups())
 	if err := forEachParallel(ctx, r.groups(), func(g int) error {
 		r.eachRegion(g, func(reg int) { lists[g] = append(lists[g], int32(reg)) })
-		tr.Add(1)
 		return nil
 	}); err != nil {
 		return nil, err

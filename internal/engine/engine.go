@@ -65,7 +65,6 @@ import (
 	"microdata/internal/lru"
 	"microdata/internal/privacy"
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/progress"
 	"microdata/internal/utility"
 )
 
@@ -587,8 +586,6 @@ func (e *Engine) price(fs *freqset.Set, node lattice.Node, v classVerdict) (floa
 func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Evaluation, error) {
 	ctx, sp := telemetry.Start(ctx, "engine.evaluate_all", telemetry.Int("batch", len(nodes)))
 	defer sp.End()
-	ctx, tr := progress.Start(ctx, "engine.evaluate_all", len(nodes))
-	defer tr.Finish()
 	out := make([]*Evaluation, len(nodes))
 	order := make([]int, len(nodes))
 	for i := range order {
@@ -606,7 +603,6 @@ func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Eval
 				return out, err
 			}
 			out[i] = ev
-			tr.Add(1)
 		}
 		return out, nil
 	}
@@ -641,7 +637,6 @@ func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Eval
 					return
 				}
 				out[i] = ev
-				tr.Add(1)
 			}
 		}()
 	}

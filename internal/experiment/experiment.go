@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/progress"
 	"microdata/internal/telemetry/resultpack"
 )
 
@@ -90,8 +89,7 @@ func RunAll(w io.Writer, opts Options) error {
 }
 
 // RunAllContext is RunAll honoring a context; each experiment runs under
-// its own telemetry span, and the batch reports progress (done count and
-// ETA over the experiment roster) when progress tracking is enabled.
+// its own telemetry span.
 func RunAllContext(ctx context.Context, w io.Writer, opts Options) error {
 	return RunAllRecorded(ctx, w, opts, nil)
 }
@@ -100,14 +98,10 @@ func RunAllContext(ctx context.Context, w io.Writer, opts Options) error {
 // text report each experiment's full output is digested into rec (nil
 // disables recording), the provenance trail CaptureResults seals.
 func RunAllRecorded(ctx context.Context, w io.Writer, opts Options, rec *resultpack.TableRecorder) error {
-	exps := Registry(opts)
-	ctx, tr := progress.Start(ctx, "experiments", len(exps))
-	defer tr.Finish()
-	for _, e := range exps {
+	for _, e := range Registry(opts) {
 		if err := runOne(ctx, w, e, rec); err != nil {
 			return err
 		}
-		tr.Add(1)
 	}
 	return nil
 }
@@ -136,8 +130,6 @@ func runOne(ctx context.Context, w io.Writer, e Experiment, rec *resultpack.Tabl
 	ctx, sp := telemetry.Start(ctx, "experiment."+e.ID,
 		telemetry.String("title", e.Title), telemetry.String("artifact", e.Artifact))
 	defer sp.End()
-	ctx, tr := progress.Start(ctx, "experiment."+e.ID, -1)
-	defer tr.Finish()
 	telemetry.L().Info("experiment: starting", "id", e.ID, "title", e.Title)
 	start := time.Now()
 	var dig *digestWriter

@@ -79,8 +79,8 @@ func TestChromeTraceGolden(t *testing.T) {
 // TestMetricsSnapshotGolden pins the exact snapshot JSON: sorted keys,
 // cumulative Prometheus-style buckets, "+Inf" as the last bound.
 // Instruments are registered in shuffled order on purpose — matching the
-// golden bytes proves Registry.Do's sorted-order guarantee, which /metrics
-// exposition and WriteJSON byte-stability are built on.
+// golden bytes proves Registry.Do's sorted-order guarantee, which WriteJSON
+// byte-stability is built on.
 func TestMetricsSnapshotGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("ola.nodes_tagged").Set(12)

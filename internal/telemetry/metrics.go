@@ -128,7 +128,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // being stored in a Gauge or a Histogram sum (the quiet NaN with an empty
 // payload). float64 has 2^52 distinct NaN encodings and arithmetic may
 // propagate any of them; pinning one makes Snapshot round-trips and the
-// exposition output deterministic regardless of which NaN arrived.
+// JSON output deterministic regardless of which NaN arrived.
 const canonicalNaNBits = 0x7FF8000000000000
 
 // float64bits is math.Float64bits with NaN canonicalized.
@@ -217,8 +217,8 @@ type Instrument struct {
 
 // Do visits every registered instrument in sorted name order — counters
 // first, then gauges, then histograms, each group sorted by name. The
-// order is guaranteed: /metrics exposition and WriteJSON output built on
-// Do are byte-stable across runs for a given set of values. The registry
+// order is guaranteed, so output built on Do is byte-stable across runs
+// for a given set of values. The registry
 // lock is held during the walk; f must not register new instruments.
 func (r *Registry) Do(f func(Instrument)) {
 	r.mu.RLock()

@@ -9,7 +9,7 @@ import (
 
 // TestNaNCanonicalized: whatever NaN bit pattern arrives (quiet, signaling
 // payloads, negative sign), Gauge.Set and Histogram.Observe store the one
-// canonical encoding, so snapshots and expositions are deterministic.
+// canonical encoding, so snapshots are deterministic.
 func TestNaNCanonicalized(t *testing.T) {
 	nans := []uint64{
 		0x7FF8000000000000, // canonical quiet NaN
@@ -47,7 +47,7 @@ func TestNaNCanonicalized(t *testing.T) {
 
 // TestRegistryDoOrder pins Do's visit contract: counters, then gauges, then
 // histograms, each group in sorted name order, regardless of registration
-// order — the guarantee /metrics and WriteJSON byte-stability rests on.
+// order — the guarantee WriteJSON byte-stability rests on.
 func TestRegistryDoOrder(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("z.gauge")

@@ -2,7 +2,8 @@
 // emit with -report: one schema that merges what used to be scattered
 // across -enginestats stdout tables, -metrics snapshots and ad-hoc prints —
 // engine and attack counter roll-ups, per-phase wall clocks derived from
-// the recorded spans, the full metrics snapshot, and the progress totals.
+// the recorded spans, the runtime-health gauges and the full metrics
+// snapshot.
 // DESIGN.md ("Run-report schema") documents the schema; Version gates
 // consumers against shape changes.
 package report
@@ -14,15 +15,15 @@ import (
 	"time"
 
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/progress"
 )
 
 // Schema identifies the document type; Version is bumped on any
 // backwards-incompatible shape change. v2 adds the ResultPack link tying
-// a run report to the sealed result pack the same invocation produced.
+// a run report to the sealed result pack the same invocation produced; v3
+// drops the progress-tracker tree.
 const (
 	Schema  = "microdata/run-report"
-	Version = 2
+	Version = 3
 )
 
 // Report is the unified run report. Scalar roll-ups (Engine, Attack,
@@ -50,13 +51,10 @@ type Report struct {
 	// PhasesMS sums, per span name, the recorded span durations — the
 	// per-phase wall-clock table -enginestats prints, machine-readable.
 	PhasesMS map[string]float64 `json:"phases_ms,omitempty"`
-	// Progress is the final progress-tracker tree (totals of every live
-	// tracker plus finished-children aggregates).
-	Progress *progress.Node `json:"progress,omitempty"`
 	// Runtime holds the go.* runtime-health gauges (heap, GC pause total,
 	// goroutines, scheduler latency) sampled from runtime/metrics at
-	// report-assembly time — the same series the debug server's /metrics
-	// endpoint exposes. Additive in schema v1.
+	// report-assembly time — the same series a -metrics snapshot carries.
+	// Additive in schema v1.
 	Runtime map[string]float64 `json:"runtime,omitempty"`
 	// ResultPack links the sealed result pack this invocation wrote
 	// (-result-out): its path and manifest digest, so the performance
@@ -119,8 +117,8 @@ func Begin(command, mode string) *Builder {
 }
 
 // Finish assembles the report from the collector's spans and metrics (col
-// may be nil) and the progress root (may be nil).
-func (b *Builder) Finish(col *telemetry.Collector, root *progress.Tracker) *Report {
+// may be nil).
+func (b *Builder) Finish(col *telemetry.Collector) *Report {
 	r := &Report{
 		Schema:     Schema,
 		Version:    Version,
@@ -143,9 +141,6 @@ func (b *Builder) Finish(col *telemetry.Collector, root *progress.Tracker) *Repo
 		if phases := phaseDurations(col.Tracer); len(phases) > 0 {
 			r.PhasesMS = phases
 		}
-	}
-	if root != nil {
-		r.Progress = root.Snapshot()
 	}
 	return r
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/progress"
 )
 
 // fakeCollector returns a collector whose tracer runs on a deterministic
@@ -42,13 +41,7 @@ func TestReportShape(t *testing.T) {
 	col.Metrics.Counter("attack.index.build.ns").Add(5_000_000)
 	col.Metrics.Counter("attack.regions.probed").Add(77)
 
-	root := progress.Enable("bench")
-	defer progress.Disable()
-	_, tr := progress.Start(context.Background(), "work", 10)
-	tr.Add(10)
-	tr.Finish()
-
-	r := Begin("anonbench", "experiments").Finish(col, root)
+	r := Begin("anonbench", "experiments").Finish(col)
 	if r.Schema != Schema || r.Version != Version {
 		t.Fatalf("schema/version = %q/%d, want %q/%d", r.Schema, r.Version, Schema, Version)
 	}
@@ -75,9 +68,6 @@ func TestReportShape(t *testing.T) {
 	if r.Metrics == nil || r.Metrics.Counters["engine.nodes.evaluated"] != 500 {
 		t.Errorf("full metrics snapshot missing or wrong")
 	}
-	if r.Progress == nil || r.Progress.Name != "bench" || r.Progress.FinishedChildrenDone != 10 {
-		t.Errorf("progress = %+v", r.Progress)
-	}
 	for _, gauge := range []string{"go.goroutines", "go.heap.objects.bytes", "go.gc.pause.total.seconds"} {
 		if _, ok := r.Runtime[gauge]; !ok {
 			t.Errorf("runtime gauges missing %q: %v", gauge, r.Runtime)
@@ -89,16 +79,15 @@ func TestReportShape(t *testing.T) {
 }
 
 // TestReportOmitsAbsentSubsystems: without the sentinel counters the engine
-// and attack roll-ups are omitted, and nil collector/root never panic.
+// and attack roll-ups are omitted, and a nil collector never panics.
 func TestReportOmitsAbsentSubsystems(t *testing.T) {
 	col := fakeCollector()
 	col.Metrics.Counter("something.else").Add(1)
-	r := Begin("anonymize", "").Finish(col, nil)
-	if r.Engine != nil || r.Attack != nil || r.Progress != nil {
-		t.Errorf("summaries should be nil: engine=%+v attack=%+v progress=%+v",
-			r.Engine, r.Attack, r.Progress)
+	r := Begin("anonymize", "").Finish(col)
+	if r.Engine != nil || r.Attack != nil {
+		t.Errorf("summaries should be nil: engine=%+v attack=%+v", r.Engine, r.Attack)
 	}
-	bare := Begin("compare", "").Finish(nil, nil)
+	bare := Begin("compare", "").Finish(nil)
 	if bare.Metrics != nil || bare.PhasesMS != nil {
 		t.Errorf("nil collector should yield no metrics/phases: %+v", bare)
 	}
@@ -108,7 +97,7 @@ func TestReportOmitsAbsentSubsystems(t *testing.T) {
 // marker, and omits empty sections.
 func TestReportJSONRoundTrip(t *testing.T) {
 	var buf strings.Builder
-	if err := Begin("compare", "paper").Finish(nil, nil).WriteJSON(&buf); err != nil {
+	if err := Begin("compare", "paper").Finish(nil).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -133,13 +122,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestResultPackLink(t *testing.T) {
 	b := Begin("anonbench", "run")
 	b.SetResultPack("results/census-1k.json", "")
-	if r := b.Finish(nil, nil); r.ResultPack != nil {
+	if r := b.Finish(nil); r.ResultPack != nil {
 		t.Errorf("empty digest should not link: %+v", r.ResultPack)
 	}
 	b.SetResultPack("results/census-1k.json", "deadbeef")
-	r := b.Finish(nil, nil)
-	if r.Version != 2 {
-		t.Errorf("result-pack link requires schema v2, got %d", r.Version)
+	r := b.Finish(nil)
+	if r.Version != 3 {
+		t.Errorf("schema version = %d, want 3", r.Version)
 	}
 	if r.ResultPack == nil || r.ResultPack.Path != "results/census-1k.json" || r.ResultPack.SHA256 != "deadbeef" {
 		t.Errorf("result-pack link = %+v", r.ResultPack)

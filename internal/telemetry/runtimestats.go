@@ -8,9 +8,9 @@ import (
 
 // RuntimeStats is one sample of the Go runtime's health, read from the
 // runtime/metrics interface (the supported successor to ad-hoc
-// runtime.ReadMemStats scraping). It feeds three consumers: the
-// debugserver /metrics exposition, the v1 run report, and the perf
-// harness's per-repetition health series.
+// runtime.ReadMemStats scraping). It feeds two consumers: the run
+// report's runtime gauges and the perf harness's per-repetition health
+// series.
 type RuntimeStats struct {
 	// HeapObjectsBytes is live heap memory occupied by objects
 	// (/memory/classes/heap/objects:bytes).
@@ -78,8 +78,8 @@ func ReadRuntimeStats() RuntimeStats {
 	return rs
 }
 
-// Gauges flattens the sample into the metric names the /metrics exposition
-// and the run report publish.
+// Gauges flattens the sample into the metric names the run report
+// publishes.
 func (rs RuntimeStats) Gauges() map[string]float64 {
 	return map[string]float64{
 		"go.goroutines":                rs.Goroutines,
