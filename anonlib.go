@@ -66,11 +66,9 @@ import (
 	"microdata/internal/lattice"
 	"microdata/internal/measure"
 	"microdata/internal/paperdata"
-	"microdata/internal/perfsuite"
 	"microdata/internal/privacy"
 	"microdata/internal/stats"
 	"microdata/internal/telemetry"
-	"microdata/internal/telemetry/ledger"
 	"microdata/internal/telemetry/perf"
 	"microdata/internal/telemetry/report"
 	"microdata/internal/telemetry/resultpack"
@@ -627,12 +625,12 @@ const (
 // BeginRunReport starts a run report for one CLI invocation.
 var BeginRunReport = report.Begin
 
-// Performance-trajectory observability (internal/telemetry/perf,
-// internal/perfsuite): canonical benchmark suites run under a harness that
-// records wall time, allocations and runtime/metrics health samples, sealed
-// into versioned perf packs (canonical JSON with a SHA-256 self-manifest)
-// and compared with a median/MAD drift gate. See README "Benchmarking" and
-// DESIGN.md "Perf packs".
+// Perf packs (internal/telemetry/perf): the repository benchmark
+// (benchmark/ --pack) seals its per-workload samples into versioned perf
+// packs (canonical JSON with a SHA-256 self-manifest), and cmd/benchdiff
+// compares two of them with a median/MAD drift gate on the end-to-end
+// metrics. See README "Benchmarking (perf packs)" and DESIGN.md "Perf
+// packs".
 type (
 	// PerfPack is one sealed perf-pack document (schema
 	// "microdata/perf-pack" v1).
@@ -643,16 +641,10 @@ type (
 	PerfSeries = perf.Series
 	// PerfEnv is the environment fingerprint recorded in every pack.
 	PerfEnv = perf.Env
-	// PerfSuiteSpec is a named set of benchmarks sharing a dataset.
-	PerfSuiteSpec = perf.SuiteSpec
-	// PerfOptions tunes a harness run (repetitions, warmup, logging).
-	PerfOptions = perf.Options
 	// PerfCompareOptions tunes the drift comparator's noise envelope.
 	PerfCompareOptions = perf.CompareOptions
 	// PerfDiff is the full comparison of two packs.
 	PerfDiff = perf.Diff
-	// PerfSuiteOptions sets the dataset parameters of the canonical suites.
-	PerfSuiteOptions = perfsuite.Options
 )
 
 // Stable CLI exit codes shared by anonbench, compare and benchdiff: 0 ok,
@@ -667,19 +659,16 @@ const (
 
 // Perf-pack constructors and helpers.
 var (
-	RunPerfSuites    = perf.RunSuites
 	ReadPerfPack     = perf.ReadFile
 	VerifyPerfPack   = perf.VerifyFile
 	ComparePerfPacks = perf.Compare
 	CanonicalJSON    = perf.Canonicalize
 	ExitCode         = perf.ExitCode
-	PerfSuiteNames   = perfsuite.Names
-	ResolvePerfSuite = perfsuite.Resolve
 )
 
 // TableHash returns the SHA-256 content hash of a table (schema + cells),
-// independent of its dictionary order — the dataset fingerprint perf packs
-// record.
+// independent of its dictionary order — the dataset fingerprint result
+// packs record.
 func TableHash(t *Table) (string, error) { return t.Hash() }
 
 // Correctness-provenance observability (internal/telemetry/resultpack,
@@ -744,42 +733,6 @@ var (
 // WriteResultPack seals p (if needed) and writes it as canonical JSON to
 // path ("-" for stdout).
 func WriteResultPack(p *ResultPack, path string) error { return p.WriteFile(path) }
-
-// Trajectory-ledger observability (internal/telemetry/ledger): an
-// append-only, content-addressed history of sealed perf and result packs
-// with per-benchmark time series, rolling changepoint detection and a
-// drift/correctness gate that attributes environment changes instead of
-// failing on them. Maintained by cmd/anonstat; see README "Trajectory
-// ledger" and DESIGN.md "Trajectory ledger".
-type (
-	// TrajectoryLedger is an opened ledger directory.
-	TrajectoryLedger = ledger.Ledger
-	// LedgerEntry is one appended pack's index record.
-	LedgerEntry = ledger.Entry
-	// LedgerEnvelope is the rolling noise band shared by trend and gate.
-	LedgerEnvelope = ledger.Envelope
-	// LedgerTrend is the extracted per-benchmark time-series document.
-	LedgerTrend = ledger.Trend
-	// LedgerTrendOptions tunes trend extraction.
-	LedgerTrendOptions = ledger.TrendOptions
-	// LedgerGateOptions tunes the rolling drift gate.
-	LedgerGateOptions = ledger.GateOptions
-	// LedgerGateResult is the gate outcome: findings fail, attributions don't.
-	LedgerGateResult = ledger.GateResult
-	// LedgerFinding is one gate failure with a path-level diagnostic.
-	LedgerFinding = ledger.Finding
-	// LedgerAttribution is an environment-change note.
-	LedgerAttribution = ledger.Attribution
-)
-
-// Trajectory-ledger helpers.
-var (
-	OpenLedger         = ledger.Open
-	ExtractLedgerTrend = ledger.ExtractTrend
-	GateLedger         = ledger.Gate
-	Sparkline          = ledger.Sparkline
-	DiffPerfEnv        = perf.DiffEnv
-)
 
 // Telemetry constructors and helpers.
 var (

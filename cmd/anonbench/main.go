@@ -8,13 +8,10 @@
 //	anonbench -run E4
 //	anonbench -run all -n 5000 -ks 2,5,10,25,50 -seed 7
 //	anonbench -enginestats -n 10000 -ks 5
-//	anonbench -bench-suite=all -n 10000 -ks 5 -bench-out bench/full.json
 //
 // Exit codes follow the stable contract shared with benchdiff and compare
-// (see README "Exit codes"): 0 ok, 1 failure, 2 verification failure
-// (e.g. an indexed attack vector diverging from its naive reference),
-// 6 invalid input (bad flags such as -n below 1 or a -ks value above -n,
-// unknown experiment or suite names).
+// (see README "Exit codes"): 0 ok, 1 failure, 6 invalid input (bad flags
+// such as -n below 1 or a -ks value above -n, unknown experiment names).
 //
 // Observability (see README "Observability"):
 //
@@ -50,10 +47,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for the census draw and stochastic algorithms")
 		engStat = flag.Bool("enginestats", false, "run every algorithm once on the census draw (first k of -ks) and print the evaluation-engine counters")
 
-		benchSuiteSel  = flag.String("bench-suite", "", "run the named canonical benchmark suites (\"all\" or a comma list of attack,engine,groupby,ingest,typedcol) and write a sealed perf pack")
-		benchSuiteOut  = flag.String("bench-out", "-", "output path for the -bench-suite perf pack (\"-\" for stdout)")
-		benchSuiteReps = flag.Int("bench-reps", 5, "timed repetitions per benchmark for -bench-suite")
-
 		verbose    = flag.Bool("v", false, "enable debug-level structured logging on stderr")
 		logFormat  = flag.String("log-format", "", "structured log format: text or json (implies logging even without -v)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run's spans (load in chrome://tracing or Perfetto)")
@@ -73,7 +66,6 @@ func main() {
 
 	if err := realMain(options{
 		list: *list, run: *run, n: *n, ks: *ks, seed: *seed, engStat: *engStat,
-		benchSuite: *benchSuiteSel, benchSuiteOut: *benchSuiteOut, benchSuiteReps: *benchSuiteReps,
 		verbose: *verbose, logFormat: *logFormat,
 		traceOut: *traceOut, metricsOut: *metricsOut,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
@@ -91,9 +83,6 @@ type options struct {
 	ks                     string
 	seed                   int64
 	engStat                bool
-	benchSuite             string
-	benchSuiteOut          string
-	benchSuiteReps         int
 	verbose                bool
 	logFormat              string
 	traceOut, metricsOut   string
@@ -143,7 +132,7 @@ func realMain(o options) error {
 		}
 	}
 	opts := microdata.ExperimentOptions{CensusN: o.n, Ks: kVals, Seed: o.seed}
-	if o.resultOut != "" && (o.list || o.engStat || o.benchSuite != "") {
+	if o.resultOut != "" && (o.list || o.engStat) {
 		return perf.Invalidf("-result-out only applies to experiment runs (-run)")
 	}
 
@@ -204,8 +193,6 @@ func realMain(o options) error {
 		defer sp.End()
 
 		switch {
-		case o.benchSuite != "":
-			runErr = benchSuite(ctx, os.Stderr, o.benchSuite, o.benchSuiteOut, o.n, kVals[0], o.seed, o.benchSuiteReps)
 		case o.engStat:
 			runErr = engineStats(ctx, os.Stdout, o.n, kVals[0], o.seed, col)
 		case o.list:
@@ -267,8 +254,6 @@ func experimentExists(id string, opts microdata.ExperimentOptions) bool {
 
 func mode(o options) string {
 	switch {
-	case o.benchSuite != "":
-		return "bench-suite:" + o.benchSuite
 	case o.engStat:
 		return "enginestats"
 	case o.list:

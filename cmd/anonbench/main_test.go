@@ -61,6 +61,9 @@ func TestExitCodes(t *testing.T) {
 		{"removed progress flag", []string{"-run", "E1", "-progress"}, perf.ExitInvalid},
 		{"removed debug-addr flag", []string{"-run", "E1", "-debug-addr", ":0"}, perf.ExitInvalid},
 		{"removed debug-hold flag", []string{"-run", "E1", "-debug-hold"}, perf.ExitInvalid},
+		{"removed bench-suite flag", []string{"-bench-suite", "all"}, perf.ExitInvalid},
+		{"removed bench-out flag", []string{"-run", "E1", "-bench-out", "x"}, perf.ExitInvalid},
+		{"removed bench-reps flag", []string{"-run", "E1", "-bench-reps", "1"}, perf.ExitInvalid},
 		{"ok", []string{"-run", "E1"}, perf.ExitOK},
 	}
 	for _, c := range cases {

@@ -1,27 +1,22 @@
-// Command benchdiff compares two perf packs (see DESIGN.md "Perf packs")
-// and gates on regression drift. It verifies both packs' self-manifests,
-// runs the median/MAD comparator over every benchmark the baseline carries,
-// prints the per-metric drift table, and exits with a stable code scripts
-// and CI can branch on:
+// Command benchdiff compares two perf packs written by the repository
+// benchmark (`bash benchmark/run.sh --workload W --pack pack.json`; see
+// DESIGN.md "Perf packs") and gates on regression drift. It verifies both
+// packs' self-manifests, runs the median/MAD comparator over every
+// workload the baseline carries, prints the per-metric drift table, and
+// exits with a stable code scripts and CI can branch on:
 //
-//	0  no drift (improvements and ungated health changes are fine)
+//	0  no drift (improvements and ungated per-layer changes are fine)
 //	1  internal failure
 //	2  a pack failed manifest verification (edited after sealing, or unsealed)
-//	5  regression drift: a gated metric exceeded the noise envelope, or a
-//	   baseline benchmark is missing from the current pack
+//	5  regression drift: an end-to-end metric (job_s, cpu_s, peak_rss_mb,
+//	   setup_s) exceeded the noise envelope, or a baseline workload is
+//	   missing from the current pack
 //	6  invalid input (bad flags, unreadable or non-pack files)
-//
-// With -baseline-ledger the baseline comes from a trajectory ledger (see
-// cmd/anonstat) instead of a hand-committed file: the newest ledger perf
-// entry whose environment fingerprint matches the current pack is chosen
-// (falling back to the newest perf entry overall, with the differing
-// fingerprint fields surfaced).
 //
 // Usage:
 //
-//	benchdiff baseline.json current.json
-//	benchdiff -rel-threshold 0.5 -v bench/ci-baseline.json perf_ci.json
-//	benchdiff -baseline-ledger bench/ledger perf_ci.json
+//	benchdiff base.json current.json
+//	benchdiff -rel-threshold 0.5 -v base.json current.json
 //	benchdiff -verify-only pack.json
 //	benchdiff -skip-verify edited.json current.json   # drift-test unsealed edits
 package main
@@ -32,9 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"microdata/internal/telemetry/ledger"
 	"microdata/internal/telemetry/perf"
 	"microdata/internal/telemetry/resultpack"
 )
@@ -42,23 +35,25 @@ import (
 func main() {
 	var (
 		relThreshold = flag.Float64("rel-threshold", 0.25, "relative drift threshold (fraction of the baseline median)")
-		madFactor    = flag.Float64("mad-factor", 4, "baseline MAD multiplier widening the noise envelope")
-		gate         = flag.String("gate", "", "comma list of metrics whose drift fails the gate (default wall_ns,allocs)")
 		skipVerify   = flag.Bool("skip-verify", false, "skip manifest verification (compare packs edited after sealing)")
 		verifyOnly   = flag.Bool("verify-only", false, "verify a single pack's manifest and exit")
-		verbose      = flag.Bool("v", false, "print every metric row, including ungated health series")
+		verbose      = flag.Bool("v", false, "print every metric row, including ungated per-layer series")
 		jsonOut      = flag.Bool("json", false, "emit the full drift comparison as canonical JSON on stdout instead of the table (exit codes unchanged)")
-		baseLedger   = flag.String("baseline-ledger", "", "pick the baseline from this trajectory ledger (newest env-matching perf entry) instead of a baseline file argument")
 	)
-	flag.Parse()
+	flag.CommandLine.Init("benchdiff", flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(perf.ExitInvalid)
+	}
 
-	if err := realMain(flag.Args(), *relThreshold, *madFactor, *gate, *skipVerify, *verifyOnly, *verbose, *jsonOut, *baseLedger); err != nil {
+	if err := realMain(flag.Args(), *relThreshold, *skipVerify, *verifyOnly, *verbose, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(perf.ExitCode(err))
 	}
 }
 
-func realMain(args []string, relThreshold, madFactor float64, gate string, skipVerify, verifyOnly, verbose, jsonOut bool, baseLedger string) error {
+func realMain(args []string, relThreshold float64, skipVerify, verifyOnly, verbose, jsonOut bool) error {
 	if verifyOnly {
 		if len(args) != 1 {
 			return perf.Invalidf("-verify-only takes exactly one pack (got %d args)", len(args))
@@ -69,46 +64,18 @@ func realMain(args []string, relThreshold, madFactor float64, gate string, skipV
 		fmt.Printf("%s: manifest ok\n", args[0])
 		return nil
 	}
-	var base, cur *perf.Pack
-	var err error
-	if baseLedger != "" {
-		if len(args) != 1 {
-			return perf.Invalidf("usage: benchdiff -baseline-ledger DIR [flags] current.json (got %d args)", len(args))
-		}
-		cur, err = readPack(args[0], skipVerify)
-		if err != nil {
-			return err
-		}
-		base, err = ledgerBaseline(baseLedger, cur)
-		if err != nil {
-			return err
-		}
-	} else {
-		if len(args) != 2 {
-			return perf.Invalidf("usage: benchdiff [flags] baseline.json current.json (got %d args)", len(args))
-		}
-		base, err = readPack(args[0], skipVerify)
-		if err != nil {
-			return err
-		}
-		cur, err = readPack(args[1], skipVerify)
-		if err != nil {
-			return err
-		}
+	if len(args) != 2 {
+		return perf.Invalidf("usage: benchdiff [flags] base.json current.json (got %d args)", len(args))
 	}
-
-	opts := perf.CompareOptions{RelThreshold: relThreshold, MADFactor: madFactor}
-	if gate != "" {
-		for _, m := range strings.Split(gate, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				opts.Gated = append(opts.Gated, m)
-			}
-		}
-		if opts.Gated == nil {
-			return perf.Invalidf("-gate lists no metrics")
-		}
+	base, err := readPack(args[0], skipVerify)
+	if err != nil {
+		return err
 	}
-	d, err := perf.Compare(base, cur, opts)
+	cur, err := readPack(args[1], skipVerify)
+	if err != nil {
+		return err
+	}
+	d, err := perf.Compare(base, cur, perf.CompareOptions{RelThreshold: relThreshold})
 	if err != nil {
 		return err
 	}
@@ -121,7 +88,7 @@ func realMain(args []string, relThreshold, madFactor float64, gate string, skipV
 	}
 	if !d.OK() {
 		return perf.Exit(perf.ExitDrift,
-			fmt.Errorf("regression drift: %d gated metrics drifted, %d baseline benchmarks missing", d.Drifted, len(d.Missing)))
+			fmt.Errorf("regression drift: %d gated metrics drifted, %d baseline workloads missing", d.Drifted, len(d.Missing)))
 	}
 	return nil
 }
@@ -174,41 +141,6 @@ func writeDiffJSON(w io.Writer, d *perf.Diff) error {
 	}
 	_, err = w.Write([]byte("\n"))
 	return err
-}
-
-// ledgerBaseline picks the comparison baseline out of a trajectory ledger:
-// the newest perf entry whose environment fingerprint matches the current
-// pack's, so cross-machine or cross-toolchain entries never masquerade as
-// the reference. With no fingerprint match the newest perf entry is used
-// and the differing fields are printed (the comparator surfaces them in
-// its output too).
-func ledgerBaseline(dir string, cur *perf.Pack) (*perf.Pack, error) {
-	l, err := ledger.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	entries := l.Entries(ledger.KindPerf)
-	if len(entries) == 0 {
-		return nil, perf.Invalidf("ledger %s holds no perf entries", dir)
-	}
-	fp := cur.Env.Fingerprint()
-	pick := -1
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].EnvFingerprint == fp {
-			pick = i
-			break
-		}
-	}
-	match := "env match"
-	if pick < 0 {
-		pick = len(entries) - 1
-		match = fmt.Sprintf("no env match — fingerprint differs in: %s",
-			perf.EnvChangeFields(perf.DiffEnv(entries[pick].Env, cur.Env)))
-	}
-	e := entries[pick]
-	fmt.Fprintf(os.Stderr, "benchdiff: baseline %s from ledger %s (suite %s, %s)\n",
-		e.Digest[:12], dir, e.Suite, match)
-	return l.ReadPerf(e.Digest)
 }
 
 // readPack loads a pack, verifying the self-manifest unless told not to.

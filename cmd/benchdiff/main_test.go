@@ -3,25 +3,64 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"testing"
 
-	"microdata/internal/telemetry/ledger"
 	"microdata/internal/telemetry/perf"
 )
 
-// writePack seals a one-benchmark pack with the given wall medians and
-// writes it under dir.
-func writePack(t *testing.T, dir, name string, wall []float64) string {
+// TestMain lets the test binary stand in for the benchdiff command: with
+// BENCHDIFF_MAIN=1 it runs main on its arguments, so the tests can check
+// the exit codes flag parsing reports.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHDIFF_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCmd runs the command with args and returns its exit status and
+// standard output.
+func runCmd(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BENCHDIFF_MAIN=1")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), stdout.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stdout.String()
+}
+
+// writePack seals a pack shaped like one `benchmark/ --pack` run: one
+// workload entry holding the four end-to-end series plus a per-layer one,
+// with the given job_s samples, and writes it under dir.
+func writePack(t *testing.T, dir, name string, job []float64) string {
 	t.Helper()
 	p := &perf.Pack{
-		Schema: perf.Schema, Version: perf.Version, Suite: "synthetic", Reps: len(wall),
+		Schema: perf.Schema, Version: perf.Version, Suite: "benchmark", Reps: len(job),
+		Env: perf.Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, NumCPU: 2, Seed: 1, N: 1000, K: 5},
 		Benchmarks: []perf.Benchmark{{
-			Name: "synthetic/op",
+			Name: "paper-replay",
 			Metrics: map[string]perf.Series{
-				perf.MetricWallNS: perf.NewSeries("ns", wall),
+				"job_s":               perf.NewSeries("s", job),
+				"cpu_s":               perf.NewSeries("s", []float64{0.9, 0.91, 0.89}),
+				"peak_rss_mb":         perf.NewSeries("MB", []float64{60, 61, 59}),
+				"setup_s":             perf.NewSeries("s", []float64{0.0042, 0.0043, 0.0041}),
+				"experiment.replay_s": perf.NewSeries("s", job),
 			},
 		}},
 	}
@@ -33,20 +72,20 @@ func writePack(t *testing.T, dir, name string, wall []float64) string {
 }
 
 func run(args ...string) error {
-	return realMain(args, 0.25, 4, "", false, false, false, false, "")
+	return realMain(args, 0.25, false, false, false, false)
 }
 
 func TestExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
-	base := writePack(t, dir, "base.json", []float64{100e6, 102e6, 98e6})
-	same := writePack(t, dir, "same.json", []float64{101e6, 99e6, 100e6})
-	worse := writePack(t, dir, "worse.json", []float64{200e6, 205e6, 198e6})
+	base := writePack(t, dir, "base.json", []float64{0.6, 0.612, 0.588})
+	same := writePack(t, dir, "same.json", []float64{0.606, 0.594, 0.6})
+	worse := writePack(t, dir, "worse.json", []float64{1.2, 1.23, 1.188})
 
 	if err := run(base, same); perf.ExitCode(err) != perf.ExitOK {
-		t.Errorf("identical packs: exit %d (%v), want 0", perf.ExitCode(err), err)
+		t.Errorf("equal packs: exit %d (%v), want 0", perf.ExitCode(err), err)
 	}
 	if err := run(base, worse); perf.ExitCode(err) != perf.ExitDrift {
-		t.Errorf("doubled timings: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitDrift)
+		t.Errorf("doubled job_s: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitDrift)
 	}
 	if err := run(base); perf.ExitCode(err) != perf.ExitInvalid {
 		t.Errorf("one arg: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitInvalid)
@@ -64,17 +103,89 @@ func TestExitCodeContract(t *testing.T) {
 	}
 }
 
+// TestFlagExitCodes runs the command itself, so flag parsing is covered:
+// an unknown or malformed flag, and the removed -baseline-ledger, -gate
+// and -mad-factor, exit 6 (invalid input), not 2 (tampered pack).
+func TestFlagExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	pack := writePack(t, dir, "pack.json", []float64{0.6, 0.612, 0.588})
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"unknown flag", []string{"-nosuch", pack, pack}, perf.ExitInvalid},
+		{"rel-threshold not a number", []string{"-rel-threshold", "x", pack, pack}, perf.ExitInvalid},
+		{"removed baseline-ledger flag", []string{"-baseline-ledger", dir, pack}, perf.ExitInvalid},
+		{"removed gate flag", []string{"-gate", "wall_ns", pack, pack}, perf.ExitInvalid},
+		{"removed mad-factor flag", []string{"-mad-factor", "2", pack, pack}, perf.ExitInvalid},
+		{"ok", []string{"-rel-threshold", "0.5", pack, pack}, perf.ExitOK},
+	}
+	for _, c := range cases {
+		if got, _ := runCmd(t, c.args...); got != c.want {
+			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGatesBenchmarkPacks: on two packs shaped like `benchmark/ --pack`
+// output, a tripled paper-replay job_s fails the gate with exit 5 and the
+// table names job_s as drifted, while a pack compared with itself passes.
+func TestGatesBenchmarkPacks(t *testing.T) {
+	dir := t.TempDir()
+	base := writePack(t, dir, "base.json", []float64{0.6, 0.612, 0.588, 0.605, 0.597})
+	slow := writePack(t, dir, "slow.json", []float64{1.8, 1.836, 1.764, 1.815, 1.791})
+
+	code, out := runCmd(t, base, slow)
+	if code != perf.ExitDrift {
+		t.Errorf("tripled job_s: exit %d, want %d\n%s", code, perf.ExitDrift, out)
+	}
+	if !regexp.MustCompile(`(?m)^paper-replay +job_s .* 3\.00x +drifted$`).MatchString(out) {
+		t.Errorf("drift table does not name job_s as drifted:\n%s", out)
+	}
+	if code, out := runCmd(t, base, base); code != perf.ExitOK {
+		t.Errorf("self-compare: exit %d, want 0\n%s", code, out)
+	}
+}
+
+// TestGatedMatchesBenchmarkEndToEnd keeps the gated set and the
+// benchmark's declared end-to-end metrics from drifting apart.
+func TestGatedMatchesBenchmarkEndToEnd(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		EndToEnd []struct {
+			Name string `json:"name"`
+		} `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range doc.EndToEnd {
+		want = append(want, m.Name)
+	}
+	got := slices.Clone(perf.Gated)
+	slices.Sort(want)
+	slices.Sort(got)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("gated metrics %v, BENCHMARK.json end_to_end %v", got, want)
+	}
+}
+
 func TestTamperedPackFailsVerification(t *testing.T) {
 	dir := t.TempDir()
-	base := writePack(t, dir, "base.json", []float64{100e6, 102e6, 98e6})
-	cur := writePack(t, dir, "cur.json", []float64{101e6, 99e6, 100e6})
+	base := writePack(t, dir, "base.json", []float64{0.6, 0.612, 0.588})
+	cur := writePack(t, dir, "cur.json", []float64{0.606, 0.594, 0.6})
 
 	// Hand-edit one timing digit after sealing.
 	raw, err := os.ReadFile(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := bytes.Replace(raw, []byte("99000000"), []byte("99000001"), 1)
+	edited := bytes.Replace(raw, []byte("0.594"), []byte("0.595"), 1)
 	if bytes.Equal(edited, raw) {
 		t.Fatalf("tamper target not found in %s", raw)
 	}
@@ -85,144 +196,20 @@ func TestTamperedPackFailsVerification(t *testing.T) {
 	if err := run(base, cur); perf.ExitCode(err) != perf.ExitVerification {
 		t.Errorf("tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
 	}
-	if err := realMain([]string{cur}, 0.25, 4, "", false, true, false, false, ""); perf.ExitCode(err) != perf.ExitVerification {
+	if err := realMain([]string{cur}, 0.25, false, true, false, false); perf.ExitCode(err) != perf.ExitVerification {
 		t.Errorf("-verify-only on tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
 	}
 	// -skip-verify waives the seal so the comparator still runs (and the
 	// one-digit edit is well inside the envelope).
-	if err := realMain([]string{base, cur}, 0.25, 4, "", true, false, false, false, ""); perf.ExitCode(err) != perf.ExitOK {
+	if err := realMain([]string{base, cur}, 0.25, true, false, false, false); perf.ExitCode(err) != perf.ExitOK {
 		t.Errorf("-skip-verify on tampered pack: exit %d (%v), want 0", perf.ExitCode(err), err)
-	}
-}
-
-func TestCustomGate(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, goroutines float64) string {
-		p := &perf.Pack{
-			Schema: perf.Schema, Version: perf.Version, Suite: "synthetic", Reps: 1,
-			Benchmarks: []perf.Benchmark{{
-				Name: "synthetic/op",
-				Metrics: map[string]perf.Series{
-					perf.MetricWallNS:     perf.NewSeries("ns", []float64{100e6}),
-					perf.MetricGoroutines: perf.NewSeries("count", []float64{goroutines}),
-				},
-			}},
-		}
-		path := filepath.Join(dir, name)
-		if err := p.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := mk("base.json", 4)
-	cur := mk("cur.json", 400)
-
-	// Goroutines are ungated by default: no drift.
-	if err := run(base, cur); perf.ExitCode(err) != perf.ExitOK {
-		t.Errorf("default gate: exit %d (%v), want 0", perf.ExitCode(err), err)
-	}
-	// Gating on goroutines turns the 100x blowup into drift.
-	if err := realMain([]string{base, cur}, 0.25, 4, "goroutines", false, false, false, false, ""); perf.ExitCode(err) != perf.ExitDrift {
-		t.Errorf("-gate goroutines: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitDrift)
-	}
-}
-
-// writeEnvPack is writePack with a pinned environment, for ledger-baseline
-// fingerprint matching.
-func writeEnvPack(t *testing.T, dir, name string, env perf.Env, wall []float64) string {
-	t.Helper()
-	p := &perf.Pack{
-		Schema: perf.Schema, Version: perf.Version, Suite: "synthetic", Reps: len(wall), Env: env,
-		Benchmarks: []perf.Benchmark{{
-			Name: "synthetic/op",
-			Metrics: map[string]perf.Series{
-				perf.MetricWallNS: perf.NewSeries("ns", wall),
-			},
-		}},
-	}
-	path := filepath.Join(dir, name)
-	if err := p.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestLedgerBaseline(t *testing.T) {
-	dir := t.TempDir()
-	ldir := filepath.Join(dir, "ledger")
-	env := perf.Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 1, NumCPU: 1, Seed: 1, N: 400, K: 5}
-	otherEnv := env
-	otherEnv.GoVersion = "go1.23.0"
-
-	l, err := ledger.Open(ldir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An env-matching baseline at 100ms and a newer foreign-env entry at
-	// 50ms: fingerprint matching must pick the 100ms one.
-	for _, pk := range []struct {
-		name    string
-		env     perf.Env
-		created int64
-		wall    float64
-	}{
-		{"match.json", env, 1000, 100e6},
-		{"foreign.json", otherEnv, 2000, 50e6},
-	} {
-		p := &perf.Pack{
-			Schema: perf.Schema, Version: perf.Version, Suite: "synthetic", Reps: 1,
-			CreatedUnixMS: pk.created, Env: pk.env,
-			Benchmarks: []perf.Benchmark{{
-				Name:    "synthetic/op",
-				Metrics: map[string]perf.Series{perf.MetricWallNS: perf.NewSeries("ns", []float64{pk.wall})},
-			}},
-		}
-		var buf bytes.Buffer
-		if err := p.WriteCanonical(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := l.Append(buf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Current pack in the matching env at ~100ms: against the env-matching
-	// 100ms baseline this is no drift. (Against the newer foreign 50ms
-	// entry it would be a 2x regression, so a pass proves the fingerprint
-	// match picked the right baseline.)
-	cur := writeEnvPack(t, dir, "cur.json", env, []float64{101e6})
-	if err := realMain([]string{cur}, 0.25, 4, "", false, false, false, false, ldir); perf.ExitCode(err) != perf.ExitOK {
-		t.Errorf("env-matching ledger baseline: exit %d (%v), want 0", perf.ExitCode(err), err)
-	}
-
-	// A genuinely regressed current pack still gates.
-	worse := writeEnvPack(t, dir, "worse.json", env, []float64{200e6})
-	if err := realMain([]string{worse}, 0.25, 4, "", false, false, false, false, ldir); perf.ExitCode(err) != perf.ExitDrift {
-		t.Errorf("regressed against ledger baseline: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitDrift)
-	}
-
-	// No env match: falls back to the newest entry (50ms) rather than
-	// erroring, so the same current pack now reads as drift.
-	thirdEnv := env
-	thirdEnv.GoVersion = "go1.22.0"
-	other := writeEnvPack(t, dir, "other.json", thirdEnv, []float64{101e6})
-	if err := realMain([]string{other}, 0.25, 4, "", false, false, false, false, ldir); perf.ExitCode(err) != perf.ExitDrift {
-		t.Errorf("fallback baseline: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitDrift)
-	}
-
-	// Usage errors: two positional args with -baseline-ledger, empty ledger.
-	if err := realMain([]string{cur, cur}, 0.25, 4, "", false, false, false, false, ldir); perf.ExitCode(err) != perf.ExitInvalid {
-		t.Errorf("two args with -baseline-ledger: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitInvalid)
-	}
-	if err := realMain([]string{cur}, 0.25, 4, "", false, false, false, false, filepath.Join(dir, "empty")); perf.ExitCode(err) != perf.ExitInvalid {
-		t.Errorf("empty ledger: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitInvalid)
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
 	dir := t.TempDir()
-	base := writePack(t, dir, "base.json", []float64{100e6, 102e6, 98e6})
-	cur := writePack(t, dir, "cur.json", []float64{101e6, 99e6, 100e6})
+	base := writePack(t, dir, "base.json", []float64{0.6, 0.612, 0.588})
+	cur := writePack(t, dir, "cur.json", []float64{0.606, 0.594, 0.6})
 
 	b, err := readPack(base, false)
 	if err != nil {
@@ -232,7 +219,7 @@ func TestJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := perf.Compare(b, c, perf.CompareOptions{RelThreshold: 0.25, MADFactor: 4})
+	d, err := perf.Compare(b, c, perf.CompareOptions{RelThreshold: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +245,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("rows missing from -json output: %s", out1.String())
 	}
 	row := rows[0].(map[string]any)
-	if row["benchmark"] != "synthetic/op" || row["metric"] != perf.MetricWallNS {
+	if row["benchmark"] != "paper-replay" || row["metric"] != "cpu_s" {
 		t.Errorf("row = %v", row)
 	}
 

@@ -205,44 +205,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Instrument is one registered metric, as visited by Registry.Do: exactly
-// one of Counter, Gauge and Histogram is non-nil.
-type Instrument struct {
-	// Name is the registered metric name.
-	Name      string
-	Counter   *Counter
-	Gauge     *Gauge
-	Histogram *Histogram
-}
-
-// Do visits every registered instrument in sorted name order — counters
-// first, then gauges, then histograms, each group sorted by name. The
-// order is guaranteed, so output built on Do is byte-stable across runs
-// for a given set of values. The registry
-// lock is held during the walk; f must not register new instruments.
-func (r *Registry) Do(f func(Instrument)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, name := range sortedKeys(r.counters) {
-		f(Instrument{Name: name, Counter: r.counters[name]})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		f(Instrument{Name: name, Gauge: r.gauges[name]})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		f(Instrument{Name: name, Histogram: r.hists[name]})
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Snapshot is a point-in-time, JSON-ready view of a registry. Map keys are
 // emitted in sorted order by encoding/json, so serialization is
 // deterministic for a given set of values.
@@ -297,29 +259,30 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return hs
 }
 
-// Snapshot freezes the registry's current values, visiting instruments in
-// Do's sorted order.
+// Snapshot freezes the registry's current values. Empty groups stay nil,
+// so their JSON keys are omitted.
 func (r *Registry) Snapshot() Snapshot {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	s := Snapshot{}
-	r.Do(func(in Instrument) {
-		switch {
-		case in.Counter != nil:
-			if s.Counters == nil {
-				s.Counters = make(map[string]int64)
-			}
-			s.Counters[in.Name] = in.Counter.Value()
-		case in.Gauge != nil:
-			if s.Gauges == nil {
-				s.Gauges = make(map[string]float64)
-			}
-			s.Gauges[in.Name] = in.Gauge.Value()
-		case in.Histogram != nil:
-			if s.Histograms == nil {
-				s.Histograms = make(map[string]HistogramSnapshot)
-			}
-			s.Histograms[in.Name] = in.Histogram.Snapshot()
-		}
-	})
+	if len(r.counters) > 0 {
+		s.Counters = make(map[string]int64, len(r.counters))
+	}
+	for name, c := range r.counters {
+		s.Counters[name] = c.Value()
+	}
+	if len(r.gauges) > 0 {
+		s.Gauges = make(map[string]float64, len(r.gauges))
+	}
+	for name, g := range r.gauges {
+		s.Gauges[name] = g.Value()
+	}
+	if len(r.hists) > 0 {
+		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
+	}
+	for name, h := range r.hists {
+		s.Histograms[name] = h.Snapshot()
+	}
 	return s
 }
 

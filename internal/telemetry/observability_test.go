@@ -45,45 +45,6 @@ func TestNaNCanonicalized(t *testing.T) {
 	}
 }
 
-// TestRegistryDoOrder pins Do's visit contract: counters, then gauges, then
-// histograms, each group in sorted name order, regardless of registration
-// order — the guarantee WriteJSON byte-stability rests on.
-func TestRegistryDoOrder(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("z.gauge")
-	reg.Counter("b.count")
-	reg.Histogram("m.hist", []float64{1})
-	reg.Counter("a.count")
-	reg.Gauge("a.gauge")
-	reg.Histogram("a.hist", nil)
-
-	var names []string
-	var kinds []string
-	reg.Do(func(in Instrument) {
-		names = append(names, in.Name)
-		switch {
-		case in.Counter != nil:
-			kinds = append(kinds, "counter")
-		case in.Gauge != nil:
-			kinds = append(kinds, "gauge")
-		case in.Histogram != nil:
-			kinds = append(kinds, "histogram")
-		default:
-			t.Errorf("instrument %q has no value", in.Name)
-		}
-	})
-	wantNames := []string{"a.count", "b.count", "a.gauge", "z.gauge", "a.hist", "m.hist"}
-	wantKinds := []string{"counter", "counter", "gauge", "gauge", "histogram", "histogram"}
-	if len(names) != len(wantNames) {
-		t.Fatalf("visited %d instruments, want %d", len(names), len(wantNames))
-	}
-	for i := range wantNames {
-		if names[i] != wantNames[i] || kinds[i] != wantKinds[i] {
-			t.Errorf("visit %d = %s %q, want %s %q", i, kinds[i], names[i], wantKinds[i], wantNames[i])
-		}
-	}
-}
-
 // TestConcurrentSnapshotInvariants snapshots a registry while GOMAXPROCS
 // writers hammer it — run under -race in CI. Each snapshot must satisfy:
 // counter values never decrease across consecutive snapshots, histogram

@@ -1,12 +1,11 @@
-// Package perf turns benchmark runs into verifiable artifacts. A run of a
-// named suite produces a "perf pack": a versioned JSON document (schema
-// "microdata/perf-pack") holding per-benchmark metric sample series (wall
-// time, allocations, sampled runtime/metrics health readings) and an
-// environment fingerprint, serialized as canonical JSON (JCS-style sorted
-// keys, no insignificant whitespace) and sealed with a SHA-256
-// self-manifest. Packs from two runs are compared with a median/MAD
-// statistical comparator that classifies every metric as ok, improved or
-// drifted — the foundation of the CI drift gate (cmd/benchdiff).
+// Package perf turns benchmark runs into verifiable artifacts. A run of
+// the repository benchmark (benchmark/ --pack) produces a "perf pack": a
+// versioned JSON document (schema "microdata/perf-pack") holding
+// per-workload metric sample series and an environment fingerprint,
+// serialized as canonical JSON (JCS-style sorted keys, no insignificant
+// whitespace) and sealed with a SHA-256 self-manifest. Packs from two runs
+// are compared with a median/MAD statistical comparator that classifies
+// every end-to-end metric as ok, improved or drifted (cmd/benchdiff).
 //
 // The package also defines the stable CLI exit-code contract shared by
 // anonbench, compare and benchdiff (see ExitOK and friends), patterned on

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -21,49 +23,27 @@ const (
 	// VerdictInvalid: not comparable (NaN median on either side) — counted
 	// as drift, since a benchmark that stops producing numbers is broken.
 	VerdictInvalid Verdict = "invalid"
-	// VerdictInfo: an ungated health metric, reported but never failing.
+	// VerdictInfo: an ungated per-layer metric, reported but never failing.
 	VerdictInfo Verdict = "info"
 )
 
-// DefaultGated is the metric set whose drift fails the gate; the remaining
-// series (GC pause, heap, goroutines, scheduler latency) are health
-// context.
-var DefaultGated = []string{MetricWallNS, MetricAllocs}
+// Gated is the metric set whose drift fails the gate: the end-to-end
+// metrics of the repository benchmark (BENCHMARK.json "end_to_end"). The
+// per-layer series a pack also carries report as info.
+var Gated = []string{"job_s", "cpu_s", "peak_rss_mb", "setup_s"}
+
+// madFactor scales the baseline's median absolute deviation into the noise
+// envelope, so noisy workloads get wider bands.
+const madFactor = 4
 
 // CompareOptions tunes the significance test. A gated metric drifts when
 // the current median exceeds the baseline median by more than the noise
-// envelope max(RelThreshold·baseline, MADFactor·MAD(baseline), AbsFloor);
-// it improves when it undercuts the baseline by the same margin.
+// envelope max(RelThreshold·baseline, 4·MAD(baseline)); it improves when it
+// undercuts the baseline by the same margin.
 type CompareOptions struct {
 	// RelThreshold is the relative significance threshold (default 0.25:
 	// ±25% of the baseline median is noise).
 	RelThreshold float64
-	// MADFactor scales the baseline's median absolute deviation into the
-	// envelope (default 4) so noisy benchmarks get wider bands.
-	MADFactor float64
-	// AbsFloor maps metric name → absolute envelope floor, shielding
-	// microbenchmarks whose run-to-run jitter is large relative to tiny
-	// medians. Defaults: wall_ns 2e6 (2 ms), allocs 256.
-	AbsFloor map[string]float64
-	// Gated selects the metrics whose drift fails the gate (default
-	// DefaultGated); everything else reports as info.
-	Gated []string
-}
-
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.RelThreshold <= 0 {
-		o.RelThreshold = 0.25
-	}
-	if o.MADFactor <= 0 {
-		o.MADFactor = 4
-	}
-	if o.AbsFloor == nil {
-		o.AbsFloor = map[string]float64{MetricWallNS: 2e6, MetricAllocs: 256}
-	}
-	if o.Gated == nil {
-		o.Gated = DefaultGated
-	}
-	return o
 }
 
 // MetricDiff is one (benchmark, metric) comparison row.
@@ -105,12 +85,10 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 	if base == nil || cur == nil {
 		return nil, Invalidf("perf: compare: nil pack")
 	}
-	opts = opts.withDefaults()
-	d := &Diff{BaseSuite: base.Suite, CurSuite: cur.Suite, EnvChanges: DiffEnv(base.Env, cur.Env)}
-	gated := map[string]bool{}
-	for _, m := range opts.Gated {
-		gated[m] = true
+	if opts.RelThreshold <= 0 {
+		opts.RelThreshold = 0.25
 	}
+	d := &Diff{BaseSuite: base.Suite, CurSuite: cur.Suite, EnvChanges: diffEnv(base.Env, cur.Env)}
 	for _, bb := range base.Benchmarks {
 		cb := cur.Benchmark(bb.Name)
 		if cb == nil {
@@ -128,10 +106,10 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 				Base: bs.Median, BaseMAD: bs.MAD, Cur: cs.Median,
 				Ratio: ratio(bs.Median, cs.Median),
 			}
-			if !gated[metric] {
+			if !slices.Contains(Gated, metric) {
 				row.Verdict = VerdictInfo
 			} else {
-				row.Verdict = classify(bs, cs, metric, opts)
+				row.Verdict = classify(bs, cs, opts.RelThreshold)
 				switch row.Verdict {
 				case VerdictDrifted, VerdictInvalid:
 					d.Drifted++
@@ -146,16 +124,13 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 }
 
 // classify applies the noise-envelope test to one gated metric.
-func classify(base, cur Series, metric string, opts CompareOptions) Verdict {
+func classify(base, cur Series, relThreshold float64) Verdict {
 	if math.IsNaN(base.Median) || math.IsNaN(cur.Median) {
 		return VerdictInvalid
 	}
-	envelope := opts.RelThreshold * math.Abs(base.Median)
-	if mad := opts.MADFactor * base.MAD; !math.IsNaN(mad) && mad > envelope {
+	envelope := relThreshold * math.Abs(base.Median)
+	if mad := madFactor * base.MAD; !math.IsNaN(mad) && mad > envelope {
 		envelope = mad
-	}
-	if floor := opts.AbsFloor[metric]; floor > envelope {
-		envelope = floor
 	}
 	delta := cur.Median - base.Median
 	switch {
@@ -195,12 +170,10 @@ func (c EnvChange) String() string {
 	return fmt.Sprintf("%s: %s -> %s", c.Field, orDash(c.Base), orDash(c.Cur))
 }
 
-// DiffEnv lists the fingerprint fields that differ between two
-// environments, so callers can attribute apparent drift to a go-version,
-// CPU or dataset change instead of a code change. GitRevision differences
-// are included here (they matter for attribution display) even though
-// Env.Fingerprint deliberately ignores them.
-func DiffEnv(a, b Env) []EnvChange {
+// diffEnv lists the fingerprint fields that differ between two
+// environments, so a reader can attribute apparent drift to a go-version,
+// CPU or dataset change instead of a code change.
+func diffEnv(a, b Env) []EnvChange {
 	var out []EnvChange
 	diff := func(field, av, bv string) {
 		if av != bv {
@@ -218,16 +191,6 @@ func DiffEnv(a, b Env) []EnvChange {
 	return out
 }
 
-// EnvChangeFields returns the comma-joined field names of a change list —
-// the one-line summary the text renderers lead with.
-func EnvChangeFields(changes []EnvChange) string {
-	fields := make([]string, len(changes))
-	for i, c := range changes {
-		fields[i] = c.Field
-	}
-	return strings.Join(fields, ", ")
-}
-
 func orDash(s string) string {
 	if s == "" {
 		return "-"
@@ -239,8 +202,12 @@ func orDash(s string) string {
 // gated and non-ok rows print; with verbose true every row prints.
 func (d *Diff) WriteTable(w io.Writer, verbose bool) {
 	if len(d.EnvChanges) > 0 {
+		fields := make([]string, len(d.EnvChanges))
+		for i, c := range d.EnvChanges {
+			fields[i] = c.Field
+		}
 		fmt.Fprintf(w, "env fingerprint differs in %d field(s): %s\n",
-			len(d.EnvChanges), EnvChangeFields(d.EnvChanges))
+			len(d.EnvChanges), strings.Join(fields, ", "))
 		for _, ch := range d.EnvChanges {
 			fmt.Fprintf(w, "  env %s\n", ch)
 		}
@@ -256,7 +223,7 @@ func (d *Diff) WriteTable(w io.Writer, verbose bool) {
 			ratio = fmt.Sprintf("%.2fx", r.Ratio)
 		}
 		fmt.Fprintf(w, "%-48s %-12s %14s %14s %8s  %s\n",
-			r.Benchmark, r.Metric, fmtMetric(r.Base, r.Unit), fmtMetric(r.Cur, r.Unit), ratio, r.Verdict)
+			r.Benchmark, r.Metric, fmtMetric(r.Base), fmtMetric(r.Cur), ratio, r.Verdict)
 	}
 	for _, m := range d.Missing {
 		fmt.Fprintf(w, "%-48s %-12s %14s %14s %8s  %s\n", m, "-", "-", "-", "-", "missing")
@@ -265,15 +232,18 @@ func (d *Diff) WriteTable(w io.Writer, verbose bool) {
 		d.Drifted, d.Improved, len(d.Missing))
 }
 
-func fmtMetric(v float64, unit string) string {
-	if math.IsNaN(v) {
+// fmtMetric prints a median compactly: millions with an M suffix, values
+// from 1 up with two decimals, and smaller ones with three significant
+// digits, so a 0.0042 s setup does not print as 0.
+func fmtMetric(v float64) string {
+	switch {
+	case math.IsNaN(v):
 		return "NaN"
-	}
-	if unit == "ns" {
-		return fmtNS(v)
-	}
-	if v >= 1e6 {
+	case math.Abs(v) >= 1e6:
 		return fmt.Sprintf("%.3gM", v/1e6)
+	case math.Abs(v) >= 1:
+		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", v), "0"), ".")
+	default:
+		return strconv.FormatFloat(v, 'g', 3, 64)
 	}
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", v), "0"), ".")
 }

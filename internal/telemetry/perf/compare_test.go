@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// packWith builds a single-benchmark pack with the given wall samples.
-func packWith(name string, wall []float64) *Pack {
+// packWith builds a single-workload pack with the given job_s samples.
+func packWith(name string, job []float64) *Pack {
 	return &Pack{
-		Schema: Schema, Version: Version, Suite: "synthetic", Reps: len(wall),
+		Schema: Schema, Version: Version, Suite: "benchmark", Reps: len(job),
 		Benchmarks: []Benchmark{{
 			Name: name,
 			Metrics: map[string]Series{
-				MetricWallNS: NewSeries("ns", wall),
+				"job_s": NewSeries("s", job),
 			},
 		}},
 	}
@@ -33,13 +33,13 @@ func verdictOf(t *testing.T, d *Diff, bench, metric string) Verdict {
 
 func TestCompareNoDrift(t *testing.T) {
 	// ±10% jitter around 100 ms: well inside the 25% envelope.
-	base := packWith("s/b", []float64{100e6, 102e6, 98e6, 101e6, 99e6})
-	cur := packWith("s/b", []float64{108e6, 95e6, 104e6, 99e6, 102e6})
+	base := packWith("w", []float64{0.1, 0.102, 0.098, 0.101, 0.099})
+	cur := packWith("w", []float64{0.108, 0.095, 0.104, 0.099, 0.102})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictOK {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictOK {
 		t.Errorf("verdict = %s, want ok", got)
 	}
 	if !d.OK() {
@@ -48,13 +48,13 @@ func TestCompareNoDrift(t *testing.T) {
 }
 
 func TestCompareRegression(t *testing.T) {
-	base := packWith("s/b", []float64{100e6, 102e6, 98e6})
-	cur := packWith("s/b", []float64{200e6, 205e6, 198e6}) // doubled
+	base := packWith("w", []float64{0.1, 0.102, 0.098})
+	cur := packWith("w", []float64{0.2, 0.205, 0.198}) // doubled
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictDrifted {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictDrifted {
 		t.Errorf("verdict = %s, want drifted", got)
 	}
 	if d.OK() || d.Drifted != 1 {
@@ -63,13 +63,13 @@ func TestCompareRegression(t *testing.T) {
 }
 
 func TestCompareImprovement(t *testing.T) {
-	base := packWith("s/b", []float64{200e6, 205e6, 198e6})
-	cur := packWith("s/b", []float64{100e6, 102e6, 98e6})
+	base := packWith("w", []float64{0.2, 0.205, 0.198})
+	cur := packWith("w", []float64{0.1, 0.102, 0.098})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictImproved {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictImproved {
 		t.Errorf("verdict = %s, want improved", got)
 	}
 	if !d.OK() || d.Improved != 1 {
@@ -80,46 +80,25 @@ func TestCompareImprovement(t *testing.T) {
 func TestCompareMADWidensEnvelope(t *testing.T) {
 	// A very noisy baseline (MAD 50 ms on a 100 ms median): a +35% shift
 	// that would trip the 25% relative envelope stays within 4·MAD.
-	base := packWith("s/b", []float64{50e6, 100e6, 150e6, 40e6, 160e6})
-	cur := packWith("s/b", []float64{135e6, 135e6, 135e6})
+	base := packWith("w", []float64{0.05, 0.1, 0.15, 0.04, 0.16})
+	cur := packWith("w", []float64{0.135, 0.135, 0.135})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictOK {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictOK {
 		t.Errorf("verdict = %s, want ok (MAD envelope)", got)
 	}
 }
 
-func TestCompareAbsFloorShieldsMicrobenchmarks(t *testing.T) {
-	// 200 µs -> 600 µs is 3x relative but under the 2 ms absolute floor.
-	base := packWith("s/b", []float64{200e3, 210e3, 190e3})
-	cur := packWith("s/b", []float64{600e3, 610e3, 590e3})
-	d, err := Compare(base, cur, CompareOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictOK {
-		t.Errorf("verdict = %s, want ok (abs floor)", got)
-	}
-	// Without the floor the same shift drifts.
-	d, err = Compare(base, cur, CompareOptions{AbsFloor: map[string]float64{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictDrifted {
-		t.Errorf("verdict without floor = %s, want drifted", got)
-	}
-}
-
 func TestCompareNaNIsInvalid(t *testing.T) {
-	base := packWith("s/b", []float64{100e6, math.NaN(), 98e6})
-	cur := packWith("s/b", []float64{100e6, 101e6, 99e6})
+	base := packWith("w", []float64{0.1, math.NaN(), 0.098})
+	cur := packWith("w", []float64{0.1, 0.101, 0.099})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictInvalid {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictInvalid {
 		t.Errorf("NaN baseline verdict = %s, want invalid", got)
 	}
 	if d.OK() {
@@ -130,48 +109,46 @@ func TestCompareNaNIsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictInvalid {
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictInvalid {
 		t.Errorf("NaN current verdict = %s, want invalid", got)
 	}
 }
 
 func TestCompareZeroBaseline(t *testing.T) {
-	// Zero baseline: relative envelope is zero, so only the absolute
-	// floor separates noise from drift.
-	base := packWith("s/b", []float64{0, 0, 0})
-	within := packWith("s/b", []float64{1e6, 1e6, 1e6})    // under the 2 ms floor
-	beyond := packWith("s/b", []float64{50e6, 50e6, 50e6}) // far past it
-	d, err := Compare(base, within, CompareOptions{})
+	// Zero baseline (a layer never called): the relative envelope and the
+	// MAD are both zero, so an unchanged zero passes and any rise drifts.
+	base := packWith("w", []float64{0, 0, 0})
+	d, err := Compare(base, base, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictOK {
-		t.Errorf("zero baseline within floor = %s, want ok", got)
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictOK {
+		t.Errorf("zero against zero = %s, want ok", got)
 	}
 	if r := d.Rows[0]; !math.IsNaN(r.Ratio) {
 		t.Errorf("ratio against zero baseline = %v, want NaN", r.Ratio)
 	}
-	d, err = Compare(base, beyond, CompareOptions{})
+	d, err = Compare(base, packWith("w", []float64{0.001, 0.001, 0.001}), CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricWallNS); got != VerdictDrifted {
-		t.Errorf("zero baseline past floor = %s, want drifted", got)
+	if got := verdictOf(t, d, "w", "job_s"); got != VerdictDrifted {
+		t.Errorf("rise from a zero baseline = %s, want drifted", got)
 	}
 }
 
 func TestCompareMissingBenchmarkFailsGate(t *testing.T) {
-	base := packWith("s/b", []float64{100e6})
+	base := packWith("w", []float64{0.1})
 	base.Benchmarks = append(base.Benchmarks, Benchmark{
-		Name:    "s/dropped",
-		Metrics: map[string]Series{MetricWallNS: NewSeries("ns", []float64{1e6})},
+		Name:    "dropped",
+		Metrics: map[string]Series{"job_s": NewSeries("s", []float64{0.001})},
 	})
-	cur := packWith("s/b", []float64{100e6})
+	cur := packWith("w", []float64{0.1})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.OK() || len(d.Missing) != 1 || d.Missing[0] != "s/dropped" {
+	if d.OK() || len(d.Missing) != 1 || d.Missing[0] != "dropped" {
 		t.Errorf("dropped benchmark not flagged: %+v", d)
 	}
 	// New benchmarks in cur are fine.
@@ -185,16 +162,16 @@ func TestCompareMissingBenchmarkFailsGate(t *testing.T) {
 }
 
 func TestCompareUngatedMetricsAreInfo(t *testing.T) {
-	base := packWith("s/b", []float64{100e6})
-	cur := packWith("s/b", []float64{100e6})
-	// A 100x goroutine regression in an ungated metric must not gate.
-	base.Benchmarks[0].Metrics[MetricGoroutines] = NewSeries("count", []float64{4})
-	cur.Benchmarks[0].Metrics[MetricGoroutines] = NewSeries("count", []float64{400})
+	base := packWith("w", []float64{0.1})
+	cur := packWith("w", []float64{0.1})
+	// A 100x rise in a per-layer metric must not gate.
+	base.Benchmarks[0].Metrics["go.gc_cycles"] = NewSeries("count", []float64{4})
+	cur.Benchmarks[0].Metrics["go.gc_cycles"] = NewSeries("count", []float64{400})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdictOf(t, d, "s/b", MetricGoroutines); got != VerdictInfo {
+	if got := verdictOf(t, d, "w", "go.gc_cycles"); got != VerdictInfo {
 		t.Errorf("ungated verdict = %s, want info", got)
 	}
 	if !d.OK() {
@@ -203,8 +180,12 @@ func TestCompareUngatedMetricsAreInfo(t *testing.T) {
 }
 
 func TestDiffTableRendersDrift(t *testing.T) {
-	base := packWith("s/b", []float64{100e6})
-	cur := packWith("s/b", []float64{220e6})
+	base := packWith("w", []float64{0.1})
+	cur := packWith("w", []float64{0.22})
+	base.Benchmarks[0].Metrics["setup_s"] = NewSeries("s", []float64{0.0042})
+	cur.Benchmarks[0].Metrics["setup_s"] = NewSeries("s", []float64{0.0126})
+	base.Benchmarks[0].Metrics["peak_rss_mb"] = NewSeries("MB", []float64{1234.5})
+	cur.Benchmarks[0].Metrics["peak_rss_mb"] = NewSeries("MB", []float64{1234.5})
 	d, err := Compare(base, cur, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +193,18 @@ func TestDiffTableRendersDrift(t *testing.T) {
 	var buf bytes.Buffer
 	d.WriteTable(&buf, false)
 	out := buf.String()
-	for _, want := range []string{"s/b", "wall_ns", "drifted", "2.20x", "1 drifted"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
+	// Values below 1 keep three significant digits: a 0.0042 s setup must
+	// not print as 0 beside its 3.00x ratio.
+	rows := []string{
+		"w  job_s  0.1  0.22  2.20x  drifted",
+		"w  setup_s  0.0042  0.0126  3.00x  drifted",
+		"w  peak_rss_mb  1234.5  1234.5  1.00x  ok",
+		"verdict: 2 drifted, 0 improved, 0 missing",
+	}
+	squeezed := strings.Join(strings.Fields(out), " ")
+	for _, want := range rows {
+		if !strings.Contains(squeezed, strings.Join(strings.Fields(want), " ")) {
+			t.Errorf("table missing row %q:\n%s", want, out)
 		}
 	}
 }

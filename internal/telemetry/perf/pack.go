@@ -31,8 +31,8 @@ const (
 	// ExitFailure: an internal/runtime error not covered by a specific code.
 	ExitFailure = 1
 	// ExitVerification: an artifact failed integrity verification — a pack
-	// manifest hash mismatch, or a cross-validated computation diverging
-	// from its reference.
+	// manifest hash mismatch, or an input that no longer hashes to the
+	// fingerprint a pack recorded.
 	ExitVerification = 2
 	// ExitDrift: a statistical comparison found regression drift.
 	ExitDrift = 5
@@ -76,14 +76,14 @@ func ExitCode(err error) int {
 	return ExitFailure
 }
 
-// Pack is one perf-pack document: the result of running a benchmark suite
-// N times under the harness, sealed with a self-manifest.
+// Pack is one perf-pack document: the per-repetition samples of a
+// benchmark run, sealed with a self-manifest.
 type Pack struct {
 	// Schema is always "microdata/perf-pack"; Version gates readers.
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
-	// Suite names the suite selection that produced the pack (a single
-	// suite name or a comma-joined normalized list).
+	// Suite names what produced the pack ("benchmark" or
+	// "benchmark-trace" for benchmark/ --pack).
 	Suite string `json:"suite"`
 	// Reps is the number of timed repetitions behind every sample series.
 	Reps int `json:"reps"`
@@ -114,24 +114,6 @@ type Env struct {
 	Seed        int64  `json:"seed"`
 	N           int    `json:"n"`
 	K           int    `json:"k"`
-}
-
-// Fingerprint returns a short stable identity for the comparability half
-// of the fingerprint: every field except GitRevision (runs from different
-// commits on the same machine and dataset draw are exactly the comparisons
-// a trend ledger exists to make). It is the first 12 hex digits of the
-// SHA-256 of the canonical JSON encoding of the redacted struct, so two
-// environments share a fingerprint iff every comparability field matches.
-func (e Env) Fingerprint() string {
-	id := e
-	id.GitRevision = ""
-	canon, err := CanonicalMarshal(id)
-	if err != nil {
-		// Env is a struct of scalars; canonical marshaling cannot fail.
-		panic(fmt.Sprintf("perf: env fingerprint: %v", err))
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:])[:12]
 }
 
 // Benchmark is one named benchmark's recorded metric series.

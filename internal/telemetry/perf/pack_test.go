@@ -26,14 +26,14 @@ func fixturePack() *Pack {
 			{
 				Name: "attack/prosecutor/datafly/indexed-serial",
 				Metrics: map[string]Series{
-					MetricWallNS: NewSeries("ns", []float64{1900000, 2000000, 2100000}),
-					MetricAllocs: NewSeries("count", []float64{1200, 1200, 1201}),
+					"wall_ns": NewSeries("ns", []float64{1900000, 2000000, 2100000}),
+					"allocs":  NewSeries("count", []float64{1200, 1200, 1201}),
 				},
 			},
 			{
 				Name: "attack/journalist/mondrian/indexed",
 				Metrics: map[string]Series{
-					MetricWallNS: NewSeries("ns", []float64{35000000, 34000000, 36000000}),
+					"wall_ns": NewSeries("ns", []float64{35000000, 34000000, 36000000}),
 				},
 			},
 		},
