@@ -120,14 +120,12 @@ var (
 	PrefixVal   = dataset.PrefixVal
 	SetVal      = dataset.SetVal
 	StarVal     = dataset.StarVal
-	ReadCSV     = dataset.ReadCSV
 	WriteCSV    = dataset.WriteCSV
+	// ReadCSV parses a CSV stream whose header matches the schema.
+	ReadCSV = dataset.IngestCSVTable
 
 	NewColumnar     = dataset.NewColumnar
-	ReadCSVColumnar = dataset.ReadCSVColumnar
 	NewCSVIngester  = dataset.NewCSVIngester
-	IngestCSV       = dataset.IngestCSV
-	IngestCSVTable  = dataset.IngestCSVTable
 	Float64ColumnOf = dataset.Float64ColumnOf
 )
 
@@ -462,9 +460,7 @@ type (
 )
 
 // Attack constructors and risk measures. The Context variants accept a
-// context.Context for cancellation of the parallel fan-out; the Naive
-// variants are the serial row-scanning references the indexed pipeline is
-// cross-validated against.
+// context.Context for cancellation of the parallel fan-out.
 var (
 	NewAdversary            = attack.NewAdversary
 	ProsecutorVector        = attack.ProsecutorVector
@@ -475,8 +471,6 @@ var (
 	MarketerRisk            = attack.MarketerRisk
 	TargetedRisk            = attack.TargetedRisk
 	TargetedRiskContext     = attack.TargetedRiskContext
-	NaiveProsecutorVector   = attack.NaiveProsecutorVector
-	NaiveJournalistVector   = attack.NaiveJournalistVector
 )
 
 // Query-workload utility evaluation (the LeFevre §6 view).
@@ -660,7 +654,7 @@ const (
 // Perf-pack constructors and helpers.
 var (
 	ReadPerfPack     = perf.ReadFile
-	VerifyPerfPack   = perf.VerifyFile
+	VerifyPack       = perf.VerifyFile
 	ComparePerfPacks = perf.Compare
 	CanonicalJSON    = perf.Canonicalize
 	ExitCode         = perf.ExitCode
@@ -723,7 +717,6 @@ const (
 // Result-pack constructors and helpers.
 var (
 	ReadResultPack         = resultpack.ReadFile
-	VerifyResultPack       = resultpack.VerifyFile
 	DiffResultPacks        = resultpack.Diff
 	WriteResultDivergences = resultpack.WriteDivergences
 	CaptureResultPack      = experiment.CaptureResults
@@ -732,7 +725,7 @@ var (
 
 // WriteResultPack seals p (if needed) and writes it as canonical JSON to
 // path ("-" for stdout).
-func WriteResultPack(p *ResultPack, path string) error { return p.WriteFile(path) }
+func WriteResultPack(p *ResultPack, path string) error { return perf.WriteFile(path, p) }
 
 // Telemetry constructors and helpers.
 var (

@@ -224,19 +224,19 @@ func realMain(o options) error {
 	}()
 
 	if col != nil && o.traceOut != "" {
-		if err := writeFileOrStdout(o.traceOut, col.Tracer.WriteChromeTrace); err != nil {
+		if err := perf.WriteOut(o.traceOut, col.Tracer.WriteChromeTrace); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
 	if col != nil && o.metricsOut != "" {
 		snap := col.Metrics.Snapshot()
-		if err := writeFileOrStdout(o.metricsOut, snap.WriteJSON); err != nil {
+		if err := perf.WriteOut(o.metricsOut, snap.WriteJSON); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
 	if o.reportOut != "" {
 		rep := rb.Finish(col)
-		if err := writeFileOrStdout(o.reportOut, rep.WriteJSON); err != nil {
+		if err := perf.WriteOut(o.reportOut, rep.WriteJSON); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
 	}
@@ -261,22 +261,6 @@ func mode(o options) string {
 	default:
 		return "run:" + o.run
 	}
-}
-
-// writeFileOrStdout streams write to path, or to stdout when path is "-".
-func writeFileOrStdout(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // engineStats runs every registered algorithm once on a synthetic census

@@ -79,7 +79,7 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 			return perf.Exit(perf.ExitInvalid, err)
 		}
 		defer f.Close()
-		tab, err = microdata.IngestCSVTable(f, microdata.CensusSchema())
+		tab, err = microdata.ReadCSV(f, microdata.CensusSchema())
 		if err != nil {
 			return perf.Exit(perf.ExitInvalid, fmt.Errorf("%s: %w", in, err))
 		}

@@ -72,7 +72,7 @@ func writePack(t *testing.T, dir, name string, job []float64) string {
 }
 
 func run(args ...string) error {
-	return realMain(args, 0.25, false, false, false, false)
+	return realMain(args, 0.25, false, false, false)
 }
 
 func TestExitCodeContract(t *testing.T) {
@@ -104,8 +104,9 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestFlagExitCodes runs the command itself, so flag parsing is covered:
-// an unknown or malformed flag, and the removed -baseline-ledger, -gate
-// and -mad-factor, exit 6 (invalid input), not 2 (tampered pack).
+// an unknown or malformed flag, and the removed -baseline-ledger, -gate,
+// -mad-factor and -skip-verify, exit 6 (invalid input), not 2 (tampered
+// pack).
 func TestFlagExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	pack := writePack(t, dir, "pack.json", []float64{0.6, 0.612, 0.588})
@@ -119,6 +120,7 @@ func TestFlagExitCodes(t *testing.T) {
 		{"removed baseline-ledger flag", []string{"-baseline-ledger", dir, pack}, perf.ExitInvalid},
 		{"removed gate flag", []string{"-gate", "wall_ns", pack, pack}, perf.ExitInvalid},
 		{"removed mad-factor flag", []string{"-mad-factor", "2", pack, pack}, perf.ExitInvalid},
+		{"removed skip-verify flag", []string{"-skip-verify", pack, pack}, perf.ExitInvalid},
 		{"ok", []string{"-rel-threshold", "0.5", pack, pack}, perf.ExitOK},
 	}
 	for _, c := range cases {
@@ -196,13 +198,27 @@ func TestTamperedPackFailsVerification(t *testing.T) {
 	if err := run(base, cur); perf.ExitCode(err) != perf.ExitVerification {
 		t.Errorf("tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
 	}
-	if err := realMain([]string{cur}, 0.25, false, true, false, false); perf.ExitCode(err) != perf.ExitVerification {
+	if err := realMain([]string{cur}, 0.25, true, false, false); perf.ExitCode(err) != perf.ExitVerification {
 		t.Errorf("-verify-only on tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
 	}
-	// -skip-verify waives the seal so the comparator still runs (and the
-	// one-digit edit is well inside the envelope).
-	if err := realMain([]string{base, cur}, 0.25, true, false, false, false); perf.ExitCode(err) != perf.ExitOK {
-		t.Errorf("-skip-verify on tampered pack: exit %d (%v), want 0", perf.ExitCode(err), err)
+
+	// A byte appended after the sealed document is an edit too.
+	raw, err = os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := filepath.Join(dir, "appended.json")
+	if err := os.WriteFile(appended, append(raw, 'x'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := realMain([]string{appended}, 0.25, true, false, false); perf.ExitCode(err) != perf.ExitVerification {
+		t.Errorf("-verify-only on appended byte: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
+	}
+
+	// One verifier serves both pack kinds: the committed result pack
+	// verifies as it stands.
+	if err := realMain([]string{"../../results/census-1k.json"}, 0.25, true, false, false); err != nil {
+		t.Errorf("-verify-only on the golden result pack: %v", err)
 	}
 }
 
@@ -211,11 +227,11 @@ func TestJSONOutput(t *testing.T) {
 	base := writePack(t, dir, "base.json", []float64{0.6, 0.612, 0.588})
 	cur := writePack(t, dir, "cur.json", []float64{0.606, 0.594, 0.6})
 
-	b, err := readPack(base, false)
+	b, err := perf.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := readPack(cur, false)
+	c, err := perf.ReadFile(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +268,8 @@ func TestJSONOutput(t *testing.T) {
 	// Real packs carry NaN ratios (zero baseline medians) and NaN MADs
 	// (single-rep packs), which encoding/json rejects as raw floats — the
 	// writer must emit the pinned string spellings instead of failing.
-	d.Rows[0].Ratio = math.NaN()
-	d.Rows[0].BaseMAD = math.Inf(1)
+	d.Rows[0].Ratio = perf.Float(math.NaN())
+	d.Rows[0].BaseMAD = perf.Float(math.Inf(1))
 	var nanOut bytes.Buffer
 	if err := writeDiffJSON(&nanOut, d); err != nil {
 		t.Fatalf("writeDiffJSON with NaN ratio: %v", err)

@@ -22,8 +22,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
@@ -160,13 +158,7 @@ func readCensus(path string) (*microdata.Table, string, error) {
 	if err != nil {
 		return nil, "", perf.Exit(perf.ExitInvalid, fmt.Errorf("%s: %w", path, err))
 	}
-	return t, hashHex(raw), nil
-}
-
-// hashHex fingerprints a file's raw bytes the way result packs record them.
-func hashHex(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	return t, perf.Digest(raw), nil
 }
 
 // comparePair writes the human comparison report for one pair and returns

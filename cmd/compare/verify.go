@@ -77,7 +77,7 @@ func replayFiles(p *microdata.ResultPack) (*microdata.ResultPack, error) {
 		if err != nil {
 			return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("recorded input: %w", err))
 		}
-		if got := hashHex(raw); got != f.SHA256 {
+		if got := perf.Digest(raw); got != f.SHA256 {
 			return nil, perf.Exit(perf.ExitVerification, fmt.Errorf(
 				"%s (%s input): content hash %s does not match the sealed fingerprint %s",
 				f.Path, f.Role, got, f.SHA256))

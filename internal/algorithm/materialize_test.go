@@ -74,16 +74,25 @@ func (rp *rowPath) release(t *testing.T, node []int, suppressed []int) ([][]data
 			}
 		}
 	}
-	sigs := make([]string, len(rows))
+	// Group rows by signature, classes in first-appearance order.
+	index := map[string]int{}
+	var groups [][]int
+	var sig strings.Builder
 	for i, row := range rows {
-		var sig strings.Builder
+		sig.Reset()
 		for _, j := range rp.orig.Schema.QuasiIdentifiers() {
 			sig.WriteString(row[j].Key())
 			sig.WriteByte('\x1f')
 		}
-		sigs[i] = sig.String()
+		g, ok := index[sig.String()]
+		if !ok {
+			g = len(groups)
+			index[sig.String()] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	p, err := eqclass.FromSignatures(sigs)
+	p, err := eqclass.FromGroups(len(rows), groups)
 	if err != nil {
 		t.Fatal(err)
 	}

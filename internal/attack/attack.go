@@ -40,9 +40,8 @@
 // merged by region set and indexed from each region, so a distinct victim
 // region set is charged the tallies of its regions plus the multi-region
 // sets it hits, each counted once.
-// The Naive* functions keep the direct row-scanning reference
-// implementations; the cross-validation tests pin both paths to identical
-// vectors.
+// The tests keep the direct row-scanning reference implementations
+// (reference_test.go) and pin both paths to identical vectors.
 package attack
 
 import (
@@ -50,14 +49,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"microdata/internal/core"
 	"microdata/internal/dataset"
-	"microdata/internal/eqclass"
 	"microdata/internal/hierarchy"
 	"microdata/internal/telemetry"
 )
@@ -167,34 +164,6 @@ func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
 	a.ins.candidatesPruned.Add(int64(ix.n - regions))
 	sort.Ints(out)
 	return out, nil
-}
-
-// NaiveMatchSet is the reference row-scanning matcher MatchSet is
-// cross-validated against.
-func (a *Adversary) NaiveMatchSet(victim []dataset.Value) ([]int, error) {
-	if len(victim) != len(a.qi) {
-		return nil, fmt.Errorf("attack: victim has %d quasi-identifier values, schema has %d", len(victim), len(a.qi))
-	}
-	var matches []int
-rows:
-	for i := 0; i < a.anon.Len(); i++ {
-		for vi, j := range a.qi {
-			if !a.covers(a.anon.At(i, j), victim[vi], a.anon.Schema.Attrs[j]) {
-				continue rows
-			}
-		}
-		matches = append(matches, i)
-	}
-	return matches, nil
-}
-
-// victimOf extracts row i's ground QI values from the original table.
-func victimOf(orig *dataset.Table, qi []int, i int) []dataset.Value {
-	v := make([]dataset.Value, len(qi))
-	for vi, j := range qi {
-		v[vi] = orig.At(i, j)
-	}
-	return v
 }
 
 // forEachParallel runs f over 0..n-1 across runtime.GOMAXPROCS(0) worker
@@ -307,30 +276,6 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 // ProsecutorVector is ProsecutorVectorContext without cancellation.
 func ProsecutorVector(orig *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	return ProsecutorVectorContext(context.Background(), orig, adv)
-}
-
-// NaiveProsecutorVector is the reference serial row-scanning prosecutor
-// vector the indexed pipeline is cross-validated against.
-func NaiveProsecutorVector(orig *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
-	if orig.Len() != adv.anon.Len() {
-		return nil, fmt.Errorf("attack: original has %d rows, anonymized %d", orig.Len(), adv.anon.Len())
-	}
-	qi, err := adv.checkQI(orig, "original")
-	if err != nil {
-		return nil, err
-	}
-	out := make(core.PropertyVector, orig.Len())
-	for i := 0; i < orig.Len(); i++ {
-		matches, err := adv.NaiveMatchSet(victimOf(orig, qi, i))
-		if err != nil {
-			return nil, err
-		}
-		if len(matches) == 0 {
-			return nil, fmt.Errorf("attack: tuple %d matches no anonymized record — the anonymization is inconsistent with its input", i)
-		}
-		out[i] = 1 / float64(len(matches))
-	}
-	return out, nil
 }
 
 // SafetyVector is the higher-is-better form the comparison framework
@@ -472,74 +417,6 @@ func (a *Adversary) checkJournalist(sample, population *dataset.Table) (sqi, pqi
 // JournalistVector is JournalistVectorContext without cancellation.
 func JournalistVector(sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	return JournalistVectorContext(context.Background(), sample, population, adv)
-}
-
-// NaiveJournalistVector is the reference population-scanning journalist
-// vector the inverted pipeline is cross-validated against. The set of
-// matched-region signatures fixes both the candidate count and the match
-// count, so the population is scanned once per distinct set, not once per
-// sample row.
-func NaiveJournalistVector(sample, population *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
-	sqi, pqi, err := adv.checkJournalist(sample, population)
-	if err != nil {
-		return nil, err
-	}
-	out := make(core.PropertyVector, sample.Len())
-	risk := map[string]float64{}
-	var sb, key strings.Builder
-	for i := range out {
-		matches, err := adv.NaiveMatchSet(victimOf(sample, sqi, i))
-		if err != nil {
-			return nil, err
-		}
-		if len(matches) == 0 {
-			return nil, fmt.Errorf("attack: sample row %d matches no anonymized record", i)
-		}
-		// Dedupe matched regions by their anonymized signature; the
-		// signatures joined in match order key the set.
-		seen := map[string]bool{}
-		var regions []int
-		key.Reset()
-		for _, m := range matches {
-			sb.Reset()
-			eqclass.WriteSignature(&sb, adv.anon, m, adv.qi)
-			if !seen[sb.String()] {
-				seen[sb.String()] = true
-				regions = append(regions, m)
-				key.WriteString(sb.String())
-			}
-		}
-		if r, ok := risk[key.String()]; ok {
-			out[i] = r
-			continue
-		}
-		// Count population candidates covered by any matched region.
-		candidates := 0
-	pop:
-		for p := 0; p < population.Len(); p++ {
-			for _, m := range regions {
-				all := true
-				for vi, j := range adv.qi {
-					if !adv.covers(adv.anon.At(m, j), population.At(p, pqi[vi]), adv.anon.Schema.Attrs[j]) {
-						all = false
-						break
-					}
-				}
-				if all {
-					candidates++
-					continue pop
-				}
-			}
-		}
-		if candidates < len(matches) {
-			// Population does not contain the sample: fall back to the
-			// sample match set (prosecutor bound).
-			candidates = len(matches)
-		}
-		out[i] = 1 / float64(candidates)
-		risk[key.String()] = out[i]
-	}
-	return out, nil
 }
 
 // TargetedRiskContext reports the risk distribution over a targeted subset

@@ -8,7 +8,7 @@ import (
 
 func demoTable(t *testing.T) *Table {
 	t.Helper()
-	tab, err := ReadCSV(strings.NewReader(demoCSV), demoSchema(t))
+	tab, err := IngestCSVTable(strings.NewReader(demoCSV), demoSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ const demoCSV = `ZipCode,Age,MaritalStatus
 `
 
 func TestReadCSV(t *testing.T) {
-	tab, err := ReadCSV(strings.NewReader(demoCSV), demoSchema(t))
+	tab, err := IngestCSVTable(strings.NewReader(demoCSV), demoSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestReadCSVErrors(t *testing.T) {
 		{"empty", ""},
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.in), demoSchema(t)); err == nil {
+		if _, err := IngestCSVTable(strings.NewReader(c.in), demoSchema(t)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	orig, err := ReadCSV(strings.NewReader(demoCSV), demoSchema(t))
+	orig, err := IngestCSVTable(strings.NewReader(demoCSV), demoSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, demoSchema(t))
+	back, err := IngestCSVTable(&buf, demoSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,12 @@ import (
 // dictionary-encoded columns. No [][]Value is ever materialized and no
 // more than one record of text is buffered beyond the unconsumed tail.
 //
-// The accepted record syntax mirrors ReadCSV (RFC 4180 with strict
-// quoting): the first record must be the header matching the schema's
-// attribute names in order, "" escapes a quote inside a quoted field,
-// \r\n inside a quoted field normalizes to \n, empty lines are skipped,
-// and a bare quote inside an unquoted field is an error. The chunked and
+// The record syntax is RFC 4180 with strict quoting, as encoding/csv
+// reads it (the test-only ReferenceReadCSV pins the two): the first
+// record must be the header matching the schema's attribute names in
+// order, "" escapes a quote inside a quoted field, \r\n inside a quoted
+// field normalizes to \n, empty lines are skipped, and a bare quote
+// inside an unquoted field is an error. The chunked and
 // whole-input parses are byte-for-byte identical regardless of where the
 // chunk boundaries fall.
 type CSVIngester struct {
@@ -40,8 +41,7 @@ type CSVIngester struct {
 }
 
 // NewCSVIngester returns an ingester for the schema. Feed chunks with
-// Write, then Close; the accumulated table is available via Columnar or
-// Table.
+// Write, then Close; Table returns the accumulated table.
 func NewCSVIngester(schema *Schema) *CSVIngester {
 	return &CSVIngester{schema: schema, cols: NewColumnar(schema)}
 }
@@ -105,26 +105,27 @@ func (g *CSVIngester) Close() error {
 // Len returns the number of data rows ingested so far.
 func (g *CSVIngester) Len() int { return g.cols.Len() }
 
-// Columnar returns the accumulated builder. Call after Close; it holds
-// only fully parsed records.
-func (g *CSVIngester) Columnar() *Columnar { return g.cols }
-
 // Table seals the accumulated builder and returns its table; a later
 // Write fails.
 func (g *CSVIngester) Table() *Table { return g.cols.Table() }
 
-// ingestChunk is the read-buffer size of IngestCSV: large enough to
+// ingestChunk is the read-buffer size of IngestCSVTable: large enough to
 // amortize read calls and column growth, small enough to stay
 // cache-friendly.
 const ingestChunk = 256 << 10
 
-// IngestCSV streams a CSV source straight into dictionary-encoded columns:
-// it reads ingestChunk bytes at a time and feeds each read to the
-// chunk-tolerant push ingester, so no more than a chunk of input and an
-// unconsumed record tail are ever resident. Parsing semantics are exactly
-// CSVIngester's (RFC 4180 strict quoting, header validated against the
-// schema).
-func IngestCSV(r io.Reader, schema *Schema) (*Columnar, error) {
+// IngestCSVTable parses a CSV stream whose header must match the schema's
+// attribute names in order into a sealed table. Numeric columns are parsed
+// as floats; a bare "*" parses as the suppressed value; "(lo,hi]" parses
+// as an interval; a trailing run of '*' after a non-empty prefix parses as
+// a Prefix value. Everything else in a categorical column is an exact
+// string.
+//
+// It reads ingestChunk bytes at a time and feeds each read to a
+// CSVIngester, so no more than a chunk of input and an unconsumed record
+// tail are ever resident, and cells stream straight into
+// dictionary-encoded columns.
+func IngestCSVTable(r io.Reader, schema *Schema) (*Table, error) {
 	g := NewCSVIngester(schema)
 	buf := make([]byte, ingestChunk)
 	for {
@@ -144,16 +145,7 @@ func IngestCSV(r io.Reader, schema *Schema) (*Columnar, error) {
 	if err := g.Close(); err != nil {
 		return nil, err
 	}
-	return g.Columnar(), nil
-}
-
-// IngestCSVTable is IngestCSV returning the sealed table.
-func IngestCSVTable(r io.Reader, schema *Schema) (*Table, error) {
-	c, err := IngestCSV(r, schema)
-	if err != nil {
-		return nil, err
-	}
-	return c.Table(), nil
+	return g.Table(), nil
 }
 
 // drain scans the buffered bytes for complete records (newlines outside

@@ -35,10 +35,10 @@ func ingestChunks(t *testing.T, schema *Schema, in string, chunk int) (*Table, e
 
 func TestCSVIngesterMatchesReadCSV(t *testing.T) {
 	for _, in := range []string{demoCSV, quotedCSV} {
-		want, werr := ReadCSV(strings.NewReader(in), demoSchema(t))
+		want, werr := ReferenceReadCSV(strings.NewReader(in), demoSchema(t))
 		got, gerr := ingestChunks(t, demoSchema(t), in, len(in))
 		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error disagreement: ReadCSV=%v ingester=%v", werr, gerr)
+			t.Fatalf("error disagreement: reference=%v ingester=%v", werr, gerr)
 		}
 		if werr != nil {
 			continue

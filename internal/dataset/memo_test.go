@@ -21,17 +21,14 @@ const hostileCSV = "ZipCode,Age,MaritalStatus\n" +
 	"*,\"-0\",*\n" +
 	"13053,28,Married\n"
 
-// readAll parses in with every fast reader: ReadCSV, IngestCSVTable and
-// the push ingester fed chunk-byte pieces.
+// readAll parses in with both entry points of the one ingester:
+// IngestCSVTable and the push ingester fed chunk-byte pieces. Callers
+// compare each table against ReferenceReadCSV.
 func readAll(t *testing.T, schema *Schema, in string, chunk int) map[string]*Table {
 	t.Helper()
 	out := map[string]*Table{}
-	tab, err := ReadCSV(strings.NewReader(in), schema)
+	tab, err := IngestCSVTable(strings.NewReader(in), schema)
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	out["ReadCSV"] = tab
-	if tab, err = IngestCSVTable(strings.NewReader(in), schema); err != nil {
 		t.Fatalf("IngestCSVTable: %v", err)
 	}
 	out["IngestCSVTable"] = tab
@@ -90,7 +87,7 @@ func TestMemoCutoffMidChunk(t *testing.T) {
 		if _, err := g.Write([]byte(in[i:min(i+chunk, len(in))])); err != nil {
 			t.Fatal(err)
 		}
-		cols := g.Columnar().cols
+		cols := g.cols.cols
 		if off := cols[0].memo == nil; off != (i+chunk > start) {
 			t.Fatalf("after chunk at %d: ZipCode memo off = %v", i, off)
 		}
@@ -117,10 +114,10 @@ func TestMemoCutoffMidChunk(t *testing.T) {
 
 // TestFailingRecordLeavesBuilderUnchanged checks that a record whose later
 // field fails to parse adds nothing, not even the new texts of its earlier
-// fields, and that both readers report the reference's error.
+// fields, and that both entry points report the reference's error.
 func TestFailingRecordLeavesBuilderUnchanged(t *testing.T) {
 	c := NewColumnar(demoSchema(t))
-	if err := appendFields(c, []string{"13053", "28", "Married"}, 2); err != nil {
+	if err := appendFields(c, [][]byte{[]byte("13053"), []byte("28"), []byte("Married")}, 2); err != nil {
 		t.Fatal(err)
 	}
 	err := appendFields(c, [][]byte{[]byte("99999"), []byte("31"), []byte("")}, 3)
@@ -144,23 +141,23 @@ func TestFailingRecordLeavesBuilderUnchanged(t *testing.T) {
 		"ZipCode,Age,MaritalStatus\n13053,28,x\n?,31,y\n",
 	} {
 		_, want := ReferenceReadCSV(strings.NewReader(in), demoSchema(t))
-		_, got := ReadCSV(strings.NewReader(in), demoSchema(t))
+		_, got := IngestCSVTable(strings.NewReader(in), demoSchema(t))
 		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Errorf("ReadCSV error %v, reference %v", got, want)
+			t.Errorf("IngestCSVTable error %v, reference %v", got, want)
 		}
 		g := NewCSVIngester(demoSchema(t))
 		_, gerr := g.Write([]byte(in))
 		if gerr == nil || gerr.Error() != want.Error() {
 			t.Errorf("CSVIngester error %v, reference %v", gerr, want)
 		}
-		if g.Len() != 1 || g.Columnar().cols[0].Card() != 1 {
-			t.Errorf("CSVIngester kept part of the failing record: %d rows, %d zips", g.Len(), g.Columnar().cols[0].Card())
+		if g.Len() != 1 || g.cols.cols[0].Card() != 1 {
+			t.Errorf("CSVIngester kept part of the failing record: %d rows, %d zips", g.Len(), g.cols.cols[0].Card())
 		}
 	}
 }
 
 func TestTableDropsBuilderMaps(t *testing.T) {
-	tab, err := ReadCSV(strings.NewReader(hostileCSV), demoSchema(t))
+	tab, err := IngestCSVTable(strings.NewReader(hostileCSV), demoSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}

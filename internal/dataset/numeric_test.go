@@ -118,8 +118,8 @@ func TestTableFloat64Column(t *testing.T) {
 	}
 }
 
-// TestIngestCSVMatchesReadCSV pins the pipelined double-buffered ingest to
-// the one-shot reference on a CSV large enough to span several read
+// TestIngestCSVMatchesReadCSV pins the chunked reader IngestCSVTable to
+// the encoding/csv reference on a CSV large enough to span several read
 // buffers, plus the quote-hostile sample.
 func TestIngestCSVMatchesReadCSV(t *testing.T) {
 	var sb strings.Builder
@@ -130,7 +130,7 @@ func TestIngestCSVMatchesReadCSV(t *testing.T) {
 		fmt.Fprintf(&sb, "%05d,%d,%s\n", 10000+rng.Intn(90000), rng.Intn(90), statuses[rng.Intn(len(statuses))])
 	}
 	for name, in := range map[string]string{"large": sb.String(), "quoted": quotedCSV} {
-		want, err := ReadCSV(strings.NewReader(in), demoSchema(t))
+		want, err := ReferenceReadCSV(strings.NewReader(in), demoSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestIngestCSVMatchesReadCSV(t *testing.T) {
 	}
 
 	// Errors propagate from the parser through the pipeline.
-	if _, err := IngestCSV(strings.NewReader("Zip,Age,MaritalStatus\nx\n"), demoSchema(t)); err == nil {
+	if _, err := IngestCSVTable(strings.NewReader("Zip,Age,MaritalStatus\nx\n"), demoSchema(t)); err == nil {
 		t.Error("bad header should fail")
 	}
 }

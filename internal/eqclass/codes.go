@@ -1,8 +1,8 @@
 // This file holds the vectorized grouping path: the radix/hash group-by
 // over dictionary-code vectors that replaces '\x1f'-joined signature
-// strings as the primary partitioning path. FromSignatures/WriteSignature
-// remain the pinned reference; the cross-validation tests hold both paths
-// element-identical.
+// strings as the partitioning path. The test-only FromSignatures and
+// WriteSignature remain the pinned reference; the cross-validation tests
+// hold both paths element-identical.
 
 package eqclass
 
@@ -126,7 +126,7 @@ func combine(ids []uint32, codes []uint32, groups, card int) (int, error) {
 
 // fromGroupIDs materializes a Partition from per-row group ids numbered
 // 0..groups-1 in first-appearance order, carving all classes out of one
-// backing array exactly as FromSignatures does.
+// backing array.
 func fromGroupIDs(ids []uint32, groups int) *Partition {
 	p := &Partition{
 		ClassOf: make([]int, len(ids)),

@@ -124,7 +124,7 @@ func CaptureResults(ctx context.Context, cfg CaptureConfig) (*resultpack.Pack, e
 		}
 		pack.Tables = rec.Tables()
 	}
-	if err := pack.Seal(); err != nil {
+	if err := perf.Seal(pack); err != nil {
 		return nil, err
 	}
 	return pack, nil

@@ -72,10 +72,10 @@ func TestCaptureSealsAllSections(t *testing.T) {
 
 	// The sealed document round-trips through the verifying reader.
 	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+	if err := perf.WriteCanonical(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resultpack.Read(buf.Bytes()); err != nil {
+	if _, err := perf.Read[resultpack.Pack](buf.Bytes()); err != nil {
 		t.Fatalf("sealed capture fails verification: %v", err)
 	}
 }

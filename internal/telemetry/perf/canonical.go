@@ -7,6 +7,9 @@
 // are compared with a median/MAD statistical comparator that classifies
 // every end-to-end metric as ok, improved or drifted (cmd/benchdiff).
 //
+// The pack envelope (envelope.go) seals, writes, reads and verifies both
+// pack kinds: perf packs and the result packs of package resultpack.
+//
 // The package also defines the stable CLI exit-code contract shared by
 // anonbench, compare and benchdiff (see ExitOK and friends), patterned on
 // gait's PackSpec v1 contract: distinct codes for verification failure,
@@ -18,7 +21,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 )
 
 // Canonicalize rewrites a JSON document into its canonical form: object
@@ -32,21 +37,35 @@ import (
 // this package's own encoder, preserving number literals verbatim yields a
 // unique canonical form without re-deriving ES6 number formatting.
 func Canonicalize(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
+	v, rest, err := decodeJSON(raw)
+	if err != nil {
 		return nil, fmt.Errorf("perf: canonicalize: %w", err)
 	}
-	// Reject trailing garbage after the document.
-	if dec.More() {
+	if len(bytes.TrimSpace(rest)) > 0 {
 		return nil, fmt.Errorf("perf: canonicalize: trailing data after JSON document")
 	}
+	return canonical(v)
+}
+
+// canonical encodes a decoded JSON value in canonical form.
+func canonical(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := writeCanonical(&buf, v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// decodeJSON decodes the JSON value at the start of raw, keeping number
+// literals verbatim, and returns it with the bytes that follow it.
+func decodeJSON(raw []byte) (any, []byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, nil, err
+	}
+	return v, raw[dec.InputOffset():], nil
 }
 
 // CanonicalMarshal marshals v with encoding/json and canonicalizes the
@@ -119,5 +138,54 @@ func writeCanonicalString(buf *bytes.Buffer, s string) error {
 		return err
 	}
 	buf.Write(bytes.TrimRight(tmp.Bytes(), "\n"))
+	return nil
+}
+
+// Float is a float64 whose JSON form is pinned: NaN, +Inf and -Inf encode
+// as the strings "NaN", "+Inf" and "-Inf"; finite values (including
+// negative zero, which keeps its sign) encode as shortest round-trip
+// decimals. Both forms parse back losslessly, so canonicalization is
+// byte-stable.
+type Float float64
+
+// MarshalJSON implements the pinned spelling.
+func (f Float) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	switch {
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	}
+	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+}
+
+// UnmarshalJSON accepts both the pinned string spellings and plain JSON
+// numbers.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		switch s {
+		case "NaN":
+			*f = Float(math.NaN())
+		case "+Inf":
+			*f = Float(math.Inf(1))
+		case "-Inf":
+			*f = Float(math.Inf(-1))
+		default:
+			return fmt.Errorf("perf: invalid float spelling %q", s)
+		}
+		return nil
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("perf: invalid float %q: %w", b, err)
+	}
+	*f = Float(v)
 	return nil
 }

@@ -48,14 +48,14 @@ type CompareOptions struct {
 
 // MetricDiff is one (benchmark, metric) comparison row.
 type MetricDiff struct {
-	Benchmark string  `json:"benchmark"`
-	Metric    string  `json:"metric"`
-	Unit      string  `json:"unit,omitempty"`
-	Base      float64 `json:"base_median"`
-	BaseMAD   float64 `json:"base_mad"`
-	Cur       float64 `json:"cur_median"`
+	Benchmark string `json:"benchmark"`
+	Metric    string `json:"metric"`
+	Unit      string `json:"unit,omitempty"`
+	Base      Float  `json:"base_median"`
+	BaseMAD   Float  `json:"base_mad"`
+	Cur       Float  `json:"cur_median"`
 	// Ratio is cur/base (NaN when base is zero).
-	Ratio   float64 `json:"ratio"`
+	Ratio   Float   `json:"ratio"`
 	Verdict Verdict `json:"verdict"`
 }
 
@@ -103,8 +103,8 @@ func Compare(base, cur *Pack, opts CompareOptions) (*Diff, error) {
 			}
 			row := MetricDiff{
 				Benchmark: bb.Name, Metric: metric, Unit: bs.Unit,
-				Base: bs.Median, BaseMAD: bs.MAD, Cur: cs.Median,
-				Ratio: ratio(bs.Median, cs.Median),
+				Base: Float(bs.Median), BaseMAD: Float(bs.MAD), Cur: Float(cs.Median),
+				Ratio: Float(ratio(bs.Median, cs.Median)),
 			}
 			if !slices.Contains(Gated, metric) {
 				row.Verdict = VerdictInfo
@@ -219,11 +219,11 @@ func (d *Diff) WriteTable(w io.Writer, verbose bool) {
 			continue
 		}
 		ratio := "-"
-		if !math.IsNaN(r.Ratio) {
+		if !math.IsNaN(float64(r.Ratio)) {
 			ratio = fmt.Sprintf("%.2fx", r.Ratio)
 		}
 		fmt.Fprintf(w, "%-48s %-12s %14s %14s %8s  %s\n",
-			r.Benchmark, r.Metric, fmtMetric(r.Base), fmtMetric(r.Cur), ratio, r.Verdict)
+			r.Benchmark, r.Metric, fmtMetric(float64(r.Base)), fmtMetric(float64(r.Cur)), ratio, r.Verdict)
 	}
 	for _, m := range d.Missing {
 		fmt.Fprintf(w, "%-48s %-12s %14s %14s %8s  %s\n", m, "-", "-", "-", "-", "missing")

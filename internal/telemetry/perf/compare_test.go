@@ -125,7 +125,7 @@ func TestCompareZeroBaseline(t *testing.T) {
 	if got := verdictOf(t, d, "w", "job_s"); got != VerdictOK {
 		t.Errorf("zero against zero = %s, want ok", got)
 	}
-	if r := d.Rows[0]; !math.IsNaN(r.Ratio) {
+	if r := d.Rows[0]; !math.IsNaN(float64(r.Ratio)) {
 		t.Errorf("ratio against zero baseline = %v, want NaN", r.Ratio)
 	}
 	d, err = Compare(base, packWith("w", []float64{0.001, 0.001, 0.001}), CompareOptions{})

@@ -1,9 +1,6 @@
 package perf
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -170,13 +167,6 @@ func MAD(samples []float64) float64 {
 	return Median(dev)
 }
 
-// Manifest is the pack's integrity seal: the digest is the SHA-256 of the
-// canonical JSON encoding of the pack with the manifest field absent.
-type Manifest struct {
-	Algorithm string `json:"algorithm"`
-	Digest    string `json:"digest"`
-}
-
 // CaptureEnv fills the process-environment half of the fingerprint
 // (go version, OS/arch, CPU count, CPU model, git revision from build
 // info); the caller sets the dataset half (hash, seed, N, K).
@@ -216,150 +206,22 @@ func cpuModel() string {
 	return ""
 }
 
-// Seal sorts the benchmark list, computes the self-manifest over the
-// canonical encoding of the pack without its manifest, and installs it.
-func (p *Pack) Seal() error {
+// Kind, SortSections and ManifestField make a Pack an envelope Document;
+// the benchmark list sorts by name.
+func (*Pack) Kind() (string, int)         { return Schema, Version }
+func (p *Pack) ManifestField() **Manifest { return &p.Manifest }
+func (p *Pack) SortSections() {
 	sort.Slice(p.Benchmarks, func(i, j int) bool { return p.Benchmarks[i].Name < p.Benchmarks[j].Name })
-	p.Manifest = nil
-	digest, err := p.digest()
-	if err != nil {
-		return err
-	}
-	p.Manifest = &Manifest{Algorithm: "sha256", Digest: digest}
-	return nil
 }
 
-// digest hashes the canonical encoding of the pack as-is (callers clear
-// the manifest first).
-func (p *Pack) digest() (string, error) {
-	canon, err := CanonicalMarshal(p)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
-}
+// Seal, WriteCanonical and WriteFile are the envelope functions as
+// methods, the form the benchmark module calls.
+func (p *Pack) Seal() error                      { return Seal(p) }
+func (p *Pack) WriteCanonical(w io.Writer) error { return WriteCanonical(w, p) }
+func (p *Pack) WriteFile(path string) error      { return WriteFile(path, p) }
 
-// WriteCanonical writes the sealed pack as canonical JSON followed by a
-// trailing newline (the one concession to text tooling; the newline is not
-// covered by the digest, and Read strips it).
-func (p *Pack) WriteCanonical(w io.Writer) error {
-	if p.Manifest == nil {
-		if err := p.Seal(); err != nil {
-			return err
-		}
-	}
-	canon, err := CanonicalMarshal(p)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(canon); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte("\n"))
-	return err
-}
-
-// WriteFile writes the sealed pack to path ("-" for stdout).
-func (p *Pack) WriteFile(path string) error {
-	if path == "-" {
-		return p.WriteCanonical(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteCanonical(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Read parses and validates a pack document: schema and version must
-// match, and the manifest (when present) must verify against the document
-// bytes. Schema/version mismatches and malformed JSON return ExitInvalid
-// errors; a manifest mismatch returns an ExitVerification error.
-func Read(raw []byte) (*Pack, error) {
-	var p Pack
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, Exit(ExitInvalid, fmt.Errorf("perf: parse pack: %w", err))
-	}
-	if p.Schema != Schema {
-		return nil, Invalidf("perf: not a perf pack (schema %q, want %q)", p.Schema, Schema)
-	}
-	if p.Version != Version {
-		return nil, Invalidf("perf: unsupported pack version %d (reader supports %d)", p.Version, Version)
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// ReadFile reads and verifies a pack from disk.
-func ReadFile(path string) (*Pack, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, Exit(ExitInvalid, fmt.Errorf("perf: %w", err))
-	}
-	p, err := Read(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
-}
-
-// VerifyRaw checks the self-manifest of a serialized pack: the document
-// minus its manifest field, canonicalized, must hash to the manifest
-// digest. A pack without a manifest fails verification (unsealed
-// artifacts carry no integrity claim). Any edit to the document after
-// sealing — including a single timing digit — changes the canonical bytes
-// and therefore the digest.
-func VerifyRaw(raw []byte) error {
-	var doc map[string]any
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.UseNumber()
-	if err := dec.Decode(&doc); err != nil {
-		return Exit(ExitInvalid, fmt.Errorf("perf: verify: %w", err))
-	}
-	mraw, ok := doc["manifest"].(map[string]any)
-	if !ok {
-		return Exit(ExitVerification, errors.New("perf: pack has no manifest"))
-	}
-	algo, _ := mraw["algorithm"].(string)
-	want, _ := mraw["digest"].(string)
-	if algo != "sha256" || want == "" {
-		return Exit(ExitVerification, fmt.Errorf("perf: unsupported manifest algorithm %q", algo))
-	}
-	delete(doc, "manifest")
-	inner, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	canon, err := Canonicalize(inner)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(canon)
-	got := hex.EncodeToString(sum[:])
-	if got != want {
-		return Exit(ExitVerification, fmt.Errorf("perf: manifest digest mismatch: document hashes to %s, manifest claims %s", got, want))
-	}
-	return nil
-}
-
-// VerifyFile reads path and checks its self-manifest.
-func VerifyFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Exit(ExitInvalid, fmt.Errorf("perf: %w", err))
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
+// ReadFile reads and verifies a perf pack from disk.
+func ReadFile(path string) (*Pack, error) { return Load[Pack](path) }
 
 // Benchmark returns the named benchmark entry, or nil.
 func (p *Pack) Benchmark(name string) *Benchmark {

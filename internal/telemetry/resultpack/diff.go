@@ -69,7 +69,7 @@ func clonedSorted(p *Pack) *Pack {
 	c.Attack = append([]AttackRisk(nil), p.Attack...)
 	c.Tables = append([]TableDigest(nil), p.Tables...)
 	c.Files = append([]FileFingerprint(nil), p.Files...)
-	c.sortSections()
+	c.SortSections()
 	return &c
 }
 

@@ -3,10 +3,12 @@
 // pack (schema "microdata/result-pack" v1) captures what the paper's
 // comparison tables actually claim — per-algorithm measure values, chosen
 // lattice nodes, equivalence-class shape statistics, attack-risk summaries
-// (prosecutor/journalist/marketer) and E-series report digests — as
-// canonical JSON (perf.Canonicalize) under a SHA-256 self-manifest and the
-// same environment/dataset fingerprint perf packs carry (dataset content
-// hash, go version, vcs.revision, seed/N/K).
+// (prosecutor/journalist/marketer) and E-series report digests — in the
+// pack envelope of package perf (canonical JSON under a SHA-256
+// self-manifest; perf.Seal, perf.WriteFile, perf.Read) with the same
+// environment/dataset fingerprint perf packs carry (dataset content hash,
+// go version, vcs.revision, seed/N/K). This package holds only the
+// payload types, their canonical order and the schema constants.
 //
 // Because every captured quantity is recomputable from the recorded
 // configuration, a sealed pack supports *replay verification*: `compare
@@ -29,13 +31,7 @@ package resultpack
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-	"os"
 	"sort"
-	"strconv"
 
 	"microdata/internal/telemetry/perf"
 )
@@ -61,54 +57,9 @@ const (
 	SourceFiles = "files"
 )
 
-// Float is a float64 whose JSON form is pinned: NaN, +Inf and -Inf encode
-// as the strings "NaN", "+Inf" and "-Inf"; finite values (including
-// negative zero, which keeps its sign) encode as shortest round-trip
-// decimals. Both forms parse back losslessly, so canonicalization is
-// byte-stable.
-type Float float64
-
-// MarshalJSON implements the pinned spelling.
-func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
-}
-
-// UnmarshalJSON accepts both the pinned string spellings and plain JSON
-// numbers.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "NaN":
-			*f = Float(math.NaN())
-		case "+Inf":
-			*f = Float(math.Inf(1))
-		case "-Inf":
-			*f = Float(math.Inf(-1))
-		default:
-			return fmt.Errorf("resultpack: invalid float spelling %q", s)
-		}
-		return nil
-	}
-	v, err := strconv.ParseFloat(string(b), 64)
-	if err != nil {
-		return fmt.Errorf("resultpack: invalid float %q: %w", b, err)
-	}
-	*f = Float(v)
-	return nil
-}
+// Float is the float64 with a pinned JSON spelling (NaN, ±Inf, -0) that
+// every float a result pack records uses.
+type Float = perf.Float
 
 // Pack is one result-pack document. Sections are independent: a pack from
 // `anonbench -result-out` carries Algorithms/Attack/Tables over a census
@@ -267,22 +218,11 @@ func (r *TableRecorder) Tables() []TableDigest {
 	return out
 }
 
-// Seal sorts every section into canonical order, computes the SHA-256
-// self-manifest over the canonical encoding of the pack without its
-// manifest, and installs it.
-func (p *Pack) Seal() error {
-	p.sortSections()
-	p.Manifest = nil
-	canon, err := perf.CanonicalMarshal(p)
-	if err != nil {
-		return fmt.Errorf("resultpack: seal: %w", err)
-	}
-	sum := sha256.Sum256(canon)
-	p.Manifest = &perf.Manifest{Algorithm: "sha256", Digest: hex.EncodeToString(sum[:])}
-	return nil
-}
-
-func (p *Pack) sortSections() {
+// Kind, SortSections and ManifestField make a Pack an envelope Document;
+// every section sorts into its canonical order.
+func (*Pack) Kind() (string, int)              { return Schema, Version }
+func (p *Pack) ManifestField() **perf.Manifest { return &p.Manifest }
+func (p *Pack) SortSections() {
 	sort.Slice(p.Algorithms, func(i, j int) bool {
 		a, b := p.Algorithms[i], p.Algorithms[j]
 		if a.K != b.K {
@@ -302,99 +242,5 @@ func (p *Pack) sortSections() {
 	sort.Strings(p.Experiments)
 }
 
-// WriteCanonical writes the sealed pack as canonical JSON plus a trailing
-// newline (not covered by the digest; Read tolerates it).
-func (p *Pack) WriteCanonical(w io.Writer) error {
-	if p.Manifest == nil {
-		if err := p.Seal(); err != nil {
-			return err
-		}
-	}
-	canon, err := perf.CanonicalMarshal(p)
-	if err != nil {
-		return fmt.Errorf("resultpack: %w", err)
-	}
-	if _, err := w.Write(canon); err != nil {
-		return err
-	}
-	_, err = w.Write([]byte("\n"))
-	return err
-}
-
-// WriteFile writes the sealed pack to path ("-" for stdout).
-func (p *Pack) WriteFile(path string) error {
-	if path == "-" {
-		return p.WriteCanonical(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteCanonical(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Read parses and validates a result-pack document: schema and version
-// must match (ExitInvalid otherwise), and the self-manifest must verify
-// against the document bytes (ExitVerification otherwise — a pack without
-// a manifest, or edited after sealing, fails).
-func Read(raw []byte) (*Pack, error) {
-	var p Pack
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: parse pack: %w", err))
-	}
-	if p.Schema != Schema {
-		return nil, perf.Invalidf("resultpack: not a result pack (schema %q, want %q)", p.Schema, Schema)
-	}
-	if p.Version != Version {
-		return nil, perf.Invalidf("resultpack: unsupported pack version %d (reader supports %d)", p.Version, Version)
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// ReadFile reads and verifies a pack from disk.
-func ReadFile(path string) (*Pack, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: %w", err))
-	}
-	p, err := Read(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
-}
-
-// VerifyRaw checks the self-manifest of a serialized pack: the document
-// minus its manifest field, canonicalized, must hash to the manifest
-// digest. Any post-seal edit — a flipped byte, a retouched measure —
-// changes the canonical bytes and fails with an ExitVerification error.
-// The check is shared with perf packs (same sealing construction).
-func VerifyRaw(raw []byte) error {
-	return perf.VerifyRaw(raw)
-}
-
-// VerifyFile reads path and checks its self-manifest.
-func VerifyFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return perf.Exit(perf.ExitInvalid, fmt.Errorf("resultpack: %w", err))
-	}
-	if err := VerifyRaw(raw); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-// HashBytes returns the hex SHA-256 of raw — the fingerprint recorded for
-// SourceFiles inputs.
-func HashBytes(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
+// ReadFile reads and verifies a result pack from disk.
+func ReadFile(path string) (*Pack, error) { return perf.Load[Pack](path) }

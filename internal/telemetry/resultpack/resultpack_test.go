@@ -3,8 +3,9 @@ package resultpack
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -129,16 +130,31 @@ func TestCanonicalBytesStable(t *testing.T) {
 	}
 }
 
-func TestSealWriteReadRoundTrip(t *testing.T) {
-	p := samplePack()
-	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+// writePack seals p into a file with the shared envelope writer and
+// returns its path and bytes.
+func writePack(t *testing.T, p *Pack) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pack.json")
+	if err := perf.WriteFile(path, p); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// TestSealWriteReadRoundTrip pins what the result-pack kind adds to the
+// shared envelope: its canonical section order, and a ReadFile that keeps
+// every section and the degenerate float measures.
+func TestSealWriteReadRoundTrip(t *testing.T) {
+	p := samplePack()
+	path, raw := writePack(t, p)
 	if p.Manifest == nil || p.Manifest.Algorithm != "sha256" || p.Manifest.Digest == "" {
 		t.Fatalf("pack not sealed: %+v", p.Manifest)
 	}
-	// Seal sorts sections canonically.
+	// Sealing sorts sections canonically.
 	if p.Algorithms[0].K != 2 || p.Algorithms[0].Algorithm != "datafly" {
 		t.Errorf("algorithms not sorted by (k, name): %+v", p.Algorithms[0])
 	}
@@ -146,7 +162,7 @@ func TestSealWriteReadRoundTrip(t *testing.T) {
 		t.Error("tables/experiments not sorted")
 	}
 
-	back, err := Read(buf.Bytes())
+	back, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,67 +177,54 @@ func TestSealWriteReadRoundTrip(t *testing.T) {
 		t.Errorf("negative zero lost: %v (signbit %v)", v, math.Signbit(v))
 	}
 	// A second write of the re-read pack reproduces identical bytes.
-	var buf2 bytes.Buffer
+	var again bytes.Buffer
 	back.Manifest = nil
-	if err := back.WriteCanonical(&buf2); err != nil {
+	if err := perf.WriteCanonical(&again, back); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(raw, again.Bytes()) {
 		t.Error("re-sealed pack bytes differ from the original seal")
 	}
 }
 
+// TestTamperFailsVerification checks that ReadFile, the reader compare
+// -verify and the benchmark use, refuses an edited measure and data
+// appended after the document with exit 2.
 func TestTamperFailsVerification(t *testing.T) {
-	p := samplePack()
-	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if err := VerifyRaw(raw); err != nil {
-		t.Fatalf("clean pack failed verification: %v", err)
-	}
-	// Flip one digit inside a measure value.
+	path, raw := writePack(t, samplePack())
 	tampered := bytes.Replace(raw, []byte(`"lm":0.25`), []byte(`"lm":0.26`), 1)
 	if bytes.Equal(tampered, raw) {
 		t.Fatal("tamper target not found")
 	}
-	err := VerifyRaw(tampered)
-	if perf.ExitCode(err) != perf.ExitVerification {
-		t.Fatalf("tampered pack: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitVerification)
-	}
-	if _, err := Read(tampered); perf.ExitCode(err) != perf.ExitVerification {
-		t.Fatalf("Read of tampered pack: %v", err)
-	}
-	// No manifest at all is also a verification failure.
-	var unsealed Pack
-	if err := json.Unmarshal(raw, &unsealed); err != nil {
-		t.Fatal(err)
-	}
-	unsealed.Manifest = nil
-	naked, err := json.Marshal(&unsealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyRaw(naked); perf.ExitCode(err) != perf.ExitVerification {
-		t.Fatalf("unsealed pack: %v", err)
+	for name, edit := range map[string][]byte{
+		"edited measure": tampered,
+		"byte appended":  append(raw[:len(raw):len(raw)], 'x'),
+	} {
+		if err := os.WriteFile(path, edit, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); perf.ExitCode(err) != perf.ExitVerification {
+			t.Errorf("%s: exit %d (%v), want %d", name, perf.ExitCode(err), err, perf.ExitVerification)
+		}
 	}
 }
 
+// TestReadRejectsWrongSchemaAndVersion checks that ReadFile accepts only
+// the result-pack schema at its own version: anything else is invalid
+// input (exit 6).
 func TestReadRejectsWrongSchemaAndVersion(t *testing.T) {
-	if _, err := Read([]byte(`{"schema":"microdata/perf-pack","version":1}`)); perf.ExitCode(err) != perf.ExitInvalid {
-		t.Errorf("wrong schema: %v", err)
-	}
-	if _, err := Read([]byte(`{"schema":"microdata/result-pack","version":99}`)); perf.ExitCode(err) != perf.ExitInvalid {
-		t.Errorf("wrong version: %v", err)
-	}
-	if _, err := Read([]byte(`not json`)); perf.ExitCode(err) != perf.ExitInvalid {
-		t.Errorf("malformed: %v", err)
-	}
-	var ee *perf.ExitError
-	_, err := Read([]byte(`{"schema":"x","version":1}`))
-	if !errors.As(err, &ee) {
-		t.Errorf("schema error should carry an exit code: %v", err)
+	path := filepath.Join(t.TempDir(), "pack.json")
+	for _, bad := range []string{
+		`{"schema":"microdata/perf-pack","version":1}`,
+		`{"schema":"microdata/result-pack","version":99}`,
+		`not json`,
+	} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); perf.ExitCode(err) != perf.ExitInvalid {
+			t.Errorf("%s: exit %d (%v), want %d", bad, perf.ExitCode(err), err, perf.ExitInvalid)
+		}
 	}
 }
 
