@@ -19,6 +19,7 @@ import (
 	"microdata/internal/algorithm/topdown"
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
+	"microdata/internal/freqset"
 )
 
 // rowPath is the row-path reference for global recodings of one table:
@@ -171,7 +172,9 @@ func samePartition(a, b *eqclass.Partition) bool {
 
 // TestCodeMaterializedReleasesMatchRowPath pins every global-recoding
 // algorithm's release, built from dictionary codes, to the row-path
-// reference on census draws, with and without secondary constraints.
+// reference on census draws, with and without secondary constraints. The
+// algorithms share one frequency-set store per draw, so the releases also
+// pin hub roll-ups made by concurrent engine workers on a shared store.
 func TestCodeMaterializedReleasesMatchRowPath(t *testing.T) {
 	algs := []algorithm.Algorithm{
 		datafly.New(), samarati.New(), incognito.New(), ola.New(), optimal.New(),
@@ -194,6 +197,9 @@ func TestCodeMaterializedReleasesMatchRowPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// One store per table, shared by every algorithm and
+				// constraint, as the experiment runner shares it.
+				base.Store = freqset.New(orig, base.Hierarchies, base.Taxonomies, 0)
 				rp := &rowPath{orig: orig, cfg: base, cells: map[string][][]dataset.Value{}}
 				for cname, constrain := range constraints {
 					cfg := base

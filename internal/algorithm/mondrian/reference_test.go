@@ -165,18 +165,36 @@ func refDimensionOrder(t *dataset.Table, qi []int, rows []int, spans []float64) 
 }
 
 // refSortRows orders rows along a column: numerically for Numeric, by
-// value key for categorical.
-func refSortRows(t *dataset.Table, col int, rows []int) []int {
-	s := append([]int(nil), rows...)
+// value key for categorical. It returns the rows in that order with their
+// value keys; each row's number and key are read once, before the sort.
+func refSortRows(t *dataset.Table, col int, rows []int) ([]int, []string) {
+	type sortKey struct {
+		row int
+		num bool
+		f   float64
+		key string
+	}
 	numeric := t.Schema.Attrs[col].Kind == dataset.Numeric
-	sort.SliceStable(s, func(a, b int) bool {
-		va, vb := t.At(s[a], col), t.At(s[b], col)
-		if numeric && va.Kind() == dataset.Num && vb.Kind() == dataset.Num {
-			return va.Float() < vb.Float()
+	ks := make([]sortKey, len(rows))
+	for i, r := range rows {
+		v := t.At(r, col)
+		ks[i] = sortKey{row: r, num: numeric && v.Kind() == dataset.Num, key: v.Key()}
+		if ks[i].num {
+			ks[i].f = v.Float()
 		}
-		return va.Key() < vb.Key()
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		if ks[a].num && ks[b].num {
+			return ks[a].f < ks[b].f
+		}
+		return ks[a].key < ks[b].key
 	})
-	return s
+	s := make([]int, len(ks))
+	keys := make([]string, len(ks))
+	for i, k := range ks {
+		s[i], keys[i] = k.row, k.key
+	}
+	return s, keys
 }
 
 // refSplit attempts a median cut along the column; both sides must pass
@@ -185,7 +203,7 @@ func refSplit(relaxed bool, t *dataset.Table, col int, rows []int, k int, valid 
 	if len(rows) < 2*k {
 		return nil, nil, false
 	}
-	s := refSortRows(t, col, rows)
+	s, keys := refSortRows(t, col, rows)
 	mid := len(s) / 2
 	if relaxed {
 		if valid(s[:mid]) && valid(s[mid:]) {
@@ -193,10 +211,9 @@ func refSplit(relaxed bool, t *dataset.Table, col int, rows []int, k int, valid 
 		}
 		return nil, nil, false
 	}
-	key := func(i int) string { return t.At(s[i], col).Key() }
 	var boundaries []int
 	for i := 1; i < len(s); i++ {
-		if key(i) != key(i-1) {
+		if keys[i] != keys[i-1] {
 			boundaries = append(boundaries, i)
 		}
 	}

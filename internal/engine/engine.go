@@ -14,7 +14,10 @@
 //     keying's first roll-up; and a node → frequency-set cache that rolls
 //     each node up once (Incognito's roll-up property, LeFevre, DeWitt &
 //     Ramakrishnan 2005) from the smallest cached set that can be its
-//     source. When the configuration constrains the sensitive attribute
+//     source, or, when that set would be the base, from the node's hub
+//     min(x, 1), itself rolled up once as an ordinary cache entry. The
+//     engine counts every roll-up and every tuple read once, a hub's
+//     included. When the configuration constrains the sensitive attribute
 //     (ℓ-diversity, t-closeness), the engine asks for the keying whose
 //     tuples are (quasi-identifier tuple, sensitive value) pairs.
 //   - A caller running many configurations over one table — the
@@ -375,6 +378,11 @@ func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
 	if scanned > 0 {
 		e.counters.rollups.Inc()
 		e.counters.rowsScanned.Add(int64(scanned))
+		// The roll-up may have built a hub no search asks for: count
+		// its read now, once.
+		hubs, read := e.store.Settle()
+		e.counters.rollups.Add(int64(hubs))
+		e.counters.rowsScanned.Add(int64(read))
 	}
 	ev := &Evaluation{Node: node.Clone(), fs: fs, eng: e}
 	v, err := e.verdict(fs, ev.Node)

@@ -86,3 +86,53 @@ func TestRollUpSourceRespectsNesting(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsCountUnaskedHubOnce evaluates a node far above the bottom on a
+// fresh engine: its roll-up builds a hub that no search asks for, and the
+// rows counter must add the hub's read of the base exactly once — when
+// the hub is built, and not again when it is evaluated later.
+func TestRowsCountUnaskedHubOnce(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(2000, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	x, hub := lattice.Node{3, 3, 2, 1}, lattice.Node{1, 1, 1, 1}
+	// Sizes come from an engine with its own store: a k-only node's class
+	// count is its frequency set's tuple count.
+	ref, err := New(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(node lattice.Node) int64 {
+		t.Helper()
+		ev, err := ref.Evaluate(ctx, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := ev.ClassSizes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(sizes))
+	}
+	base, hubLen := size(lattice.Node{0, 0, 0, 0}), size(hub)
+
+	eng, err := New(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Evaluate(ctx, x); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(tab.Len()) + base + hubLen
+	if got := eng.Stats().RowsScanned; got != want {
+		t.Fatalf("rows scanned %d after node %v, want N + base %d + hub %d = %d", got, x, base, hubLen, want)
+	}
+	if _, err := eng.Evaluate(ctx, hub); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().RowsScanned; got != want {
+		t.Fatalf("rows scanned %d after the hub's own evaluation, want still %d", got, want)
+	}
+}

@@ -46,8 +46,12 @@ type Stats struct {
 	CacheMisses int64
 	// RowsScanned counts the rows and tuples the engine's roll-ups read:
 	// the N rows when it built a base frequency set, then, per store miss,
-	// the tuples of the frequency set the node was rolled up from. Nodes
-	// another engine already rolled up on a shared store cost nothing.
+	// the tuples of the frequency set the node was rolled up from, and the
+	// base's tuples for each hub rolled up on the way (freqset.Store.Get),
+	// whether or not a search later asks for the hub. Nodes another engine
+	// already rolled up on a shared store cost nothing; on a shared store
+	// under concurrent engines, a hub's read may land in whichever engine
+	// settles it first, but it is counted once.
 	RowsScanned int64
 	// Precompute is the time spent at engine construction readying the
 	// store: the per-attribute, per-level generalization fragments and

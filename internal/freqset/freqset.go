@@ -22,7 +22,15 @@
 //     2005) once, even under concurrent callers, from the smallest cached
 //     set that can be its source: a set at or below the node in every
 //     attribute whose fragments nest inside the node's. The base always
-//     qualifies.
+//     qualifies. When no smaller set does, the node x rolls up from its hub
+//     h = min(x, 1) instead, one step up on every attribute x generalizes:
+//     the hub is rolled up first, as an ordinary cache entry, and its read
+//     goes to its first Get (or to Settle). The hub is skipped when it is x
+//     itself (which covers the bottom node) or when some attribute's ladder
+//     does not nest from level 1 into x's level. Searches that jump across
+//     the lattice (binary search by height, top-down walks) otherwise read
+//     the base on nearly every miss; the 2^q hubs are a handful of small
+//     sets that every node above them can share.
 //
 // Tables are sealed, so a store never goes stale. Callers scope a store
 // explicitly — one per generated table in the experiment runner — and hand

@@ -1,6 +1,8 @@
 package freqset
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -149,4 +151,181 @@ func TestCheckRequiresIdentity(t *testing.T) {
 			t.Errorf("store accepted another %s", name)
 		}
 	}
+}
+
+// censusStore returns a fresh store over a census draw with the census
+// hierarchies, and the draw's lattice.
+func censusStore(t *testing.T, n int, hs hierarchy.Set) (*Store, *lattice.Lattice) {
+	t.Helper()
+	tab, err := generator.Generate(generator.Config{N: n, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxLevels, err := hs.MaxLevels(tab.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(tab, hs, generator.Taxonomies(), 0), lattice.Must(maxLevels)
+}
+
+// TestFarNodeReadsItsHub asks a fresh census store first for a node far
+// above the bottom: it reads the N rows and its hub's tuples, not the
+// base's. The hub's own read of the base goes to the hub's first Get,
+// and nothing is left for Settle.
+func TestFarNodeReadsItsHub(t *testing.T) {
+	s, lat := censusStore(t, 2000, generator.Hierarchies())
+	x := lat.Top()
+	fs, scanned, err := s.Get(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := s.hub(x)
+	if hub == nil || hub.Equal(x) {
+		t.Fatalf("top node %v has no hub", x)
+	}
+	hs, claimed, err := s.Get(hub, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.keyings[0].base
+	if want := s.t.Len() + hs.Len(); scanned != want {
+		t.Fatalf("node %v read %d rows and tuples, want N + its hub's %d = %d (the base holds %d)",
+			x, scanned, hs.Len(), want, base.Len())
+	}
+	if hs.Len() >= base.Len() {
+		t.Fatalf("hub %v holds %d tuples, the base %d: the test needs a smaller hub", hub, hs.Len(), base.Len())
+	}
+	if claimed != base.Len() {
+		t.Fatalf("hub %v's first Get claimed %d, want the base's %d tuples", hub, claimed, base.Len())
+	}
+	if hubs, read := s.Settle(); hubs != 0 || read != 0 {
+		t.Fatalf("Settle claimed %d hubs reading %d after the hub's first Get", hubs, read)
+	}
+	if countRows(fs) != s.t.Len() || countRows(hs) != s.t.Len() {
+		t.Fatal("counts do not sum to N")
+	}
+}
+
+// TestNonNestedHubIsSkipped pins that a node whose hub does not nest into
+// it — Age widths 3 then 5, so Age level 1 does not determine level 2 —
+// reads the base and builds no hub.
+func TestNonNestedHubIsSkipped(t *testing.T) {
+	s, _ := censusStore(t, 2000, hierarchy.MustSet(
+		hierarchy.MustIntervals("Age", 0, 100,
+			hierarchy.IntervalLevel{Width: 3, Origin: 0},
+			hierarchy.IntervalLevel{Width: 5, Origin: 0},
+		),
+		hierarchy.MustPrefixMask("ZipCode", 5, 10),
+		generator.EducationTaxonomy(),
+		generator.MaritalTaxonomy(),
+	))
+	x := lattice.Node{2, 2, 1, 1}
+	if _, scanned, err := s.Get(x, false); err != nil {
+		t.Fatal(err)
+	} else if want := s.t.Len() + s.keyings[0].base.Len(); scanned != want {
+		t.Fatalf("node %v read %d rows and tuples, want N + the base's = %d", x, scanned, want)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d sets, want only the node's: no hub", s.Len())
+	}
+	if hubs, _ := s.Settle(); hubs != 0 {
+		t.Fatalf("Settle found %d hubs", hubs)
+	}
+}
+
+// TestConcurrentSetsMatchBaseRollUp has callers ask one fresh store for
+// every node under both keyings, in opposite and interleaved orders, so
+// hubs are built inside other nodes' Gets: every node's set must equal,
+// as a (tuple → count) multiset, a reference rolled straight from the
+// base, and every node must be claimed exactly once between Get and
+// Settle.
+func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
+	s, lat := censusStore(t, 1500, generator.Hierarchies())
+	nodes := lat.Nodes()
+	const callers = 4
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	claimed := map[string]int{}
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, sens := range []bool{c%2 == 0, c%2 == 1} {
+				for i := range nodes {
+					// Coprime strides with the 324-node lattice
+					// visit every node in a different order.
+					ni := (i*[]int{1, 5, 7, 11}[c] + c*97) % len(nodes)
+					if c%2 == 1 {
+						ni = len(nodes) - 1 - ni
+					}
+					_, scanned, err := s.Get(nodes[ni], sens)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if scanned > 0 {
+						mu.Lock()
+						claimed[fmt.Sprint(sens, nodes[ni])]++
+						mu.Unlock()
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if hubs, _ := s.Settle(); hubs != 0 {
+		t.Fatalf("Settle claimed %d hubs that every caller asked for", hubs)
+	}
+	for k, sens := range []bool{false, true} {
+		base := s.keyings[k].base
+		for _, node := range nodes {
+			if n := claimed[fmt.Sprint(sens, node)]; n != 1 {
+				t.Fatalf("keying %d node %v claimed %d times, want once", k, node, n)
+			}
+			fs, _, err := s.Get(node, sens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(fs.Levels) != fmt.Sprint([]int(node)) {
+				t.Fatalf("keying %d node %v: set at levels %v", k, node, fs.Levels)
+			}
+			got, want := multiset(fs, nil, nil), multiset(base, s.attrs, node)
+			if len(got) != fs.Len() {
+				t.Fatalf("keying %d node %v: %d tuples, %d distinct", k, node, fs.Len(), len(got))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("keying %d node %v: %d tuples, the base's roll-up %d", k, node, len(got), len(want))
+			}
+			for tuple, n := range want {
+				if got[tuple] != n {
+					t.Fatalf("keying %d node %v: tuple %q counts %d, the base's roll-up %d", k, node, tuple, got[tuple], n)
+				}
+			}
+		}
+	}
+}
+
+// multiset is the reference roll-up: fs's tuples mapped to node's levels
+// through the fragment maps (as they are when attrs is nil), as a
+// tuple → count map.
+func multiset(fs *Set, attrs []Attr, node lattice.Node) map[string]uint32 {
+	out := map[string]uint32{}
+	for j, c := range fs.Count {
+		key := make([]byte, 0, 4*(len(fs.Codes)+1))
+		for li, codes := range fs.Codes {
+			code := codes[j]
+			if attrs != nil {
+				code = attrs[li].toLevel(fs.Levels[li], node[li])[code]
+			}
+			key = binary.LittleEndian.AppendUint32(key, code)
+		}
+		if fs.Sens != nil {
+			key = binary.LittleEndian.AppendUint32(key, fs.Sens[j])
+		}
+		out[string(key)] += c
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package freqset
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"microdata/internal/eqclass"
 	"microdata/internal/lattice"
@@ -34,6 +35,11 @@ type keying struct {
 	base     *Set
 	baseErr  error
 	sets     *lru.Cache[*entry]
+
+	// hubs lists the hubs rolled up inside another node's Get since the
+	// last Settle; their reads may still be unclaimed.
+	mu   sync.Mutex
+	hubs []*entry
 }
 
 // entry is one node's frequency set; done closes once fs or err is set,
@@ -42,6 +48,9 @@ type entry struct {
 	done chan struct{}
 	fs   *Set
 	err  error
+	// charge holds the rows and tuples read to build a hub until its first
+	// Get or Settle claims them.
+	charge atomic.Int64
 }
 
 func newEntry() *entry { return &entry{done: make(chan struct{})} }
@@ -59,8 +68,10 @@ func (en *entry) ready() bool {
 // Get returns node's frequency set under the keying — with sens, the
 // sensitive code joins the grouping key. The first caller for a node rolls
 // it up; concurrent callers wait for that roll-up. scanned is the number
-// of rows and tuples this call read: zero when another call built the set,
-// else the source's tuples plus the N rows when this call built the base.
+// of rows and tuples read to build the set, reported once, to the node's
+// first Get: the source's tuples, plus the N rows when this call built the
+// base. A hub rolled up inside another node's Get is an ordinary entry,
+// and its read goes to its own first Get, unless Settle claimed it first.
 func (s *Store) Get(node lattice.Node, sens bool) (fs *Set, scanned int, err error) {
 	if err := s.Prepare(); err != nil {
 		return nil, 0, err
@@ -80,25 +91,98 @@ func (s *Store) Get(node lattice.Node, sens bool) (fs *Set, scanned int, err err
 	en, found := ky.sets.GetOrPut(node.Key(), newEntry)
 	if found {
 		<-en.done
-		return en.fs, 0, en.err
+		return en.fs, int(en.charge.Swap(0)), en.err
 	}
 	defer close(en.done)
-	built := false
+	en.fs, scanned, en.err = s.build(ky, node, sens)
+	return en.fs, scanned, en.err
+}
+
+// Settle claims the reads of the hubs whose first Get has not come yet,
+// and returns how many hubs it claimed and the rows and tuples they read.
+// A caller that adds up Get's scanned and Settle's counts every read
+// exactly once, including that of a hub no caller ever asks for.
+func (s *Store) Settle() (hubs, scanned int) {
+	for i := range s.keyings {
+		ky := &s.keyings[i]
+		ky.mu.Lock()
+		pending := ky.hubs
+		ky.hubs = nil
+		ky.mu.Unlock()
+		for _, en := range pending {
+			if c := en.charge.Swap(0); c > 0 {
+				hubs++
+				scanned += int(c)
+			}
+		}
+	}
+	return hubs, scanned
+}
+
+// build rolls node up and returns its set and the rows and tuples read.
+// When no cached set smaller than the base can source the node, it rolls
+// the node's hub up first and sources from that.
+func (s *Store) build(ky *keying, node lattice.Node, sens bool) (*Set, int, error) {
+	read := 0
 	ky.baseOnce.Do(func() {
-		built = true
+		read = s.t.Len()
 		ky.base, ky.baseErr = s.buildBase(sens)
 	})
 	if ky.baseErr != nil {
-		en.err = ky.baseErr
-		return nil, 0, en.err
-	}
-	if built {
-		scanned = s.t.Len()
+		return nil, 0, ky.baseErr
 	}
 	src := s.source(ky, node)
-	scanned += src.Len()
-	en.fs, en.err = s.rollUp(src, node)
-	return en.fs, scanned, en.err
+	if src == ky.base {
+		if h := s.hub(node); h != nil {
+			hub, err := s.rollHub(ky, h, sens)
+			if err != nil {
+				return nil, read, err
+			}
+			src = hub
+		}
+	}
+	fs, err := s.rollUp(src, node)
+	return fs, read + src.Len(), err
+}
+
+// hub returns node x's hub min(x, 1): one step up on every attribute x
+// generalizes, so every node it lies below shares one small source where
+// each would otherwise read the base. It returns nil when the hub is x
+// itself (which covers the bottom node) or when some attribute's ladder
+// does not nest from level 1 into x's level.
+func (s *Store) hub(x lattice.Node) lattice.Node {
+	var h lattice.Node
+	for li, l := range x {
+		if l > 1 {
+			if s.attrs[li].Levels[1].up[l] == nil {
+				return nil
+			}
+			if h == nil {
+				h = x.Clone()
+			}
+			h[li] = 1
+		}
+	}
+	return h
+}
+
+// rollHub returns hub h's set, rolling it up unless a caller already has.
+// The hub is an ordinary cache entry: it is rolled up once, and its read
+// is charged to it, for its first Get or Settle to claim.
+func (s *Store) rollHub(ky *keying, h lattice.Node, sens bool) (*Set, error) {
+	en, found := ky.sets.GetOrPut(h.Key(), newEntry)
+	if found {
+		<-en.done
+		return en.fs, en.err
+	}
+	var read int
+	en.fs, read, en.err = s.build(ky, h, sens)
+	en.charge.Store(int64(read))
+	ky.mu.Lock()
+	ky.hubs = append(ky.hubs, en)
+	ky.mu.Unlock()
+	close(en.done)
+	return en.fs, en.err
 }
 
 // Len returns the number of frequency sets resident across both keyings.

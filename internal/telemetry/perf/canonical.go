@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Canonicalize rewrites a JSON document into its canonical form: object
@@ -91,7 +92,7 @@ func writeCanonical(buf *bytes.Buffer, v any) error {
 	case json.Number:
 		buf.WriteString(x.String())
 	case string:
-		return writeCanonicalString(buf, x)
+		writeCanonicalString(buf, x)
 	case []any:
 		buf.WriteByte('[')
 		for i, e := range x {
@@ -114,9 +115,7 @@ func writeCanonical(buf *bytes.Buffer, v any) error {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
-			if err := writeCanonicalString(buf, k); err != nil {
-				return err
-			}
+			writeCanonicalString(buf, k)
 			buf.WriteByte(':')
 			if err := writeCanonical(buf, x[k]); err != nil {
 				return err
@@ -129,16 +128,62 @@ func writeCanonical(buf *bytes.Buffer, v any) error {
 	return nil
 }
 
-// writeCanonicalString emits s as a JSON string without HTML escaping.
-func writeCanonicalString(buf *bytes.Buffer, s string) error {
-	var tmp bytes.Buffer
-	enc := json.NewEncoder(&tmp)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(s); err != nil {
-		return err
+// writeCanonicalString emits s as a JSON string exactly as encoding/json
+// does with HTML escaping off: '"' and '\\' are backslash-escaped, control
+// bytes take their short escape or \u00XX, U+2028 and U+2029 are escaped,
+// and each byte of invalid UTF-8 becomes \ufffd.
+func writeCanonicalString(buf *bytes.Buffer, s string) {
+	const hex = "0123456789abcdef"
+	buf.WriteByte('"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			buf.WriteString(s[start:i])
+			switch b {
+			case '"', '\\':
+				buf.WriteByte('\\')
+				buf.WriteByte(b)
+			case '\b':
+				buf.WriteString(`\b`)
+			case '\f':
+				buf.WriteString(`\f`)
+			case '\n':
+				buf.WriteString(`\n`)
+			case '\r':
+				buf.WriteString(`\r`)
+			case '\t':
+				buf.WriteString(`\t`)
+			default:
+				buf.WriteString(`\u00`)
+				buf.WriteByte(hex[b>>4])
+				buf.WriteByte(hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			buf.WriteString(s[start:i])
+			buf.WriteString(`\ufffd`)
+		case c == '\u2028' || c == '\u2029':
+			buf.WriteString(s[start:i])
+			buf.WriteString(`\u202`)
+			buf.WriteByte(hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
-	buf.Write(bytes.TrimRight(tmp.Bytes(), "\n"))
-	return nil
+	buf.WriteString(s[start:])
+	buf.WriteByte('"')
 }
 
 // Float is a float64 whose JSON form is pinned: NaN, +Inf and -Inf encode

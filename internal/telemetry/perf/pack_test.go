@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -88,6 +89,36 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 	want := `{"a":{"m":null,"z":[3,1.5,"x<y"]},"b":2,"c":true}`
 	if string(c1) != want {
 		t.Errorf("canonical form = %s, want %s", c1, want)
+	}
+}
+
+// TestCanonicalStringMatchesEncoder pins the canonical string writer to
+// encoding/json with HTML escaping off, byte for byte: HTML metacharacters,
+// quote and backslash, every single byte (each control byte, and each
+// invalid UTF-8 byte, which becomes U+FFFD), U+2028 and U+2029, multi-byte
+// runes, and truncated, overlong and surrogate sequences.
+func TestCanonicalStringMatchesEncoder(t *testing.T) {
+	corpus := []string{
+		"", "plain", "<>&", `"`, `\`, `a"b\c`, "x<y&z>w",
+		"\u2028", "\u2029", "a\u2028b\u2029c",
+		"é", "中文", "😀", "naïve café — ok",
+		"\xe2\x80", "\xc0\x80", "\xed\xa0\x80", "\xf4\x90\x80\x80", "ok\xffok",
+	}
+	for b := 0; b < 256; b++ {
+		corpus = append(corpus, string([]byte{byte(b)}), "a"+string([]byte{byte(b)})+"z")
+	}
+	for _, s := range corpus {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		writeCanonicalString(&got, s)
+		if w := bytes.TrimSuffix(want.Bytes(), []byte("\n")); !bytes.Equal(got.Bytes(), w) {
+			t.Errorf("%q: wrote %s, encoding/json writes %s", s, got.Bytes(), w)
+		}
 	}
 }
 
