@@ -194,7 +194,8 @@ func TestVerifyCensusPack(t *testing.T) {
 // golden pack: a clean tree replays it to exit 0, flipping any byte exits
 // 2, and perturbing a recorded measure exits 5 with a path-level
 // diagnostic naming the field. Each replay re-runs the full N=1000
-// capture (~15s), so the test is skipped under -short.
+// capture (about 0.5 s on a 2-vCPU host), so the test is skipped under
+// -short.
 func TestGoldenCensusPack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden-pack replay")

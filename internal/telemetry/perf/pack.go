@@ -3,7 +3,6 @@ package perf
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -214,11 +213,9 @@ func (p *Pack) SortSections() {
 	sort.Slice(p.Benchmarks, func(i, j int) bool { return p.Benchmarks[i].Name < p.Benchmarks[j].Name })
 }
 
-// Seal, WriteCanonical and WriteFile are the envelope functions as
-// methods, the form the benchmark module calls.
-func (p *Pack) Seal() error                      { return Seal(p) }
-func (p *Pack) WriteCanonical(w io.Writer) error { return WriteCanonical(w, p) }
-func (p *Pack) WriteFile(path string) error      { return WriteFile(path, p) }
+// WriteFile is the envelope writer as a method, the form the benchmark
+// module calls.
+func (p *Pack) WriteFile(path string) error { return WriteFile(path, p) }
 
 // ReadFile reads and verifies a perf pack from disk.
 func ReadFile(path string) (*Pack, error) { return Load[Pack](path) }

@@ -47,11 +47,11 @@ const goldenPackJSON = `{"benchmarks":[{"metrics":{"wall_ns":{"mad":1000000,"med
 
 func TestPackCanonicalGolden(t *testing.T) {
 	p := fixturePack()
-	if err := p.Seal(); err != nil {
+	if err := Seal(p); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.WriteCanonical(&buf); err != nil {
+	if err := WriteCanonical(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.TrimSuffix(buf.String(), "\n")
@@ -62,7 +62,7 @@ func TestPackCanonicalGolden(t *testing.T) {
 	// Sealing is deterministic: a second seal of the same content yields
 	// the same digest.
 	d1 := p.Manifest.Digest
-	if err := p.Seal(); err != nil {
+	if err := Seal(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Manifest.Digest != d1 {

@@ -4,24 +4,20 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
+
+	"microdata/internal/telemetry/perf"
 )
 
 // DiffOptions tunes the replay comparison.
 type DiffOptions struct {
-	// ULPs is the float-equality tolerance in units-in-the-last-place
-	// (default 4). Integer claims (nodes, counts, digests, verdicts) are
-	// always exact; the tolerance only widens Measure/ShapeStats/Risk
-	// float comparisons, absorbing summation-order jitter without letting
-	// any humanly-visible change (a retouched fourth decimal) through.
+	// ULPs is the Float tolerance in units in the last place (default 4):
+	// it absorbs summation-order jitter, never a visible change such as a
+	// retouched fourth decimal. Every other claim compares exactly.
 	ULPs uint64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.ULPs == 0 {
-		o.ULPs = 4
-	}
-	return o
 }
 
 // Divergence is one field where the replayed capture disagrees with the
@@ -36,361 +32,163 @@ func (d Divergence) String() string {
 	return fmt.Sprintf("%s: recorded %s, replayed %s", d.Path, d.Recorded, d.Replayed)
 }
 
-// Diff compares a replayed capture against the recorded pack field by
-// field and returns every divergence. Manifest, timestamps and environment
-// are out of scope (the manifest is checked by Read; environment changes
-// are surfaced separately by the caller) — Diff judges only the claims.
+// Diff compares a replayed capture against the recorded pack and returns
+// every divergence. It walks both values with one rule per kind, so a
+// field added to Pack is judged without a case of its own:
+//   - a Float compares ULP-tolerantly (NaN matches NaN, ±0 are equal, an
+//     infinity's sign must match); every other scalar compares exactly;
+//   - a nil pointer, or a map key or keyed element on one side only, is a
+//     presence divergence, "(present)" against "(absent)";
+//   - a slice whose elements have a key method is matched element by
+//     element on that key; any other slice compares as a whole value.
+//
+// Paths spell fields by their JSON names. judged lists what is out of scope.
 func Diff(recorded, replayed *Pack, opts DiffOptions) []Divergence {
-	opts = opts.withDefaults()
-	d := &differ{opts: opts}
-	rec, rep := clonedSorted(recorded), clonedSorted(replayed)
-
-	d.exact("source", rec.Source, rep.Source)
-	d.ints("ks", rec.Ks, rep.Ks)
-	d.exactList("experiments", rec.Experiments, rep.Experiments)
-	d.algorithms(rec.Algorithms, rep.Algorithms)
-	d.attack(rec.Attack, rep.Attack)
-	if rec.AttackPopulation != nil || rep.AttackPopulation != nil {
-		d.population(rec.AttackPopulation, rep.AttackPopulation)
+	d := &differ{ulps: opts.ULPs, names: map[reflect.Type][]string{}}
+	if d.ulps == 0 {
+		d.ulps = 4
 	}
-	d.tables(rec.Tables, rep.Tables)
-	d.comparisons(rec.Comparisons, rep.Comparisons)
-	d.files(rec.Files, rep.Files)
+	d.walk(path{}, reflect.ValueOf(judged(recorded)), reflect.ValueOf(judged(replayed)))
 	return d.out
 }
 
-// clonedSorted returns a shallow copy with sections in canonical order, so
-// Diff never mutates its arguments and unsealed replays compare correctly.
-func clonedSorted(p *Pack) *Pack {
+// judged returns a copy of p's claims in canonical section order. The
+// manifest is checked by Read and the environment by the caller; schema,
+// version and creation time are not claims. All are zeroed here, only here.
+func judged(p *Pack) Pack {
 	c := *p
-	c.Ks = append([]int(nil), p.Ks...)
-	c.Experiments = append([]string(nil), p.Experiments...)
-	c.Algorithms = append([]AlgorithmResult(nil), p.Algorithms...)
-	c.Attack = append([]AttackRisk(nil), p.Attack...)
-	c.Tables = append([]TableDigest(nil), p.Tables...)
-	c.Files = append([]FileFingerprint(nil), p.Files...)
+	c.Schema, c.Version, c.CreatedUnixMS, c.Env, c.Manifest = "", 0, 0, perf.Env{}, nil
+	for v, i := reflect.ValueOf(&c).Elem(), 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			f.Set(reflect.AppendSlice(reflect.Zero(f.Type()), f))
+		}
+	}
 	c.SortSections()
-	return &c
+	return c
 }
+
+// keyed is implemented by the elements of the sections matched by
+// identity rather than position; key spells that identity in paths.
+type keyed interface{ key() string }
+
+func (a *AlgorithmResult) key() string  { return "k=" + strconv.Itoa(a.K) + "/" + a.Algorithm }
+func (a *AttackRisk) key() string       { return "k=" + strconv.Itoa(a.K) + "/" + a.Algorithm }
+func (t *TableDigest) key() string      { return t.ID }
+func (c *ComparisonResult) key() string { return c.Left + " vs " + c.Right }
+func (f *FileFingerprint) key() string  { return f.Role }
 
 type differ struct {
-	opts DiffOptions
-	out  []Divergence
+	ulps  uint64
+	out   []Divergence
+	names map[reflect.Type][]string // JSON field names, per struct type
 }
 
-func (d *differ) add(path, recorded, replayed string) {
-	d.out = append(d.out, Divergence{Path: path, Recorded: recorded, Replayed: replayed})
-}
+// path is a divergence path, joined only when needed: most leaves agree.
+type path struct{ parent, name string }
 
-func (d *differ) exact(path, rec, rep string) {
-	if rec != rep {
-		d.add(path, strconv.Quote(rec), strconv.Quote(rep))
+func (p path) String() string {
+	if p.parent == "" || p.name == "" {
+		return p.parent + p.name
 	}
+	return p.parent + "." + p.name
 }
 
-func (d *differ) exactInt(path string, rec, rep int) {
-	if rec != rep {
-		d.add(path, strconv.Itoa(rec), strconv.Itoa(rep))
-	}
+var presence = map[bool]string{true: "(present)", false: "(absent)"}
+
+func (d *differ) add(at path, recorded, replayed string) {
+	d.out = append(d.out, Divergence{Path: at.String(), Recorded: recorded, Replayed: replayed})
 }
 
-func (d *differ) ints(path string, rec, rep []int) {
-	if len(rec) != len(rep) {
-		d.add(path, fmt.Sprint(rec), fmt.Sprint(rep))
-		return
-	}
-	for i := range rec {
-		if rec[i] != rep[i] {
-			d.add(path, fmt.Sprint(rec), fmt.Sprint(rep))
-			return
+func (d *differ) walk(at path, a, b reflect.Value) {
+	switch a.Kind() {
+	case reflect.Struct:
+		names, cached := d.names[a.Type()]
+		for i := 0; !cached && i < a.NumField(); i++ {
+			name, _, _ := strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+			names = append(names, name)
+			d.names[a.Type()] = names
 		}
-	}
-}
-
-func (d *differ) exactList(path string, rec, rep []string) {
-	if len(rec) != len(rep) {
-		d.add(path, fmt.Sprint(rec), fmt.Sprint(rep))
-		return
-	}
-	for i := range rec {
-		if rec[i] != rep[i] {
-			d.add(path, fmt.Sprint(rec), fmt.Sprint(rep))
-			return
+		for i, parent := 0, at.String(); i < len(names); i++ {
+			d.walk(path{parent, names[i]}, a.Field(i), b.Field(i))
 		}
-	}
-}
-
-// float compares ULP-tolerantly: NaN agrees with NaN, infinities must
-// match sign, ±0 are equal, and finite values may differ by at most
-// opts.ULPs representable doubles.
-func (d *differ) float(path string, rec, rep Float) {
-	a, b := float64(rec), float64(rep)
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return
-	}
-	if a == b { // covers equal finites, same-sign Inf and +0 == -0
-		return
-	}
-	if !math.IsNaN(a) && !math.IsNaN(b) && !math.IsInf(a, 0) && !math.IsInf(b, 0) &&
-		ulpDistance(a, b) <= d.opts.ULPs {
-		return
-	}
-	d.add(path, formatFloat(a), formatFloat(b))
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ulpDistance returns how many representable float64 values lie between a
-// and b, using the standard monotone mapping of IEEE-754 bit patterns onto
-// a signed lexicographic scale (which places -0 and +0 at distance zero).
-func ulpDistance(a, b float64) uint64 {
-	la, lb := lexBits(a), lexBits(b)
-	// Bias onto uint64 so the subtraction cannot overflow.
-	ua := uint64(la) + 1<<63
-	ub := uint64(lb) + 1<<63
-	if ua > ub {
-		return ua - ub
-	}
-	return ub - ua
-}
-
-func lexBits(f float64) int64 {
-	b := int64(math.Float64bits(f))
-	if b < 0 {
-		b = math.MinInt64 - b
-	}
-	return b
-}
-
-func (d *differ) measures(path string, rec, rep map[string]Float) {
-	for _, name := range sortedKeys(rec) {
-		rv, ok := rep[name]
-		if !ok {
-			d.add(path+"."+name, formatFloat(float64(rec[name])), "(absent)")
-			continue
+	case reflect.Pointer:
+		if !a.IsNil() && !b.IsNil() {
+			d.walk(at, a.Elem(), b.Elem())
+		} else if a.IsNil() != b.IsNil() {
+			d.add(at, presence[!a.IsNil()], presence[!b.IsNil()])
 		}
-		d.float(path+"."+name, rec[name], rv)
-	}
-	for _, name := range sortedKeys(rep) {
-		if _, ok := rec[name]; !ok {
-			d.add(path+"."+name, "(absent)", formatFloat(float64(rep[name])))
-		}
-	}
-}
-
-func sortedKeys(m map[string]Float) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-// sortStrings is a tiny insertion sort: measure maps hold single-digit
-// key counts, not worth importing sort's interface machinery per call.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func (d *differ) shape(path string, rec, rep *ShapeStats) {
-	switch {
-	case rec == nil && rep == nil:
-		return
-	case rec == nil || rep == nil:
-		d.add(path, presence(rec != nil), presence(rep != nil))
-		return
-	}
-	d.float(path+".min", rec.Min, rep.Min)
-	d.float(path+".q1", rec.Q1, rep.Q1)
-	d.float(path+".median", rec.Median, rep.Median)
-	d.float(path+".q3", rec.Q3, rep.Q3)
-	d.float(path+".max", rec.Max, rep.Max)
-	d.float(path+".gini", rec.Gini, rep.Gini)
-}
-
-func presence(ok bool) string {
-	if ok {
-		return "(present)"
-	}
-	return "(absent)"
-}
-
-func (d *differ) algorithms(rec, rep []AlgorithmResult) {
-	index := map[string]*AlgorithmResult{}
-	for i := range rep {
-		index[algKey(rep[i].K, rep[i].Algorithm)] = &rep[i]
-	}
-	seen := map[string]bool{}
-	for i := range rec {
-		r := &rec[i]
-		key := algKey(r.K, r.Algorithm)
-		seen[key] = true
-		path := "algorithms[" + key + "]"
-		p, ok := index[key]
-		if !ok {
-			d.add(path, "(present)", "(absent)")
-			continue
-		}
-		d.exact(path+".failed", r.Failed, p.Failed)
-		d.exact(path+".node", r.Node, p.Node)
-		d.exactInt(path+".k_actual", r.KActual, p.KActual)
-		d.exactInt(path+".classes", r.Classes, p.Classes)
-		d.exactInt(path+".suppressed", r.Suppressed, p.Suppressed)
-		d.measures(path+".measures", r.Measures, p.Measures)
-		d.shape(path+".class_shape", r.ClassShape, p.ClassShape)
-	}
-	for i := range rep {
-		if key := algKey(rep[i].K, rep[i].Algorithm); !seen[key] {
-			d.add("algorithms["+key+"]", "(absent)", "(present)")
-		}
-	}
-}
-
-func algKey(k int, name string) string { return "k=" + strconv.Itoa(k) + "/" + name }
-
-func (d *differ) risk(path string, rec, rep *RiskSummary) {
-	switch {
-	case rec == nil && rep == nil:
-		return
-	case rec == nil || rep == nil:
-		d.add(path, presence(rec != nil), presence(rep != nil))
-		return
-	}
-	d.float(path+".mean", rec.Mean, rep.Mean)
-	d.float(path+".median", rec.Median, rep.Median)
-	d.float(path+".max", rec.Max, rep.Max)
-}
-
-func (d *differ) attack(rec, rep []AttackRisk) {
-	index := map[string]*AttackRisk{}
-	for i := range rep {
-		index[algKey(rep[i].K, rep[i].Algorithm)] = &rep[i]
-	}
-	seen := map[string]bool{}
-	for i := range rec {
-		r := &rec[i]
-		key := algKey(r.K, r.Algorithm)
-		seen[key] = true
-		path := "attack[" + key + "]"
-		p, ok := index[key]
-		if !ok {
-			d.add(path, "(present)", "(absent)")
-			continue
-		}
-		d.exact(path+".failed", r.Failed, p.Failed)
-		d.risk(path+".prosecutor", r.Prosecutor, p.Prosecutor)
-		d.risk(path+".journalist", r.Journalist, p.Journalist)
-		d.float(path+".marketer", r.Marketer, p.Marketer)
-	}
-	for i := range rep {
-		if key := algKey(rep[i].K, rep[i].Algorithm); !seen[key] {
-			d.add("attack["+key+"]", "(absent)", "(present)")
-		}
-	}
-}
-
-func (d *differ) population(rec, rep *PopulationSpec) {
-	switch {
-	case rec == nil || rep == nil:
-		d.add("attack_population", presence(rec != nil), presence(rep != nil))
-		return
-	}
-	d.exactInt("attack_population.n", rec.N, rep.N)
-	if rec.Seed != rep.Seed {
-		d.add("attack_population.seed", strconv.FormatInt(rec.Seed, 10), strconv.FormatInt(rep.Seed, 10))
-	}
-	d.exact("attack_population.hash", rec.Hash, rep.Hash)
-}
-
-func (d *differ) tables(rec, rep []TableDigest) {
-	index := map[string]TableDigest{}
-	for _, t := range rep {
-		index[t.ID] = t
-	}
-	seen := map[string]bool{}
-	for _, t := range rec {
-		seen[t.ID] = true
-		path := "tables[" + t.ID + "]"
-		p, ok := index[t.ID]
-		if !ok {
-			d.add(path, "(present)", "(absent)")
-			continue
-		}
-		d.exact(path+".sha256", t.SHA256, p.SHA256)
-		d.exactInt(path+".bytes", t.Bytes, p.Bytes)
-	}
-	for _, t := range rep {
-		if !seen[t.ID] {
-			d.add("tables["+t.ID+"]", "(absent)", "(present)")
-		}
-	}
-}
-
-func (d *differ) comparisons(rec, rep []ComparisonResult) {
-	if len(rec) != len(rep) {
-		d.add("comparisons", fmt.Sprintf("%d pairs", len(rec)), fmt.Sprintf("%d pairs", len(rep)))
-		return
-	}
-	for i := range rec {
-		r, p := &rec[i], &rep[i]
-		path := fmt.Sprintf("comparisons[%s vs %s]", r.Left, r.Right)
-		d.exact(path+".left", r.Left, p.Left)
-		d.exact(path+".right", r.Right, p.Right)
-		d.exactInt(path+".k_left", r.KLeft, p.KLeft)
-		d.exactInt(path+".k_right", r.KRight, p.KRight)
-		d.exact(path+".dominance", r.Dominance, p.Dominance)
-		for _, name := range sortedStringKeys(r.Privacy) {
-			d.exact(path+".privacy."+name, r.Privacy[name], p.Privacy[name])
-		}
-		for _, name := range sortedStringKeys(p.Privacy) {
-			if _, ok := r.Privacy[name]; !ok {
-				d.add(path+".privacy."+name, "(absent)", strconv.Quote(p.Privacy[name]))
+	case reflect.Map:
+		k, names, parent := reflect.New(a.Type().Key()).Elem(), make([]string, 0, a.Len()+b.Len()), at.String()
+		for _, m := range []reflect.Value{a, b} {
+			for it := m.MapRange(); it.Next(); {
+				k.SetIterKey(it)
+				names = append(names, k.String())
 			}
 		}
-		d.exact(path+".utility_cov", r.UtilityCov, p.UtilityCov)
-		d.exact(path+".wtd", r.WTD, p.WTD)
-	}
-}
-
-func sortedStringKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-func (d *differ) files(rec, rep []FileFingerprint) {
-	index := map[string]FileFingerprint{}
-	for _, f := range rep {
-		index[f.Role] = f
-	}
-	for _, f := range rec {
-		path := "files[" + f.Role + "]"
-		p, ok := index[f.Role]
-		if !ok {
-			d.add(path, "(present)", "(absent)")
-			continue
+		slices.Sort(names)
+		for _, name := range slices.Compact(names) {
+			k.SetString(name)
+			if av, bv := a.MapIndex(k), b.MapIndex(k); av.IsValid() && bv.IsValid() {
+				d.walk(path{parent, name}, av, bv)
+			} else {
+				d.add(path{parent, name}, presence[av.IsValid()], presence[bv.IsValid()])
+			}
 		}
-		d.exact(path+".path", f.Path, p.Path)
-		d.exact(path+".sha256", f.SHA256, p.SHA256)
+	case reflect.Slice:
+		if reflect.PointerTo(a.Type().Elem()).Implements(reflect.TypeOf((*keyed)(nil)).Elem()) {
+			d.keyed(at.String(), a, b)
+		} else if a.Len() != b.Len() || a.Len() > 0 && !reflect.DeepEqual(a.Interface(), b.Interface()) {
+			d.add(at, fmt.Sprint(a), fmt.Sprint(b))
+		}
+	case reflect.Float32, reflect.Float64:
+		x, y := a.Float(), b.Float() // x == y covers same-sign infinities and ±0
+		if x != y && !(math.IsNaN(x) && math.IsNaN(y)) && (math.IsNaN(x) || math.IsNaN(y) ||
+			math.IsInf(x, 0) || math.IsInf(y, 0) || ulpDistance(x, y) > d.ulps) {
+			d.add(at, strconv.FormatFloat(x, 'g', -1, 64), strconv.FormatFloat(y, 'g', -1, 64))
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			d.add(at, strconv.Quote(a.String()), strconv.Quote(b.String()))
+		}
+	default:
+		if !a.Equal(b) {
+			d.add(at, fmt.Sprint(a), fmt.Sprint(b))
+		}
 	}
+}
+
+// keyed matches two sections element by element on their keys: recorded
+// elements in order, then replayed-only ones in theirs.
+func (d *differ) keyed(section string, a, b reflect.Value) {
+	pos, order := map[path][2]int{}, []path(nil)
+	for side, s := range []reflect.Value{a, b} {
+		for i := 0; i < s.Len(); i++ {
+			at := path{parent: section + "[" + s.Index(i).Addr().Interface().(keyed).key() + "]"}
+			p, seen := pos[at]
+			if !seen {
+				p, order = [2]int{-1, -1}, append(order, at)
+			}
+			p[side] = i
+			pos[at] = p
+		}
+	}
+	for _, at := range order {
+		if i, j := pos[at][0], pos[at][1]; i >= 0 && j >= 0 {
+			d.walk(at, a.Index(i), b.Index(j))
+		} else {
+			d.add(at, presence[i >= 0], presence[j >= 0])
+		}
+	}
+}
+
+// ulpDistance counts the representable float64 values between two finite
+// doubles; -0 and +0 are one value.
+func ulpDistance(a, b float64) uint64 {
+	ua, ub := math.Float64bits(math.Abs(a)), math.Float64bits(math.Abs(b))
+	if math.Signbit(a) != math.Signbit(b) {
+		return ua + ub
+	}
+	return max(ua, ub) - min(ua, ub)
 }
 
 // WriteDivergences renders one line per divergence — the path-level

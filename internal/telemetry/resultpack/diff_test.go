@@ -122,16 +122,25 @@ func TestDiffMissingAndExtraEntries(t *testing.T) {
 	a, b := samplePack(), samplePack()
 	b.Algorithms = b.Algorithms[:2]
 	b.Attack = append(b.Attack, AttackRisk{Algorithm: "datafly", K: 10, Marketer: 0.5})
+	b.Files = append(b.Files, FileFingerprint{Role: "b", Path: "b.csv", SHA256: "dddd"})
+	delete(b.Comparisons[0].Privacy, "cov")
 	divs := Diff(a, b, DiffOptions{})
 	joined := ""
 	for _, d := range divs {
 		joined += d.String() + "\n"
 	}
-	if !strings.Contains(joined, "algorithms[k=2/genetic]: recorded (present), replayed (absent)") {
-		t.Errorf("missing algorithm not reported:\n%s", joined)
+	for _, want := range []string{
+		"algorithms[k=2/genetic]: recorded (present), replayed (absent)",
+		"attack[k=10/datafly]: recorded (absent), replayed (present)",
+		"files[b]: recorded (absent), replayed (present)",
+		"comparisons[a.csv vs b.csv].privacy.cov: recorded (present), replayed (absent)",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %q in:\n%s", want, joined)
+		}
 	}
-	if !strings.Contains(joined, "attack[k=10/datafly]: recorded (absent), replayed (present)") {
-		t.Errorf("extra attack row not reported:\n%s", joined)
+	if len(divs) != 4 {
+		t.Errorf("got %d divergences, want 4:\n%s", len(divs), joined)
 	}
 }
 
@@ -158,5 +167,20 @@ func TestULPDistance(t *testing.T) {
 	}
 	if d := ulpDistance(1, 2); d != 1<<52 {
 		t.Errorf("ulp(1,2) = %d, want 2^52", d)
+	}
+}
+
+// BenchmarkDiffGolden diffs the committed golden pack against itself, the
+// comparison every `compare -verify` and paper-replay run ends with.
+func BenchmarkDiffGolden(b *testing.B) {
+	p, err := ReadFile("../../../results/census-1k.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if divs := Diff(p, p, DiffOptions{}); len(divs) != 0 {
+			b.Fatal(divs)
+		}
 	}
 }
