@@ -11,7 +11,11 @@
 //
 // Exit codes follow the stable contract shared with benchdiff and compare
 // (see README "Exit codes"): 0 ok, 1 failure, 6 invalid input (bad flags
-// such as -n below 1 or a -ks value above -n, unknown experiment names).
+// such as -n below 1 or a -ks value above -n, unknown experiment names,
+// two of -trace, -metrics, -report and -result-out set to "-").
+//
+// Stdout carries one thing. When one document flag is "-", the document
+// is written there and the text report goes to stderr.
 //
 // Observability (see README "Observability"):
 //
@@ -35,7 +39,10 @@ import (
 	"time"
 
 	"microdata"
+	"microdata/internal/experiment"
+	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/report"
 )
 
 func main() {
@@ -92,21 +99,21 @@ type options struct {
 }
 
 // captureResults runs the selected experiments with the result-pack sink
-// attached: the text reports still stream to stdout while the capture
-// seals the per-algorithm measures, attack risks and report digests, and
-// the run report links the pack's manifest digest.
-func captureResults(ctx context.Context, rb *microdata.RunReportBuilder, opts microdata.ExperimentOptions, ids []string, out string) error {
-	pack, err := microdata.CaptureResultPack(ctx, microdata.ResultCaptureConfig{
+// attached: the text reports still stream to w while the capture seals the
+// per-algorithm measures, attack risks and report digests, and the run
+// report links the pack's manifest digest.
+func captureResults(ctx context.Context, w io.Writer, rb *report.Builder, opts microdata.ExperimentOptions, ids []string, out string) error {
+	pack, err := experiment.CaptureResults(ctx, experiment.CaptureConfig{
 		Opts:         opts,
 		Experiments:  ids,
 		Algorithms:   true,
 		Attack:       true,
-		ReportWriter: os.Stdout,
+		ReportWriter: w,
 	})
 	if err != nil {
 		return err
 	}
-	if err := microdata.WriteResultPack(pack, out); err != nil {
+	if err := perf.WriteFile(out, pack); err != nil {
 		return err
 	}
 	if out != "-" {
@@ -135,13 +142,29 @@ func realMain(o options) error {
 	if o.resultOut != "" && (o.list || o.engStat) {
 		return perf.Invalidf("-result-out only applies to experiment runs (-run)")
 	}
+	// Stdout carries one thing: the text report, or the one document
+	// whose flag is "-", in which case the text report goes to stderr.
+	out := io.Writer(os.Stdout)
+	var onStdout []string
+	for _, doc := range []struct{ flag, path string }{
+		{"-trace", o.traceOut}, {"-metrics", o.metricsOut},
+		{"-report", o.reportOut}, {"-result-out", o.resultOut},
+	} {
+		if doc.path == "-" {
+			onStdout = append(onStdout, doc.flag)
+			out = os.Stderr
+		}
+	}
+	if len(onStdout) > 1 {
+		return perf.Invalidf("%s are each \"-\": stdout takes one document", strings.Join(onStdout, " and "))
+	}
 
 	if o.verbose || o.logFormat != "" {
-		h, err := microdata.NewLogHandler(os.Stderr, o.logFormat, o.verbose)
+		h, err := telemetry.NewLogHandler(os.Stderr, o.logFormat, o.verbose)
 		if err != nil {
 			return perf.Exit(perf.ExitInvalid, err)
 		}
-		microdata.SetLogHandler(h)
+		telemetry.SetLogHandler(h)
 	}
 
 	// A collector is installed whenever any span or metrics consumer is
@@ -184,41 +207,41 @@ func realMain(o options) error {
 	// Sinks flush after the mode body returns (and after the run root span
 	// ends), so the deferred writers run last-in-first-out before the
 	// profile defers above.
-	rb := microdata.BeginRunReport("anonbench", mode(o))
+	rb := report.Begin("anonbench", mode(o))
 	var runErr error
 	func() {
-		ctx, sp := microdata.StartSpan(context.Background(), "anonbench.run",
-			microdata.SpanString("mode", mode(o)),
-			microdata.SpanInt("n", o.n), microdata.SpanInt64("seed", o.seed))
+		ctx, sp := telemetry.Start(context.Background(), "anonbench.run",
+			telemetry.String("mode", mode(o)),
+			telemetry.Int("n", o.n), telemetry.Int64("seed", o.seed))
 		defer sp.End()
 
 		switch {
 		case o.engStat:
-			runErr = engineStats(ctx, os.Stdout, o.n, kVals[0], o.seed, col)
+			runErr = engineStats(ctx, out, o.n, kVals[0], o.seed, col)
 		case o.list:
-			fmt.Println("Experiments (see DESIGN.md for the per-experiment index):")
-			for _, e := range microdata.Experiments(opts) {
-				fmt.Printf("  %-4s %-62s [%s]\n", e.ID, e.Title, e.Artifact)
+			fmt.Fprintln(out, "Experiments (see DESIGN.md for the per-experiment index):")
+			for _, e := range experiment.Registry(opts) {
+				fmt.Fprintf(out, "  %-4s %-62s [%s]\n", e.ID, e.Title, e.Artifact)
 			}
 		case o.run == "all":
 			if o.resultOut != "" {
 				var ids []string
-				for _, e := range microdata.Experiments(opts) {
+				for _, e := range experiment.Registry(opts) {
 					ids = append(ids, e.ID)
 				}
-				runErr = captureResults(ctx, rb, opts, ids, o.resultOut)
+				runErr = captureResults(ctx, out, rb, opts, ids, o.resultOut)
 			} else {
-				runErr = microdata.RunAllExperimentsContext(ctx, os.Stdout, opts)
+				runErr = experiment.RunAll(ctx, out, opts, nil)
 			}
 		default:
-			if !experimentExists(o.run, opts) {
+			if _, ok := experiment.Find(o.run, opts); !ok {
 				runErr = perf.Invalidf("unknown experiment %q (see -list)", o.run)
 				return
 			}
 			if o.resultOut != "" {
-				runErr = captureResults(ctx, rb, opts, []string{o.run}, o.resultOut)
+				runErr = captureResults(ctx, out, rb, opts, []string{o.run}, o.resultOut)
 			} else {
-				runErr = microdata.RunExperimentContext(ctx, os.Stdout, o.run, opts)
+				runErr = experiment.RunByID(ctx, out, o.run, opts, nil)
 			}
 		}
 	}()
@@ -241,15 +264,6 @@ func realMain(o options) error {
 		}
 	}
 	return runErr
-}
-
-func experimentExists(id string, opts microdata.ExperimentOptions) bool {
-	for _, e := range microdata.Experiments(opts) {
-		if e.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 func mode(o options) string {
@@ -326,7 +340,7 @@ func writePhaseBreakdown(w io.Writer, col *microdata.TelemetryCollector) {
 		if !ok {
 			continue
 		}
-		sub := microdata.SpanSubtreeDurations(spans, sp)
+		sub := telemetry.SubtreeDurations(spans, sp)
 		r := row{
 			name:       name,
 			total:      sp.Duration(),

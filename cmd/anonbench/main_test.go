@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +14,9 @@ import (
 	"testing"
 
 	"microdata"
+	"microdata/internal/experiment"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 // TestMain lets the test binary stand in for the anonbench command: with
@@ -29,17 +33,25 @@ func TestMain(m *testing.M) {
 // exitCode runs the command with args and returns its exit status.
 func exitCode(t *testing.T, args ...string) int {
 	t.Helper()
+	_, code := runMain(t, args...)
+	return code
+}
+
+// runMain runs the command with args and returns its stdout and exit
+// status.
+func runMain(t *testing.T, args ...string) ([]byte, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "ANONBENCH_MAIN=1")
-	err := cmd.Run()
+	out, err := cmd.Output()
 	var ee *exec.ExitError
 	if errors.As(err, &ee) {
-		return ee.ExitCode()
+		return out, ee.ExitCode()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 0
+	return out, 0
 }
 
 // TestExitCodes pins the command to the shared exit-code contract: a
@@ -167,11 +179,11 @@ func TestResultOutSealsPackAndLinksReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := microdata.ReadResultPack(packPath)
+	p, err := resultpack.ReadFile(packPath)
 	if err != nil {
 		t.Fatalf("sealed pack fails verification: %v", err)
 	}
-	if p.Source != microdata.ResultPackSourceCensus || p.Env.N != 150 || p.Env.Seed != 1 {
+	if p.Source != resultpack.SourceCensus || p.Env.N != 150 || p.Env.Seed != 1 {
 		t.Errorf("pack env = %+v", p.Env)
 	}
 	if len(p.Tables) != 1 || p.Tables[0].ID != "E1" {
@@ -207,5 +219,55 @@ func TestResultOutSealsPackAndLinksReport(t *testing.T) {
 	err = realMain(options{list: true, run: "all", n: 150, ks: "2", seed: 1, resultOut: packPath})
 	if perf.ExitCode(err) != perf.ExitInvalid {
 		t.Errorf("-list -result-out: exit %d (%v), want %d", perf.ExitCode(err), err, perf.ExitInvalid)
+	}
+}
+
+// TestStdoutCarriesOneDocument pins that a document flag set to "-" owns
+// stdout: the text report moves to stderr, so what stdout carries is the
+// document alone, and two documents cannot both claim it.
+func TestStdoutCarriesOneDocument(t *testing.T) {
+	base := []string{"-run", "E1", "-n", "200", "-ks", "3"}
+	for _, flag := range []string{"-report", "-metrics", "-trace"} {
+		out, code := runMain(t, append(base, flag, "-")...)
+		if code != perf.ExitOK {
+			t.Fatalf("%s -: exit %d", flag, code)
+		}
+		dec := json.NewDecoder(bytes.NewReader(out))
+		var doc any
+		if err := dec.Decode(&doc); err != nil {
+			t.Errorf("%s -: stdout is not JSON: %v\n%s", flag, err, out)
+			continue
+		}
+		if err := dec.Decode(&doc); err != io.EOF {
+			t.Errorf("%s -: stdout holds more than one JSON document (%v)", flag, err)
+		}
+	}
+
+	// The sealed pack on stdout verifies and replays without divergence,
+	// as `compare -verify` checks it.
+	out, code := runMain(t, append(base, "-result-out", "-")...)
+	if code != perf.ExitOK {
+		t.Fatalf("-result-out -: exit %d", code)
+	}
+	path := filepath.Join(t.TempDir(), "pack.json")
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := resultpack.ReadFile(path)
+	if err != nil {
+		t.Fatalf("-result-out -: stdout is not a sealed pack: %v", err)
+	}
+	replayed, err := experiment.ReplayPack(context.Background(), recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if divs := resultpack.Diff(recorded, replayed, resultpack.DiffOptions{}); len(divs) > 0 {
+		t.Errorf("-result-out -: replay diverges in %d field(s)", len(divs))
+	}
+
+	for _, pair := range [][2]string{{"-report", "-metrics"}, {"-trace", "-result-out"}} {
+		if _, code := runMain(t, append(base, pair[0], "-", pair[1], "-")...); code != perf.ExitInvalid {
+			t.Errorf("%s - %s -: exit %d, want %d", pair[0], pair[1], code, perf.ExitInvalid)
+		}
 	}
 }

@@ -25,6 +25,10 @@ import (
 	"os"
 
 	"microdata"
+	"microdata/internal/dataset"
+	"microdata/internal/generator"
+	"microdata/internal/measure"
+	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/perf"
 )
 
@@ -49,12 +53,12 @@ func main() {
 		os.Exit(perf.ExitInvalid)
 	}
 	if *verbose || *logFormat != "" {
-		h, err := microdata.NewLogHandler(os.Stderr, *logFormat, *verbose)
+		h, err := telemetry.NewLogHandler(os.Stderr, *logFormat, *verbose)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anonymize:", err)
 			os.Exit(perf.ExitInvalid)
 		}
-		microdata.SetLogHandler(h)
+		telemetry.SetLogHandler(h)
 	}
 	if err := run(*in, *gen, *out, *alg, *k, *sup, *seed, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "anonymize:", err)
@@ -79,7 +83,7 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 			return perf.Exit(perf.ExitInvalid, err)
 		}
 		defer f.Close()
-		tab, err = microdata.ReadCSV(f, microdata.CensusSchema())
+		tab, err = microdata.ReadCSV(f, generator.Schema())
 		if err != nil {
 			return perf.Exit(perf.ExitInvalid, fmt.Errorf("%s: %w", in, err))
 		}
@@ -115,7 +119,7 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 		defer f.Close()
 		w = f
 	}
-	if err := microdata.WriteCSV(w, res.Table); err != nil {
+	if err := dataset.WriteCSV(w, res.Table); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: k=%d classes=%d suppressed=%d\n",
@@ -126,7 +130,7 @@ func run(in string, gen int, out, algName string, k int, sup float64, seed int64
 		if err != nil {
 			return err
 		}
-		summary, err := microdata.SummarizeRelease(ctx)
+		summary, err := measure.Summarize(ctx)
 		if err != nil {
 			return err
 		}

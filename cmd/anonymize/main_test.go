@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"microdata"
+	"microdata/internal/dataset"
+	"microdata/internal/generator"
 	"microdata/internal/telemetry/perf"
 )
 
@@ -102,7 +104,7 @@ func TestRunGenerateToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tab, err := microdata.ReadCSV(f, microdata.CensusSchema())
+	tab, err := microdata.ReadCSV(f, generator.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestRunFileToFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := microdata.WriteCSV(f, orig); err != nil {
+	if err := dataset.WriteCSV(f, orig); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -142,7 +144,7 @@ func TestRunFileToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	tab, err := microdata.ReadCSV(g, microdata.CensusSchema())
+	tab, err := microdata.ReadCSV(g, generator.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 //	compare -orig census.csv -a mondrian.csv -b datafly.csv
 //	compare -paper                         # compare the paper's T_3a, T_3b and T_4
 //	compare -paper -result-out paper.json  # seal the verdicts
+//	compare -paper -result-out - > p.json  # the pack on stdout, the report on stderr
 //	compare -verify results/census-1k.json # replay + diff a sealed pack
 //
 // Exit codes follow the stable contract shared with anonbench and benchdiff
@@ -29,7 +30,10 @@ import (
 	"time"
 
 	"microdata"
+	"microdata/internal/generator"
+	"microdata/internal/telemetry"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 func main() {
@@ -53,18 +57,24 @@ func main() {
 		os.Exit(perf.ExitInvalid)
 	}
 	if *verbose || *logFormat != "" {
-		h, err := microdata.NewLogHandler(os.Stderr, *logFormat, *verbose)
+		h, err := telemetry.NewLogHandler(os.Stderr, *logFormat, *verbose)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "compare:", err)
 			os.Exit(perf.ExitInvalid)
 		}
-		microdata.SetLogHandler(h)
+		telemetry.SetLogHandler(h)
+	}
+	// A pack written to stdout ("-") owns it; the text report then goes
+	// to stderr.
+	out := io.Writer(os.Stdout)
+	if *resultOut == "-" {
+		out = os.Stderr
 	}
 	var err error
 	if *verifyPack != "" {
 		err = verify(os.Stdout, os.Stderr, *verifyPack, *ulps)
 	} else {
-		err = run(os.Stdout, *orig, *a, *b, *paper, *resultOut)
+		err = run(out, *orig, *a, *b, *paper, *resultOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
@@ -73,7 +83,7 @@ func main() {
 }
 
 func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut string) error {
-	var pack *microdata.ResultPack
+	var pack *resultpack.Pack
 	var err error
 	if paper {
 		pack, err = comparePaper(w)
@@ -87,7 +97,7 @@ func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut strin
 		return err
 	}
 	if resultOut != "" {
-		if err := microdata.WriteResultPack(pack, resultOut); err != nil {
+		if err := perf.WriteFile(resultOut, pack); err != nil {
 			return err
 		}
 		if resultOut != "-" {
@@ -99,7 +109,7 @@ func run(w io.Writer, origPath, aPath, bPath string, paper bool, resultOut strin
 
 // comparePaper runs the paper's two published comparisons and returns them
 // as an unsealed paper-source pack.
-func comparePaper(w io.Writer) (*microdata.ResultPack, error) {
+func comparePaper(w io.Writer) (*resultpack.Pack, error) {
 	orig := microdata.PaperT1()
 	c1, err := comparePair(w, "T_3a", "T_3b", orig, microdata.PaperT3a(), microdata.PaperT3b(), nil)
 	if err != nil {
@@ -109,13 +119,13 @@ func comparePaper(w io.Writer) (*microdata.ResultPack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPack(microdata.ResultPackSourcePaper, []microdata.ResultComparisonRow{c1, c2}, nil), nil
+	return newPack(resultpack.SourcePaper, []resultpack.ComparisonResult{c1, c2}, nil), nil
 }
 
 // compareFiles compares two anonymization files against the original and
 // returns a files-source pack whose fingerprints pin the three inputs.
-func compareFiles(w io.Writer, origPath, aPath, bPath string) (*microdata.ResultPack, error) {
-	var files []microdata.ResultFileFingerprint
+func compareFiles(w io.Writer, origPath, aPath, bPath string) (*resultpack.Pack, error) {
+	var files []resultpack.FileFingerprint
 	tabs := make(map[string]*microdata.Table, 3)
 	for _, in := range []struct{ role, path string }{{"orig", origPath}, {"a", aPath}, {"b", bPath}} {
 		tab, sum, err := readCensus(in.path)
@@ -123,23 +133,23 @@ func compareFiles(w io.Writer, origPath, aPath, bPath string) (*microdata.Result
 			return nil, err
 		}
 		tabs[in.role] = tab
-		files = append(files, microdata.ResultFileFingerprint{Role: in.role, Path: in.path, SHA256: sum})
+		files = append(files, resultpack.FileFingerprint{Role: in.role, Path: in.path, SHA256: sum})
 	}
 	c, err := comparePair(w, aPath, bPath, tabs["orig"], tabs["a"], tabs["b"], microdata.CensusTaxonomies())
 	if err != nil {
 		return nil, err
 	}
-	p := newPack(microdata.ResultPackSourceFiles, []microdata.ResultComparisonRow{c}, files)
-	if p.Env.DatasetHash, err = microdata.TableHash(tabs["orig"]); err != nil {
+	p := newPack(resultpack.SourceFiles, []resultpack.ComparisonResult{c}, files)
+	if p.Env.DatasetHash, err = tabs["orig"].Hash(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func newPack(source string, comparisons []microdata.ResultComparisonRow, files []microdata.ResultFileFingerprint) *microdata.ResultPack {
-	return &microdata.ResultPack{
-		Schema:        microdata.ResultPackSchema,
-		Version:       microdata.ResultPackVersion,
+func newPack(source string, comparisons []resultpack.ComparisonResult, files []resultpack.FileFingerprint) *resultpack.Pack {
+	return &resultpack.Pack{
+		Schema:        resultpack.Schema,
+		Version:       resultpack.Version,
 		Source:        source,
 		CreatedUnixMS: time.Now().UnixMilli(),
 		Env:           perf.CaptureEnv(),
@@ -154,7 +164,7 @@ func readCensus(path string) (*microdata.Table, string, error) {
 	if err != nil {
 		return nil, "", perf.Exit(perf.ExitInvalid, err)
 	}
-	t, err := microdata.ReadCSV(bytes.NewReader(raw), microdata.CensusSchema())
+	t, err := microdata.ReadCSV(bytes.NewReader(raw), generator.Schema())
 	if err != nil {
 		return nil, "", perf.Exit(perf.ExitInvalid, fmt.Errorf("%s: %w", path, err))
 	}
@@ -164,8 +174,8 @@ func readCensus(path string) (*microdata.Table, string, error) {
 // comparePair writes the human comparison report for one pair and returns
 // the same verdicts as a result-pack row (side-neutral "left"/"right"/
 // "tie" words, so the row is independent of the display names).
-func comparePair(w io.Writer, nameA, nameB string, orig, ta, tb *microdata.Table, taxonomies map[string]*microdata.Taxonomy) (microdata.ResultComparisonRow, error) {
-	row := microdata.ResultComparisonRow{Left: nameA, Right: nameB, Privacy: map[string]string{}}
+func comparePair(w io.Writer, nameA, nameB string, orig, ta, tb *microdata.Table, taxonomies map[string]*microdata.Taxonomy) (resultpack.ComparisonResult, error) {
+	row := resultpack.ComparisonResult{Left: nameA, Right: nameB, Privacy: map[string]string{}}
 	if ta.Len() != orig.Len() || tb.Len() != orig.Len() {
 		return row, perf.Invalidf("tables must have the original's size (suppressed tuples stay as '*')")
 	}

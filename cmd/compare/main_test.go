@@ -2,13 +2,54 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"microdata"
+	"microdata/internal/dataset"
 )
+
+// TestMain lets the test binary stand in for the compare command: with
+// COMPARE_MAIN=1 it runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("COMPARE_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestPackOnStdoutVerifies pins that -result-out - owns stdout: the
+// comparison report goes to stderr, and stdout alone is a sealed pack that
+// -verify replays cleanly.
+func TestPackOnStdoutVerifies(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-paper", "-result-out", "-")
+	cmd.Env = append(os.Environ(), "COMPARE_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		t.Fatalf("exit %d: %s", ee.ExitCode(), stderr.String())
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "T_3a vs T_3b") {
+		t.Errorf("report missing from stderr:\n%s", stderr.String())
+	}
+	path := filepath.Join(t.TempDir(), "paper.json")
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify(io.Discard, os.Stderr, path, 0); err != nil {
+		t.Errorf("stdout does not verify: %v", err)
+	}
+}
 
 func TestRunPaperMode(t *testing.T) {
 	var buf bytes.Buffer
@@ -43,7 +84,7 @@ func TestRunFileMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := microdata.WriteCSV(f, tab); err != nil {
+		if err := dataset.WriteCSV(f, tab); err != nil {
 			t.Fatal(err)
 		}
 		return path

@@ -13,8 +13,9 @@ import (
 	"io"
 	"os"
 
-	"microdata"
+	"microdata/internal/experiment"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 // verify replays the sealed pack at path and reports the field-level
@@ -24,7 +25,7 @@ import (
 // written to errw, one path-level diagnostic per line), ExitInvalid (6)
 // for documents this binary cannot replay.
 func verify(w, errw io.Writer, path string, ulps uint64) error {
-	recorded, err := microdata.ReadResultPack(path)
+	recorded, err := resultpack.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -32,9 +33,9 @@ func verify(w, errw io.Writer, path string, ulps uint64) error {
 	if err != nil {
 		return err
 	}
-	divs := microdata.DiffResultPacks(recorded, replayed, microdata.ResultDiffOptions{ULPs: ulps})
+	divs := resultpack.Diff(recorded, replayed, resultpack.DiffOptions{ULPs: ulps})
 	if len(divs) > 0 {
-		microdata.WriteResultDivergences(errw, divs)
+		resultpack.WriteDivergences(errw, divs)
 		return perf.Exit(perf.ExitDrift, fmt.Errorf(
 			"%s: replayed results diverge from the recorded ones in %d field(s)", path, len(divs)))
 	}
@@ -43,9 +44,9 @@ func verify(w, errw io.Writer, path string, ulps uint64) error {
 	return nil
 }
 
-func packShape(p *microdata.ResultPack) string {
+func packShape(p *resultpack.Pack) string {
 	switch p.Source {
-	case microdata.ResultPackSourceCensus:
+	case resultpack.SourceCensus:
 		return fmt.Sprintf("N=%d seed=%d: %d algorithm rows, %d attack rows, %d tables replayed",
 			p.Env.N, p.Env.Seed, len(p.Algorithms), len(p.Attack), len(p.Tables))
 	default:
@@ -53,13 +54,13 @@ func packShape(p *microdata.ResultPack) string {
 	}
 }
 
-func replay(p *microdata.ResultPack) (*microdata.ResultPack, error) {
+func replay(p *resultpack.Pack) (*resultpack.Pack, error) {
 	switch p.Source {
-	case microdata.ResultPackSourceCensus:
-		return microdata.ReplayResultPack(context.Background(), p)
-	case microdata.ResultPackSourcePaper:
+	case resultpack.SourceCensus:
+		return experiment.ReplayPack(context.Background(), p)
+	case resultpack.SourcePaper:
 		return comparePaper(io.Discard)
-	case microdata.ResultPackSourceFiles:
+	case resultpack.SourceFiles:
 		return replayFiles(p)
 	default:
 		return nil, perf.Invalidf("pack records unknown source %q", p.Source)
@@ -69,7 +70,7 @@ func replay(p *microdata.ResultPack) (*microdata.ResultPack, error) {
 // replayFiles re-reads the three recorded CSVs — each must still hash to
 // its sealed fingerprint (ExitVerification otherwise) — and re-runs the
 // comparison.
-func replayFiles(p *microdata.ResultPack) (*microdata.ResultPack, error) {
+func replayFiles(p *resultpack.Pack) (*resultpack.Pack, error) {
 	paths := map[string]string{}
 	for _, f := range p.Files {
 		paths[f.Role] = f.Path

@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"microdata"
+	"microdata/internal/dataset"
+	"microdata/internal/experiment"
 	"microdata/internal/telemetry/perf"
+	"microdata/internal/telemetry/resultpack"
 )
 
 // writeFilesPack runs a files-mode comparison over generated CSVs and
@@ -30,7 +33,7 @@ func writeFilesPack(t *testing.T) (string, string) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := microdata.WriteCSV(f, tab); err != nil {
+		if err := dataset.WriteCSV(f, tab); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -95,7 +98,7 @@ func TestVerifyExitContract(t *testing.T) {
 
 	// Exit 5: a perturbed recorded measure survives resealing but diverges
 	// on replay, and the diagnostic names the field.
-	p, err := microdata.ReadResultPack(packPath)
+	p, err := resultpack.ReadFile(packPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestVerifyExitContract(t *testing.T) {
 	}
 	p.Manifest = nil
 	perturbedPath := packPath + ".perturbed"
-	if err := microdata.WriteResultPack(p, perturbedPath); err != nil {
+	if err := perf.WriteFile(perturbedPath, p); err != nil {
 		t.Fatal(err)
 	}
 	var diag bytes.Buffer
@@ -174,7 +177,7 @@ func TestVerifyCensusPack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full capture replay")
 	}
-	p, err := microdata.CaptureResultPack(context.Background(), microdata.ResultCaptureConfig{
+	p, err := experiment.CaptureResults(context.Background(), experiment.CaptureConfig{
 		Opts:       microdata.ExperimentOptions{CensusN: 150, Ks: []int{2, 5}, Seed: 3},
 		Algorithms: true,
 	})
@@ -182,7 +185,7 @@ func TestVerifyCensusPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	packPath := filepath.Join(t.TempDir(), "census.json")
-	if err := microdata.WriteResultPack(p, packPath); err != nil {
+	if err := perf.WriteFile(packPath, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify(io.Discard, os.Stderr, packPath, 0); err != nil {
@@ -242,7 +245,7 @@ func TestGoldenCensusPack(t *testing.T) {
 
 	// Perturb one recorded measure and reseal: the manifest verifies, but
 	// replay diverges at exactly that field.
-	p, err := microdata.ReadResultPack(golden)
+	p, err := resultpack.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +259,7 @@ func TestGoldenCensusPack(t *testing.T) {
 	}
 	p.Manifest = nil
 	perturbPath := filepath.Join(t.TempDir(), "perturbed.json")
-	if err := microdata.WriteResultPack(p, perturbPath); err != nil {
+	if err := perf.WriteFile(perturbPath, p); err != nil {
 		t.Fatal(err)
 	}
 	var diag bytes.Buffer

@@ -83,21 +83,11 @@ func Find(id string, opts Options) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, opts Options) error {
-	return RunAllContext(context.Background(), w, opts)
-}
-
-// RunAllContext is RunAll honoring a context; each experiment runs under
-// its own telemetry span.
-func RunAllContext(ctx context.Context, w io.Writer, opts Options) error {
-	return RunAllRecorded(ctx, w, opts, nil)
-}
-
-// RunAllRecorded is RunAllContext with a result-pack sink: alongside the
-// text report each experiment's full output is digested into rec (nil
-// disables recording), the provenance trail CaptureResults seals.
-func RunAllRecorded(ctx context.Context, w io.Writer, opts Options, rec *resultpack.TableRecorder) error {
+// RunAll executes every experiment in order, each under its own telemetry
+// span. Alongside the text report each experiment's full output is
+// digested into rec, the provenance trail CaptureResults seals; a nil rec
+// records nothing.
+func RunAll(ctx context.Context, w io.Writer, opts Options, rec *resultpack.TableRecorder) error {
 	for _, e := range Registry(opts) {
 		if err := runOne(ctx, w, e, rec); err != nil {
 			return err
@@ -106,19 +96,8 @@ func RunAllRecorded(ctx context.Context, w io.Writer, opts Options, rec *resultp
 	return nil
 }
 
-// RunByID executes one experiment.
-func RunByID(w io.Writer, id string, opts Options) error {
-	return RunByIDContext(context.Background(), w, id, opts)
-}
-
-// RunByIDContext is RunByID honoring a context.
-func RunByIDContext(ctx context.Context, w io.Writer, id string, opts Options) error {
-	return RunByIDRecorded(ctx, w, id, opts, nil)
-}
-
-// RunByIDRecorded is RunByIDContext with a result-pack sink (see
-// RunAllRecorded).
-func RunByIDRecorded(ctx context.Context, w io.Writer, id string, opts Options, rec *resultpack.TableRecorder) error {
+// RunByID executes one experiment (see RunAll).
+func RunByID(ctx context.Context, w io.Writer, id string, opts Options, rec *resultpack.TableRecorder) error {
 	e, ok := Find(id, opts)
 	if !ok {
 		return fmt.Errorf("experiment: unknown id %q", id)

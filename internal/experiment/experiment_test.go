@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ var small = Options{CensusN: 200, Ks: []int{2, 5}, Seed: 1}
 func runExp(t *testing.T, id string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := RunByID(&buf, id, small); err != nil {
+	if err := RunByID(context.Background(), &buf, id, small, nil); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return buf.String()
@@ -42,7 +43,7 @@ func TestFind(t *testing.T) {
 		t.Error("E99 should not exist")
 	}
 	var buf bytes.Buffer
-	if err := RunByID(&buf, "E99", small); err == nil {
+	if err := RunByID(context.Background(), &buf, "E99", small, nil); err == nil {
 		t.Error("running unknown experiment should fail")
 	}
 }
@@ -256,7 +257,7 @@ func TestE19NonDominance(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&buf, small); err != nil {
+	if err := RunAll(context.Background(), &buf, small, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -117,7 +117,7 @@ func CaptureResults(ctx context.Context, cfg CaptureConfig) (*resultpack.Pack, e
 		}
 		var rec resultpack.TableRecorder
 		for _, id := range cfg.Experiments {
-			if err := RunByIDRecorded(ctx, w, id, opts, &rec); err != nil {
+			if err := RunByID(ctx, w, id, opts, &rec); err != nil {
 				return nil, err
 			}
 			pack.Experiments = append(pack.Experiments, id)
