@@ -60,17 +60,13 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 	// (the total number of missing tuples across undersized classes — Wang
 	// et al.'s "privacy gain" is the reduction of this) off an engine
 	// evaluation.
-	probe := func(ev *engine.Evaluation) (bad, deficit int, err error) {
-		sizes, err := ev.ClassSizes()
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, s := range sizes {
+	probe := func(ev *engine.Evaluation) (bad, deficit int) {
+		for _, s := range ev.ClassSizes() {
 			if s < cfg.K {
 				deficit += cfg.K - s
 			}
 		}
-		return ev.BadRows, deficit, nil
+		return ev.BadRows, deficit
 	}
 	// lossOf is the "information loss" side of the score: the per-level
 	// loss sum of generalizing the first row's values — cheaper to compute
@@ -93,10 +89,7 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 	if err != nil {
 		return nil, fmt.Errorf("bottomup: %w", err)
 	}
-	bad, deficit, err := probe(ev)
-	if err != nil {
-		return nil, fmt.Errorf("bottomup: %w", err)
-	}
+	bad, deficit := probe(ev)
 	loss, err := lossOf(node)
 	if err != nil {
 		return nil, fmt.Errorf("bottomup: %w", err)
@@ -128,10 +121,7 @@ func (bu *BottomUp) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg 
 		bestBad, bestDeficit := 0, 0
 		bestLoss := 0.0
 		for ci, cev := range evs {
-			b, d, err := probe(cev)
-			if err != nil {
-				return nil, fmt.Errorf("bottomup: %w", err)
-			}
+			b, d := probe(cev)
 			l, err := lossOf(cands[ci])
 			if err != nil {
 				return nil, fmt.Errorf("bottomup: %w", err)

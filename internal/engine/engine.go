@@ -4,9 +4,9 @@
 // genetic searchers and the §7 multi-objective explorers).
 //
 // A node is priced on its frequency set — its distinct generalized
-// quasi-identifier tuples, each with the number of rows it stands for —
-// never on the rows themselves. An Engine is a frequency-set store
-// (package freqset) plus one configuration:
+// quasi-identifier tuples, its classes, each with the number of rows it
+// stands for — never on the rows themselves. An Engine is a
+// frequency-set store (package freqset) plus one configuration:
 //
 //   - The store owns everything that depends only on the table and the
 //     hierarchy set: the per-level generalization maps, precomputed once
@@ -15,22 +15,25 @@
 //     each node up once (Incognito's roll-up property, LeFevre, DeWitt &
 //     Ramakrishnan 2005) from the smallest cached set that can be its
 //     source, or, when that set would be the base, from the node's hub
-//     min(x, 1), itself rolled up once as an ordinary cache entry. The
-//     engine counts every roll-up and every tuple read once, a hub's
-//     included. When the configuration constrains the sensitive attribute
-//     (ℓ-diversity, t-closeness), the engine asks for the keying whose
-//     tuples are (quasi-identifier tuple, sensitive value) pairs.
+//     min(x, 1), itself rolled up once as an ordinary cache entry. When
+//     the configuration constrains the sensitive attribute (ℓ-diversity,
+//     t-closeness), the engine asks for the sensitive keying, whose sets
+//     hold each class once with its sensitive histogram beside it.
+//     engine.rows_scanned counts what the roll-ups read, each once, a
+//     hub's included: N rows for a base, then each source's size — its
+//     classes under the plain keying, its (class, sensitive value)
+//     histogram entries under the sensitive one.
 //   - A caller running many configurations over one table — the
 //     experiment runner, once per generated table — builds one store and
 //     passes it in algorithm.Config.Store to every run, so the frequency
 //     sets are rolled up once for all of them. NewContext rejects a store
 //     built for another table, hierarchy set or taxonomy map. Without one,
 //     each engine gets a private store.
-//   - The constraint verdict and the cost come from the tuple counts: k,
-//     the ℓ-variants and t-closeness per class, DM as a sum of squared
-//     class sizes, LM as an exact count-weighted sum (utility.LossTally).
-//     None depends on tuple order, so a node gets the same bits whichever
-//     source it was rolled up from.
+//   - The constraint verdict and the cost come from the class counts and
+//     histograms: k, the ℓ-variants and t-closeness per class, DM as a sum
+//     of squared class sizes, LM as an exact count-weighted sum
+//     (utility.LossTally). None depends on class or histogram order, so a
+//     node gets the same bits whichever source it was rolled up from.
 //   - Each engine memoizes its verdicts and costs in a bounded LRU cache
 //     keyed by lattice.Node.Key(); verdicts are never shared, since they
 //     depend on the configuration.
@@ -275,24 +278,12 @@ func (ev *Evaluation) Cost() (float64, error) { return ev.cost, ev.costErr }
 
 // ClassSizes returns the sizes of the node's equivalence classes before
 // suppression, in no particular order.
-func (ev *Evaluation) ClassSizes() ([]int, error) {
-	fs := ev.fs
-	if fs.Sens == nil {
-		out := make([]int, fs.Len())
-		for j, c := range fs.Count {
-			out[j] = int(c)
-		}
-		return out, nil
+func (ev *Evaluation) ClassSizes() []int {
+	out := make([]int, len(ev.fs.Count))
+	for c, n := range ev.fs.Count {
+		out[c] = int(n)
 	}
-	class, nClass, err := ev.eng.classes(fs, ev.Node)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	out := make([]int, nClass)
-	for j, c := range class {
-		out[c] += int(fs.Count[j])
-	}
-	return out, nil
+	return out
 }
 
 // RowPartition regroups the table's rows at the node: the equivalence
@@ -365,7 +356,7 @@ func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, 
 }
 
 // evaluate takes the node's frequency set from the store, then prices the
-// verdict and the cost on the tuple counts.
+// verdict and the cost on its classes.
 func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
 	e.counters.nodesEvaluated.Inc()
 	if h := node.Height(); h >= 0 && h < len(e.counters.visited) {
@@ -385,136 +376,72 @@ func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
 		e.counters.rowsScanned.Add(int64(read))
 	}
 	ev := &Evaluation{Node: node.Clone(), fs: fs, eng: e}
-	v, err := e.verdict(fs, ev.Node)
-	if err != nil {
-		return nil, err
-	}
-	ev.BadRows = v.badRows
-	ev.Satisfies = v.badRows <= e.budget
+	bad, badRows := e.verdict(fs)
+	ev.BadRows = badRows
+	ev.Satisfies = badRows <= e.budget
 	if ev.Satisfies {
-		ev.cost, ev.costErr = e.price(fs, ev.Node, v)
+		ev.cost, ev.costErr = e.price(fs, ev.Node, bad, badRows)
 	} else {
 		ev.cost = math.Inf(1)
 	}
 	return ev, nil
 }
 
-// classes groups a frequency set's tuples into the node's
-// quasi-identifier classes: class[j] is tuple j's class id.
-func (e *Engine) classes(fs *freqset.Set, node lattice.Node) (class []uint32, nClass int, err error) {
-	cards := make([]int, len(e.attrs))
-	for li := range e.attrs {
-		cards[li] = e.attrs[li].Levels[node[li]].NFrag
-	}
-	return eqclass.GroupCodes(fs.Codes, cards)
-}
-
-// classVerdict is a node's constraint verdict over its frequency set.
-type classVerdict struct {
-	// class[j] is tuple j's class; nil when tuples are classes (k-only).
-	class []uint32
-	// bad and size are per class.
-	bad     []bool
-	size    []int
-	badRows int
-	// star is the class whose every attribute is "*", or -1.
-	star int
-}
-
 // verdict marks the classes violating the configured constraints, exactly
-// as algorithm.ViolatingClasses does on the row partition.
-func (e *Engine) verdict(fs *freqset.Set, node lattice.Node) (classVerdict, error) {
-	v := classVerdict{star: -1}
-	nClass := fs.Len()
-	if fs.Sens != nil {
-		var err error
-		if v.class, nClass, err = e.classes(fs, node); err != nil {
-			return v, fmt.Errorf("engine: %w", err)
-		}
-	}
-	classOf := func(j int) int {
-		if v.class == nil {
-			return j
-		}
-		return int(v.class[j])
-	}
-	v.size = make([]int, nClass)
-	seen := make([]bool, nClass)
-	for j, c := range fs.Count {
-		ci := classOf(j)
-		v.size[ci] += int(c)
-		if !seen[ci] {
-			seen[ci] = true
-			if e.isStar(fs, j, node) {
-				v.star = ci
-			}
-		}
-	}
-	v.bad = make([]bool, nClass)
-	if fs.Sens == nil {
-		for ci, s := range v.size {
-			v.bad[ci] = s < e.cfg.K
+// as algorithm.ViolatingClasses does on the row partition, and sums their
+// rows.
+func (e *Engine) verdict(fs *freqset.Set) (bad []bool, badRows int) {
+	bad = make([]bool, len(fs.Count))
+	if fs.Off == nil {
+		for c, n := range fs.Count {
+			bad[c] = int(n) < e.cfg.K
 		}
 	} else {
-		e.diversity(fs, v)
+		e.diversity(fs, bad)
 	}
-	for ci, b := range v.bad {
+	for c, b := range bad {
 		if b {
-			v.badRows += v.size[ci]
+			badRows += int(fs.Count[c])
 		}
 	}
-	return v, nil
+	return bad, badRows
 }
 
-// diversity fills v.bad from each class's sensitive value counts: the
-// tuples of a class are (class, sensitive value) pairs, so a class's
-// histogram is the counts of its tuples.
-func (e *Engine) diversity(fs *freqset.Set, v classVerdict) {
-	nClass := len(v.size)
-	// Bucket the tuples by class (a counting sort).
-	start := make([]int, nClass+1)
-	for _, c := range v.class {
-		start[c+1]++
-	}
-	for ci := 0; ci < nClass; ci++ {
-		start[ci+1] += start[ci]
-	}
-	order := make([]int, len(v.class))
-	next := append([]int(nil), start[:nClass]...)
-	for j, c := range v.class {
-		order[next[c]] = j
-		next[c]++
-	}
+// diversity fills bad from each class's sensitive histogram. The counts
+// are copied into scratch first: the ℓ-checks sort their argument in
+// place, and the set is shared read-only state.
+func (e *Engine) diversity(fs *freqset.Set, bad []bool) {
 	var counts []int
 	var local []float64
 	if e.cfg.MaxTCloseness > 0 {
 		local = make([]float64, len(e.sens.Global))
 	}
-	for ci := 0; ci < nClass; ci++ {
+	for c, size := range fs.Count {
+		lo, hi := fs.Off[c], fs.Off[c+1]
 		counts = counts[:0]
-		for _, j := range order[start[ci]:start[ci+1]] {
-			counts = append(counts, int(fs.Count[j]))
+		for _, n := range fs.Hist[lo:hi] {
+			counts = append(counts, int(n))
 		}
 		emd := 0.0
 		if local != nil {
 			// The distribution over privacy.Support's key order, exactly as
 			// privacy.TClosenessVector tallies it from rows.
 			clear(local)
-			total := float64(v.size[ci])
-			for _, j := range order[start[ci]:start[ci+1]] {
-				local[e.sens.Pos[fs.Sens[j]]] = float64(fs.Count[j]) / total
+			total := float64(size)
+			for r := lo; r < hi; r++ {
+				local[e.sens.Pos[fs.Sens[r]]] = float64(fs.Hist[r]) / total
 			}
 			emd = privacy.EMD(local, e.sens.Global, false)
 		}
-		v.bad[ci] = e.cfg.ViolatesClass(v.size[ci], counts, emd)
+		bad[c] = e.cfg.ViolatesClass(int(size), counts, emd)
 	}
 }
 
-// isStar reports whether tuple j is fully suppressed at the node.
-func (e *Engine) isStar(fs *freqset.Set, j int, node lattice.Node) bool {
+// isStar reports whether class c is fully suppressed at the node.
+func (e *Engine) isStar(fs *freqset.Set, c int, node lattice.Node) bool {
 	for li := range e.attrs {
 		star := e.attrs[li].Levels[node[li]].Star
-		if star < 0 || fs.Codes[li][j] != uint32(star) {
+		if star < 0 || fs.Codes[li][c] != uint32(star) {
 			return false
 		}
 	}
@@ -522,31 +449,25 @@ func (e *Engine) isStar(fs *freqset.Set, j int, node lattice.Node) bool {
 }
 
 // price computes the configured utility metric of an admissible node from
-// its tuple counts, replicating algorithm.NodeCost: the violating rows are
+// its class counts, replicating algorithm.NodeCost: the violating rows are
 // suppressed into the all-star class, then the release is scored.
-func (e *Engine) price(fs *freqset.Set, node lattice.Node, v classVerdict) (float64, error) {
-	kept := func(j int) bool {
-		if v.class == nil {
-			return !v.bad[j]
-		}
-		return !v.bad[v.class[j]]
-	}
+func (e *Engine) price(fs *freqset.Set, node lattice.Node, bad []bool, badRows int) (float64, error) {
 	switch e.cfg.Metric {
 	case algorithm.MetricLM:
 		if e.lossErr != nil {
 			return 0, e.lossErr
 		}
-		// Suppressed rows lose 1 in every cell; a kept tuple loses its
-		// fragments' losses once per row it stands for.
+		// Suppressed rows lose 1 in every cell; a kept class loses its
+		// fragments' losses once per row it holds.
 		q := len(e.attrs)
 		tally := utility.LossTally{}
-		tally.Add(1, int64(v.badRows)*int64(q))
+		tally.Add(1, int64(badRows)*int64(q))
 		for li := range e.attrs {
 			lf := &e.attrs[li].Levels[node[li]]
 			n := make([]int64, len(lf.LossVals))
-			for j, c := range fs.Codes[li] {
-				if kept(j) {
-					n[lf.LossIdx[c]] += int64(fs.Count[j])
+			for c, code := range fs.Codes[li] {
+				if !bad[c] {
+					n[lf.LossIdx[code]] += int64(fs.Count[c])
 				}
 			}
 			for k, cnt := range n {
@@ -560,14 +481,14 @@ func (e *Engine) price(fs *freqset.Set, node lattice.Node, v classVerdict) (floa
 		// are exact in float64, so this is utility.DiscernibilityMetric's
 		// value bit for bit.
 		var dm int64
-		starRows := int64(v.badRows)
-		for ci, s := range v.size {
-			switch {
-			case v.bad[ci]:
-			case ci == v.star:
-				starRows += int64(s)
+		starRows := int64(badRows)
+		for c, n := range fs.Count {
+			switch s := int64(n); {
+			case bad[c]:
+			case e.isStar(fs, c, node):
+				starRows += s
 			default:
-				dm += int64(s) * int64(s)
+				dm += s * s
 			}
 		}
 		return float64(dm + starRows*starRows), nil

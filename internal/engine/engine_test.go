@@ -151,34 +151,42 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 // TestEvaluateAllSameAtAnyGOMAXPROCS pins the node-level fan-out: a full
 // sweep on one worker and on four returns identical verdicts, violating
 // row counts and cost bits, so every property vector is the same on any
-// machine, whichever sources the workers happened to roll up from.
+// machine, whichever sources the workers happened to roll up from. It
+// runs under both keyings: k-only, and the lattice-diverse benchmark
+// workload's DM with distinct ℓ=2 and entropy ℓ=1.5.
 func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
-	tab, cfg, err := algtest.CensusConfig(400, 3, 11)
+	tab, kOnly, err := algtest.CensusConfig(400, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := func(procs int) []*engine.Evaluation {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		eng, err := engine.New(tab, cfg)
-		if err != nil {
-			t.Fatal(err)
+	diverse := kOnly
+	diverse.Metric = algorithm.MetricDM
+	diverse.MinLDiversity = 2
+	diverse.MinEntropyL = 1.5
+	for name, cfg := range map[string]algorithm.Config{"k-only": kOnly, "diverse": diverse} {
+		sweep := func(procs int) []*engine.Evaluation {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			eng, err := engine.New(tab, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, err := eng.EvaluateAll(context.Background(), eng.Lattice().Nodes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return evs
 		}
-		evs, err := eng.EvaluateAll(context.Background(), eng.Lattice().Nodes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return evs
-	}
-	want, got := sweep(1), sweep(4)
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
-			t.Fatalf("node %v: %d bad rows at GOMAXPROCS 4, %d at 1", w.Node, g.BadRows, w.BadRows)
-		}
-		wc, werr := w.Cost()
-		gc, gerr := g.Cost()
-		if (werr == nil) != (gerr == nil) || math.Float64bits(wc) != math.Float64bits(gc) {
-			t.Fatalf("node %v: cost %v (%v) at GOMAXPROCS 4, %v (%v) at 1", w.Node, gc, gerr, wc, werr)
+		want, got := sweep(1), sweep(4)
+		for i := range want {
+			w, g := want[i], got[i]
+			if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
+				t.Fatalf("%s node %v: %d bad rows at GOMAXPROCS 4, %d at 1", name, w.Node, g.BadRows, w.BadRows)
+			}
+			wc, werr := w.Cost()
+			gc, gerr := g.Cost()
+			if (werr == nil) != (gerr == nil) || math.Float64bits(wc) != math.Float64bits(gc) {
+				t.Fatalf("%s node %v: cost %v (%v) at GOMAXPROCS 4, %v (%v) at 1", name, w.Node, gc, gerr, wc, werr)
+			}
 		}
 	}
 }

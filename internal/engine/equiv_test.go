@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/dataset"
 	"microdata/internal/engine"
+	"microdata/internal/freqset"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
 	"microdata/internal/lattice"
@@ -44,6 +46,13 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 		generator.EducationTaxonomy(),
 		generator.MaritalTaxonomy(),
 	)
+	// At N=400 classes hold several sensitive values, so a check that
+	// sorted a shared histogram in place would corrupt the later checks
+	// and roll-ups of the combined-constraint cases.
+	census400, census400Cfg, err := algtest.CensusConfig(400, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		tab  *dataset.Table
@@ -59,6 +68,18 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 		{"census-entropy", census, func(c *algorithm.Config) { *c = censusCfg; c.MinEntropyL = 1.2 }},
 		{"census-recursive", census, func(c *algorithm.Config) { *c = censusCfg; c.RecursiveC = 2; c.RecursiveL = 2 }},
 		{"census-tclose", census, func(c *algorithm.Config) { *c = censusCfg; c.MaxTCloseness = 0.6 }},
+		{"census400-diverse-dm", census400, func(c *algorithm.Config) {
+			*c = census400Cfg
+			c.Metric = algorithm.MetricDM
+			c.MinLDiversity = 2
+			c.MinEntropyL = 1.5
+		}},
+		{"census400-tclose-recursive-lm", census400, func(c *algorithm.Config) {
+			*c = census400Cfg
+			c.MaxTCloseness = 0.6
+			c.RecursiveC = 2
+			c.RecursiveL = 2
+		}},
 		{"census-nosupp-dm", census, func(c *algorithm.Config) { *c = censusCfg; c.MaxSuppression = 0; c.Metric = algorithm.MetricDM }},
 		{"census-nonnested-lm", census, func(c *algorithm.Config) { *c = censusCfg; c.Hierarchies = nonNested }},
 		{"census-nonnested-ldiv-dm", census, func(c *algorithm.Config) {
@@ -134,6 +155,52 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerdictLeavesSharedSetsIntact sweeps a lattice under every
+// histogram check at once (distinct, entropy and recursive ℓ, t-closeness)
+// on a store whose sets were all rolled up beforehand, and requires every
+// set to be unchanged afterwards: the entropy and recursive checks sort
+// their argument in place, and cached sets are shared read-only state.
+func TestVerdictLeavesSharedSetsIntact(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(400, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MinLDiversity = 2
+	cfg.MinEntropyL = 1.5
+	cfg.RecursiveC, cfg.RecursiveL = 2, 2
+	cfg.MaxTCloseness = 0.6
+	cfg.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies, 0)
+	eng, err := engine.New(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := eng.Lattice().Nodes()
+	before := make([]freqset.Set, len(nodes))
+	for i, n := range nodes {
+		fs, _, err := cfg.Store.Get(n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[i] = freqset.Set{Levels: fs.Levels, Count: slices.Clone(fs.Count),
+			Off: slices.Clone(fs.Off), Sens: slices.Clone(fs.Sens), Hist: slices.Clone(fs.Hist)}
+		for _, codes := range fs.Codes {
+			before[i].Codes = append(before[i].Codes, slices.Clone(codes))
+		}
+	}
+	if _, err := eng.EvaluateAll(context.Background(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		fs, _, err := cfg.Store.Get(n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*fs, before[i]) {
+			t.Fatalf("node %v: evaluation changed the shared frequency set", n)
+		}
 	}
 }
 

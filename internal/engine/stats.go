@@ -44,10 +44,10 @@ type Stats struct {
 	// CacheHits and CacheMisses count memoized-cache lookups.
 	CacheHits   int64
 	CacheMisses int64
-	// RowsScanned counts the rows and tuples the engine's roll-ups read:
+	// RowsScanned counts the rows and entries the engine's roll-ups read:
 	// the N rows when it built a base frequency set, then, per store miss,
-	// the tuples of the frequency set the node was rolled up from, and the
-	// base's tuples for each hub rolled up on the way (freqset.Store.Get),
+	// the size (freqset.Set.Len) of the set the node was rolled up from,
+	// and the base's for each hub rolled up on the way (freqset.Store.Get),
 	// whether or not a search later asks for the hub. Nodes another engine
 	// already rolled up on a shared store cost nothing; on a shared store
 	// under concurrent engines, a hub's read may land in whichever engine

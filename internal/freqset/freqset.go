@@ -4,7 +4,8 @@
 // algorithm.
 //
 // A node's frequency set holds its distinct generalized quasi-identifier
-// tuples, each with the number of rows it stands for. A Store owns:
+// tuples — its classes — each with the number of rows it stands for. A
+// Store owns:
 //
 //   - the generalization maps, precomputed once per store on first use:
 //     for each quasi-identifier and level, the distinct ground values are
@@ -14,9 +15,10 @@
 //     which finer level's fragments map into a coarser level's;
 //   - one base frequency set per sensitive keying, built by a group-by over
 //     the rows' ground dictionary codes on the keying's first roll-up. The
-//     sensitive keying adds the sensitive code to the grouping key, so a
-//     tuple is a (quasi-identifier tuple, sensitive value) pair; the plain
-//     keying serves k-only configurations;
+//     plain keying serves k-only configurations. The sensitive keying's
+//     sets are nested: each class is stored once, with its sensitive
+//     histogram beside it (Set.Off, Set.Sens, Set.Hist), and a set's size
+//     (Set.Len) is its count of (class, sensitive value) entries;
 //   - a bounded node → frequency-set cache per keying. Each node is rolled
 //     up (Incognito's roll-up property, LeFevre, DeWitt & Ramakrishnan
 //     2005) once, even under concurrent callers, from the smallest cached

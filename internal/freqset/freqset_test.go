@@ -308,24 +308,119 @@ func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
 	}
 }
 
-// multiset is the reference roll-up: fs's tuples mapped to node's levels
+// multiset is the reference roll-up: fs's classes mapped to node's levels
 // through the fragment maps (as they are when attrs is nil), as a
-// tuple → count map.
+// (class codes, sensitive code) → count map under the sensitive keying and
+// a class codes → count map otherwise.
 func multiset(fs *Set, attrs []Attr, node lattice.Node) map[string]uint32 {
 	out := map[string]uint32{}
-	for j, c := range fs.Count {
+	for c, n := range fs.Count {
 		key := make([]byte, 0, 4*(len(fs.Codes)+1))
 		for li, codes := range fs.Codes {
-			code := codes[j]
+			code := codes[c]
 			if attrs != nil {
 				code = attrs[li].toLevel(fs.Levels[li], node[li])[code]
 			}
 			key = binary.LittleEndian.AppendUint32(key, code)
 		}
-		if fs.Sens != nil {
-			key = binary.LittleEndian.AppendUint32(key, fs.Sens[j])
+		if fs.Off == nil {
+			out[string(key)] += n
+			continue
 		}
-		out[string(key)] += c
+		for r := fs.Off[c]; r < fs.Off[c+1]; r++ {
+			out[string(binary.LittleEndian.AppendUint32(key, fs.Sens[r]))] += fs.Hist[r]
+		}
 	}
 	return out
+}
+
+// TestSetsMatchRows checks every lattice node's set under both keyings
+// against a reference counted straight from the rows — each row's ground
+// codes mapped through Levels[l].Frag, keyed with its sensitive code under
+// the sensitive keying — and checks the layout: classes are distinct,
+// and under the sensitive keying histograms in compressed-row form whose
+// codes are distinct within a class and whose nonzero counts sum to the
+// class's size.
+func TestSetsMatchRows(t *testing.T) {
+	s, lat := censusStore(t, 1500, generator.Hierarchies())
+	si, err := s.Sensitive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range lat.Nodes() {
+		for _, sens := range []bool{false, true} {
+			fs, _, err := s.Get(node, sens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]uint32{}
+			for i := 0; i < s.t.Len(); i++ {
+				key := make([]byte, 0, 4*(len(node)+1))
+				for li, l := range node {
+					at := &s.attrs[li]
+					key = binary.LittleEndian.AppendUint32(key, at.Levels[l].Frag[at.Ground[i]])
+				}
+				if sens {
+					key = binary.LittleEndian.AppendUint32(key, si.Codes[i])
+				}
+				want[string(key)]++
+			}
+			got := multiset(fs, nil, nil)
+			if len(got) != len(want) || len(got) != fs.Len() {
+				t.Fatalf("sens %v node %v: %d keys from %d entries, the rows %d", sens, node, len(got), fs.Len(), len(want))
+			}
+			for key, n := range want {
+				if got[key] != n {
+					t.Fatalf("sens %v node %v: key %q counts %d, the rows %d", sens, node, key, got[key], n)
+				}
+			}
+			classes := map[string]bool{}
+			for c := range fs.Count {
+				key := make([]byte, 0, 4*len(node))
+				for _, codes := range fs.Codes {
+					key = binary.LittleEndian.AppendUint32(key, codes[c])
+				}
+				classes[string(key)] = true
+			}
+			if len(classes) != len(fs.Count) {
+				t.Fatalf("sens %v node %v: %d classes, %d distinct", sens, node, len(fs.Count), len(classes))
+			}
+			if !sens {
+				if fs.Off != nil || fs.Sens != nil || fs.Hist != nil {
+					t.Fatalf("node %v: plain set carries histograms", node)
+				}
+				continue
+			}
+			checkHistograms(t, fs, node)
+		}
+	}
+}
+
+// checkHistograms asserts the compressed-row layout of a sensitive set.
+func checkHistograms(t *testing.T, fs *Set, node lattice.Node) {
+	t.Helper()
+	if len(fs.Off) != len(fs.Count)+1 || fs.Off[0] != 0 || int(fs.Off[len(fs.Count)]) != len(fs.Sens) || len(fs.Hist) != len(fs.Sens) {
+		t.Fatalf("node %v: Off of length %d for %d classes and %d entries", node, len(fs.Off), len(fs.Count), len(fs.Sens))
+	}
+	for c, size := range fs.Count {
+		lo, hi := fs.Off[c], fs.Off[c+1]
+		if lo > hi {
+			t.Fatalf("node %v class %d: Off descends (%d > %d)", node, c, lo, hi)
+		}
+		seen := map[uint32]bool{}
+		sum := uint32(0)
+		for r := lo; r < hi; r++ {
+			if seen[fs.Sens[r]] {
+				t.Fatalf("node %v class %d: sensitive code %d twice", node, c, fs.Sens[r])
+			}
+			seen[fs.Sens[r]] = true
+			if fs.Hist[r] == 0 {
+				t.Fatalf("node %v class %d: zero count for sensitive code %d", node, c, fs.Sens[r])
+			}
+			sum += fs.Hist[r]
+		}
+		if sum != size {
+			t.Fatalf("node %v class %d: histogram sums to %d, Count %d", node, c, sum, size)
+		}
+	}
 }

@@ -10,24 +10,35 @@ import (
 	"microdata/internal/lru"
 )
 
-// Set is a frequency set: distinct tuples of per-attribute codes, each
-// with the number of rows it stands for. With the sensitive keying one
-// quasi-identifier class spans several tuples, one per sensitive value it
-// holds. Tuple order is first appearance in the source and carries no
-// meaning. All fields are read-only shared state.
+// Set is a frequency set: distinct tuples of per-attribute codes — the
+// node's quasi-identifier classes — each with the number of rows it stands
+// for. Under the sensitive keying each class also carries its sensitive
+// histogram, in compressed-row form: class c's sensitive codes are
+// Sens[Off[c]:Off[c+1]], each distinct, with nonzero row counts Hist at
+// the same positions summing to Count[c]. Class and histogram order is
+// first appearance in the source and carries no meaning. All fields are
+// read-only shared state.
 type Set struct {
 	// Levels[li] is the level attribute li's codes are at (the ground
 	// codes for the base, when they differ from level 0's fragments).
 	Levels []int
-	// Codes[li][j] is tuple j's code of attribute li.
+	// Codes[li][c] is class c's code of attribute li; Count[c] its rows.
 	Codes [][]uint32
-	// Sens[j] is tuple j's sensitive code; nil for the plain keying.
-	Sens  []uint32
 	Count []uint32
+	// Off, Sens and Hist hold the sensitive histograms; all nil for the
+	// plain keying.
+	Off, Sens, Hist []uint32
 }
 
-// Len returns the number of tuples.
-func (fs *Set) Len() int { return len(fs.Count) }
+// Len returns the set's size: its (class, sensitive value) entries under
+// the sensitive keying, its classes otherwise. The source rule and the
+// scanned counts read it.
+func (fs *Set) Len() int {
+	if fs.Off != nil {
+		return len(fs.Sens)
+	}
+	return len(fs.Count)
+}
 
 // keying is the base and the node cache of one sensitive keying.
 type keying struct {
@@ -48,7 +59,7 @@ type entry struct {
 	done chan struct{}
 	fs   *Set
 	err  error
-	// charge holds the rows and tuples read to build a hub until its first
+	// charge holds the rows and entries read to build a hub until its first
 	// Get or Settle claims them.
 	charge atomic.Int64
 }
@@ -65,13 +76,14 @@ func (en *entry) ready() bool {
 	}
 }
 
-// Get returns node's frequency set under the keying — with sens, the
-// sensitive code joins the grouping key. The first caller for a node rolls
+// Get returns node's frequency set under the keying — with sens, each
+// class carries its sensitive histogram. The first caller for a node rolls
 // it up; concurrent callers wait for that roll-up. scanned is the number
-// of rows and tuples read to build the set, reported once, to the node's
-// first Get: the source's tuples, plus the N rows when this call built the
-// base. A hub rolled up inside another node's Get is an ordinary entry,
-// and its read goes to its own first Get, unless Settle claimed it first.
+// of rows and entries read to build the set, reported once, to the node's
+// first Get: the source's size (Set.Len), plus the N rows when this call
+// built the base. A hub rolled up inside another node's Get is an ordinary
+// entry, and its read goes to its own first Get, unless Settle claimed it
+// first.
 func (s *Store) Get(node lattice.Node, sens bool) (fs *Set, scanned int, err error) {
 	if err := s.Prepare(); err != nil {
 		return nil, 0, err
@@ -99,7 +111,7 @@ func (s *Store) Get(node lattice.Node, sens bool) (fs *Set, scanned int, err err
 }
 
 // Settle claims the reads of the hubs whose first Get has not come yet,
-// and returns how many hubs it claimed and the rows and tuples they read.
+// and returns how many hubs it claimed and the rows and entries they read.
 // A caller that adds up Get's scanned and Settle's counts every read
 // exactly once, including that of a hub no caller ever asks for.
 func (s *Store) Settle() (hubs, scanned int) {
@@ -119,7 +131,7 @@ func (s *Store) Settle() (hubs, scanned int) {
 	return hubs, scanned
 }
 
-// build rolls node up and returns its set and the rows and tuples read.
+// build rolls node up and returns its set and the rows and entries read.
 // When no cached set smaller than the base can source the node, it rolls
 // the node's hub up first and sources from that.
 func (s *Store) build(ky *keying, node lattice.Node, sens bool) (*Set, int, error) {
@@ -188,16 +200,16 @@ func (s *Store) rollHub(ky *keying, h lattice.Node, sens bool) (*Set, error) {
 // Len returns the number of frequency sets resident across both keyings.
 func (s *Store) Len() int { return s.keyings[0].sets.Len() + s.keyings[1].sets.Len() }
 
-// buildBase groups the rows by their ground codes (and, with sens, their
-// sensitive code) — the only row scan of a keying.
+// buildBase groups the rows by their ground codes, and with sens builds
+// each class's sensitive histogram — the only row scan of a keying.
 func (s *Store) buildBase(sens bool) (*Set, error) {
-	cols := make([][]uint32, 0, len(s.attrs)+1)
-	cards := make([]int, 0, len(s.attrs)+1)
+	cols := make([][]uint32, len(s.attrs))
+	cards := make([]int, len(s.attrs))
 	levels := make([]int, len(s.attrs))
 	for li := range s.attrs {
 		at := &s.attrs[li]
-		cols = append(cols, at.Ground)
-		cards = append(cards, len(at.Levels[0].Frag))
+		cols[li] = at.Ground
+		cards[li] = len(at.Levels[0].Frag)
 		// Where level 0 keeps every ground value apart (the usual exact
 		// rung), the ground codes ARE the level-0 fragment ids.
 		for d, f := range at.Levels[0].Frag {
@@ -207,15 +219,15 @@ func (s *Store) buildBase(sens bool) (*Set, error) {
 			}
 		}
 	}
+	var h *hists
 	if sens {
 		si, err := s.Sensitive()
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, si.Codes)
-		cards = append(cards, si.Card)
+		h = &hists{sens: si.Codes, card: si.Card}
 	}
-	return collapse(cols, cards, nil, levels)
+	return collapse(cols, cards, nil, levels, h)
 }
 
 // canSource reports whether frequency set fs determines node x's
@@ -241,15 +253,14 @@ func (s *Store) source(ky *keying, x lattice.Node) *Set {
 	return best
 }
 
-// rollUp derives node's frequency set from src's: each tuple's codes are
-// mapped to the node's fragments and equal tuples merge, summing counts.
-// Attributes already at the node's level keep their codes; a source at the
-// node itself (the base, for the bottom node) is the answer.
+// rollUp derives node's frequency set from src's: each class's codes are
+// mapped to the node's fragments, equal classes merge, summing counts, and
+// their sensitive histograms merge. Attributes already at the node's level
+// keep their codes; a source at the node itself (the base, for the bottom
+// node) is the answer.
 func (s *Store) rollUp(src *Set, node lattice.Node) (*Set, error) {
-	q := len(s.attrs)
-	d := src.Len()
-	cols := make([][]uint32, q, q+1)
-	cards := make([]int, q, q+1)
+	cols := make([][]uint32, len(s.attrs))
+	cards := make([]int, len(s.attrs))
 	moved := false
 	for li := range s.attrs {
 		cards[li] = s.attrs[li].Levels[node[li]].NFrag
@@ -259,54 +270,117 @@ func (s *Store) rollUp(src *Set, node lattice.Node) (*Set, error) {
 		}
 		moved = true
 		m := s.attrs[li].toLevel(src.Levels[li], node[li])
-		col := make([]uint32, d)
-		for j, c := range src.Codes[li] {
-			col[j] = m[c]
+		col := make([]uint32, len(src.Count))
+		for c, code := range src.Codes[li] {
+			col[c] = m[code]
 		}
 		cols[li] = col
 	}
 	if !moved {
 		return src, nil
 	}
-	if src.Sens != nil {
-		cols = append(cols, src.Sens)
-		cards = append(cards, s.sens.Card)
+	var h *hists
+	if src.Off != nil {
+		h = &hists{off: src.Off, sens: src.Sens, hist: src.Hist, card: s.sens.Card}
 	}
-	return collapse(cols, cards, src.Count, append([]int(nil), node...))
+	return collapse(cols, cards, src.Count, append([]int(nil), node...), h)
 }
 
-// collapse groups items (rows, or a source's tuples) by their code columns
-// into a frequency set at the given levels, summing count per group (each
-// item counts 1 when count is nil). A column past the quasi-identifiers is
-// the sensitive code.
-func collapse(cols [][]uint32, cards []int, count []uint32, levels []int) (*Set, error) {
-	ids, groups, err := eqclass.GroupCodes(cols, cards)
+// hists are the sensitive histograms of the items collapse groups: item
+// i's entries are sens[off[i]:off[i+1]], counted by hist at the same
+// positions. Rows have one entry each, counting 1: off and hist are nil.
+// card is the sensitive dictionary size.
+type hists struct {
+	off, sens, hist []uint32
+	card            int
+}
+
+// collapse groups items (rows, or a source's classes) by their code
+// columns into a frequency set at the given levels, summing count per
+// class (each item counts 1 when count is nil). With h, each class also
+// gets the merge of its items' sensitive histograms.
+func collapse(cols [][]uint32, cards []int, count []uint32, levels []int, h *hists) (*Set, error) {
+	ids, classes, err := eqclass.GroupCodes(cols, cards)
 	if err != nil {
 		return nil, fmt.Errorf("freqset: %w", err)
 	}
-	q := len(levels)
-	withSens := len(cols) > q
-	fs := &Set{Levels: levels, Codes: make([][]uint32, q), Count: make([]uint32, groups)}
+	fs := &Set{Levels: levels, Codes: make([][]uint32, len(cols)), Count: make([]uint32, classes)}
 	for li := range fs.Codes {
-		fs.Codes[li] = make([]uint32, groups)
+		fs.Codes[li] = make([]uint32, classes)
 	}
-	if withSens {
-		fs.Sens = make([]uint32, groups)
-	}
-	for i, g := range ids {
-		if fs.Count[g] == 0 {
-			for li := 0; li < q; li++ {
-				fs.Codes[li][g] = cols[li][i]
-			}
-			if withSens {
-				fs.Sens[g] = cols[q][i]
+	for i, c := range ids {
+		if fs.Count[c] == 0 {
+			for li, col := range cols {
+				fs.Codes[li][c] = col[i]
 			}
 		}
 		if count == nil {
-			fs.Count[g]++
+			fs.Count[c]++
 		} else {
-			fs.Count[g] += count[i]
+			fs.Count[c] += count[i]
 		}
 	}
+	if h != nil {
+		fs.Off, fs.Sens, fs.Hist = h.merge(ids, classes)
+	}
 	return fs, nil
+}
+
+// merge builds the classes' histograms from their items' (ids[i] is item
+// i's class): it sizes one bucket per class, scatters each item's entries
+// into its class's bucket, then merges equal sensitive codes bucket by
+// bucket, compacting in place.
+func (h *hists) merge(ids []uint32, classes int) (off, sens, hist []uint32) {
+	off = make([]uint32, classes+1)
+	for i, c := range ids {
+		if h.off == nil {
+			off[c+1]++
+		} else {
+			off[c+1] += h.off[i+1] - h.off[i]
+		}
+	}
+	for c := 0; c < classes; c++ {
+		off[c+1] += off[c]
+	}
+	n := off[classes]
+	sens, hist = make([]uint32, n), make([]uint32, n)
+	next := append([]uint32(nil), off[:classes]...)
+	for i, c := range ids {
+		p := next[c]
+		if h.off == nil {
+			sens[p], hist[p] = h.sens[i], 1
+			next[c]++
+			continue
+		}
+		// Ranges hold a few entries: a loop beats two copy calls.
+		for r := h.off[i]; r < h.off[i+1]; r++ {
+			sens[p], hist[p] = h.sens[r], h.hist[r]
+			p++
+		}
+		next[c] = p
+	}
+	// stamp[v] is 1 + the last class holding sensitive code v, pos[v] its
+	// entry there.
+	stamp, pos := make([]uint32, h.card), make([]uint32, h.card)
+	w := uint32(0)
+	for c := 0; c < classes; c++ {
+		lo, hi := off[c], off[c+1]
+		off[c] = w
+		for r := lo; r < hi; r++ {
+			v := sens[r]
+			if stamp[v] == uint32(c)+1 {
+				hist[pos[v]] += hist[r]
+				continue
+			}
+			stamp[v], pos[v] = uint32(c)+1, w
+			sens[w], hist[w] = v, hist[r]
+			w++
+		}
+	}
+	off[classes] = w
+	if w < n {
+		// Cached sets live long: keep no merged-away tail.
+		sens, hist = append([]uint32(nil), sens[:w]...), append([]uint32(nil), hist[:w]...)
+	}
+	return off, sens, hist
 }

@@ -74,10 +74,6 @@ func SetCollector(c *Collector) *Collector {
 // disabled.
 func Active() *Collector { return active.Load() }
 
-// Enabled reports whether a Collector is installed. It is a single atomic
-// load — cheap enough to guard any hot-path instrumentation.
-func Enabled() bool { return active.Load() != nil }
-
 // NewRunRegistry returns a registry for one run (one engine, one algorithm
 // invocation). When a Collector is active the registry is parented to the
 // Collector's process-wide registry, so every local increment is also
