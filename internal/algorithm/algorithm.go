@@ -283,64 +283,82 @@ func SatisfiesConstraints(p *eqclass.Partition, t *dataset.Table, cfg Config) (b
 // table supplies only the sensitive column, which generalization never
 // touches, so the original and any generalized copy are interchangeable.
 func ViolatingClasses(p *eqclass.Partition, t *dataset.Table, cfg Config) ([]bool, error) {
-	bad := make([]bool, p.NumClasses())
-	if !cfg.HasDiversityConstraints() {
-		for ci, rows := range p.Classes {
-			bad[ci] = len(rows) < cfg.K
+	hist := &eqclass.Histograms{}
+	var sup *privacy.Support
+	if cfg.HasDiversityConstraints() {
+		si := t.Schema.SensitiveIndex()
+		if si < 0 {
+			return nil, fmt.Errorf("algorithm: diversity constraints need a sensitive attribute")
 		}
-		return bad, nil
-	}
-	si := t.Schema.SensitiveIndex()
-	if si < 0 {
-		return nil, fmt.Errorf("algorithm: diversity constraints need a sensitive attribute")
-	}
-	// One vectorized histogram pass over the dictionary-encoded sensitive
-	// column serves ℓ-diversity, entropy and recursive (c,ℓ) alike.
-	counts, err := p.ValueCountsColumn(t.ColumnVector(si))
-	if err != nil {
-		return nil, err
-	}
-	var tvec []float64
-	if cfg.MaxTCloseness > 0 {
-		if tvec, err = privacy.TClosenessVector(p, t.Column(si), false); err != nil {
+		col := t.ColumnVector(si)
+		var err error
+		if hist, err = p.Histograms(col); err != nil {
 			return nil, err
 		}
+		if cfg.MaxTCloseness > 0 {
+			sup = privacy.NewSupport(col, false)
+		}
 	}
-	var freqs []int
+	rule := cfg.ClassRule(sup)
+	bad := make([]bool, p.NumClasses())
 	for ci, rows := range p.Classes {
-		freqs = freqs[:0]
-		for _, f := range counts[ci] {
-			freqs = append(freqs, f)
-		}
-		emd := 0.0
-		if tvec != nil {
-			emd = tvec[rows[0]]
-		}
-		bad[ci] = cfg.ViolatesClass(len(rows), freqs, emd)
+		sens, counts := hist.Class(ci)
+		bad[ci] = rule.Violates(len(rows), sens, counts)
 	}
 	return bad, nil
 }
 
-// ViolatesClass reports whether one equivalence class of size rows fails a
-// configured constraint, given its sensitive value counts (any order; the
-// slice is reordered) and its earth mover's distance from the table's
-// sensitive distribution (read only under a t-closeness bound). It is the
-// one definition of the per-class rule: ViolatingClasses applies it to a
-// row partition, package engine to frequency-set counts.
-func (c Config) ViolatesClass(size int, counts []int, emd float64) bool {
+// ClassRule is the one definition of the per-class constraint rule:
+// ViolatingClasses applies it to a row partition, package engine to a
+// frequency set's classes and package mondrian to a candidate region. It
+// holds scratch, so each goroutine needs its own.
+type ClassRule struct {
+	cfg     Config
+	diverse bool // cfg.HasDiversityConstraints()
+	sup     *privacy.Support
+	counts  []int
+	local   []float64
+}
+
+// ClassRule returns the configuration's per-class rule over the sensitive
+// column's t-closeness support, which may be nil unless MaxTCloseness is
+// set.
+func (c Config) ClassRule(sup *privacy.Support) *ClassRule {
+	r := &ClassRule{cfg: c, diverse: c.HasDiversityConstraints(), sup: sup}
+	if c.MaxTCloseness > 0 {
+		r.local = make([]float64, len(sup.Global))
+	}
+	return r
+}
+
+// Violates reports whether one class of size rows fails a configured
+// constraint, given its sensitive histogram entries: codes sens of the
+// support's column with counts hist, both empty when only k is checked.
+// The entries are read, never reordered: they may be shared state. The k
+// test is kept apart so that it inlines into the callers' class loops.
+func (r *ClassRule) Violates(size int, sens, hist []uint32) bool {
+	return size < r.cfg.K || r.diverse && r.violatesHistogram(sens, hist)
+}
+
+// violatesHistogram applies the ℓ, t, entropy and recursive bounds.
+func (r *ClassRule) violatesHistogram(sens, hist []uint32) bool {
+	c := &r.cfg
 	switch {
-	case size < c.K:
+	case c.MinLDiversity > 0 && len(sens) < c.MinLDiversity:
 		return true
-	case c.MinLDiversity > 0 && len(counts) < c.MinLDiversity:
-		return true
-	case c.MaxTCloseness > 0 && emd > c.MaxTCloseness+1e-12:
-		return true
-	case c.MinEntropyL > 0 && privacy.EntropyL(counts) < c.MinEntropyL-1e-12:
-		return true
-	case c.RecursiveC > 0 && c.RecursiveL > 0 && !privacy.RecursiveCL(counts, c.RecursiveC, c.RecursiveL):
+	case c.MaxTCloseness > 0 && r.sup.ClassEMD(sens, hist, r.local) > c.MaxTCloseness+1e-12:
 		return true
 	}
-	return false
+	recursive := c.RecursiveC > 0 && c.RecursiveL > 0
+	if c.MinEntropyL <= 0 && !recursive {
+		return false
+	}
+	// EntropyL and RecursiveCL reorder their argument: hand them a copy.
+	r.counts = privacy.Counts(r.counts, hist)
+	if c.MinEntropyL > 0 && privacy.EntropyL(r.counts) < c.MinEntropyL-1e-12 {
+		return true
+	}
+	return recursive && !privacy.RecursiveCL(r.counts, c.RecursiveC, c.RecursiveL)
 }
 
 // ApplyNode generalizes the table to the lattice node and reports which

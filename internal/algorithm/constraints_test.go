@@ -143,9 +143,8 @@ func TestFinishGlobalEnforcesConstraints(t *testing.T) {
 		t.Fatalf("suppressed %d rows, want 6", len(r.Suppressed))
 	}
 	si := tab.Schema.SensitiveIndex()
-	sensitive := r.Table.Column(si)
 	// Every retained (non-star) class must hold >= 3 distinct values.
-	counts, err := r.Partition.ValueCounts(sensitive)
+	h, err := r.Partition.Histograms(r.Table.ColumnVector(si))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +156,8 @@ func TestFinishGlobalEnforcesConstraints(t *testing.T) {
 				star = false
 			}
 		}
-		if !star && len(counts[ci]) < 3 {
-			t.Errorf("retained class %d has only %d distinct sensitive values", ci, len(counts[ci]))
+		if sens, _ := h.Class(ci); !star && len(sens) < 3 {
+			t.Errorf("retained class %d has only %d distinct sensitive values", ci, len(sens))
 		}
 	}
 	// Without budget the same node must be rejected.
@@ -258,17 +257,21 @@ func TestClassRecursiveCL(t *testing.T) {
 }
 
 func TestClassEntropyL(t *testing.T) {
-	if got := privacy.ClassEntropyL(map[string]int{"a": 2, "b": 2}); math.Abs(got-2) > 1e-9 {
+	if got := privacy.EntropyL([]int{2, 2}); math.Abs(got-2) > 1e-9 {
 		t.Errorf("uniform entropy ℓ = %v, want 2", got)
 	}
-	if got := privacy.ClassEntropyL(map[string]int{"a": 5}); math.Abs(got-1) > 1e-9 {
+	if got := privacy.EntropyL([]int{5}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("degenerate entropy ℓ = %v, want 1", got)
 	}
-	if got := privacy.ClassEntropyL(nil); got != 0 {
+	if got := privacy.EntropyL(nil); got != 0 {
 		t.Errorf("empty entropy ℓ = %v, want 0", got)
 	}
 }
 
+// TestClassEMDHelperAgreesWithTCloseness prices each class with
+// Support.ClassEMD on its histogram and against a distribution tallied
+// from the class's rows; both must equal the class's TClosenessVector
+// entry.
 func TestClassEMDHelperAgreesWithTCloseness(t *testing.T) {
 	tab := table()
 	cfg := Config{K: 3, Hierarchies: hierSet()}
@@ -276,28 +279,31 @@ func TestClassEMDHelperAgreesWithTCloseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := tab.Schema.SensitiveIndex()
-	col := anon.Column(si)
-	vec, err := privacy.TClosenessVector(p, col, false)
+	col := anon.ColumnVector(tab.Schema.SensitiveIndex())
+	h, err := p.Histograms(col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range p.Classes {
-		d, err := privacy.ClassEMD(col, rows, false)
-		if err != nil {
-			t.Fatal(err)
+	sup := privacy.NewSupport(col, false)
+	vec, err := privacy.TClosenessVector(p, h, sup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([]float64, len(sup.Global))
+	for ci, rows := range p.Classes {
+		sens, hist := h.Class(ci)
+		d := sup.ClassEMD(sens, hist, local)
+		counts := make([]int, len(sup.Global))
+		for _, r := range rows {
+			counts[sup.Pos[col.Code(r)]]++
 		}
-		if math.Abs(d-vec[rows[0]]) > 1e-12 {
-			t.Errorf("ClassEMD %v != TClosenessVector %v", d, vec[rows[0]])
+		byRows := make([]float64, len(counts))
+		for i, c := range counts {
+			byRows[i] = float64(c) / float64(len(rows))
 		}
-	}
-	if _, err := privacy.ClassEMD(col, nil, false); err == nil {
-		t.Error("empty class should fail")
-	}
-	if _, err := privacy.ClassEMD(nil, []int{0}, false); err == nil {
-		t.Error("empty column should fail")
-	}
-	if _, err := privacy.ClassEMD(col, []int{99}, false); err == nil {
-		t.Error("out-of-range row should fail")
+		want := privacy.EMD(byRows, sup.Global, false)
+		if d != want || d != vec[rows[0]] {
+			t.Errorf("class %d: ClassEMD %v, by rows %v, TClosenessVector %v", ci, d, want, vec[rows[0]])
+		}
 	}
 }

@@ -19,8 +19,12 @@ func TestGeneticWithLDiversityConstraint(t *testing.T) {
 	}
 	algtest.CheckResult(t, tab, cfg, r)
 	if len(r.Suppressed) == 0 {
-		col := tab.Column(tab.Schema.SensitiveIndex())
-		ok, err := privacy.IsDistinctLDiverse(r.Partition, col, 2)
+		col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+		h, err := r.Partition.Histograms(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := privacy.IsDistinctLDiverse(h, 2)
 		if err != nil || !ok {
 			t.Fatalf("result not 2-diverse: %v, %v", ok, err)
 		}
@@ -39,8 +43,12 @@ func TestGeneticWithTClosenessConstraint(t *testing.T) {
 	}
 	algtest.CheckResult(t, tab, cfg, r)
 	if len(r.Suppressed) == 0 {
-		col := tab.Column(tab.Schema.SensitiveIndex())
-		got, err := privacy.TCloseness(r.Partition, col, false)
+		col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+		h, err := r.Partition.Histograms(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := privacy.TCloseness(h, privacy.NewSupport(col, false))
 		if err != nil {
 			t.Fatal(err)
 		}

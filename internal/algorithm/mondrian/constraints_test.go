@@ -19,8 +19,12 @@ func TestMondrianWithLDiversityConstraint(t *testing.T) {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
 		algtest.CheckResult(t, tab, cfg, r)
-		col := tab.Column(tab.Schema.SensitiveIndex())
-		ok, err := privacy.IsDistinctLDiverse(r.Partition, col, 2)
+		col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+		h, err := r.Partition.Histograms(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := privacy.IsDistinctLDiverse(h, 2)
 		if err != nil || !ok {
 			t.Fatalf("%s: result not 2-diverse: %v, %v", alg.Name(), ok, err)
 		}
@@ -49,8 +53,12 @@ func TestMondrianWithTClosenessConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	algtest.CheckResult(t, tab, cfg, r)
-	col := tab.Column(tab.Schema.SensitiveIndex())
-	got, err := privacy.TCloseness(r.Partition, col, false)
+	col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+	h, err := r.Partition.Histograms(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := privacy.TCloseness(h, privacy.NewSupport(col, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +78,12 @@ func TestMondrianWithEntropyLConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	algtest.CheckResult(t, tab, cfg, r)
-	col := tab.Column(tab.Schema.SensitiveIndex())
-	got, err := privacy.EntropyLDiversity(r.Partition, col)
+	col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+	h, err := r.Partition.Histograms(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := privacy.EntropyLDiversity(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +104,12 @@ func TestMondrianWithRecursiveCLConstraint(t *testing.T) {
 		t.Fatal(err)
 	}
 	algtest.CheckResult(t, tab, cfg, r)
-	col := tab.Column(tab.Schema.SensitiveIndex())
-	ok, err := privacy.RecursiveCLDiversity(r.Partition, col, 3, 2)
+	col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+	h, err := r.Partition.Histograms(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := privacy.RecursiveCLDiversity(h, 3, 2)
 	if err != nil || !ok {
 		t.Fatalf("result not (3,2)-diverse: %v, %v", ok, err)
 	}

@@ -28,9 +28,9 @@
 // strict mode may cut between them. A cut attempt on a region of n rows
 // sorts it with a stable counting sort on rank in O(n + D), for a column
 // of D distinct values; region widths come from code tallies in O(n) per
-// dimension; and a candidate side's ℓ, entropy ℓ, recursive (c,ℓ) and t
-// come from its sensitive-code counts in O(n) plus the number of distinct
-// sensitive values.
+// dimension; and a candidate side is checked by the configuration's
+// algorithm.ClassRule — k, ℓ, entropy ℓ, recursive (c,ℓ) and t — on its
+// sensitive histogram, tallied in O(n).
 package mondrian
 
 import (
@@ -288,14 +288,16 @@ type partitioner struct {
 	order  []int // dimensions by decreasing normalized width
 	widths []float64
 
-	cfg            algorithm.Config
-	sens           []uint32 // sensitive codes; nil when only k is checked
-	counts         []int    // by sensitive code, zero between checks
-	sensHit        []uint32 // sensitive codes a check met
-	freqs          []int
-	supportPos     []int // by sensitive code: index in the t support
-	global, local  []float64
-	cuts, attempts int64
+	cfg  algorithm.Config
+	rule *algorithm.ClassRule
+	// sens holds the sensitive codes; nil when only k is checked.
+	sens []uint32
+	// seen[c] is the stamp of the last tally that met sensitive code c,
+	// at[c] its entry there; entries, counts is that tally's histogram.
+	seen, at        []uint32
+	stamp           uint32
+	entries, counts []uint32
+	cuts, attempts  int64
 }
 
 // newPartitioner ranks every quasi-identifier and, when a diversity or
@@ -324,28 +326,16 @@ func (m *Mondrian) newPartitioner(t *dataset.Table, cfg algorithm.Config) (*part
 			p.spans[i] = 1
 		}
 	}
-	if !cfg.HasDiversityConstraints() {
-		return p, nil
-	}
-	sens := t.ColumnVector(t.Schema.SensitiveIndex())
-	p.sens = sens.Codes()
-	p.counts = make([]int, sens.Card())
-	if cfg.MaxTCloseness > 0 {
-		// t prices a candidate as the engine prices a class: on the
-		// column's support, with each dictionary entry's place in it
-		// fixed once per run.
-		var keys []string
-		keys, p.global = privacy.Support(t.Column(t.Schema.SensitiveIndex()), false)
-		at := make(map[string]int, len(keys))
-		for i, k := range keys {
-			at[k] = i
+	var sup *privacy.Support
+	if cfg.HasDiversityConstraints() {
+		sens := t.ColumnVector(t.Schema.SensitiveIndex())
+		p.sens = sens.Codes()
+		p.seen, p.at = make([]uint32, sens.Card()), make([]uint32, sens.Card())
+		if cfg.MaxTCloseness > 0 {
+			sup = privacy.NewSupport(sens, false)
 		}
-		p.supportPos = make([]int, sens.Card())
-		for c, k := range sens.DictKeys() {
-			p.supportPos[c] = at[k]
-		}
-		p.local = make([]float64, len(keys))
 	}
+	p.rule = cfg.ClassRule(sup)
 	return p, nil
 }
 
@@ -455,64 +445,34 @@ func (p *partitioner) allowable(s []int, cut int) bool {
 	return p.valid(s[:cut]) && p.valid(s[cut:])
 }
 
-// valid reports whether a candidate region holds at least k rows and
-// meets every configured diversity and closeness bound.
+// valid reports whether a candidate region meets the configuration's
+// class rule: at least k rows and every diversity and closeness bound on
+// its sensitive histogram.
 func (p *partitioner) valid(rows []int) bool {
-	if len(rows) < p.cfg.K {
-		return false
+	var sens, hist []uint32
+	if p.sens != nil && len(rows) >= p.cfg.K {
+		sens, hist = p.tally(rows)
 	}
-	if p.sens == nil {
-		return true
-	}
-	hit := p.sensHit[:0]
-	for _, r := range rows {
-		c := p.sens[r]
-		if p.counts[c] == 0 {
-			hit = append(hit, c)
-		}
-		p.counts[c]++
-	}
-	p.sensHit = hit
-	ok := p.diverse(len(rows))
-	for _, c := range hit {
-		p.counts[c] = 0
-	}
-	return ok
+	return !p.rule.Violates(len(rows), sens, hist)
 }
 
-// diverse checks the bounds on the tallied sensitive-code counts. Every
-// check depends only on the multiset of counts, so it agrees with the
-// same check on a class's value histogram.
-func (p *partitioner) diverse(n int) bool {
-	cfg := p.cfg
-	if cfg.MinLDiversity > 0 && len(p.sensHit) < cfg.MinLDiversity {
-		return false
+// tally returns the sensitive histogram of rows, in scratch.
+func (p *partitioner) tally(rows []int) (sens, hist []uint32) {
+	if p.stamp++; p.stamp == 0 {
+		clear(p.seen)
+		p.stamp = 1
 	}
-	if cfg.MaxTCloseness > 0 {
-		clear(p.local)
-		for _, c := range p.sensHit {
-			p.local[p.supportPos[c]] = float64(p.counts[c])
+	sens, hist = p.entries[:0], p.counts[:0]
+	for _, r := range rows {
+		c := p.sens[r]
+		if p.seen[c] != p.stamp {
+			p.seen[c], p.at[c] = p.stamp, uint32(len(sens))
+			sens, hist = append(sens, c), append(hist, 0)
 		}
-		for i := range p.local {
-			p.local[i] /= float64(n)
-		}
-		if privacy.EMD(p.local, p.global, false) > cfg.MaxTCloseness+1e-12 {
-			return false
-		}
+		hist[p.at[c]]++
 	}
-	recursive := cfg.RecursiveC > 0 && cfg.RecursiveL > 0
-	if !recursive && cfg.MinEntropyL <= 0 {
-		return true
-	}
-	freqs := p.freqs[:0]
-	for _, c := range p.sensHit {
-		freqs = append(freqs, p.counts[c])
-	}
-	p.freqs = freqs
-	if recursive && !privacy.RecursiveCL(freqs, cfg.RecursiveC, cfg.RecursiveL) {
-		return false
-	}
-	return cfg.MinEntropyL <= 0 || privacy.EntropyL(freqs) >= cfg.MinEntropyL-1e-12
+	p.entries, p.counts = sens, hist
+	return sens, hist
 }
 
 // generalize returns a final region's generalized value: the shared value

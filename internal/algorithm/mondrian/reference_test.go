@@ -36,11 +36,20 @@ func referenceRegions(m *Mondrian, t *dataset.Table, cfg algorithm.Config) ([][]
 	var global, local []float64
 	var supportPos []int
 	if cfg.MaxTCloseness > 0 {
+		// The nominal support: every distinct key, sorted, with the
+		// column's distribution over it.
+		tally := map[string]int{}
 		var keys []string
-		keys, global = privacy.Support(sensitive, false)
+		for _, v := range sensitive {
+			if tally[v.Key()]++; tally[v.Key()] == 1 {
+				keys = append(keys, v.Key())
+			}
+		}
+		sort.Strings(keys)
 		at := make(map[string]int, len(keys))
 		for i, k := range keys {
 			at[k] = i
+			global = append(global, float64(tally[k])/float64(len(sensitive)))
 		}
 		supportPos = make([]int, len(sensitive))
 		for r, v := range sensitive {
@@ -92,7 +101,11 @@ func referenceRegions(m *Mondrian, t *dataset.Table, cfg algorithm.Config) ([][]
 			for _, r := range rows {
 				counts[sensitive[r].Key()]++
 			}
-			if privacy.ClassEntropyL(counts) < cfg.MinEntropyL-1e-12 {
+			freqs := make([]int, 0, len(counts))
+			for _, f := range counts {
+				freqs = append(freqs, f)
+			}
+			if privacy.EntropyL(freqs) < cfg.MinEntropyL-1e-12 {
 				return false
 			}
 		}

@@ -20,8 +20,12 @@ func TestOptimalWithLDiversityConstraint(t *testing.T) {
 	algtest.CheckResult(t, tab, cfg, r)
 	if len(r.Suppressed) == 0 {
 		// Fully retained: the partition itself must be 3-diverse.
-		col := tab.Column(tab.Schema.SensitiveIndex())
-		ok, err := privacy.IsDistinctLDiverse(r.Partition, col, 3)
+		col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+		h, err := r.Partition.Histograms(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := privacy.IsDistinctLDiverse(h, 3)
 		if err != nil || !ok {
 			t.Fatalf("result not 3-diverse: %v, %v", ok, err)
 		}
@@ -51,8 +55,12 @@ func TestOptimalWithTClosenessConstraint(t *testing.T) {
 	}
 	algtest.CheckResult(t, tab, cfg, r)
 	if len(r.Suppressed) == 0 {
-		col := tab.Column(tab.Schema.SensitiveIndex())
-		got, err := privacy.TCloseness(r.Partition, col, false)
+		col := tab.ColumnVector(tab.Schema.SensitiveIndex())
+		h, err := r.Partition.Histograms(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := privacy.TCloseness(h, privacy.NewSupport(col, false))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,9 +30,10 @@
 //     built for another table, hierarchy set or taxonomy map. Without one,
 //     each engine gets a private store.
 //   - The constraint verdict and the cost come from the class counts and
-//     histograms: k, the ℓ-variants and t-closeness per class, DM as a sum
-//     of squared class sizes, LM as an exact count-weighted sum
-//     (utility.LossTally). None depends on class or histogram order, so a
+//     histograms: the verdict applies the configuration's
+//     algorithm.ClassRule (k, the ℓ-variants and t-closeness) to each
+//     class, DM is a sum of squared class sizes, LM an exact
+//     count-weighted sum (utility.LossTally). None depends on class or histogram order, so a
 //     node gets the same bits whichever source it was rolled up from.
 //   - Each engine memoizes its verdicts and costs in a bounded LRU cache
 //     keyed by lattice.Node.Key(); verdicts are never shared, since they
@@ -75,23 +76,9 @@ import (
 )
 
 // DefaultCacheSize bounds the memoized node cache, and a private store's
-// frequency sets, unless WithCacheSize overrides it. Full-domain lattices
-// in the experiments hold hundreds of nodes; evolutionary searches revisit
-// far fewer distinct ones.
+// frequency sets. Full-domain lattices in the experiments hold hundreds of
+// nodes; evolutionary searches revisit far fewer distinct ones.
 const DefaultCacheSize = freqset.DefaultCapacity
-
-// Option customizes an Engine.
-type Option func(*Engine)
-
-// WithCacheSize bounds the memoized node cache to n evaluations (n >= 1),
-// and a private store to n frequency sets per keying.
-func WithCacheSize(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.cacheSize = n
-		}
-	}
-}
 
 // Engine evaluates lattice nodes for one (table, config) pair: a
 // frequency-set store plus one configuration's budget, constraints and
@@ -114,9 +101,8 @@ type Engine struct {
 	// direct pipeline where ApplyNode succeeds and only NodeCost fails.
 	lossErr error
 
-	cacheSize int
-	cache     *lru.Cache[*Evaluation]
-	counters  *instruments
+	cache    *lru.Cache[*Evaluation]
+	counters *instruments
 	// scratch pools the per-row code vectors RowPartition gathers (one
 	// []uint32 per quasi-identifier, table-length).
 	scratch sync.Pool
@@ -128,14 +114,14 @@ type Engine struct {
 // store's precomputation generalizes each attribute's DISTINCT ground
 // values once per level — O(Σ_attr distinct×levels) hierarchy calls —
 // independent of how many nodes the search will visit.
-func New(t *dataset.Table, cfg algorithm.Config, opts ...Option) (*Engine, error) {
-	return NewContext(context.Background(), t, cfg, opts...)
+func New(t *dataset.Table, cfg algorithm.Config) (*Engine, error) {
+	return NewContext(context.Background(), t, cfg)
 }
 
 // NewContext is New under a context carrying the caller's telemetry span:
 // the fragment-precompute phase is traced as an "engine.precompute" child
 // span, so per-phase breakdowns attribute construction cost correctly.
-func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config, opts ...Option) (*Engine, error) {
+func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config) (*Engine, error) {
 	if err := cfg.Validate(t); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -148,24 +134,20 @@ func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config, opt
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	e := &Engine{
-		t:         t,
-		cfg:       cfg,
-		lat:       lat,
-		budget:    cfg.Budget(t.Len()),
-		store:     cfg.Store,
-		cacheSize: DefaultCacheSize,
-	}
-	for _, o := range opts {
-		o(e)
+		t:      t,
+		cfg:    cfg,
+		lat:    lat,
+		budget: cfg.Budget(t.Len()),
+		store:  cfg.Store,
+		cache:  lru.New[*Evaluation](DefaultCacheSize),
 	}
 	if e.store == nil {
-		e.store = freqset.New(t, cfg.Hierarchies, cfg.Taxonomies, e.cacheSize)
+		e.store = freqset.New(t, cfg.Hierarchies, cfg.Taxonomies, DefaultCacheSize)
 	} else if err := e.store.Check(t, cfg.Hierarchies, cfg.Taxonomies); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	e.cache = lru.New[*Evaluation](e.cacheSize)
 	e.counters = newInstruments(lat.Height())
-	e.counters.reg.Gauge("engine.cache.size").Set(float64(e.cacheSize))
+	e.counters.reg.Gauge("engine.cache.size").Set(DefaultCacheSize)
 	_, sp := telemetry.Start(ctx, "engine.precompute",
 		telemetry.Int("rows", t.Len()), telemetry.Int("qi", len(t.Schema.QuasiIdentifiers())))
 	start := time.Now()
@@ -213,9 +195,6 @@ func (e *Engine) NumQI() int { return len(e.attrs) }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats { return e.counters.snapshot() }
-
-// CacheLen returns the number of memoized evaluations currently resident.
-func (e *Engine) CacheLen() int { return e.cache.Len() }
 
 // DistinctAtLevel returns the number of distinct generalized values of
 // quasi-identifier li (QI order) at the given level — what
@@ -387,54 +366,23 @@ func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
 	return ev, nil
 }
 
-// verdict marks the classes violating the configured constraints, exactly
-// as algorithm.ViolatingClasses does on the row partition, and sums their
-// rows.
+// verdict marks the classes violating the configured constraints with
+// the configuration's ClassRule, as algorithm.ViolatingClasses does on the
+// row partition, and sums their rows.
 func (e *Engine) verdict(fs *freqset.Set) (bad []bool, badRows int) {
-	bad = make([]bool, len(fs.Count))
-	if fs.Off == nil {
-		for c, n := range fs.Count {
-			bad[c] = int(n) < e.cfg.K
-		}
-	} else {
-		e.diversity(fs, bad)
+	var sup *privacy.Support
+	if e.sens != nil {
+		sup = e.sens.Support
 	}
-	for c, b := range bad {
-		if b {
-			badRows += int(fs.Count[c])
+	rule := e.cfg.ClassRule(sup)
+	bad = make([]bool, len(fs.Count))
+	for c, n := range fs.Count {
+		sens, hist := fs.Class(c)
+		if bad[c] = rule.Violates(int(n), sens, hist); bad[c] {
+			badRows += int(n)
 		}
 	}
 	return bad, badRows
-}
-
-// diversity fills bad from each class's sensitive histogram. The counts
-// are copied into scratch first: the ℓ-checks sort their argument in
-// place, and the set is shared read-only state.
-func (e *Engine) diversity(fs *freqset.Set, bad []bool) {
-	var counts []int
-	var local []float64
-	if e.cfg.MaxTCloseness > 0 {
-		local = make([]float64, len(e.sens.Global))
-	}
-	for c, size := range fs.Count {
-		lo, hi := fs.Off[c], fs.Off[c+1]
-		counts = counts[:0]
-		for _, n := range fs.Hist[lo:hi] {
-			counts = append(counts, int(n))
-		}
-		emd := 0.0
-		if local != nil {
-			// The distribution over privacy.Support's key order, exactly as
-			// privacy.TClosenessVector tallies it from rows.
-			clear(local)
-			total := float64(size)
-			for r := lo; r < hi; r++ {
-				local[e.sens.Pos[fs.Sens[r]]] = float64(fs.Hist[r]) / total
-			}
-			emd = privacy.EMD(local, e.sens.Global, false)
-		}
-		bad[c] = e.cfg.ViolatesClass(int(size), counts, emd)
-	}
 }
 
 // isStar reports whether class c is fully suppressed at the node.

@@ -13,6 +13,7 @@ import (
 	"microdata/internal/algorithm/algtest"
 	"microdata/internal/dataset"
 	"microdata/internal/engine"
+	"microdata/internal/eqclass"
 	"microdata/internal/freqset"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
@@ -184,8 +185,8 @@ func TestVerdictLeavesSharedSetsIntact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[i] = freqset.Set{Levels: fs.Levels, Count: slices.Clone(fs.Count),
-			Off: slices.Clone(fs.Off), Sens: slices.Clone(fs.Sens), Hist: slices.Clone(fs.Hist)}
+		before[i] = freqset.Set{Levels: fs.Levels, Count: slices.Clone(fs.Count), Histograms: eqclass.Histograms{
+			Off: slices.Clone(fs.Off), Sens: slices.Clone(fs.Sens), Hist: slices.Clone(fs.Hist)}}
 		for _, codes := range fs.Codes {
 			before[i].Codes = append(before[i].Codes, slices.Clone(codes))
 		}

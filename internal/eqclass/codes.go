@@ -6,11 +6,7 @@
 
 package eqclass
 
-import (
-	"fmt"
-
-	"microdata/internal/dataset"
-)
+import "fmt"
 
 // radixMax bounds the (groups × cardinality) product under which a combine
 // pass uses a flat radix table instead of a hash map. 1<<22 int32 slots is
@@ -148,38 +144,4 @@ func fromGroupIDs(ids []uint32, groups int) *Partition {
 		p.Classes[g] = append(p.Classes[g], i)
 	}
 	return p
-}
-
-// ValueCountsColumn is Partition.ValueCounts computed over a
-// dictionary-encoded column: per-class tallies run on integer codes with a
-// pooled cardinality-sized scratch vector, and value keys are resolved once
-// per distinct (class, value) pair instead of once per row.
-func (p *Partition) ValueCountsColumn(col *dataset.Column) ([]map[string]int, error) {
-	if col.Len() != p.n {
-		return nil, fmt.Errorf("eqclass: column has %d values for %d rows", col.Len(), p.n)
-	}
-	codes := col.Codes()
-	keys := col.DictKeys()
-	scratch := getInt(col.Card())
-	defer putInt(scratch)
-	clear(scratch)
-	touched := make([]uint32, 0, col.Card())
-	out := make([]map[string]int, len(p.Classes))
-	for ci, rows := range p.Classes {
-		for _, r := range rows {
-			c := codes[r]
-			if scratch[c] == 0 {
-				touched = append(touched, c)
-			}
-			scratch[c]++
-		}
-		m := make(map[string]int, len(touched))
-		for _, c := range touched {
-			m[keys[c]] = scratch[c]
-			scratch[c] = 0
-		}
-		out[ci] = m
-		touched = touched[:0]
-	}
-	return out, nil
 }

@@ -217,7 +217,9 @@ func TestFromCodesErrors(t *testing.T) {
 	}
 }
 
-func TestValueCountsColumnMatchesValueCounts(t *testing.T) {
+// TestHistogramsMatchValueCounts pins the code histograms of a census
+// release against a per-row tally keyed by Value.Key.
+func TestHistogramsMatchValueCounts(t *testing.T) {
 	tab, err := generator.Generate(generator.Config{N: 1000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -227,24 +229,27 @@ func TestValueCountsColumnMatchesValueCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := tab.Schema.SensitiveIndex()
-	want, err := p.ValueCounts(tab.Column(si))
+	vals := tab.Column(si)
+	col := tab.ColumnVector(si)
+	h, err := p.Histograms(col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ValueCountsColumn(tab.ColumnVector(si))
-	if err != nil {
-		t.Fatal(err)
+	if h.Len() != p.NumClasses() {
+		t.Fatalf("%d histograms for %d classes", h.Len(), p.NumClasses())
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d classes != %d", len(got), len(want))
-	}
-	for ci := range want {
-		if len(got[ci]) != len(want[ci]) {
-			t.Fatalf("class %d: %v != %v", ci, got[ci], want[ci])
+	for ci, rows := range p.Classes {
+		want := map[string]int{}
+		for _, r := range rows {
+			want[vals[r].Key()]++
 		}
-		for k, c := range want[ci] {
-			if got[ci][k] != c {
-				t.Fatalf("class %d key %q: %d != %d", ci, k, got[ci][k], c)
+		sens, hist := h.Class(ci)
+		if len(sens) != len(want) {
+			t.Fatalf("class %d: %d entries, want %d", ci, len(sens), len(want))
+		}
+		for e, v := range sens {
+			if k := col.DictKeys()[v]; int(hist[e]) != want[k] {
+				t.Fatalf("class %d key %q: %d, want %d", ci, k, hist[e], want[k])
 			}
 		}
 	}

@@ -3,6 +3,9 @@
 // Equivalence classes are the raw material of every privacy property vector
 // in the paper — the class-size vector underlies k-anonymity (Figure 1) and
 // the sensitive-value counts within a class underlie ℓ-diversity (§3).
+// Those counts are one type, Histograms: each class's histogram of a
+// dictionary-encoded sensitive column, in compressed-row form, tallied from
+// a partition's rows or merged from finer classes' histograms.
 package eqclass
 
 import (
@@ -151,37 +154,4 @@ func (p *Partition) SizeVector() []float64 {
 		out[i] = float64(p.Size(i))
 	}
 	return out
-}
-
-// ValueCounts tallies, per class, how many times each sensitive value (by
-// Key) occurs among the class's rows of the given column.
-func (p *Partition) ValueCounts(col []dataset.Value) ([]map[string]int, error) {
-	if len(col) != p.n {
-		return nil, fmt.Errorf("eqclass: column has %d values for %d rows", len(col), p.n)
-	}
-	out := make([]map[string]int, len(p.Classes))
-	for ci, rows := range p.Classes {
-		m := make(map[string]int, len(rows))
-		for _, r := range rows {
-			m[col[r].Key()]++
-		}
-		out[ci] = m
-	}
-	return out, nil
-}
-
-// SensitiveCountVector returns the paper's §3 ℓ-diversity property vector:
-// element i is the number of times tuple i's sensitive value appears in
-// tuple i's equivalence class. For T3a with Marital Status sensitive this
-// is (2,2,1,2,2,1,2,1,2,1).
-func (p *Partition) SensitiveCountVector(col []dataset.Value) ([]float64, error) {
-	counts, err := p.ValueCounts(col)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, p.n)
-	for i := range out {
-		out[i] = float64(counts[p.ClassOf[i]][col[i].Key()])
-	}
-	return out, nil
 }

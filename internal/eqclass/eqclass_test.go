@@ -62,24 +62,37 @@ func TestFromTablePaperT3a(t *testing.T) {
 	}
 }
 
+// ownCounts reads the paper's §3 sensitive-count vector off histograms:
+// element i counts row i's code among its class's entries.
+func ownCounts(p *Partition, codes []uint32, h *Histograms) []float64 {
+	out := make([]float64, p.N())
+	for i := range out {
+		sens, hist := h.Class(p.ClassOf[i])
+		for e, v := range sens {
+			if v == codes[i] {
+				out[i] = float64(hist[e])
+			}
+		}
+	}
+	return out
+}
+
 func TestSensitiveCountVectorPaperT3a(t *testing.T) {
 	tab := t3a(t)
 	p, err := FromTable(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := tab.ColumnByName("MaritalStatus")
+	col := tab.ColumnVector(tab.Schema.Index("MaritalStatus"))
+	h, err := p.Histograms(col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.SensitiveCountVector(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := ownCounts(p, col.Codes(), h)
 	want := []float64{2, 2, 1, 2, 2, 1, 2, 1, 2, 1}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SensitiveCountVector = %v, want %v (paper §3)", got, want)
+			t.Fatalf("sensitive-count vector = %v, want %v (paper §3)", got, want)
 		}
 	}
 }
@@ -144,11 +157,12 @@ func TestValueCountsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ValueCounts([]dataset.Value{dataset.StrVal("x")}); err == nil {
-		t.Error("wrong column length should fail")
+	short, err := dataset.ColumnFromCodes([]dataset.Value{dataset.StrVal("x")}, []uint32{0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.SensitiveCountVector(nil); err == nil {
-		t.Error("nil column should fail")
+	if _, err := p.Histograms(short); err == nil {
+		t.Error("wrong column length should fail")
 	}
 }
 
@@ -227,27 +241,33 @@ func TestSensitiveCountsSumToClassSizeQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		col := make([]dataset.Value, n)
-		for i := range col {
-			col[i] = dataset.StrVal([]string{"a", "b"}[rng.Intn(2)])
+		codes := make([]uint32, n)
+		for i := range codes {
+			codes[i] = uint32(rng.Intn(2))
 		}
-		counts, err := p.ValueCounts(col)
+		col, err := dataset.ColumnFromCodes([]dataset.Value{dataset.StrVal("a"), dataset.StrVal("b")}, codes)
 		if err != nil {
 			return false
 		}
+		h, err := p.Histograms(col)
+		if err != nil || h.Len() != p.NumClasses() {
+			return false
+		}
 		for ci, rows := range p.Classes {
-			sum := 0
-			for _, c := range counts[ci] {
-				sum += c
+			sens, hist := h.Class(ci)
+			sum, seen := 0, map[uint32]bool{}
+			for e, v := range sens {
+				if hist[e] == 0 || seen[v] {
+					return false
+				}
+				seen[v] = true
+				sum += int(hist[e])
 			}
 			if sum != len(rows) {
 				return false
 			}
 		}
-		vec, err := p.SensitiveCountVector(col)
-		if err != nil {
-			return false
-		}
+		vec := ownCounts(p, col.Codes(), h)
 		for i := range vec {
 			if vec[i] < 1 || vec[i] > float64(p.Size(i)) {
 				return false

@@ -2,6 +2,7 @@ package eqclass
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,20 +20,17 @@ func TestPools(t *testing.T) {
 	if s2 := getInt32(50); len(s2) != 50 {
 		t.Fatalf("getInt32(50) after put = len %d", len(s2))
 	}
-	if is := getInt(64); len(is) != 64 {
-		t.Fatalf("getInt(64) len = %d", len(is))
-	}
 	// nil / empty are tolerated.
 	putInt32(nil)
-	putInt(nil)
 	if got := getInt32(0); len(got) != 0 {
 		t.Fatalf("getInt32(0) len = %d", len(got))
 	}
 }
 
-// TestPooledScratchConcurrent hammers the pooled radix LUT and histogram
-// scratch from many goroutines, as concurrent engine node evaluations do;
-// run with -race it proves the pools hand out disjoint buffers.
+// TestPooledScratchConcurrent hammers the pooled radix LUT from many
+// goroutines, as concurrent engine node evaluations do, tallying each
+// partition's histograms too; run with -race it proves the pool hands out
+// disjoint buffers.
 func TestPooledScratchConcurrent(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(11))
@@ -58,7 +56,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCounts, err := want.ValueCountsColumn(sens)
+	wantHist, err := want.Histograms(sens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +78,14 @@ func TestPooledScratchConcurrent(t *testing.T) {
 						return
 					}
 				}
-				counts, err := got.ValueCountsColumn(sens)
+				h, err := got.Histograms(sens)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for ci := range wantCounts {
-					for k, c := range wantCounts[ci] {
-						if counts[ci][k] != c {
-							t.Errorf("class %d value %q: count %d, want %d", ci, k, counts[ci][k], c)
-							return
-						}
-					}
+				if !slices.Equal(h.Off, wantHist.Off) || !slices.Equal(h.Sens, wantHist.Sens) || !slices.Equal(h.Hist, wantHist.Hist) {
+					t.Errorf("histograms %+v, want %+v", h, wantHist)
+					return
 				}
 			}
 		}()

@@ -120,8 +120,7 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	sensIdx := tab.Schema.SensitiveIndex()
-	sensitive := tab.Column(sensIdx)
+	sensitive := tab.ColumnVector(tab.Schema.SensitiveIndex())
 	lossCfg := utility.LossConfig{Taxonomies: cfg.Taxonomies}
 	u, err := utility.UtilityVector(r.Table, tab, lossCfg)
 	if err != nil {
@@ -131,15 +130,16 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	distinctL, err := privacy.DistinctLDiversity(r.Partition, sensitive)
+	// ℓ, entropy ℓ and t all read the release's class histograms.
+	hist, err := r.Partition.Histograms(sensitive)
 	if err != nil {
 		return nil, err
 	}
-	entropyL, err := privacy.EntropyLDiversity(r.Partition, sensitive)
+	entropyL, err := privacy.EntropyLDiversity(hist)
 	if err != nil {
 		return nil, err
 	}
-	tClose, err := privacy.TCloseness(r.Partition, sensitive, false)
+	tClose, err := privacy.TCloseness(hist, privacy.NewSupport(sensitive, false))
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 		classSizes: privacy.ClassSizeVector(r.Partition),
 		utilVec:    u,
 		kActual:    privacy.KAnonymity(r.Partition),
-		distinctL:  distinctL,
+		distinctL:  privacy.DistinctLDiversity(hist),
 		entropyL:   entropyL,
 		tClose:     tClose,
 		lm:         lm,

@@ -109,16 +109,11 @@ func (at *Attr) toLevel(from, to int) []uint32 {
 }
 
 // Sensitive is what the count-based diversity checks need of the
-// sensitive attribute.
+// sensitive attribute: its dictionary-encoded column and the column's
+// t-closeness support.
 type Sensitive struct {
-	// Codes maps a row index to its sensitive dictionary code; Card is the
-	// dictionary size.
-	Codes []uint32
-	Card  int
-	// Pos maps a sensitive code to its index in the canonical value order
-	// of privacy.Support; Global is the column's distribution over it.
-	Pos    []int
-	Global []float64
+	Col     *dataset.Column
+	Support *privacy.Support
 }
 
 // Store holds the frequency sets of one table under one hierarchy set. It
@@ -325,16 +320,7 @@ func (s *Store) Sensitive() (*Sensitive, error) {
 			return
 		}
 		col := s.t.ColumnVector(si)
-		keys, global := privacy.Support(s.t.Column(si), false)
-		at := make(map[string]int, len(keys))
-		for i, k := range keys {
-			at[k] = i
-		}
-		pos := make([]int, col.Card())
-		for c, k := range col.DictKeys() {
-			pos[c] = at[k]
-		}
-		s.sens = &Sensitive{Codes: col.Codes(), Card: col.Card(), Pos: pos, Global: global}
+		s.sens = &Sensitive{Col: col, Support: privacy.NewSupport(col, false)}
 	})
 	return s.sens, s.sensErr
 }

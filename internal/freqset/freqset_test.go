@@ -361,7 +361,7 @@ func TestSetsMatchRows(t *testing.T) {
 					key = binary.LittleEndian.AppendUint32(key, at.Levels[l].Frag[at.Ground[i]])
 				}
 				if sens {
-					key = binary.LittleEndian.AppendUint32(key, si.Codes[i])
+					key = binary.LittleEndian.AppendUint32(key, si.Col.Code(i))
 				}
 				want[string(key)]++
 			}

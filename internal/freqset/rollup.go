@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
 	"microdata/internal/lattice"
 	"microdata/internal/lru"
@@ -13,11 +14,10 @@ import (
 // Set is a frequency set: distinct tuples of per-attribute codes — the
 // node's quasi-identifier classes — each with the number of rows it stands
 // for. Under the sensitive keying each class also carries its sensitive
-// histogram, in compressed-row form: class c's sensitive codes are
-// Sens[Off[c]:Off[c+1]], each distinct, with nonzero row counts Hist at
-// the same positions summing to Count[c]. Class and histogram order is
-// first appearance in the source and carries no meaning. All fields are
-// read-only shared state.
+// histogram (the embedded eqclass.Histograms, whose counts sum to
+// Count[c]); under the plain keying the histograms are empty. Class and
+// histogram order is first appearance in the source and carries no
+// meaning. All fields are read-only shared state.
 type Set struct {
 	// Levels[li] is the level attribute li's codes are at (the ground
 	// codes for the base, when they differ from level 0's fragments).
@@ -25,9 +25,7 @@ type Set struct {
 	// Codes[li][c] is class c's code of attribute li; Count[c] its rows.
 	Codes [][]uint32
 	Count []uint32
-	// Off, Sens and Hist hold the sensitive histograms; all nil for the
-	// plain keying.
-	Off, Sens, Hist []uint32
+	eqclass.Histograms
 }
 
 // Len returns the set's size: its (class, sensitive value) entries under
@@ -219,15 +217,15 @@ func (s *Store) buildBase(sens bool) (*Set, error) {
 			}
 		}
 	}
-	var h *hists
+	var col *dataset.Column
 	if sens {
 		si, err := s.Sensitive()
 		if err != nil {
 			return nil, err
 		}
-		h = &hists{sens: si.Codes, card: si.Card}
+		col = si.Col
 	}
-	return collapse(cols, cards, nil, levels, h)
+	return collapse(cols, cards, nil, levels, nil, col)
 }
 
 // canSource reports whether frequency set fs determines node x's
@@ -279,27 +277,19 @@ func (s *Store) rollUp(src *Set, node lattice.Node) (*Set, error) {
 	if !moved {
 		return src, nil
 	}
-	var h *hists
+	var col *dataset.Column
 	if src.Off != nil {
-		h = &hists{off: src.Off, sens: src.Sens, hist: src.Hist, card: s.sens.Card}
+		col = s.sens.Col
 	}
-	return collapse(cols, cards, src.Count, append([]int(nil), node...), h)
-}
-
-// hists are the sensitive histograms of the items collapse groups: item
-// i's entries are sens[off[i]:off[i+1]], counted by hist at the same
-// positions. Rows have one entry each, counting 1: off and hist are nil.
-// card is the sensitive dictionary size.
-type hists struct {
-	off, sens, hist []uint32
-	card            int
+	return collapse(cols, cards, src.Count, append([]int(nil), node...), src, col)
 }
 
 // collapse groups items (rows, or a source's classes) by their code
 // columns into a frequency set at the given levels, summing count per
-// class (each item counts 1 when count is nil). With h, each class also
-// gets the merge of its items' sensitive histograms.
-func collapse(cols [][]uint32, cards []int, count []uint32, levels []int, h *hists) (*Set, error) {
+// class (each item counts 1 when count is nil). With the sensitive column
+// col, each class also gets the merge of its items' sensitive histograms:
+// src's, or with src nil (items are rows) the column's codes.
+func collapse(cols [][]uint32, cards []int, count []uint32, levels []int, src *Set, col *dataset.Column) (*Set, error) {
 	ids, classes, err := eqclass.GroupCodes(cols, cards)
 	if err != nil {
 		return nil, fmt.Errorf("freqset: %w", err)
@@ -320,67 +310,12 @@ func collapse(cols [][]uint32, cards []int, count []uint32, levels []int, h *his
 			fs.Count[c] += count[i]
 		}
 	}
-	if h != nil {
-		fs.Off, fs.Sens, fs.Hist = h.merge(ids, classes)
+	switch {
+	case col == nil:
+	case src == nil:
+		fs.Histograms = eqclass.RowHistograms(ids, classes, col.Codes(), col.Card())
+	default:
+		fs.Histograms = src.Merge(ids, classes, col.Card())
 	}
 	return fs, nil
-}
-
-// merge builds the classes' histograms from their items' (ids[i] is item
-// i's class): it sizes one bucket per class, scatters each item's entries
-// into its class's bucket, then merges equal sensitive codes bucket by
-// bucket, compacting in place.
-func (h *hists) merge(ids []uint32, classes int) (off, sens, hist []uint32) {
-	off = make([]uint32, classes+1)
-	for i, c := range ids {
-		if h.off == nil {
-			off[c+1]++
-		} else {
-			off[c+1] += h.off[i+1] - h.off[i]
-		}
-	}
-	for c := 0; c < classes; c++ {
-		off[c+1] += off[c]
-	}
-	n := off[classes]
-	sens, hist = make([]uint32, n), make([]uint32, n)
-	next := append([]uint32(nil), off[:classes]...)
-	for i, c := range ids {
-		p := next[c]
-		if h.off == nil {
-			sens[p], hist[p] = h.sens[i], 1
-			next[c]++
-			continue
-		}
-		// Ranges hold a few entries: a loop beats two copy calls.
-		for r := h.off[i]; r < h.off[i+1]; r++ {
-			sens[p], hist[p] = h.sens[r], h.hist[r]
-			p++
-		}
-		next[c] = p
-	}
-	// stamp[v] is 1 + the last class holding sensitive code v, pos[v] its
-	// entry there.
-	stamp, pos := make([]uint32, h.card), make([]uint32, h.card)
-	w := uint32(0)
-	for c := 0; c < classes; c++ {
-		lo, hi := off[c], off[c+1]
-		off[c] = w
-		for r := lo; r < hi; r++ {
-			v := sens[r]
-			if stamp[v] == uint32(c)+1 {
-				hist[pos[v]] += hist[r]
-				continue
-			}
-			stamp[v], pos[v] = uint32(c)+1, w
-			sens[w], hist[w] = v, hist[r]
-			w++
-		}
-	}
-	off[classes] = w
-	if w < n {
-		// Cached sets live long: keep no merged-away tail.
-		sens, hist = append([]uint32(nil), sens[:w]...), append([]uint32(nil), hist[:w]...)
-	}
-	return off, sens, hist
 }

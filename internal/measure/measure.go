@@ -6,7 +6,10 @@
 //
 // Every extractor yields vectors under the paper's higher-is-better
 // convention — loss-like measurements are returned negated or inverted, so
-// a PropertySet mixes privacy and utility properties safely.
+// a PropertySet mixes privacy and utility properties safely. The sensitive
+// properties and the summary's ℓ and t all read one per-class histogram of
+// the original sensitive column (eqclass.Histograms), tallied once per
+// Context.
 package measure
 
 import (
@@ -23,7 +26,7 @@ import (
 
 // Context carries everything an extractor may need about one
 // anonymization of one original table, plus lazily shared intermediates:
-// the sensitive column and the per-class sensitive-value histograms are
+// the original table's sensitive column and its per-class histograms are
 // computed once and reused by every extractor that needs them.
 type Context struct {
 	// Orig is the original microdata table.
@@ -36,12 +39,9 @@ type Context struct {
 	// Taxonomies feeds loss scoring of Set-generalized cells.
 	Taxonomies map[string]*hierarchy.Taxonomy
 
-	sensOnce sync.Once
-	sensCol  []dataset.Value
-	sensErr  error
-
 	histOnce sync.Once
-	hist     []map[string]int
+	sens     *dataset.Column
+	hist     *eqclass.Histograms
 	histErr  error
 }
 
@@ -63,35 +63,21 @@ func NewContext(orig, anon *dataset.Table, taxonomies map[string]*hierarchy.Taxo
 	return &Context{Orig: orig, Anon: anon, Partition: p, Taxonomies: taxonomies}, nil
 }
 
-// SensitiveColumn returns the original table's sensitive column, extracted
-// once and shared across extractors.
-func (c *Context) SensitiveColumn() ([]dataset.Value, error) {
-	c.sensOnce.Do(func() {
-		si := c.Orig.Schema.SensitiveIndex()
-		if si < 0 {
-			c.sensErr = fmt.Errorf("measure: schema has no sensitive attribute")
-			return
-		}
-		c.sensCol = c.Orig.Column(si)
-	})
-	return c.sensCol, c.sensErr
-}
-
-// ClassHistograms returns the per-class sensitive-value histograms
-// (Partition.ValueCounts), tallied once and shared by SensitiveCount,
-// DistinctSensitive, BreachSafety and TClosenessSafety. The tally runs on
-// the original table's dictionary-encoded sensitive column, so value keys
-// resolve once per distinct (class, value) pair instead of once per row.
-func (c *Context) ClassHistograms() ([]map[string]int, error) {
+// ClassHistograms returns the original table's dictionary-encoded
+// sensitive column and its per-class histograms over the partition,
+// tallied once and shared by SensitiveCount, DistinctSensitive,
+// BreachSafety, TClosenessSafety and Summarize.
+func (c *Context) ClassHistograms() (*dataset.Column, *eqclass.Histograms, error) {
 	c.histOnce.Do(func() {
 		si := c.Orig.Schema.SensitiveIndex()
 		if si < 0 {
 			c.histErr = fmt.Errorf("measure: schema has no sensitive attribute")
 			return
 		}
-		c.hist, c.histErr = c.Partition.ValueCountsColumn(c.Orig.ColumnVector(si))
+		c.sens = c.Orig.ColumnVector(si)
+		c.hist, c.histErr = c.Partition.Histograms(c.sens)
 	})
-	return c.hist, c.histErr
+	return c.sens, c.hist, c.histErr
 }
 
 // Property is one measurable per-tuple property of an anonymization.
@@ -121,15 +107,11 @@ func SensitiveCount() Property {
 	return Property{
 		Name: "sensitive-count",
 		Extract: func(c *Context) (core.PropertyVector, error) {
-			col, err := c.SensitiveColumn()
+			col, hist, err := c.ClassHistograms()
 			if err != nil {
 				return nil, err
 			}
-			hist, err := c.ClassHistograms()
-			if err != nil {
-				return nil, err
-			}
-			v, err := privacy.SensitiveCountVectorFromCounts(c.Partition, col, hist)
+			v, err := privacy.OwnCountVector(c.Partition, col, hist)
 			if err != nil {
 				return nil, err
 			}
@@ -144,11 +126,11 @@ func DistinctSensitive() Property {
 	return Property{
 		Name: "distinct-sensitive",
 		Extract: func(c *Context) (core.PropertyVector, error) {
-			hist, err := c.ClassHistograms()
+			_, hist, err := c.ClassHistograms()
 			if err != nil {
 				return nil, err
 			}
-			v, err := privacy.DistinctCountVectorFromCounts(c.Partition, hist)
+			v, err := privacy.DistinctCountVector(c.Partition, hist)
 			if err != nil {
 				return nil, err
 			}
@@ -164,15 +146,11 @@ func BreachSafety() Property {
 	return Property{
 		Name: "breach-safety",
 		Extract: func(c *Context) (core.PropertyVector, error) {
-			col, err := c.SensitiveColumn()
+			col, hist, err := c.ClassHistograms()
 			if err != nil {
 				return nil, err
 			}
-			hist, err := c.ClassHistograms()
-			if err != nil {
-				return nil, err
-			}
-			probs, err := privacy.BreachProbabilityVectorFromCounts(c.Partition, col, hist)
+			probs, err := privacy.BreachProbabilityVector(c.Partition, col, hist)
 			if err != nil {
 				return nil, err
 			}
@@ -192,15 +170,11 @@ func TClosenessSafety() Property {
 	return Property{
 		Name: "t-closeness-safety",
 		Extract: func(c *Context) (core.PropertyVector, error) {
-			col, err := c.SensitiveColumn()
+			col, hist, err := c.ClassHistograms()
 			if err != nil {
 				return nil, err
 			}
-			hist, err := c.ClassHistograms()
-			if err != nil {
-				return nil, err
-			}
-			d, err := privacy.TClosenessVectorFromCounts(c.Partition, col, hist, false)
+			d, err := privacy.TClosenessVector(c.Partition, hist, privacy.NewSupport(col, false))
 			if err != nil {
 				return nil, err
 			}

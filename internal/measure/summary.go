@@ -61,20 +61,16 @@ func Summarize(c *Context) (*Summary, error) {
 		return s, nil
 	}
 	// DistinctL, EntropyL and t all read the context's shared per-class
-	// histograms; only t's support scans the column once more.
-	col, err := c.SensitiveColumn()
+	// histograms; t's support reads the column's codes once more.
+	col, hist, err := c.ClassHistograms()
 	if err != nil {
 		return nil, err
 	}
-	hist, err := c.ClassHistograms()
-	if err != nil {
+	s.DistinctL = privacy.DistinctLDiversity(hist)
+	if s.EntropyL, err = privacy.EntropyLDiversity(hist); err != nil {
 		return nil, err
 	}
-	s.DistinctL = privacy.DistinctLFromCounts(hist)
-	if s.EntropyL, err = privacy.EntropyLFromCounts(hist); err != nil {
-		return nil, err
-	}
-	if s.TCloseness, err = privacy.TClosenessFromCounts(c.Partition, col, hist, false); err != nil {
+	if s.TCloseness, err = privacy.TCloseness(hist, privacy.NewSupport(col, false)); err != nil {
 		return nil, err
 	}
 	return s, nil

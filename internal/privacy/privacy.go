@@ -3,6 +3,13 @@
 // variants), t-closeness, p-sensitive k-anonymity and personalized
 // (guarding-node) privacy — both as boolean checks over an equivalence-class
 // partition and as per-tuple property-vector sources for package core.
+//
+// The ℓ-diversity, t-closeness, p-sensitive and sensitive-count models
+// read one input: each class's histogram of the sensitive column's
+// dictionary codes (eqclass.Histograms). t-closeness
+// adds one Support per column — each code's place in the canonical value
+// order and the column's distribution over it — and prices a class with
+// Support.ClassEMD, one division count/size per entry.
 package privacy
 
 import (
@@ -37,25 +44,15 @@ func IsKAnonymous(p *eqclass.Partition, k int) (bool, error) {
 func ClassSizeVector(p *eqclass.Partition) []float64 { return p.SizeVector() }
 
 // DistinctLDiversity returns the ℓ of distinct ℓ-diversity: the minimum
-// number of distinct sensitive values in any equivalence class.
-func DistinctLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (int, error) {
-	counts, err := p.ValueCounts(sensitive)
-	if err != nil {
-		return 0, err
-	}
-	return DistinctLFromCounts(counts), nil
-}
-
-// DistinctLFromCounts is DistinctLDiversity computed from precomputed
-// per-class sensitive histograms (Partition.ValueCounts output).
-func DistinctLFromCounts(counts []map[string]int) int {
-	if len(counts) == 0 {
+// number of distinct sensitive values in any class (0 for no classes).
+func DistinctLDiversity(h *eqclass.Histograms) int {
+	if h.Len() == 0 {
 		return 0
 	}
-	min := len(counts[0])
-	for _, m := range counts[1:] {
-		if len(m) < min {
-			min = len(m)
+	min := math.MaxInt
+	for c := 0; c < h.Len(); c++ {
+		if n := int(h.Off[c+1] - h.Off[c]); n < min {
+			min = n
 		}
 	}
 	return min
@@ -63,63 +60,48 @@ func DistinctLFromCounts(counts []map[string]int) int {
 
 // IsDistinctLDiverse reports whether every class holds at least l distinct
 // sensitive values.
-func IsDistinctLDiverse(p *eqclass.Partition, sensitive []dataset.Value, l int) (bool, error) {
+func IsDistinctLDiverse(h *eqclass.Histograms, l int) (bool, error) {
 	if l < 1 {
 		return false, fmt.Errorf("privacy: l must be positive, got %d", l)
 	}
-	got, err := DistinctLDiversity(p, sensitive)
-	if err != nil {
-		return false, err
-	}
-	if p.N() == 0 {
-		return false, nil
-	}
-	return got >= l, nil
+	return h.Len() > 0 && DistinctLDiversity(h) >= l, nil
 }
 
-// EntropyLDiversity returns the entropy ℓ of the partition: exp of the
+// EntropyLDiversity returns the entropy ℓ of the classes: exp of the
 // minimum class entropy of the sensitive distribution. A partition is
 // entropy ℓ-diverse when the returned value is at least ℓ.
-func EntropyLDiversity(p *eqclass.Partition, sensitive []dataset.Value) (float64, error) {
-	counts, err := p.ValueCounts(sensitive)
-	if err != nil {
-		return 0, err
-	}
-	return EntropyLFromCounts(counts)
-}
-
-// EntropyLFromCounts is EntropyLDiversity computed from precomputed
-// per-class sensitive histograms (Partition.ValueCounts output).
-func EntropyLFromCounts(counts []map[string]int) (float64, error) {
-	if len(counts) == 0 {
+func EntropyLDiversity(h *eqclass.Histograms) (float64, error) {
+	if h.Len() == 0 {
 		return 0, fmt.Errorf("privacy: entropy ℓ-diversity of empty partition")
 	}
 	minL := math.Inf(1)
-	for _, m := range counts {
-		if l := ClassEntropyL(m); l < minL {
+	var counts []int
+	for c := 0; c < h.Len(); c++ {
+		_, hist := h.Class(c)
+		counts = Counts(counts, hist)
+		if l := EntropyL(counts); l < minL {
 			minL = l
 		}
 	}
 	return minL, nil
 }
 
-// ClassEntropyL is exp of the Shannon entropy of one class's sensitive
-// value counts — the ℓ of entropy ℓ-diversity for that class — or 0 for an
-// empty class. It is EntropyL over the map's counts, so the result is
-// bit-identical however the map iterates.
-func ClassEntropyL(counts map[string]int) float64 {
-	var buf [16]int
-	cs := buf[:0]
-	for _, c := range counts {
-		cs = append(cs, c)
+// Counts copies a class's histogram counts into buf, reusing its storage,
+// for EntropyL and RecursiveCL: they reorder their argument, and
+// histograms are shared read-only state.
+func Counts(buf []int, hist []uint32) []int {
+	buf = buf[:0]
+	for _, n := range hist {
+		buf = append(buf, int(n))
 	}
-	return EntropyL(cs)
+	return buf
 }
 
-// EntropyL is ClassEntropyL over a class's sensitive value counts given as
-// a slice, in any order: the −q·ln q terms are summed in ascending count
-// order (counts is sorted in place), so the result depends only on the
-// multiset of counts.
+// EntropyL is exp of the Shannon entropy of one class's sensitive value
+// counts — the ℓ of entropy ℓ-diversity for that class — or 0 for an
+// empty class. The counts may come in any order: the −q·ln q terms are
+// summed in ascending count order (counts is sorted in place), so the
+// result depends only on the multiset of counts.
 func EntropyL(counts []int) float64 {
 	total := 0
 	for _, c := range counts {
@@ -153,30 +135,24 @@ func RecursiveCL(counts []int, c float64, l int) bool {
 	return float64(counts[0]) < c*float64(tail)
 }
 
-// RecursiveCLDiversity reports whether the partition is recursive (c,ℓ)-
+// RecursiveCLDiversity reports whether the classes are recursive (c,ℓ)-
 // diverse (Machanavajjhala et al.): in every class, with sensitive value
 // frequencies r_1 >= r_2 >= ... >= r_m, it must hold that
 // r_1 < c · (r_l + r_{l+1} + ... + r_m).
-func RecursiveCLDiversity(p *eqclass.Partition, sensitive []dataset.Value, c float64, l int) (bool, error) {
+func RecursiveCLDiversity(h *eqclass.Histograms, c float64, l int) (bool, error) {
 	if l < 1 {
 		return false, fmt.Errorf("privacy: l must be positive, got %d", l)
 	}
 	if c <= 0 || math.IsNaN(c) {
 		return false, fmt.Errorf("privacy: c must be positive, got %v", c)
 	}
-	counts, err := p.ValueCounts(sensitive)
-	if err != nil {
-		return false, err
-	}
-	if len(counts) == 0 {
+	if h.Len() == 0 {
 		return false, nil
 	}
-	for _, m := range counts {
-		freqs := make([]int, 0, len(m))
-		for _, cnt := range m {
-			freqs = append(freqs, cnt)
-		}
-		if !RecursiveCL(freqs, c, l) {
+	var counts []int
+	for ci := 0; ci < h.Len(); ci++ {
+		_, hist := h.Class(ci)
+		if counts = Counts(counts, hist); !RecursiveCL(counts, c, l) {
 			return false, nil
 		}
 	}
@@ -184,71 +160,68 @@ func RecursiveCLDiversity(p *eqclass.Partition, sensitive []dataset.Value, c flo
 }
 
 // SensitiveCountVector is the paper's §3 ℓ-diversity property vector:
-// element i counts tuple i's sensitive value within its class.
+// element i counts tuple i's sensitive value within its class. For T3a
+// with Marital Status sensitive it is (2,2,1,2,2,1,2,1,2,1). The values
+// are encoded once and counted as OwnCountVector counts a table's column.
 func SensitiveCountVector(p *eqclass.Partition, sensitive []dataset.Value) ([]float64, error) {
-	return p.SensitiveCountVector(sensitive)
-}
-
-// DistinctCountVector assigns every tuple the number of distinct sensitive
-// values in its class — a per-tuple view of distinct ℓ-diversity.
-func DistinctCountVector(p *eqclass.Partition, sensitive []dataset.Value) ([]float64, error) {
-	counts, err := p.ValueCounts(sensitive)
+	codes := make([]uint32, len(sensitive))
+	for i := range codes {
+		codes[i] = uint32(i)
+	}
+	col, err := dataset.ColumnFromCodes(sensitive, codes)
 	if err != nil {
 		return nil, err
 	}
-	return DistinctCountVectorFromCounts(p, counts)
+	h, err := p.Histograms(col)
+	if err != nil {
+		return nil, err
+	}
+	return OwnCountVector(p, col, h)
 }
 
-// checkCounts validates precomputed per-class histograms against the
-// partition shape, shared by the FromCounts vector sources.
-func checkCounts(p *eqclass.Partition, counts []map[string]int) error {
-	if len(counts) != p.NumClasses() {
-		return fmt.Errorf("privacy: %d class histograms for %d classes", len(counts), p.NumClasses())
+// checkShape rejects histograms or a column that do not belong to the
+// partition.
+func checkShape(p *eqclass.Partition, col *dataset.Column, h *eqclass.Histograms) error {
+	if col != nil && col.Len() != p.N() {
+		return fmt.Errorf("privacy: sensitive column has %d values for %d rows", col.Len(), p.N())
+	}
+	if h.Len() != p.NumClasses() {
+		return fmt.Errorf("privacy: %d class histograms for %d classes", h.Len(), p.NumClasses())
 	}
 	return nil
 }
 
-// SensitiveCountVectorFromCounts is SensitiveCountVector computed from
-// precomputed per-class sensitive histograms (Partition.ValueCounts
-// output), letting callers tally the column once and share it across
-// several vector sources.
-func SensitiveCountVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value, counts []map[string]int) ([]float64, error) {
-	if len(sensitive) != p.N() {
-		return nil, fmt.Errorf("privacy: sensitive column has %d values for %d rows", len(sensitive), p.N())
-	}
-	if err := checkCounts(p, counts); err != nil {
+// OwnCountVector is SensitiveCountVector over a dictionary-encoded column
+// and its class histograms (Partition.Histograms of the same column).
+func OwnCountVector(p *eqclass.Partition, col *dataset.Column, h *eqclass.Histograms) ([]float64, error) {
+	if err := checkShape(p, col, h); err != nil {
 		return nil, err
 	}
+	codes := col.Codes()
+	count := make([]uint32, col.Card()) // by code, the current class's counts
 	out := make([]float64, p.N())
-	for i := range out {
-		out[i] = float64(counts[p.ClassOf[i]][sensitive[i].Key()])
+	for ci, rows := range p.Classes {
+		sens, hist := h.Class(ci)
+		for e, v := range sens {
+			count[v] = hist[e]
+		}
+		for _, r := range rows {
+			out[r] = float64(count[codes[r]])
+		}
 	}
 	return out, nil
 }
 
-// DistinctCountVectorFromCounts is DistinctCountVector computed from
-// precomputed per-class histograms.
-func DistinctCountVectorFromCounts(p *eqclass.Partition, counts []map[string]int) ([]float64, error) {
-	if err := checkCounts(p, counts); err != nil {
+// DistinctCountVector assigns every tuple the number of distinct sensitive
+// values in its class — a per-tuple view of distinct ℓ-diversity.
+func DistinctCountVector(p *eqclass.Partition, h *eqclass.Histograms) ([]float64, error) {
+	if err := checkShape(p, nil, h); err != nil {
 		return nil, err
 	}
 	out := make([]float64, p.N())
 	for i := range out {
-		out[i] = float64(len(counts[p.ClassOf[i]]))
-	}
-	return out, nil
-}
-
-// BreachProbabilityVectorFromCounts is BreachProbabilityVector computed
-// from precomputed per-class histograms.
-func BreachProbabilityVectorFromCounts(p *eqclass.Partition, sensitive []dataset.Value, counts []map[string]int) ([]float64, error) {
-	counted, err := SensitiveCountVectorFromCounts(p, sensitive, counts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, p.N())
-	for i := range out {
-		out[i] = counted[i] / float64(p.Size(i))
+		c := p.ClassOf[i]
+		out[i] = float64(h.Off[c+1] - h.Off[c])
 	}
 	return out, nil
 }
@@ -260,14 +233,13 @@ func BreachProbabilityVectorFromCounts(p *eqclass.Partition, sensitive []dataset
 // sensitive values are distinct; with the class-size property the paper
 // quotes 1/|class| as the re-identification bound, which this vector
 // reduces to when all sensitive values in a class are unique.
-func BreachProbabilityVector(p *eqclass.Partition, sensitive []dataset.Value) ([]float64, error) {
-	counts, err := p.SensitiveCountVector(sensitive)
+func BreachProbabilityVector(p *eqclass.Partition, col *dataset.Column, h *eqclass.Histograms) ([]float64, error) {
+	out, err := OwnCountVector(p, col, h)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, p.N())
 	for i := range out {
-		out[i] = counts[i] / float64(p.Size(i))
+		out[i] /= float64(p.Size(i))
 	}
 	return out, nil
 }

@@ -1,8 +1,8 @@
 package privacy
 
 import (
-	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"microdata/internal/dataset"
@@ -47,6 +47,31 @@ func partT4(t *testing.T) *eqclass.Partition {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// hists encodes the values as a column and tallies p's class histograms
+// over it.
+func hists(p *eqclass.Partition, vals []dataset.Value) (*eqclass.Histograms, *dataset.Column, error) {
+	codes := make([]uint32, len(vals))
+	for i := range codes {
+		codes[i] = uint32(i)
+	}
+	col, err := dataset.ColumnFromCodes(vals, codes)
+	if err != nil {
+		return nil, nil, err
+	}
+	h, err := p.Histograms(col)
+	return h, col, err
+}
+
+// mustHists is hists failing the test on error.
+func mustHists(t *testing.T, p *eqclass.Partition, vals []dataset.Value) (*eqclass.Histograms, *dataset.Column) {
+	t.Helper()
+	h, col, err := hists(p, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, col
 }
 
 func TestKAnonymityPaperTables(t *testing.T) {
@@ -100,30 +125,30 @@ func TestClassSizeVectorFigure1(t *testing.T) {
 }
 
 func TestDistinctLDiversity(t *testing.T) {
-	col := sensitiveT1()
-	l, err := DistinctLDiversity(partT3a(t), col)
-	if err != nil || l != 2 {
-		t.Errorf("distinct ℓ(T3a) = %d, %v; want 2", l, err)
+	h, _ := mustHists(t, partT3a(t), sensitiveT1())
+	if l := DistinctLDiversity(h); l != 2 {
+		t.Errorf("distinct ℓ(T3a) = %d; want 2", l)
 	}
-	ok, err := IsDistinctLDiverse(partT3a(t), col, 2)
+	ok, err := IsDistinctLDiverse(h, 2)
 	if err != nil || !ok {
 		t.Errorf("T3a should be 2-diverse: %v, %v", ok, err)
 	}
-	ok, _ = IsDistinctLDiverse(partT3a(t), col, 3)
+	ok, _ = IsDistinctLDiverse(h, 3)
 	if ok {
 		t.Error("T3a is not 3-diverse")
 	}
-	if _, err := IsDistinctLDiverse(partT3a(t), col, 0); err == nil {
+	if _, err := IsDistinctLDiverse(h, 0); err == nil {
 		t.Error("l=0 should fail")
 	}
-	if _, err := DistinctLDiversity(partT3a(t), col[:3]); err == nil {
+	if _, _, err := hists(partT3a(t), sensitiveT1()[:3]); err == nil {
 		t.Error("short column should fail")
 	}
 	empty, _ := eqclass.FromGroups(0, nil)
-	if l, err := DistinctLDiversity(empty, nil); err != nil || l != 0 {
-		t.Errorf("empty distinct ℓ = %d, %v", l, err)
+	eh, _ := mustHists(t, empty, nil)
+	if l := DistinctLDiversity(eh); l != 0 {
+		t.Errorf("empty distinct ℓ = %d", l)
 	}
-	if ok, _ := IsDistinctLDiverse(empty, nil, 1); ok {
+	if ok, _ := IsDistinctLDiverse(eh, 1); ok {
 		t.Error("empty partition is not diverse")
 	}
 }
@@ -148,7 +173,8 @@ func TestEntropyLDiversity(t *testing.T) {
 		dataset.StrVal("a"), dataset.StrVal("b"),
 		dataset.StrVal("c"), dataset.StrVal("c"),
 	}
-	l, err := EntropyLDiversity(p, col)
+	h, _ := mustHists(t, p, col)
+	l, err := EntropyLDiversity(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,34 +186,44 @@ func TestEntropyLDiversity(t *testing.T) {
 		dataset.StrVal("a"), dataset.StrVal("b"),
 		dataset.StrVal("c"), dataset.StrVal("d"),
 	}
-	l2, _ := EntropyLDiversity(p2, col2)
+	h2, _ := mustHists(t, p2, col2)
+	l2, _ := EntropyLDiversity(h2)
 	if math.Abs(l2-2) > 1e-9 {
 		t.Errorf("entropy ℓ = %v, want 2", l2)
 	}
 	empty, _ := eqclass.FromGroups(0, nil)
-	if _, err := EntropyLDiversity(empty, nil); err == nil {
+	eh, _ := mustHists(t, empty, nil)
+	if _, err := EntropyLDiversity(eh); err == nil {
 		t.Error("empty partition should fail")
 	}
-	if _, err := EntropyLDiversity(p, col[:1]); err == nil {
-		t.Error("short column should fail")
+	// Histograms are shared: the entropy must not reorder them.
+	before := append([]uint32(nil), h2.Hist...)
+	EntropyLDiversity(h2)
+	for i := range before {
+		if h2.Hist[i] != before[i] {
+			t.Fatalf("EntropyLDiversity reordered the histograms: %v, was %v", h2.Hist, before)
+		}
 	}
 }
 
 // TestClassEntropyLDeterministic pins the fixed summation order: summing
-// the entropy terms in map order moved the last bits of entropy ℓ from run
-// to run, and with them the property vectors the comparators rank.
+// the entropy terms in histogram order moved the last bits of entropy ℓ
+// with the order the counts were gathered in, and with them the property
+// vectors the comparators rank.
 func TestClassEntropyLDeterministic(t *testing.T) {
-	counts := map[string]int{}
-	for i := 0; i < 40; i++ {
-		counts[fmt.Sprintf("v%02d", i)] = 1 + (i*7919)%97
+	counts := make([]int, 40)
+	for i := range counts {
+		counts[i] = 1 + (i*7919)%97
 	}
-	want := ClassEntropyL(counts)
+	want := EntropyL(append([]int(nil), counts...))
 	if want <= 1 || want > 40 {
 		t.Fatalf("entropy ℓ = %v, want within (1, 40]", want)
 	}
+	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		if got := ClassEntropyL(counts); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d: entropy ℓ = %v, first call gave %v", i, got, want)
+		rng.Shuffle(len(counts), func(a, b int) { counts[a], counts[b] = counts[b], counts[a] })
+		if got := EntropyL(append([]int(nil), counts...)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("order %d: entropy ℓ = %v, first order gave %v", i, got, want)
 		}
 	}
 }
@@ -200,36 +236,39 @@ func TestRecursiveCLDiversity(t *testing.T) {
 		dataset.StrVal("a"), dataset.StrVal("a"), dataset.StrVal("a"),
 		dataset.StrVal("b"), dataset.StrVal("b"), dataset.StrVal("c"),
 	}
-	ok, err := RecursiveCLDiversity(p, col, 1.0, 2)
+	h, _ := mustHists(t, p, col)
+	ok, err := RecursiveCLDiversity(h, 1.0, 2)
 	if err != nil || ok {
 		t.Errorf("(1,2)-diversity = %v, %v; want false", ok, err)
 	}
-	ok, err = RecursiveCLDiversity(p, col, 1.5, 2)
+	ok, err = RecursiveCLDiversity(h, 1.5, 2)
 	if err != nil || !ok {
 		t.Errorf("(1.5,2)-diversity = %v, %v; want true", ok, err)
 	}
 	// l beyond distinct count fails.
-	ok, err = RecursiveCLDiversity(p, col, 10, 4)
+	ok, err = RecursiveCLDiversity(h, 10, 4)
 	if err != nil || ok {
 		t.Errorf("(10,4)-diversity = %v, %v; want false", ok, err)
 	}
-	if _, err := RecursiveCLDiversity(p, col, 1, 0); err == nil {
+	if _, err := RecursiveCLDiversity(h, 1, 0); err == nil {
 		t.Error("l=0 should fail")
 	}
-	if _, err := RecursiveCLDiversity(p, col, -1, 2); err == nil {
+	if _, err := RecursiveCLDiversity(h, -1, 2); err == nil {
 		t.Error("negative c should fail")
 	}
-	if _, err := RecursiveCLDiversity(p, col, math.NaN(), 2); err == nil {
+	if _, err := RecursiveCLDiversity(h, math.NaN(), 2); err == nil {
 		t.Error("NaN c should fail")
 	}
 	empty, _ := eqclass.FromGroups(0, nil)
-	if ok, err := RecursiveCLDiversity(empty, nil, 1, 1); err != nil || ok {
+	eh, _ := mustHists(t, empty, nil)
+	if ok, err := RecursiveCLDiversity(eh, 1, 1); err != nil || ok {
 		t.Errorf("empty partition: %v, %v", ok, err)
 	}
 }
 
 func TestDistinctCountVector(t *testing.T) {
-	got, err := DistinctCountVector(partT3a(t), sensitiveT1())
+	h, _ := mustHists(t, partT3a(t), sensitiveT1())
+	got, err := DistinctCountVector(partT3a(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +279,8 @@ func TestDistinctCountVector(t *testing.T) {
 			t.Fatalf("distinct-count vector = %v, want %v", got, want)
 		}
 	}
-	if _, err := DistinctCountVector(partT3a(t), nil); err == nil {
-		t.Error("nil column should fail")
+	if _, err := DistinctCountVector(partT3a(t), &eqclass.Histograms{}); err == nil {
+		t.Error("histograms of another partition should fail")
 	}
 }
 
@@ -263,7 +302,8 @@ func TestReidentificationVectorPaperSection1(t *testing.T) {
 }
 
 func TestBreachProbabilityVector(t *testing.T) {
-	got, err := BreachProbabilityVector(partT3a(t), sensitiveT1())
+	h, col := mustHists(t, partT3a(t), sensitiveT1())
+	got, err := BreachProbabilityVector(partT3a(t), col, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +315,8 @@ func TestBreachProbabilityVector(t *testing.T) {
 	if math.Abs(got[7]-1.0/3) > 1e-12 {
 		t.Errorf("breach[7] = %v, want 1/3", got[7])
 	}
-	if _, err := BreachProbabilityVector(partT3a(t), nil); err == nil {
-		t.Error("nil column should fail")
+	_, short := mustHists(t, partT3b(t), sensitiveT1())
+	if _, err := BreachProbabilityVector(partT3a(t), short, &eqclass.Histograms{}); err == nil {
+		t.Error("histograms of another partition should fail")
 	}
 }

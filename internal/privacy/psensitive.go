@@ -12,14 +12,12 @@ import (
 // the minimum number of distinct sensitive values in any class. (It equals
 // distinct ℓ-diversity's ℓ; the model differs in how it is enforced
 // alongside a k constraint, which IsPSensitiveKAnonymous captures.)
-func PSensitivity(part *eqclass.Partition, sensitive []dataset.Value) (int, error) {
-	return DistinctLDiversity(part, sensitive)
-}
+func PSensitivity(h *eqclass.Histograms) int { return DistinctLDiversity(h) }
 
 // IsPSensitiveKAnonymous reports whether the partition is simultaneously
 // k-anonymous and p-sensitive: every class has at least k members AND at
-// least p distinct sensitive values.
-func IsPSensitiveKAnonymous(part *eqclass.Partition, sensitive []dataset.Value, p, k int) (bool, error) {
+// least p distinct sensitive values (h holds part's class histograms).
+func IsPSensitiveKAnonymous(part *eqclass.Partition, h *eqclass.Histograms, p, k int) (bool, error) {
 	if p < 1 {
 		return false, fmt.Errorf("privacy: p must be positive, got %d", p)
 	}
@@ -30,7 +28,7 @@ func IsPSensitiveKAnonymous(part *eqclass.Partition, sensitive []dataset.Value, 
 	if !kOK {
 		return false, nil
 	}
-	return IsDistinctLDiverse(part, sensitive, p)
+	return IsDistinctLDiverse(h, p)
 }
 
 // GuardingNode expresses an individual's personalized privacy requirement

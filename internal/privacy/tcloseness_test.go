@@ -10,6 +10,13 @@ import (
 	"microdata/internal/hierarchy"
 )
 
+// tclose is TCloseness of p's classes over the values.
+func tclose(t *testing.T, p *eqclass.Partition, vals []dataset.Value, ordered bool) (float64, error) {
+	t.Helper()
+	h, col := mustHists(t, p, vals)
+	return TCloseness(h, NewSupport(col, ordered))
+}
+
 func TestTClosenessNominal(t *testing.T) {
 	// Global: a,a,b,b -> (0.5, 0.5). Class {0,1} = (1,0): TV distance 0.5.
 	p, _ := eqclass.FromGroups(4, [][]int{{0, 1}, {2, 3}})
@@ -17,18 +24,19 @@ func TestTClosenessNominal(t *testing.T) {
 		dataset.StrVal("a"), dataset.StrVal("a"),
 		dataset.StrVal("b"), dataset.StrVal("b"),
 	}
-	got, err := TCloseness(p, col, false)
+	got, err := tclose(t, p, col, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("t = %v, want 0.5", got)
 	}
-	ok, err := IsTClose(p, col, 0.5, false)
+	h, c := mustHists(t, p, col)
+	ok, err := IsTClose(h, NewSupport(c, false), 0.5)
 	if err != nil || !ok {
 		t.Errorf("IsTClose(0.5) = %v, %v", ok, err)
 	}
-	ok, _ = IsTClose(p, col, 0.4, false)
+	ok, _ = IsTClose(h, NewSupport(c, false), 0.4)
 	if ok {
 		t.Error("0.4-closeness should fail")
 	}
@@ -38,7 +46,7 @@ func TestTClosenessPerfectPartition(t *testing.T) {
 	// One class = whole table: t = 0.
 	p, _ := eqclass.FromGroups(3, [][]int{{0, 1, 2}})
 	col := []dataset.Value{dataset.StrVal("a"), dataset.StrVal("b"), dataset.StrVal("c")}
-	got, err := TCloseness(p, col, false)
+	got, err := tclose(t, p, col, false)
 	if err != nil || got != 0 {
 		t.Errorf("t = %v, %v; want 0", got, err)
 	}
@@ -52,7 +60,7 @@ func TestTClosenessOrderedNumeric(t *testing.T) {
 	col := []dataset.Value{
 		dataset.NumVal(1), dataset.NumVal(2), dataset.NumVal(3), dataset.NumVal(4),
 	}
-	got, err := TCloseness(p, col, true)
+	got, err := tclose(t, p, col, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestTClosenessOrderedNumeric(t *testing.T) {
 		t.Errorf("ordered t = %v, want 1/3", got)
 	}
 	// The nominal metric sees the same class as TV distance 0.5.
-	gotNom, _ := TCloseness(p, col, false)
+	gotNom, _ := tclose(t, p, col, false)
 	if math.Abs(gotNom-0.5) > 1e-12 {
 		t.Errorf("nominal t = %v, want 0.5", gotNom)
 	}
@@ -69,15 +77,16 @@ func TestTClosenessOrderedNumeric(t *testing.T) {
 func TestTClosenessErrors(t *testing.T) {
 	p, _ := eqclass.FromGroups(2, [][]int{{0, 1}})
 	col := []dataset.Value{dataset.StrVal("a"), dataset.StrVal("b")}
-	if _, err := TCloseness(p, col[:1], false); err == nil {
+	if _, _, err := hists(p, col[:1]); err == nil {
 		t.Error("short column should fail")
 	}
 	empty, _ := eqclass.FromGroups(0, nil)
-	if _, err := TCloseness(empty, nil, false); err == nil {
+	if _, err := tclose(t, empty, nil, false); err == nil {
 		t.Error("empty partition should fail")
 	}
+	h, c := mustHists(t, p, col)
 	for _, bad := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := IsTClose(p, col, bad, false); err == nil {
+		if _, err := IsTClose(h, NewSupport(c, false), bad); err == nil {
 			t.Errorf("t=%v should fail", bad)
 		}
 	}
@@ -89,7 +98,8 @@ func TestTClosenessVector(t *testing.T) {
 		dataset.StrVal("a"), dataset.StrVal("a"),
 		dataset.StrVal("a"), dataset.StrVal("b"),
 	}
-	vec, err := TClosenessVector(p, col, false)
+	h, c := mustHists(t, p, col)
+	vec, err := TClosenessVector(p, h, NewSupport(c, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +109,8 @@ func TestTClosenessVector(t *testing.T) {
 			t.Fatalf("t-closeness vector = %v", vec)
 		}
 	}
-	if _, err := TClosenessVector(p, col[:2], false); err == nil {
-		t.Error("short column should fail")
+	if _, err := TClosenessVector(p, &eqclass.Histograms{}, NewSupport(c, false)); err == nil {
+		t.Error("histograms of another partition should fail")
 	}
 }
 
@@ -129,7 +139,7 @@ func TestTClosenessBoundsQuick(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ordered := range []bool{false, true} {
-			got, err := TCloseness(p, col, ordered)
+			got, err := tclose(t, p, col, ordered)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +149,7 @@ func TestTClosenessBoundsQuick(t *testing.T) {
 		}
 		// Single whole-table class is always 0.
 		whole, _ := eqclass.FromGroups(n, [][]int{allRows(n)})
-		got, _ := TCloseness(whole, col, false)
+		got, _ := tclose(t, whole, col, false)
 		if got != 0 {
 			t.Fatalf("whole-table t = %v", got)
 		}
@@ -156,31 +166,31 @@ func allRows(n int) []int {
 
 func TestPSensitive(t *testing.T) {
 	col := sensitiveT1()
-	p, err := PSensitivity(partT3a(t), col)
-	if err != nil || p != 2 {
-		t.Errorf("p(T3a) = %d, %v; want 2", p, err)
+	h, _ := mustHists(t, partT3a(t), col)
+	if p := PSensitivity(h); p != 2 {
+		t.Errorf("p(T3a) = %d; want 2", p)
 	}
-	ok, err := IsPSensitiveKAnonymous(partT3a(t), col, 2, 3)
+	ok, err := IsPSensitiveKAnonymous(partT3a(t), h, 2, 3)
 	if err != nil || !ok {
 		t.Errorf("T3a should be 2-sensitive 3-anonymous: %v, %v", ok, err)
 	}
-	ok, _ = IsPSensitiveKAnonymous(partT3a(t), col, 3, 3)
+	ok, _ = IsPSensitiveKAnonymous(partT3a(t), h, 3, 3)
 	if ok {
 		t.Error("T3a is not 3-sensitive")
 	}
-	ok, _ = IsPSensitiveKAnonymous(partT3a(t), col, 2, 5)
+	ok, _ = IsPSensitiveKAnonymous(partT3a(t), h, 2, 5)
 	if ok {
 		t.Error("T3a is not 5-anonymous")
 	}
-	if _, err := IsPSensitiveKAnonymous(partT3a(t), col, 0, 3); err == nil {
+	if _, err := IsPSensitiveKAnonymous(partT3a(t), h, 0, 3); err == nil {
 		t.Error("p=0 should fail")
 	}
 	// T4 suppresses the sensitive column in the published table, but the
 	// ground values yield p = 3: class {0,2,3,7} has CF-Spouse x2, Never
 	// Married, Spouse Present (3 distinct); class {1,4,5,6,8,9} has
 	// Separated x3, Divorced x2, Spouse Absent (3 distinct).
-	p4, _ := PSensitivity(partT4(t), col)
-	if p4 != 3 {
+	h4, _ := mustHists(t, partT4(t), col)
+	if p4 := PSensitivity(h4); p4 != 3 {
 		t.Errorf("p(T4) = %d, want 3", p4)
 	}
 }
