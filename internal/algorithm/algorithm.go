@@ -435,26 +435,6 @@ func FinishGlobalContext(ctx context.Context, name string, t *dataset.Table, cfg
 	}, nil
 }
 
-// NodeCost scores a lattice node under the configured metric; lower is
-// better for every metric (precision is negated). Nodes that exceed the
-// suppression budget return +Inf.
-func NodeCost(t *dataset.Table, cfg Config, node lattice.Node) (float64, error) {
-	anon, p, small, err := ApplyNode(t, cfg, node)
-	if err != nil {
-		return 0, err
-	}
-	budget := cfg.Budget(t.Len())
-	if len(small) > budget {
-		return math.Inf(1), nil
-	}
-	if len(small) > 0 {
-		if anon, p, err = suppress(anon, small); err != nil {
-			return 0, err
-		}
-	}
-	return cost(anon, t, p, cfg, node)
-}
-
 // suppress stars the quasi-identifiers of the given rows and regroups the
 // result.
 func suppress(anon *dataset.Table, rows []int) (*dataset.Table, *eqclass.Partition, error) {

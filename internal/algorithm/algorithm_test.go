@@ -9,6 +9,7 @@ import (
 	"microdata/internal/eqclass"
 	"microdata/internal/hierarchy"
 	"microdata/internal/lattice"
+	"microdata/internal/utility"
 )
 
 func schema3() *dataset.Schema {
@@ -173,22 +174,28 @@ func TestFinishGlobal(t *testing.T) {
 	}
 }
 
+// nodeCost is the cost of the global recoding at node: FinishGlobal's
+// release scored by ResultCost.
+func nodeCost(tab *dataset.Table, cfg Config, node lattice.Node) (float64, error) {
+	r, err := FinishGlobal("test", tab, cfg, node, nil)
+	if err != nil {
+		return 0, err
+	}
+	return ResultCost(r, tab, cfg)
+}
+
 func TestNodeCost(t *testing.T) {
 	tab := table()
 	cfg := Config{K: 3, Hierarchies: hierSet(), Metric: MetricLM}
-	c0, err := NodeCost(tab, cfg, lattice.Node{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Bottom node is not 3-anonymous and has no budget: infeasible.
-	if !math.IsInf(c0, 1) {
-		t.Errorf("bottom node cost = %v, want +Inf", c0)
+	if _, err := nodeCost(tab, cfg, lattice.Node{0, 0}); err == nil {
+		t.Error("bottom node should exceed the suppression budget")
 	}
-	c1, err := NodeCost(tab, cfg, lattice.Node{1, 1})
+	c1, err := nodeCost(tab, cfg, lattice.Node{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NodeCost(tab, cfg, lattice.Node{2, 2})
+	c2, err := nodeCost(tab, cfg, lattice.Node{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,20 +204,20 @@ func TestNodeCost(t *testing.T) {
 	}
 	// DM: T3a yields 34, T3b 58.
 	cfg.Metric = MetricDM
-	d1, _ := NodeCost(tab, cfg, lattice.Node{1, 1})
-	d2, _ := NodeCost(tab, cfg, lattice.Node{2, 2})
+	d1, _ := nodeCost(tab, cfg, lattice.Node{1, 1})
+	d2, _ := nodeCost(tab, cfg, lattice.Node{2, 2})
 	if d1 != 34 || d2 != 58 {
 		t.Errorf("DM costs = %v, %v; want 34, 58", d1, d2)
 	}
 	// Prec is negated: less generalization = lower (better) cost.
 	cfg.Metric = MetricPrec
-	p1, _ := NodeCost(tab, cfg, lattice.Node{1, 1})
-	p2, _ := NodeCost(tab, cfg, lattice.Node{2, 2})
+	p1, _ := nodeCost(tab, cfg, lattice.Node{1, 1})
+	p2, _ := nodeCost(tab, cfg, lattice.Node{2, 2})
 	if !(p1 < p2) {
 		t.Errorf("negated precision should grow with generalization: %v vs %v", p1, p2)
 	}
 	cfg.Metric = Metric(77)
-	if _, err := NodeCost(tab, cfg, lattice.Node{1, 1}); err == nil {
+	if _, err := nodeCost(tab, cfg, lattice.Node{1, 1}); err == nil {
 		t.Error("unknown metric should fail")
 	}
 }
@@ -226,15 +233,15 @@ func TestResultCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _ := NodeCost(tab, cfg, lattice.Node{1, 1})
-	if math.Abs(c-direct) > 1e-12 {
-		t.Errorf("ResultCost %v != NodeCost %v", c, direct)
+	direct, err := utility.GeneralLossMetric(r.Table, tab, utility.LossConfig{})
+	if err != nil || c != direct {
+		t.Errorf("ResultCost %v != general loss %v (%v)", c, direct, err)
 	}
 	// Local-recoding result (nil Levels) under MetricPrec falls back to LM.
 	cfg.Metric = MetricPrec
 	r.Levels = nil
-	if _, err := ResultCost(r, tab, cfg); err != nil {
-		t.Errorf("nil-Levels precision fallback failed: %v", err)
+	if got, err := ResultCost(r, tab, cfg); err != nil || got != direct {
+		t.Errorf("nil-Levels precision fallback = %v, %v; want %v", got, err, direct)
 	}
 }
 

@@ -5,11 +5,16 @@
 package algtest
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"microdata/internal/algorithm"
 	"microdata/internal/dataset"
+	"microdata/internal/eqclass"
 	"microdata/internal/generator"
+	"microdata/internal/hierarchy"
+	"microdata/internal/lattice"
 	"microdata/internal/paperdata"
 	"microdata/internal/privacy"
 )
@@ -155,4 +160,64 @@ func KIsAchieved(t *testing.T, r *algorithm.Result, k int) {
 			t.Fatalf("%s: IsKAnonymous(%d) = %v, %v", r.Algorithm, k, ok, err)
 		}
 	}
+}
+
+// NodeCost scores a lattice node the direct way, re-generalizing the table
+// from its rows: ApplyNode, the suppression budget, then the configured
+// metric on the suppressed release. Lower is better for every metric
+// (precision is negated); a node past the budget costs +Inf. It is the
+// reference the engine's Evaluation.Cost and the searches' choices are
+// pinned against.
+func NodeCost(t *dataset.Table, cfg algorithm.Config, node lattice.Node) (float64, error) {
+	anon, p, small, err := algorithm.ApplyNode(t, cfg, node)
+	if err != nil {
+		return 0, err
+	}
+	if len(small) > cfg.Budget(t.Len()) {
+		return math.Inf(1), nil
+	}
+	if len(small) > 0 {
+		if anon, err = hierarchy.SuppressRows(anon, small); err != nil {
+			return 0, err
+		}
+		if p, err = eqclass.FromTable(anon); err != nil {
+			return 0, err
+		}
+	}
+	return algorithm.ResultCost(&algorithm.Result{Table: anon, Partition: p, Levels: node}, t, cfg)
+}
+
+// Suppression is the trivial two-level hierarchy: level 0 keeps the value,
+// level 1 suppresses it. It accepts any value, so tests give it to columns
+// no ladder covers (mixed kinds, missing cells, non-finite numbers).
+type Suppression struct {
+	attr string
+}
+
+// NewSuppression builds a suppression-only hierarchy.
+func NewSuppression(attr string) *Suppression { return &Suppression{attr: attr} }
+
+// Attribute implements hierarchy.Hierarchy.
+func (h *Suppression) Attribute() string { return h.attr }
+
+// MaxLevel implements hierarchy.Hierarchy.
+func (h *Suppression) MaxLevel() int { return 1 }
+
+// Generalize implements hierarchy.Hierarchy.
+func (h *Suppression) Generalize(v dataset.Value, level int) (dataset.Value, error) {
+	if level < 0 || level > 1 {
+		return dataset.Value{}, fmt.Errorf("suppression %q: level %d out of range [0,1]", h.attr, level)
+	}
+	if level == 1 {
+		return dataset.StarVal(), nil
+	}
+	return v, nil
+}
+
+// Loss implements hierarchy.Hierarchy.
+func (h *Suppression) Loss(_ dataset.Value, level int) (float64, error) {
+	if level < 0 || level > 1 {
+		return 0, fmt.Errorf("suppression %q: level %d out of range [0,1]", h.attr, level)
+	}
+	return float64(level), nil
 }

@@ -130,6 +130,32 @@ func TestSatisfiesConstraints(t *testing.T) {
 	}
 }
 
+// TestPSensitiveKAnonymity pins where p-sensitive k-anonymity (Truta and
+// Vinay, PAPER.md §2) lives: for one sensitive attribute it is k-anonymity
+// plus distinct ℓ-diversity with ℓ = p, so Config{K: k, MinLDiversity: p}
+// under SatisfiesConstraints. The fixture is the paper's T3a, whose classes
+// hold 2, 2 and 3 distinct marital statuses.
+func TestPSensitiveKAnonymity(t *testing.T) {
+	tab := table()
+	part, err := eqclass.FromGroups(tab.Len(), [][]int{{0, 3, 7}, {1, 2, 8}, {4, 5, 6, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		k, p int
+		want bool
+	}{
+		{3, 2, true},  // both hold
+		{3, 3, false}, // k holds, p fails
+		{5, 2, false}, // p holds, k fails
+	} {
+		got, err := SatisfiesConstraints(part, tab, Config{K: c.k, MinLDiversity: c.p})
+		if err != nil || got != c.want {
+			t.Errorf("%d-sensitive %d-anonymity = %v, %v; want %v", c.p, c.k, got, err, c.want)
+		}
+	}
+}
+
 func TestFinishGlobalEnforcesConstraints(t *testing.T) {
 	tab := table()
 	// ℓ=3 at node [1 1]: 6 rows violate; with budget they get suppressed

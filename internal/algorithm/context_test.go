@@ -3,6 +3,7 @@ package algorithm_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -52,7 +53,7 @@ func TestAnonymizeContextCompletesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.Levels.Equal(viaCtx.Levels) {
+	if !slices.Equal(plain.Levels, viaCtx.Levels) {
 		t.Fatalf("context path picked %v, plain path %v", viaCtx.Levels, plain.Levels)
 	}
 }

@@ -28,17 +28,14 @@ import (
 	"microdata/internal/telemetry"
 )
 
-// Crossover selects the recombination operator.
+// Crossover selects the recombination operator. The zero value is the
+// uniform crossover, which swaps each gene independently with probability ½.
 type Crossover uint8
 
-const (
-	// UniformCrossover swaps each gene independently with probability ½.
-	UniformCrossover Crossover = iota
-	// ConstrainedCrossover is a single-point operator over the level
-	// vector, preserving contiguous prefixes (Lunacek et al.'s idea of
-	// respecting the constraint structure).
-	ConstrainedCrossover
-)
+// ConstrainedCrossover is a single-point operator over the level vector,
+// preserving contiguous prefixes (Lunacek et al.'s idea of respecting the
+// constraint structure).
+const ConstrainedCrossover Crossover = 1
 
 // String names the operator.
 func (c Crossover) String() string {

@@ -74,7 +74,7 @@ func TestConstrainedCrossoverVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	algtest.CheckResult(t, tab, cfg, r)
-	if UniformCrossover.String() != "uniform" || ConstrainedCrossover.String() != "constrained" {
+	if Crossover(0).String() != "uniform" || ConstrainedCrossover.String() != "constrained" {
 		t.Error("Crossover.String mismatch")
 	}
 }

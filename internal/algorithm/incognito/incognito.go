@@ -8,11 +8,12 @@
 // Simplification vs. the published algorithm: Incognito derives its pruning
 // from subset-of-quasi-identifier iterations; this implementation prunes
 // directly on the full-QI lattice, which yields the same set of minimal
-// full-domain k-anonymous nodes. Note that monotonicity assumes nested
-// generalization ladders; non-nested ladders (the paper's own T3b/T4 age
-// anchors!) may cause the sweep to label a node minimal that is not — the
-// final result is still a valid k-anonymization because every returned node
-// is verified directly.
+// full-domain k-anonymous nodes (the published subset sweep lives in the
+// tests as the reference that pins this). Note that monotonicity assumes
+// nested generalization ladders; non-nested ladders (the paper's own T3b/T4
+// age anchors!) may cause the sweep to label a node minimal that is not —
+// the final result is still a valid k-anonymization because every returned
+// node is verified directly.
 //
 // Each level of the breadth-first sweep batch-evaluates its non-inherited
 // nodes in parallel on the shared evaluation engine. Within a stratum the

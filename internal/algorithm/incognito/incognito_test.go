@@ -1,6 +1,7 @@
 package incognito
 
 import (
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -48,7 +49,7 @@ func TestMinimalNodesAreMinimalAndSatisfying(t *testing.T) {
 	// non-identity plus no strict component-wise ordering.
 	for i := range minimal {
 		for j := range minimal {
-			if i != j && minimal[i].AtMost(minimal[j]) && !minimal[i].Equal(minimal[j]) {
+			if i != j && minimal[i].AtMost(minimal[j]) && !slices.Equal(minimal[i], minimal[j]) {
 				t.Errorf("node %v is below fellow minimal node %v", minimal[i], minimal[j])
 			}
 		}
@@ -68,7 +69,11 @@ func TestIncognitoPruningSavesEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := lattice.Must(ml).Size()
+	lat, err := lattice.New(ml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := lat.Size()
 	if evaluated >= total {
 		t.Errorf("pruning ineffective: evaluated %d of %d nodes", evaluated, total)
 	}
@@ -88,7 +93,10 @@ func TestIncognitoMatchesOptimalFeasibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	ml, _ := cfg.Hierarchies.MaxLevels(tab.Schema)
-	lat := lattice.Must(ml)
+	lat, err := lattice.New(ml)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checked := 0
 	lat.All(func(n lattice.Node) bool {
 		if checked >= 150 { // bound the sweep for test time

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -14,6 +15,7 @@ import (
 	"microdata/internal/algorithm/samarati"
 	"microdata/internal/dataset"
 	"microdata/internal/engine"
+	"microdata/internal/lattice"
 )
 
 // TestSearchesInvariantUnderRowPermutation is a metamorphic check that
@@ -61,11 +63,64 @@ func TestSearchesInvariantUnderRowPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on permuted rows: %v", alg.Name(), err)
 		}
-		if !orig.Levels.Equal(shuf.Levels) {
+		if !slices.Equal(orig.Levels, shuf.Levels) {
 			t.Fatalf("%s: node %v, %v after permuting the rows", alg.Name(), orig.Levels, shuf.Levels)
 		}
 		if a, b := cost(tab, orig), cost(perm, shuf); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: node %v costs %v, %v after permuting the rows", alg.Name(), orig.Levels, a, b)
+		}
+	}
+}
+
+// TestChosenNodeSatisfiesPastVerdictFlip holds the pruning searches to a
+// plain rule where monotonicity is no theorem: under a suppression budget
+// and t-closeness a satisfying node can have a successor that does not, yet
+// each search must still return a node whose own verdict satisfies and
+// whose release passes SatisfiesConstraints. The fixture is such a flip:
+// [2 3 2 2] satisfies and its successor [3 3 2 2] does not.
+func TestChosenNodeSatisfiesPastVerdictFlip(t *testing.T) {
+	tab, cfg, err := algtest.CensusConfig(2000, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxSuppression = 0.1
+	cfg.MaxTCloseness = 0.3
+	ctx := context.Background()
+	eng, err := engine.New(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		node lattice.Node
+		bad  int
+		ok   bool
+	}{
+		{lattice.Node{2, 3, 2, 2}, 191, true},
+		{lattice.Node{3, 3, 2, 2}, 342, false},
+	} {
+		ev, err := eng.Evaluate(ctx, c.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.BadRows != c.bad || ev.Satisfies != c.ok {
+			t.Fatalf("node %v: %d bad rows, satisfies %v; the fixture needs %d and %v (budget %d)",
+				c.node, ev.BadRows, ev.Satisfies, c.bad, c.ok, cfg.Budget(tab.Len()))
+		}
+	}
+	for _, alg := range []algorithm.Algorithm{optimal.New(), ola.New(), samarati.New(), incognito.New()} {
+		r, err := alg.Anonymize(tab, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		ev, err := eng.Evaluate(ctx, r.Levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ev.Satisfies {
+			t.Errorf("%s chose %v, whose verdict fails (%d bad rows)", alg.Name(), r.Levels, ev.BadRows)
+		}
+		if ok, err := algorithm.SatisfiesConstraints(r.Partition, r.Table, cfg); err != nil || !ok {
+			t.Errorf("%s: release at %v fails the constraints: %v, %v", alg.Name(), r.Levels, ok, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package moga
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm/algtest"
@@ -117,7 +118,7 @@ func TestNSGA2OnCensus(t *testing.T) {
 		t.Fatal("NSGA-II not deterministic for fixed seed")
 	}
 	for i := range front.Points {
-		if !front.Points[i].Node.Equal(again.Points[i].Node) {
+		if !slices.Equal(front.Points[i].Node, again.Points[i].Node) {
 			t.Fatal("NSGA-II front nodes differ across identical runs")
 		}
 	}

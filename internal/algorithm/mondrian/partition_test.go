@@ -114,8 +114,8 @@ func tiedTable(t *testing.T, n int, seed int64, missingAge bool) (*dataset.Table
 	for i := 0; i < n; i++ {
 		c.MustAppend(pick(ages), pick(zips), pick(sexes), pick(diseases))
 	}
-	hs, err := hierarchy.NewSet(hierarchy.NewSuppression("Age"), hierarchy.NewSuppression("Zip"),
-		hierarchy.NewSuppression("Sex"))
+	hs, err := hierarchy.NewSet(algtest.NewSuppression("Age"), algtest.NewSuppression("Zip"),
+		algtest.NewSuppression("Sex"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMondrianRejectsNonFiniteNumbers(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "Age", Kind: dataset.Numeric, Role: dataset.QuasiIdentifier},
 	)
-	hs, err := hierarchy.NewSet(hierarchy.NewSuppression("Age"))
+	hs, err := hierarchy.NewSet(algtest.NewSuppression("Age"))
 	if err != nil {
 		t.Fatal(err)
 	}

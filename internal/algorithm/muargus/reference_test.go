@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestTablesMatchReference(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					if !r.Levels.Equal(wantLevels) {
+					if !slices.Equal(r.Levels, wantLevels) {
 						t.Fatalf("%s: levels %v, reference %v", label, r.Levels, wantLevels)
 					}
 					if fmt.Sprint(r.Suppressed) != fmt.Sprint(wantSupp) {

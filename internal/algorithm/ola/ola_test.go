@@ -50,7 +50,11 @@ func TestOLAMatchesOptimalOnNestedLadders(t *testing.T) {
 		// And it must do so with FEWER direct evaluations than the full
 		// lattice (predictive tagging is the point).
 		ml, _ := cfg.Hierarchies.MaxLevels(tab.Schema)
-		full := lattice.Must(ml).Size()
+		lat, err := lattice.New(ml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := lat.Size()
 		if int(olaRes.Stats["nodes_evaluated"]) >= full {
 			t.Errorf("seed %d: OLA evaluated %v of %d nodes — tagging saved nothing",
 				seed, olaRes.Stats["nodes_evaluated"], full)

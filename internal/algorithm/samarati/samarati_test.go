@@ -1,6 +1,7 @@
 package samarati
 
 import (
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -32,7 +33,7 @@ func TestSamaratiFindsHeightZeroForK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Levels.Equal(lattice.Node{0, 0}) {
+	if !slices.Equal(r.Levels, lattice.Node{0, 0}) {
 		t.Errorf("k=1 should return the bottom node, got %v", r.Levels)
 	}
 }

@@ -32,7 +32,7 @@ func TestTopDownNeverWorseThanTopNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ml, _ := cfg.Hierarchies.MaxLevels(tab.Schema)
-	topCost, err := algorithm.NodeCost(tab, cfg, ml)
+	topCost, err := algtest.NodeCost(tab, cfg, ml)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +72,8 @@ type Adversary struct {
 	ins       *instruments
 
 	// prosMu guards the cached prosecutor vector, keyed by the identity of
-	// the original table it was computed for. SafetyVector, MarketerRisk
-	// and TargetedRisk all reuse it.
+	// the original table it was computed for. MarketerRisk and
+	// TargetedRiskContext both reuse it.
 	prosMu   sync.Mutex
 	prosOrig *dataset.Table
 	prosVec  core.PropertyVector
@@ -131,39 +130,6 @@ func (a *Adversary) ensureIndex(ctx context.Context) (*regionIndex, error) {
 		}
 	})
 	return a.index, a.indexErr
-}
-
-// MatchSet returns the row indices of the anonymized table consistent with
-// the victim's ground quasi-identifier values (aligned with the schema's
-// QI order). Rows are ascending; no match returns nil. Nothing is
-// memoized: each of the victim's values is resolved through the index.
-func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
-	if len(victim) != len(a.qi) {
-		return nil, fmt.Errorf("attack: victim has %d quasi-identifier values, schema has %d", len(victim), len(a.qi))
-	}
-	ix, err := a.ensureIndex(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	regs := newBitset(ix.n)
-	regs.setAll(ix.n)
-	scratch := newBitset(ix.n)
-	for vi := range ix.attrs {
-		scratch.zero()
-		a.matchAttrInto(&ix.attrs[vi], victim[vi], scratch)
-		regs.and(scratch)
-	}
-	a.ins.cacheMisses.Add(int64(len(victim)))
-	var out []int
-	regions := 0
-	regs.forEach(func(r int) {
-		out = append(out, ix.part.Classes[r]...)
-		regions++
-	})
-	a.ins.regionsProbed.Add(int64(regions))
-	a.ins.candidatesPruned.Add(int64(ix.n - regions))
-	sort.Ints(out)
-	return out, nil
 }
 
 // forEachParallel runs f over 0..n-1 across runtime.GOMAXPROCS(0) worker
@@ -223,7 +189,7 @@ func forEachParallel(ctx context.Context, n int, f func(i int) error) error {
 // records consistent with their quasi-identifiers. A sound anonymization
 // yields risk <= 1/k everywhere (its own record always matches, and so do
 // its k-1 classmates). The vector is cached per original table, so
-// SafetyVector, MarketerRisk and TargetedRisk reuse one computation.
+// MarketerRisk and TargetedRiskContext reuse one computation.
 func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	if orig.Len() != adv.anon.Len() {
 		return nil, fmt.Errorf("attack: original has %d rows, anonymized %d", orig.Len(), adv.anon.Len())
@@ -276,20 +242,6 @@ func ProsecutorVectorContext(ctx context.Context, orig *dataset.Table, adv *Adve
 // ProsecutorVector is ProsecutorVectorContext without cancellation.
 func ProsecutorVector(orig *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
 	return ProsecutorVectorContext(context.Background(), orig, adv)
-}
-
-// SafetyVector is the higher-is-better form the comparison framework
-// wants: 1 − prosecutor risk.
-func SafetyVector(orig *dataset.Table, adv *Adversary) (core.PropertyVector, error) {
-	risk, err := ProsecutorVectorContext(context.Background(), orig, adv)
-	if err != nil {
-		return nil, err
-	}
-	out := make(core.PropertyVector, len(risk))
-	for i, r := range risk {
-		out[i] = 1 - r
-	}
-	return out, nil
 }
 
 // MarketerRisk is the expected fraction of records a whole-table linkage
@@ -441,11 +393,6 @@ func TargetedRiskContext(ctx context.Context, orig *dataset.Table, adv *Adversar
 		}
 	}
 	return mean / float64(len(rows)), worst, nil
-}
-
-// TargetedRisk is TargetedRiskContext without cancellation.
-func TargetedRisk(orig *dataset.Table, adv *Adversary, rows []int) (mean, worst float64, err error) {
-	return TargetedRiskContext(context.Background(), orig, adv, rows)
 }
 
 // populationTally folds the population's matched regions into counts a

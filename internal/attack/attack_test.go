@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,14 +105,14 @@ func TestSafetyAndMarketer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	safety, err := SafetyVector(orig, adv)
+	risk, err := ProsecutorVector(orig, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	risk, _ := ProsecutorVector(orig, adv)
-	for i := range safety {
-		if math.Abs(safety[i]-(1-risk[i])) > 1e-12 {
-			t.Fatal("safety != 1 - risk")
+	// T3a is 3-anonymous: every tuple is at least 2/3 safe.
+	for i, r := range risk {
+		if safety := 1 - r; safety < 2.0/3-1e-12 {
+			t.Fatalf("tuple %d: safety %v below 2/3", i, safety)
 		}
 	}
 	m, err := MarketerRisk(orig, adv)
@@ -136,22 +137,22 @@ func TestTargetedRiskParagraph2Scenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	// §2: user 8 (index 7) prefers T4; user 3 (index 2) prefers T3b.
-	mean3b8, _, err := TargetedRisk(orig, adv3b, []int{7})
+	mean3b8, _, err := TargetedRiskContext(context.Background(), orig, adv3b, []int{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean48, _, err := TargetedRisk(orig, adv4, []int{7})
+	mean48, _, err := TargetedRiskContext(context.Background(), orig, adv4, []int{7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(mean48 < mean3b8) {
 		t.Errorf("user 8: T4 risk %v should be below T3b risk %v", mean48, mean3b8)
 	}
-	mean3b3, _, err := TargetedRisk(orig, adv3b, []int{2})
+	mean3b3, _, err := TargetedRiskContext(context.Background(), orig, adv3b, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean43, _, err := TargetedRisk(orig, adv4, []int{2})
+	mean43, _, err := TargetedRiskContext(context.Background(), orig, adv4, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +160,10 @@ func TestTargetedRiskParagraph2Scenario(t *testing.T) {
 		t.Errorf("user 3: T3b risk %v should be below T4 risk %v", mean3b3, mean43)
 	}
 	// Errors.
-	if _, _, err := TargetedRisk(orig, adv4, nil); err == nil {
+	if _, _, err := TargetedRiskContext(context.Background(), orig, adv4, nil); err == nil {
 		t.Error("empty subset should fail")
 	}
-	if _, _, err := TargetedRisk(orig, adv4, []int{99}); err == nil {
+	if _, _, err := TargetedRiskContext(context.Background(), orig, adv4, []int{99}); err == nil {
 		t.Error("out-of-range target should fail")
 	}
 }

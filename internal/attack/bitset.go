@@ -1,7 +1,5 @@
 package attack
 
-import "math/bits"
-
 // bitset is a fixed-width set of region ids backed by 64-bit words. All
 // operands of the binary operations must share one width (they are always
 // sized by the same region count).
@@ -14,12 +12,6 @@ func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) or(c bitset) {
 	for i, w := range c {
 		b[i] |= w
-	}
-}
-
-func (b bitset) and(c bitset) {
-	for i := range b {
-		b[i] &= c[i]
 	}
 }
 
@@ -36,24 +28,4 @@ func (b bitset) zero() {
 	}
 }
 
-// setAll sets the first n bits.
-func (b bitset) setAll(n int) {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-	if n&63 != 0 {
-		b[len(b)-1] = 1<<(uint(n)&63) - 1
-	}
-}
-
 func (b bitset) clone() bitset { return append(bitset(nil), b...) }
-
-// forEach calls f with every set bit in ascending order.
-func (b bitset) forEach(f func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			f(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}

@@ -16,7 +16,6 @@ import (
 	"microdata/internal/dataset"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
-	"microdata/internal/privacy"
 )
 
 // For GLOBAL recodings the empirical linkage risk must equal the analytic
@@ -48,11 +47,10 @@ func TestLinkageRiskVsReidentificationVector(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		analytic := privacy.ReidentificationVector(r.Partition)
 		for i := range linkage {
-			if linkage[i] > analytic[i]+1e-12 {
+			if analytic := 1 / float64(r.Partition.Size(i)); linkage[i] > analytic+1e-12 {
 				t.Fatalf("%s: tuple %d linkage risk %v exceeds analytic 1/|class| %v",
-					alg.Name(), i, linkage[i], analytic[i])
+					alg.Name(), i, linkage[i], analytic)
 			}
 		}
 		// The gap between linkage and analytic risk is explained by rows
@@ -162,9 +160,9 @@ func TestIndexedMatchesNaiveOnCensusSuite(t *testing.T) {
 		if m != want {
 			t.Fatalf("%s: marketer risk %v, naive mean %v", alg.Name(), m, want)
 		}
-		s := adv.Stats()
-		if s.Regions == 0 || s.RegionsProbed == 0 || s.CacheMisses == 0 {
-			t.Fatalf("%s: stats not populated: %+v", alg.Name(), s)
+		if adv.index.n == 0 || adv.ins.regionsProbed.Value() == 0 || adv.ins.cacheMisses.Value() == 0 {
+			t.Fatalf("%s: counters not populated: %d regions, %d probed, %d misses",
+				alg.Name(), adv.index.n, adv.ins.regionsProbed.Value(), adv.ins.cacheMisses.Value())
 		}
 	}
 }
@@ -478,7 +476,7 @@ func TestProsecutorVectorCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := adv.Stats().CacheMisses
+	misses := adv.ins.cacheMisses.Value()
 	first[0] = 1e9 // callers own their copy; the cache must not see this
 	second, err := ProsecutorVector(tab, adv)
 	if err != nil {
@@ -487,16 +485,13 @@ func TestProsecutorVectorCache(t *testing.T) {
 	if second[0] == 1e9 {
 		t.Fatal("cached prosecutor vector shares memory with a caller")
 	}
-	if _, _, err := TargetedRisk(tab, adv, []int{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SafetyVector(tab, adv); err != nil {
+	if _, _, err := TargetedRiskContext(context.Background(), tab, adv, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MarketerRisk(tab, adv); err != nil {
 		t.Fatal(err)
 	}
-	if got := adv.Stats().CacheMisses; got != misses {
+	if got := adv.ins.cacheMisses.Value(); got != misses {
 		t.Fatalf("dependent measures resolved %d new signatures, want 0", got-misses)
 	}
 }

@@ -32,21 +32,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Flip swaps left and right.
-func (o Outcome) Flip() Outcome {
-	switch o {
-	case LeftBetter:
-		return RightBetter
-	case RightBetter:
-		return LeftBetter
-	default:
-		return o
-	}
-}
-
 // Comparator is a ▶-better comparator (§5): a user-defined ordering
 // operation over property vectors. Implementations must be antisymmetric
-// (Compare(a,b) = Compare(b,a).Flip()) — the property tests enforce this.
+// (swapping the arguments swaps LeftBetter and RightBetter) — the property
+// tests enforce this.
 type Comparator interface {
 	// Name identifies the comparator ("cov", "spr", ...).
 	Name() string
@@ -165,28 +154,4 @@ func (r RankBetter) Compare(a, b PropertyVector) (Outcome, error) {
 		return LeftBetter, nil
 	}
 	return RightBetter, nil
-}
-
-// DominanceBetter adapts strict dominance (Table 4) to the Comparator
-// interface: LeftBetter iff a ≻ b, RightBetter iff b ≻ a, Tie for equality
-// or non-dominance. Useful as the "strict" baseline in comparison matrices.
-type DominanceBetter struct{}
-
-// Name implements Comparator.
-func (DominanceBetter) Name() string { return "dominance" }
-
-// Compare implements Comparator.
-func (DominanceBetter) Compare(a, b PropertyVector) (Outcome, error) {
-	rel, err := Compare(a, b)
-	if err != nil {
-		return Tie, err
-	}
-	switch rel {
-	case LeftDominates:
-		return LeftBetter, nil
-	case RightDominates:
-		return RightBetter, nil
-	default:
-		return Tie, nil
-	}
 }

@@ -19,6 +19,18 @@ func TestOutcomeStringAndFlip(t *testing.T) {
 	}
 }
 
+// Flip swaps left and right, the antisymmetry tests' reference.
+func (o Outcome) Flip() Outcome {
+	switch o {
+	case LeftBetter:
+		return RightBetter
+	case RightBetter:
+		return LeftBetter
+	default:
+		return o
+	}
+}
+
 func TestCovBetterPaperExamples(t *testing.T) {
 	cov := CovBetter()
 	if cov.Name() != "cov" {
@@ -146,24 +158,6 @@ func TestRankBetter(t *testing.T) {
 	}
 }
 
-func TestDominanceBetter(t *testing.T) {
-	d := DominanceBetter{}
-	if d.Name() != "dominance" {
-		t.Errorf("name = %q", d.Name())
-	}
-	out, err := d.Compare(tT3b, sT3a)
-	if err != nil || out != LeftBetter {
-		t.Errorf("dominance(T3b, T3a) = %v, %v", out, err)
-	}
-	out, _ = d.Compare(sT4, tT3b)
-	if out != Tie {
-		t.Errorf("incomparable should map to tie, got %v", out)
-	}
-	if _, err := d.Compare(nil, nil); err == nil {
-		t.Error("empty should fail")
-	}
-}
-
 // Antisymmetry: Compare(a,b) = Compare(b,a).Flip() for every comparator.
 func TestComparatorAntisymmetryQuick(t *testing.T) {
 	dmaxFor := func(n int) PropertyVector {
@@ -184,7 +178,7 @@ func TestComparatorAntisymmetryQuick(t *testing.T) {
 		}
 		comparators := []Comparator{
 			CovBetter(), SprBetter(), HvBetter(), HvLogBetter(),
-			MinBetter(), RankBetter{Dmax: dmaxFor(n)}, DominanceBetter{},
+			MinBetter(), RankBetter{Dmax: dmaxFor(n)},
 		}
 		for _, c := range comparators {
 			ab, err1 := c.Compare(a, b)
@@ -223,7 +217,7 @@ func TestComparatorsRespectDominanceQuick(t *testing.T) {
 		}
 		for _, c := range []Comparator{
 			CovBetter(), SprBetter(), HvBetter(), HvLogBetter(),
-			MinBetter(), RankBetter{Dmax: dmax(n)}, DominanceBetter{},
+			MinBetter(), RankBetter{Dmax: dmax(n)},
 		} {
 			out, err := c.Compare(a, b)
 			if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -297,7 +298,7 @@ func TestNormalizeTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !na.Equal(PropertyVector{0, 0.5, 1}) || !nb.Equal(PropertyVector{1, 0, 0.5}) {
+	if !slices.Equal(na, PropertyVector{0, 0.5, 1}) || !slices.Equal(nb, PropertyVector{1, 0, 0.5}) {
 		t.Errorf("normalized = %v, %v", na, nb)
 	}
 	if a[0] != 0 || b[0] != 10 {
@@ -305,7 +306,7 @@ func TestNormalizeTogether(t *testing.T) {
 	}
 	// Constant pair.
 	ca, cb, err := NormalizeTogether(PropertyVector{3, 3}, PropertyVector{3, 3})
-	if err != nil || !ca.Equal(PropertyVector{0, 0}) || !cb.Equal(PropertyVector{0, 0}) {
+	if err != nil || !slices.Equal(ca, PropertyVector{0, 0}) || !slices.Equal(cb, PropertyVector{0, 0}) {
 		t.Errorf("constant normalize = %v, %v, %v", ca, cb, err)
 	}
 	if _, _, err := NormalizeTogether(PropertyVector{1}, PropertyVector{1, 2}); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -121,7 +122,7 @@ func TestFindDominanceCounterexampleDeterministic(t *testing.T) {
 	if n1 != n2 || (ce1 == nil) != (ce2 == nil) {
 		t.Fatal("search is not deterministic for a fixed seed")
 	}
-	if ce1 != nil && (!ce1.A.Equal(ce2.A) || !ce1.B.Equal(ce2.B)) {
+	if ce1 != nil && (!slices.Equal(ce1.A, ce2.A) || !slices.Equal(ce1.B, ce2.B)) {
 		t.Error("witnesses differ across identical runs")
 	}
 }

@@ -34,19 +34,6 @@ func (v PropertyVector) Clone() PropertyVector {
 	return c
 }
 
-// Equal reports exact element-wise equality.
-func (v PropertyVector) Equal(w PropertyVector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if v[i] != w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate rejects vectors containing NaN or infinities, which would make
 // every comparator below meaningless.
 func (v PropertyVector) Validate() error {

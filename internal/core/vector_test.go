@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,14 +23,11 @@ func TestCloneEqualNegate(t *testing.T) {
 	if v[0] != 1 {
 		t.Error("Clone shares storage")
 	}
-	if !v.Equal(PropertyVector{1, 2, 3}) || v.Equal(PropertyVector{1, 2}) || v.Equal(PropertyVector{1, 2, 4}) {
-		t.Error("Equal misbehaves")
-	}
 	n := v.Negate()
-	if !n.Equal(PropertyVector{-1, -2, -3}) {
+	if !slices.Equal(n, PropertyVector{-1, -2, -3}) {
 		t.Errorf("Negate = %v", n)
 	}
-	if !v.Equal(PropertyVector{1, 2, 3}) {
+	if !slices.Equal(v, PropertyVector{1, 2, 3}) {
 		t.Error("Negate mutated input")
 	}
 }
@@ -164,7 +162,7 @@ func TestDominancePartialOrderLawsQuick(t *testing.T) {
 		// Antisymmetry: a ≿ b and b ≿ a implies equality.
 		wab, _ := WeaklyDominates(a, b)
 		wba, _ := WeaklyDominates(b, a)
-		if wab && wba && !a.Equal(b) {
+		if wab && wba && !slices.Equal(a, b) {
 			return false
 		}
 		// Transitivity of weak dominance.
@@ -179,7 +177,7 @@ func TestDominancePartialOrderLawsQuick(t *testing.T) {
 		sba, _ := StronglyDominates(b, a)
 		switch rel {
 		case EqualVectors:
-			if !a.Equal(b) || sab || sba {
+			if !slices.Equal(a, b) || sab || sba {
 				return false
 			}
 		case LeftDominates:

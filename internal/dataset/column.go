@@ -17,8 +17,8 @@ import (
 //
 // A Column is written only by the Columnar builder that owns it, or built
 // whole by ColumnFromCodes; once part of a Table it never changes and is
-// safe for any number of concurrent readers. The lazily materialized views
-// (Values, Float64View) are internally synchronized.
+// safe for any number of concurrent readers. The lazily materialized view
+// (Values) is internally synchronized.
 type Column struct {
 	codes  []uint32
 	dict   []Value
@@ -28,8 +28,7 @@ type Column struct {
 	allNum bool              // every dictionary entry is an exact Num
 
 	mu     sync.Mutex
-	values []Value        // lazily materialized row-aligned view; treat as read-only
-	f64    *Float64Column // lazily materialized typed view, iff IsNumeric
+	values []Value // lazily materialized row-aligned view; treat as read-only
 }
 
 func newColumn() *Column {
@@ -145,22 +144,8 @@ func (c *Column) DictKeys() []string { return c.keys }
 // Value returns row i's cell value.
 func (c *Column) Value(i int) Value { return c.dict[c.codes[i]] }
 
-// IsNumeric reports whether every dictionary entry is an exact Num value,
-// enabling the flat float64 fast path.
+// IsNumeric reports whether every dictionary entry is an exact Num value.
 func (c *Column) IsNumeric() bool { return c.allNum && len(c.dict) > 0 }
-
-// Floats materializes the column as a flat []float64, ok=false when the
-// column is not purely numeric.
-func (c *Column) Floats() ([]float64, bool) {
-	if !c.IsNumeric() {
-		return nil, false
-	}
-	out := make([]float64, len(c.codes))
-	for i, code := range c.codes {
-		out[i] = c.dict[code].Float()
-	}
-	return out, true
-}
 
 // grow reserves capacity for n more rows in the code vector, so bulk
 // ingest paths with a known chunk size avoid repeated slice regrowth.
@@ -176,23 +161,6 @@ func (c *Column) grow(n int) {
 	codes := make([]uint32, len(c.codes), newcap)
 	copy(codes, c.codes)
 	c.codes = codes
-}
-
-// Float64View returns the column as a typed Float64Column — the flat
-// non-dictionary numeric fast path — materialized at most once and cached.
-// ok is false when the column is not purely numeric. Treat the typed
-// column as read-only.
-func (c *Column) Float64View() (*Float64Column, bool) {
-	if !c.IsNumeric() {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f64 == nil {
-		vals, _ := c.Floats()
-		c.f64 = Float64ColumnOf(vals)
-	}
-	return c.f64, true
 }
 
 // Values returns a row-aligned []Value view of the column, materialized at
@@ -240,9 +208,6 @@ func NewColumnar(schema *Schema) *Columnar {
 	return &Columnar{schema: schema, cols: cols,
 		codeBuf: make([]uint32, n), textBuf: make([]string, n), valBuf: make([]Value, n)}
 }
-
-// Len returns the number of rows appended so far.
-func (c *Columnar) Len() int { return c.rows }
 
 // Grow reserves capacity for n more rows in every column, so chunked
 // ingest with a known size estimate avoids per-column slice regrowth. It

@@ -67,8 +67,9 @@ func TestHashSensitivity(t *testing.T) {
 		t.Error("cell edit did not change the hash")
 	}
 	// A role change (same cell text) changes the hash too.
-	roles := a.Schema.Clone()
-	roles.Attrs[1].Role = Insensitive
+	attrs := append([]Attribute(nil), a.Schema.Attrs...)
+	attrs[1].Role = Insensitive
+	roles := MustSchema(attrs...)
 	hc, err := hashTable(t, roles, NumVal(41)).Hash()
 	if err != nil {
 		t.Fatal(err)

@@ -102,9 +102,6 @@ func (g *CSVIngester) Close() error {
 	return nil
 }
 
-// Len returns the number of data rows ingested so far.
-func (g *CSVIngester) Len() int { return g.cols.Len() }
-
 // Table seals the accumulated builder and returns its table; a later
 // Write fails.
 func (g *CSVIngester) Table() *Table { return g.cols.Table() }

@@ -45,7 +45,7 @@ func TestReadersMatchReferenceOnHostileText(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 28, 28.0 and " 28" share a code; -0 and 0 do not.
-	if got := want.DistinctCount(1); got != 4 {
+	if got := want.ColumnVector(1).Card(); got != 4 {
 		t.Fatalf("reference Age dictionary has %d entries, want 4: %v", got, want.cols[1].keys)
 	}
 	for _, chunk := range []int{1, 3, 7, len(hostileCSV)} {
@@ -130,8 +130,8 @@ func TestFailingRecordLeavesBuilderUnchanged(t *testing.T) {
 				j, col.Len(), col.Card(), len(col.memo), len(col.index))
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("builder has %d rows, want 1", c.Len())
+	if c.rows != 1 {
+		t.Fatalf("builder has %d rows, want 1", c.rows)
 	}
 
 	for _, in := range []string{
@@ -150,8 +150,8 @@ func TestFailingRecordLeavesBuilderUnchanged(t *testing.T) {
 		if gerr == nil || gerr.Error() != want.Error() {
 			t.Errorf("CSVIngester error %v, reference %v", gerr, want)
 		}
-		if g.Len() != 1 || g.cols.cols[0].Card() != 1 {
-			t.Errorf("CSVIngester kept part of the failing record: %d rows, %d zips", g.Len(), g.cols.cols[0].Card())
+		if g.cols.rows != 1 || g.cols.cols[0].Card() != 1 {
+			t.Errorf("CSVIngester kept part of the failing record: %d rows, %d zips", g.cols.rows, g.cols.cols[0].Card())
 		}
 	}
 }

@@ -116,14 +116,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Attr returns the named attribute.
-func (s *Schema) Attr(name string) (Attribute, bool) {
-	if i := s.Index(name); i >= 0 {
-		return s.Attrs[i], true
-	}
-	return Attribute{}, false
-}
-
 // QuasiIdentifiers returns the indices of quasi-identifier attributes in
 // schema order.
 func (s *Schema) QuasiIdentifiers() []int {
@@ -144,17 +136,6 @@ func (s *Schema) SensitiveIndex() int {
 		}
 	}
 	return -1
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	attrs := make([]Attribute, len(s.Attrs))
-	copy(attrs, s.Attrs)
-	byName := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		byName[a.Name] = i
-	}
-	return &Schema{Attrs: attrs, byName: byName}
 }
 
 // Table is a microdata table: a schema plus N rows held as one sealed,
@@ -204,11 +185,6 @@ func (t *Table) ColumnVector(j int) *Column { return t.cols[j] }
 // column and shared; treat it as read-only.
 func (t *Table) Column(j int) []Value { return t.cols[j].Values() }
 
-// Float64Column returns column j as a typed, non-dictionary Float64Column,
-// built at most once and shared; ok is false unless every cell is an exact
-// Num.
-func (t *Table) Float64Column(j int) (*Float64Column, bool) { return t.cols[j].Float64View() }
-
 // ColumnByName returns the named column as a shared []Value.
 func (t *Table) ColumnByName(name string) ([]Value, error) {
 	j := t.Schema.Index(name)
@@ -217,9 +193,6 @@ func (t *Table) ColumnByName(name string) ([]Value, error) {
 	}
 	return t.Column(j), nil
 }
-
-// DistinctCount returns the number of distinct values (by Key) in column j.
-func (t *Table) DistinctCount(j int) int { return t.cols[j].Card() }
 
 // NumericRange returns the min and max of a Numeric column over exact
 // values. Interval cells contribute their bounds. It returns ok=false if

@@ -51,12 +51,8 @@ func TestSchemaLookups(t *testing.T) {
 	if i := s.Index("Nope"); i != -1 {
 		t.Fatalf("Index(Nope) = %d", i)
 	}
-	a, ok := s.Attr("MaritalStatus")
-	if !ok || a.Role != Sensitive {
-		t.Fatalf("Attr(MaritalStatus) = %+v, %v", a, ok)
-	}
-	if _, ok := s.Attr("Nope"); ok {
-		t.Fatal("Attr(Nope) should not exist")
+	if i := s.Index("MaritalStatus"); i != 2 || s.Attrs[i].Role != Sensitive {
+		t.Fatalf("Index(MaritalStatus) = %d", i)
 	}
 	if qi := s.QuasiIdentifiers(); len(qi) != 2 || qi[0] != 0 || qi[1] != 1 {
 		t.Fatalf("QuasiIdentifiers = %v", qi)
@@ -109,11 +105,11 @@ func TestDistinctCount(t *testing.T) {
 	c.MustAppend(StrVal("13053"), NumVal(41), StrVal("Separated"))
 	c.MustAppend(StrVal("13268"), NumVal(41), StrVal("Separated"))
 	tab := c.Table()
-	if got := tab.DistinctCount(0); got != 2 {
-		t.Fatalf("DistinctCount(zip) = %d", got)
+	if got := tab.ColumnVector(0).Card(); got != 2 {
+		t.Fatalf("Card(zip) = %d", got)
 	}
-	if got := tab.DistinctCount(1); got != 2 {
-		t.Fatalf("DistinctCount(age) = %d", got)
+	if got := tab.ColumnVector(1).Card(); got != 2 {
+		t.Fatalf("Card(age) = %d", got)
 	}
 }
 

@@ -106,9 +106,6 @@ func StarVal() Value { return Value{kind: Star} }
 // Kind reports which member of the union is stored.
 func (v Value) Kind() ValueKind { return v.kind }
 
-// IsExact reports whether the value is an ungeneralized ground value.
-func (v Value) IsExact() bool { return v.kind == Num || v.kind == Str }
-
 // IsSuppressed reports whether the value is the fully suppressed "*".
 func (v Value) IsSuppressed() bool { return v.kind == Star }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"microdata/internal/algorithm"
+	"microdata/internal/algorithm/algtest"
 	"microdata/internal/dataset"
 	"microdata/internal/engine"
 	"microdata/internal/generator"
@@ -15,7 +16,7 @@ import (
 
 // The tentpole benchmark: a full-lattice sweep (evaluate + cost for every
 // node, as the exhaustive search does) on the census generator, direct
-// ApplyNode/NodeCost pipeline vs. the engine. EXPERIMENTS.md records the
+// ApplyNode/algtest.NodeCost pipeline vs. the engine. EXPERIMENTS.md records the
 // reproduced numbers. The engine timings INCLUDE engine construction
 // (fragment precomputation), so the speedup shown is end-to-end.
 
@@ -36,13 +37,17 @@ func BenchmarkFullLatticeSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := lattice.Must(ml).Nodes()
+		lat, err := lattice.New(ml)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := lat.Nodes()
 		b.Run(fmt.Sprintf("direct/n=%d", n), func(b *testing.B) {
 			runtime.GC() // isolate from the previous sub-benchmark's garbage
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, node := range nodes {
-					if _, err := algorithm.NodeCost(tab, cfg, node); err != nil {
+					if _, err := algtest.NodeCost(tab, cfg, node); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -72,7 +77,11 @@ func BenchmarkFullLatticeSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sweepEngine(b, tab, cfg, lattice.Must(ml).Nodes())
+		lat, err := lattice.New(ml)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweepEngine(b, tab, cfg, lat.Nodes())
 	})
 }
 

@@ -49,9 +49,9 @@
 // Row-level state is built only on demand: Evaluation.RowPartition regroups
 // the rows of one node, and algorithm.FinishGlobal materializes the finally
 // selected node. Every verdict and cost is bit-identical to the direct
-// algorithm.ApplyNode/NodeCost pipeline (the engine equivalence tests pin
-// this), so switching an algorithm onto the engine cannot change its
-// output.
+// pipeline of algorithm.ApplyNode and the test reference algtest.NodeCost
+// (the engine equivalence tests pin this), so switching an algorithm onto
+// the engine cannot change its output.
 package engine
 
 import (
@@ -98,7 +98,7 @@ type Engine struct {
 	sens *freqset.Sensitive
 	// lossErr defers a loss-precomputation failure (e.g. a Set hierarchy
 	// without a taxonomy) until a cost is actually requested, matching the
-	// direct pipeline where ApplyNode succeeds and only NodeCost fails.
+	// direct pipeline where ApplyNode succeeds and only the cost fails.
 	lossErr error
 
 	cache    *lru.Cache[*Evaluation]
@@ -197,9 +197,9 @@ func (e *Engine) NumQI() int { return len(e.attrs) }
 func (e *Engine) Stats() Stats { return e.counters.snapshot() }
 
 // DistinctAtLevel returns the number of distinct generalized values of
-// quasi-identifier li (QI order) at the given level — what
-// Table.DistinctCount would report on the generalized column. Datafly's
-// most-distinct-first rule reads this instead of generalizing the table.
+// quasi-identifier li (QI order) at the given level — the dictionary size
+// of the generalized column. Datafly's most-distinct-first rule reads this
+// instead of generalizing the table.
 func (e *Engine) DistinctAtLevel(li, level int) (int, error) {
 	if li < 0 || li >= len(e.attrs) {
 		return 0, fmt.Errorf("engine: quasi-identifier index %d out of range", li)
@@ -252,7 +252,7 @@ type Evaluation struct {
 
 // Cost returns the node's utility cost under the configured metric, lower
 // is better. Nodes over the suppression budget cost +Inf. The value is
-// bit-identical to algorithm.NodeCost.
+// bit-identical to the direct reference algtest.NodeCost.
 func (ev *Evaluation) Cost() (float64, error) { return ev.cost, ev.costErr }
 
 // ClassSizes returns the sizes of the node's equivalence classes before
@@ -397,8 +397,9 @@ func (e *Engine) isStar(fs *freqset.Set, c int, node lattice.Node) bool {
 }
 
 // price computes the configured utility metric of an admissible node from
-// its class counts, replicating algorithm.NodeCost: the violating rows are
-// suppressed into the all-star class, then the release is scored.
+// its class counts, replicating the direct reference algtest.NodeCost: the
+// violating rows are suppressed into the all-star class, then the release
+// is scored.
 func (e *Engine) price(fs *freqset.Set, node lattice.Node, bad []bool, badRows int) (float64, error) {
 	switch e.cfg.Metric {
 	case algorithm.MetricLM:

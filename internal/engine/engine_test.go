@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"microdata/internal/algorithm"
@@ -128,7 +129,7 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 		if ev == nil {
 			t.Fatalf("evaluation %d missing", i)
 		}
-		if !ev.Node.Equal(nodes[i]) {
+		if !slices.Equal(ev.Node, nodes[i]) {
 			t.Fatalf("evaluation %d is for node %v, want %v", i, ev.Node, nodes[i])
 		}
 	}

@@ -22,7 +22,7 @@ import (
 
 // TestEngineMatchesDirectPipeline pins the tentpole guarantee: for EVERY
 // node of the lattice, the engine's constraint verdict, violating row
-// count and cost are bit-identical to the direct ApplyNode/NodeCost
+// count and cost are bit-identical to the direct ApplyNode/algtest.NodeCost
 // pipeline — across k-anonymity, ℓ-diversity (distinct, entropy and
 // recursive variants) and t-closeness, under all three utility metrics,
 // with and without a suppression budget, and on an interval ladder whose
@@ -113,7 +113,7 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("node %v: direct ApplyNode: %v", n, err)
 				}
-				c, cerr := algorithm.NodeCost(tc.tab, cfg, n)
+				c, cerr := algtest.NodeCost(tc.tab, cfg, n)
 				want[n.Key()] = direct{bad: len(small), cost: c, costErr: cerr}
 				ev, err := ref.Evaluate(ctx, n)
 				if err != nil {
@@ -247,7 +247,7 @@ func TestEngineMatchesDirectOnLargerBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCost, wantErr := algorithm.NodeCost(census, cfg, n)
+			wantCost, wantErr := algtest.NodeCost(census, cfg, n)
 			gotCost, gotErr := ev.Cost()
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%v node %v: cost errors differ: %v vs %v", m, n, wantErr, gotErr)

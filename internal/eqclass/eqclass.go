@@ -125,17 +125,6 @@ func (p *Partition) MinSize() int {
 	return min
 }
 
-// MaxSize returns the largest class size.
-func (p *Partition) MaxSize() int {
-	max := 0
-	for _, c := range p.Classes {
-		if len(c) > max {
-			max = len(c)
-		}
-	}
-	return max
-}
-
 // Sizes returns the per-class sizes in class order.
 func (p *Partition) Sizes() []int {
 	out := make([]int, len(p.Classes))

@@ -50,9 +50,6 @@ func TestFromTablePaperT3a(t *testing.T) {
 	if p.MinSize() != 3 {
 		t.Errorf("MinSize = %d, want 3 (T3a is 3-anonymous)", p.MinSize())
 	}
-	if p.MaxSize() != 4 {
-		t.Errorf("MaxSize = %d, want 4", p.MaxSize())
-	}
 	want := []float64{3, 3, 3, 3, 4, 4, 4, 3, 3, 4}
 	got := p.SizeVector()
 	for i := range want {
@@ -117,7 +114,7 @@ func TestEmptyTablePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.N() != 0 || p.NumClasses() != 0 || p.MinSize() != 0 || p.MaxSize() != 0 {
+	if p.N() != 0 || p.NumClasses() != 0 || p.MinSize() != 0 {
 		t.Errorf("empty partition: %+v", p)
 	}
 	if len(p.SizeVector()) != 0 {

@@ -3,6 +3,7 @@ package freqset
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,7 +58,11 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := lattice.Must(maxLevels).Nodes()
+	lat, err := lattice.New(maxLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := lat.Nodes()
 	const callers = 6
 	type got struct {
 		fs      *Set
@@ -165,7 +170,11 @@ func censusStore(t *testing.T, n int, hs hierarchy.Set) (*Store, *lattice.Lattic
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(tab, hs, generator.Taxonomies(), 0), lattice.Must(maxLevels)
+	lat, err := lattice.New(maxLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(tab, hs, generator.Taxonomies(), 0), lat
 }
 
 // TestFarNodeReadsItsHub asks a fresh census store first for a node far
@@ -180,7 +189,7 @@ func TestFarNodeReadsItsHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := s.hub(x)
-	if hub == nil || hub.Equal(x) {
+	if hub == nil || slices.Equal(hub, x) {
 		t.Fatalf("top node %v has no hub", x)
 	}
 	hs, claimed, err := s.Get(hub, false)

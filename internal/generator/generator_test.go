@@ -109,10 +109,10 @@ func TestGeneratedDataHasDiversity(t *testing.T) {
 	if p.MinSize() > 1 {
 		t.Errorf("raw census is already %d-anonymous — too little variety", p.MinSize())
 	}
-	if got := tab.DistinctCount(4); got < 8 {
+	if got := tab.ColumnVector(4).Card(); got < 8 {
 		t.Errorf("only %d distinct diseases", got)
 	}
-	if got := tab.DistinctCount(0); got < 30 {
+	if got := tab.ColumnVector(0).Card(); got < 30 {
 		t.Errorf("only %d distinct ages", got)
 	}
 }

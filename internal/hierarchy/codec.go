@@ -7,8 +7,7 @@ import (
 	"strings"
 )
 
-// ParseTaxonomy reads a taxonomy from the indentation-based text format
-// WriteTaxonomy emits:
+// ParseTaxonomy reads a taxonomy from an indentation-based text format:
 //
 //	*
 //	  Married
@@ -101,21 +100,4 @@ func indentDepth(line string) (int, error) {
 		return 0, fmt.Errorf("odd indentation of %d spaces", spaces)
 	}
 	return spaces / 2, nil
-}
-
-// WriteTaxonomy renders the taxonomy in ParseTaxonomy's format.
-func WriteTaxonomy(w io.Writer, t *Taxonomy) error {
-	var walk func(n *Node, depth int) error
-	walk = func(n *Node, depth int) error {
-		if _, err := fmt.Fprintf(w, "%s%s\n", strings.Repeat("  ", depth), n.Label); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(t.root, 0)
 }

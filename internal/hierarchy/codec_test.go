@@ -2,6 +2,8 @@ package hierarchy
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -74,7 +76,7 @@ func TestTaxonomyTextRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTaxonomy(&buf, orig); err != nil {
+	if err := writeTaxonomy(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParseTaxonomy("MaritalStatus", &buf)
@@ -98,4 +100,22 @@ func TestTaxonomyTextRoundTrip(t *testing.T) {
 			t.Fatalf("generalization of %q differs: %v vs %v", ol[i], g1, g2)
 		}
 	}
+}
+
+// writeTaxonomy renders the taxonomy in ParseTaxonomy's format, the inverse
+// the round-trip tests check the parser against.
+func writeTaxonomy(w io.Writer, t *Taxonomy) error {
+	var walk func(n *Node, depth int) error
+	walk = func(n *Node, depth int) error {
+		if _, err := fmt.Fprintf(w, "%s%s\n", strings.Repeat("  ", depth), n.Label); err != nil {
+			return err
+		}
+		for _, c := range n.Children {
+			if err := walk(c, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(t.root, 0)
 }

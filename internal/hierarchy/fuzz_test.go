@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzParseTaxonomy checks that arbitrary text either fails cleanly or
-// produces a taxonomy that round-trips through WriteTaxonomy.
+// produces a taxonomy that round-trips through writeTaxonomy.
 func FuzzParseTaxonomy(f *testing.F) {
 	f.Add("*\n  A\n    a1\n    a2\n  B\n")
 	f.Add("*\n\tA\n\t\ta1\n")
@@ -30,7 +30,7 @@ func FuzzParseTaxonomy(f *testing.F) {
 			t.Fatal("taxonomy with no leaves")
 		}
 		var buf bytes.Buffer
-		if err := WriteTaxonomy(&buf, tax); err != nil {
+		if err := writeTaxonomy(&buf, tax); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		back, err := ParseTaxonomy("X", &buf)

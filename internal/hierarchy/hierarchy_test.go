@@ -129,15 +129,6 @@ func TestTaxonomyLoss(t *testing.T) {
 
 func TestTaxonomyLeafCountAndLeaves(t *testing.T) {
 	tax := maritalTaxonomy(t)
-	if n, _ := tax.LeafCount(dataset.StrVal("Divorced"), 1); n != 4 {
-		t.Errorf("LeafCount(Divorced,1) = %d, want 4", n)
-	}
-	if n, _ := tax.LeafCount(dataset.StrVal("Divorced"), 2); n != 6 {
-		t.Errorf("LeafCount(Divorced,2) = %d, want 6", n)
-	}
-	if n, _ := tax.LeafCount(dataset.StrVal("CF-Spouse"), 0); n != 1 {
-		t.Errorf("LeafCount(CF-Spouse,0) = %d, want 1", n)
-	}
 	leaves := tax.Leaves()
 	if len(leaves) != 6 || leaves[0] != "CF-Spouse" || leaves[5] != "Spouse Absent" {
 		t.Errorf("Leaves = %v", leaves)
@@ -349,33 +340,6 @@ func TestPrefixMaskErrors(t *testing.T) {
 	}
 	if _, err := zip.Loss(dataset.StrVal("123"), 1); err == nil {
 		t.Error("loss on wrong length should fail")
-	}
-}
-
-func TestSuppressionHierarchy(t *testing.T) {
-	h := NewSuppression("MaritalStatus")
-	if h.MaxLevel() != 1 {
-		t.Fatalf("MaxLevel = %d", h.MaxLevel())
-	}
-	v, err := h.Generalize(dataset.StrVal("Divorced"), 0)
-	if err != nil || v.Text() != "Divorced" {
-		t.Fatalf("level 0 = %v, %v", v, err)
-	}
-	v, err = h.Generalize(dataset.StrVal("Divorced"), 1)
-	if err != nil || !v.IsSuppressed() {
-		t.Fatalf("level 1 = %v, %v", v, err)
-	}
-	if _, err := h.Generalize(dataset.StrVal("x"), 2); err == nil {
-		t.Error("level 2 should fail")
-	}
-	if l, _ := h.Loss(dataset.StrVal("x"), 0); l != 0 {
-		t.Error("loss 0 expected")
-	}
-	if l, _ := h.Loss(dataset.StrVal("x"), 1); l != 1 {
-		t.Error("loss 1 expected")
-	}
-	if _, err := h.Loss(dataset.StrVal("x"), 5); err == nil {
-		t.Error("out-of-range loss level should fail")
 	}
 }
 

@@ -111,6 +111,3 @@ func (h *Intervals) Loss(v dataset.Value, level int) (float64, error) {
 		return loss, nil
 	}
 }
-
-// Domain returns the configured [dmin, dmax] bounds.
-func (h *Intervals) Domain() (dmin, dmax float64) { return h.dmin, h.dmax }

@@ -86,38 +86,3 @@ func (h *PrefixMask) Loss(v dataset.Value, level int) (float64, error) {
 	}
 	return float64(level) / float64(h.length), nil
 }
-
-// Suppression is the trivial two-level hierarchy: level 0 keeps the value,
-// level 1 suppresses it. It suits attributes with no meaningful
-// intermediate generalization (the Marital Status column of the paper's T4).
-type Suppression struct {
-	attr string
-}
-
-// NewSuppression builds a suppression-only hierarchy.
-func NewSuppression(attr string) *Suppression { return &Suppression{attr: attr} }
-
-// Attribute implements Hierarchy.
-func (h *Suppression) Attribute() string { return h.attr }
-
-// MaxLevel implements Hierarchy.
-func (h *Suppression) MaxLevel() int { return 1 }
-
-// Generalize implements Hierarchy.
-func (h *Suppression) Generalize(v dataset.Value, level int) (dataset.Value, error) {
-	if err := checkLevel(level, 1); err != nil {
-		return dataset.Value{}, fmt.Errorf("suppression %q: %w", h.attr, err)
-	}
-	if level == 1 {
-		return dataset.StarVal(), nil
-	}
-	return v, nil
-}
-
-// Loss implements Hierarchy.
-func (h *Suppression) Loss(_ dataset.Value, level int) (float64, error) {
-	if err := checkLevel(level, 1); err != nil {
-		return 0, fmt.Errorf("suppression %q: %w", h.attr, err)
-	}
-	return float64(level), nil
-}

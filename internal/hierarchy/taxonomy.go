@@ -181,23 +181,6 @@ func (t *Taxonomy) Loss(v dataset.Value, level int) (float64, error) {
 	return float64(t.leafCnt[n]-1) / float64(t.totalLvs-1), nil
 }
 
-// LeafCount returns the number of ground values covered by the generalized
-// form of v at the given level. Used by ℓ-diversity-style measurements and
-// personalized guarding nodes.
-func (t *Taxonomy) LeafCount(v dataset.Value, level int) (int, error) {
-	if err := checkLevel(level, t.depth); err != nil {
-		return 0, fmt.Errorf("taxonomy %q: %w", t.attr, err)
-	}
-	if level == t.depth {
-		return t.totalLvs, nil
-	}
-	n, err := t.node(v, level)
-	if err != nil {
-		return 0, err
-	}
-	return t.leafCnt[n], nil
-}
-
 // Leaves returns the ground domain (all leaf labels) in depth-first order.
 func (t *Taxonomy) Leaves() []string {
 	var out []string

@@ -34,19 +34,6 @@ func (n Node) Height() int {
 	return h
 }
 
-// Equal reports component-wise equality.
-func (n Node) Equal(m Node) bool {
-	if len(n) != len(m) {
-		return false
-	}
-	for i := range n {
-		if n[i] != m[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AtMost reports whether n is component-wise at most m, i.e. m is at least
 // as generalized as n in every attribute.
 func (n Node) AtMost(m Node) bool {
@@ -98,18 +85,6 @@ func New(maxLevels []int) (*Lattice, error) {
 	copy(c, maxLevels)
 	return &Lattice{max: c}, nil
 }
-
-// Must is New that panics on error, for fixtures.
-func Must(maxLevels []int) *Lattice {
-	l, err := New(maxLevels)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Dims returns the number of attributes.
-func (l *Lattice) Dims() int { return len(l.max) }
 
 // MaxLevels returns a copy of the per-attribute maxima.
 func (l *Lattice) MaxLevels() []int {
@@ -279,10 +254,3 @@ func Between(bottom, top Node, h int) []Node {
 	rec(0, h-bottom.Height())
 	return out
 }
-
-// GeneralizationOrderConsistent reports whether raising levels can only
-// merge equivalence classes, expressed as a check the property-based tests
-// rely on: for nodes a <= b, every pair of tuples identical under a must be
-// identical under b. The lattice itself cannot verify table semantics, so
-// this helper only validates the partial order arguments.
-func GeneralizationOrderConsistent(a, b Node) bool { return a.AtMost(b) }

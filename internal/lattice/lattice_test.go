@@ -3,6 +3,7 @@ package lattice
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,9 +17,6 @@ func TestNodeBasics(t *testing.T) {
 	c[0] = 9
 	if n[0] != 1 {
 		t.Error("Clone shares storage")
-	}
-	if !n.Equal(Node{1, 2, 0}) || n.Equal(Node{1, 2, 1}) || n.Equal(Node{1, 2}) {
-		t.Error("Equal misbehaves")
 	}
 	if !n.AtMost(Node{1, 2, 0}) || !n.AtMost(Node{2, 2, 1}) || n.AtMost(Node{0, 2, 0}) || n.AtMost(Node{1, 2}) {
 		t.Error("AtMost misbehaves")
@@ -56,9 +54,18 @@ func TestNewValidation(t *testing.T) {
 		t.Error("negative max should fail")
 	}
 	l := Must([]int{5, 4})
-	if l.Dims() != 2 {
-		t.Errorf("Dims = %d", l.Dims())
+	if got := len(l.MaxLevels()); got != 2 {
+		t.Errorf("dimensions = %d", got)
 	}
+}
+
+// Must is New that panics on error, the fixture constructor of these tests.
+func Must(maxLevels []int) *Lattice {
+	l, err := New(maxLevels)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
 func TestMustPanics(t *testing.T) {
@@ -73,10 +80,10 @@ func TestMustPanics(t *testing.T) {
 func TestBoundsAndSize(t *testing.T) {
 	// The paper's running-example lattice: zip 0..5, age 0..4, giving 30 nodes.
 	l := Must([]int{5, 4})
-	if !l.Bottom().Equal(Node{0, 0}) {
+	if !slices.Equal(l.Bottom(), Node{0, 0}) {
 		t.Errorf("Bottom = %v", l.Bottom())
 	}
-	if !l.Top().Equal(Node{5, 4}) {
+	if !slices.Equal(l.Top(), Node{5, 4}) {
 		t.Errorf("Top = %v", l.Top())
 	}
 	if l.Height() != 9 {
@@ -116,14 +123,14 @@ func TestContains(t *testing.T) {
 func TestSuccessorsPredecessors(t *testing.T) {
 	l := Must([]int{2, 2})
 	succ := l.Successors(Node{1, 2})
-	if len(succ) != 1 || !succ[0].Equal(Node{2, 2}) {
+	if len(succ) != 1 || !slices.Equal(succ[0], Node{2, 2}) {
 		t.Errorf("Successors(1,2) = %v", succ)
 	}
 	if got := l.Successors(l.Top()); len(got) != 0 {
 		t.Errorf("Successors(top) = %v", got)
 	}
 	pred := l.Predecessors(Node{1, 0})
-	if len(pred) != 1 || !pred[0].Equal(Node{0, 0}) {
+	if len(pred) != 1 || !slices.Equal(pred[0], Node{0, 0}) {
 		t.Errorf("Predecessors(1,0) = %v", pred)
 	}
 	if got := l.Predecessors(l.Bottom()); len(got) != 0 {
@@ -214,7 +221,7 @@ func TestPartialOrderLawsQuick(t *testing.T) {
 		if !a.AtMost(a) {
 			return false
 		}
-		if a.AtMost(b) && b.AtMost(a) && !a.Equal(b) {
+		if a.AtMost(b) && b.AtMost(a) && !slices.Equal(a, b) {
 			return false
 		}
 		if a.AtMost(b) && b.AtMost(c) && !a.AtMost(c) {

@@ -233,12 +233,3 @@ func Measure(c *Context, props ...Property) (core.PropertySet, error) {
 	}
 	return set, nil
 }
-
-// Names lists the property names in order, for report headers.
-func Names(props ...Property) []string {
-	out := make([]string, len(props))
-	for i, p := range props {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"microdata/internal/core"
@@ -45,7 +46,7 @@ func TestClassSizeMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Equal(paperdata.ClassSizeT3a) {
+	if !slices.Equal(v, paperdata.ClassSizeT3a) {
 		t.Errorf("class-size = %v, want %v", v, paperdata.ClassSizeT3a)
 	}
 }
@@ -55,7 +56,7 @@ func TestSensitiveCountMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Equal(paperdata.SensitiveCountT3a) {
+	if !slices.Equal(v, paperdata.SensitiveCountT3a) {
 		t.Errorf("sensitive-count = %v, want %v", v, paperdata.SensitiveCountT3a)
 	}
 }
@@ -66,7 +67,7 @@ func TestDistinctSensitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.PropertyVector{2, 2, 2, 2, 3, 3, 3, 2, 2, 3}
-	if !v.Equal(want) {
+	if !slices.Equal(v, want) {
 		t.Errorf("distinct-sensitive = %v, want %v", v, want)
 	}
 }
@@ -182,12 +183,8 @@ func TestMeasureBuildsPropertySet(t *testing.T) {
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(set) != 2 || !set[0].Equal(paperdata.ClassSizeT3a) {
+	if len(set) != 2 || !slices.Equal(set[0], paperdata.ClassSizeT3a) {
 		t.Errorf("set = %v", set)
-	}
-	names := Names(props...)
-	if names[0] != "class-size" || names[1] != "retained-information" {
-		t.Errorf("names = %v", names)
 	}
 	if _, err := Measure(c); err == nil {
 		t.Error("no properties should fail")

@@ -1,6 +1,7 @@
 package paperdata
 
 import (
+	"slices"
 	"testing"
 
 	"microdata/internal/core"
@@ -116,7 +117,7 @@ func TestPartitionsReproduceFigure1(t *testing.T) {
 			t.Errorf("%s: k = %d, want %d", c.name, got, c.k)
 		}
 		got := core.PropertyVector(privacy.ClassSizeVector(p))
-		if !got.Equal(c.want) {
+		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: class-size vector = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -131,7 +132,7 @@ func TestSensitiveCountMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !core.PropertyVector(got).Equal(SensitiveCountT3a) {
+	if !slices.Equal(core.PropertyVector(got), SensitiveCountT3a) {
 		t.Errorf("sensitive-count vector = %v, want %v", got, SensitiveCountT3a)
 	}
 }

@@ -58,15 +58,6 @@ func DistinctLDiversity(h *eqclass.Histograms) int {
 	return min
 }
 
-// IsDistinctLDiverse reports whether every class holds at least l distinct
-// sensitive values.
-func IsDistinctLDiverse(h *eqclass.Histograms, l int) (bool, error) {
-	if l < 1 {
-		return false, fmt.Errorf("privacy: l must be positive, got %d", l)
-	}
-	return h.Len() > 0 && DistinctLDiversity(h) >= l, nil
-}
-
 // EntropyLDiversity returns the entropy ℓ of the classes: exp of the
 // minimum class entropy of the sensitive distribution. A partition is
 // entropy ℓ-diverse when the returned value is at least ℓ.
@@ -133,30 +124,6 @@ func RecursiveCL(counts []int, c float64, l int) bool {
 		tail += f
 	}
 	return float64(counts[0]) < c*float64(tail)
-}
-
-// RecursiveCLDiversity reports whether the classes are recursive (c,ℓ)-
-// diverse (Machanavajjhala et al.): in every class, with sensitive value
-// frequencies r_1 >= r_2 >= ... >= r_m, it must hold that
-// r_1 < c · (r_l + r_{l+1} + ... + r_m).
-func RecursiveCLDiversity(h *eqclass.Histograms, c float64, l int) (bool, error) {
-	if l < 1 {
-		return false, fmt.Errorf("privacy: l must be positive, got %d", l)
-	}
-	if c <= 0 || math.IsNaN(c) {
-		return false, fmt.Errorf("privacy: c must be positive, got %v", c)
-	}
-	if h.Len() == 0 {
-		return false, nil
-	}
-	var counts []int
-	for ci := 0; ci < h.Len(); ci++ {
-		_, hist := h.Class(ci)
-		if counts = Counts(counts, hist); !RecursiveCL(counts, c, l) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // SensitiveCountVector is the paper's §3 ℓ-diversity property vector:
@@ -242,15 +209,4 @@ func BreachProbabilityVector(p *eqclass.Partition, col *dataset.Column, h *eqcla
 		out[i] /= float64(p.Size(i))
 	}
 	return out, nil
-}
-
-// ReidentificationVector is the per-tuple re-identification probability
-// 1/|class| — the "probability of privacy breach" the paper's §1 uses
-// (1/3 for T3a's tuples, 1/7 for most of T3b's).
-func ReidentificationVector(p *eqclass.Partition) []float64 {
-	out := make([]float64, p.N())
-	for i := range out {
-		out[i] = 1 / float64(p.Size(i))
-	}
-	return out
 }

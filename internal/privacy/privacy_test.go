@@ -129,17 +129,6 @@ func TestDistinctLDiversity(t *testing.T) {
 	if l := DistinctLDiversity(h); l != 2 {
 		t.Errorf("distinct ℓ(T3a) = %d; want 2", l)
 	}
-	ok, err := IsDistinctLDiverse(h, 2)
-	if err != nil || !ok {
-		t.Errorf("T3a should be 2-diverse: %v, %v", ok, err)
-	}
-	ok, _ = IsDistinctLDiverse(h, 3)
-	if ok {
-		t.Error("T3a is not 3-diverse")
-	}
-	if _, err := IsDistinctLDiverse(h, 0); err == nil {
-		t.Error("l=0 should fail")
-	}
 	if _, _, err := hists(partT3a(t), sensitiveT1()[:3]); err == nil {
 		t.Error("short column should fail")
 	}
@@ -147,9 +136,6 @@ func TestDistinctLDiversity(t *testing.T) {
 	eh, _ := mustHists(t, empty, nil)
 	if l := DistinctLDiversity(eh); l != 0 {
 		t.Errorf("empty distinct ℓ = %d", l)
-	}
-	if ok, _ := IsDistinctLDiverse(eh, 1); ok {
-		t.Error("empty partition is not diverse")
 	}
 }
 
@@ -237,32 +223,16 @@ func TestRecursiveCLDiversity(t *testing.T) {
 		dataset.StrVal("b"), dataset.StrVal("b"), dataset.StrVal("c"),
 	}
 	h, _ := mustHists(t, p, col)
-	ok, err := RecursiveCLDiversity(h, 1.0, 2)
-	if err != nil || ok {
-		t.Errorf("(1,2)-diversity = %v, %v; want false", ok, err)
+	_, hist := h.Class(0)
+	if RecursiveCL(Counts(nil, hist), 1.0, 2) {
+		t.Error("(1,2)-diversity holds; want false")
 	}
-	ok, err = RecursiveCLDiversity(h, 1.5, 2)
-	if err != nil || !ok {
-		t.Errorf("(1.5,2)-diversity = %v, %v; want true", ok, err)
+	if !RecursiveCL(Counts(nil, hist), 1.5, 2) {
+		t.Error("(1.5,2)-diversity fails; want true")
 	}
 	// l beyond distinct count fails.
-	ok, err = RecursiveCLDiversity(h, 10, 4)
-	if err != nil || ok {
-		t.Errorf("(10,4)-diversity = %v, %v; want false", ok, err)
-	}
-	if _, err := RecursiveCLDiversity(h, 1, 0); err == nil {
-		t.Error("l=0 should fail")
-	}
-	if _, err := RecursiveCLDiversity(h, -1, 2); err == nil {
-		t.Error("negative c should fail")
-	}
-	if _, err := RecursiveCLDiversity(h, math.NaN(), 2); err == nil {
-		t.Error("NaN c should fail")
-	}
-	empty, _ := eqclass.FromGroups(0, nil)
-	eh, _ := mustHists(t, empty, nil)
-	if ok, err := RecursiveCLDiversity(eh, 1, 1); err != nil || ok {
-		t.Errorf("empty partition: %v, %v", ok, err)
+	if RecursiveCL(Counts(nil, hist), 10, 4) {
+		t.Error("(10,4)-diversity holds; want false")
 	}
 }
 
@@ -285,17 +255,18 @@ func TestDistinctCountVector(t *testing.T) {
 }
 
 func TestReidentificationVectorPaperSection1(t *testing.T) {
-	// §1: in T3b tuples {2,3,5,6,7,9,10} have breach probability 1/7, the
+	// §1: a tuple's re-identification probability is 1 over its class
+	// size. In T3b tuples {2,3,5,6,7,9,10} have breach probability 1/7, the
 	// rest 1/3.
-	got := ReidentificationVector(partT3b(t))
+	sizes := ClassSizeVector(partT3b(t))
 	for i, want := range []float64{1.0 / 3, 1.0 / 7, 1.0 / 7, 1.0 / 3, 1.0 / 7, 1.0 / 7, 1.0 / 7, 1.0 / 3, 1.0 / 7, 1.0 / 7} {
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Fatalf("reidentification vector = %v", got)
+		if got := 1 / sizes[i]; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("tuple %d: breach probability %v, want %v", i, got, want)
 		}
 	}
 	// §1: every tuple of a 3-anonymous table has at most 1/3 breach prob.
-	for _, v := range ReidentificationVector(partT3a(t)) {
-		if v > 1.0/3+1e-12 {
+	for _, size := range ClassSizeVector(partT3a(t)) {
+		if v := 1 / size; v > 1.0/3+1e-12 {
 			t.Errorf("T3a breach probability %v exceeds 1/3", v)
 		}
 	}

@@ -98,18 +98,6 @@ func TCloseness(h *eqclass.Histograms, s *Support) (float64, error) {
 	return worst, nil
 }
 
-// IsTClose reports whether the classes satisfy t-closeness at threshold t.
-func IsTClose(h *eqclass.Histograms, s *Support, t float64) (bool, error) {
-	if t < 0 || t > 1 || math.IsNaN(t) {
-		return false, fmt.Errorf("privacy: t must be in [0,1], got %v", t)
-	}
-	got, err := TCloseness(h, s)
-	if err != nil {
-		return false, err
-	}
-	return got <= t+1e-12, nil
-}
-
 // TClosenessVector assigns every tuple the EMD between its class's
 // sensitive distribution and the global one — a per-tuple t-closeness
 // property. Under the paper's higher-is-better convention callers should

@@ -137,31 +137,6 @@ func Skewness(xs []float64) float64 {
 	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
 }
 
-// Histogram counts values into nbins equal-width bins over [lo, hi]; values
-// outside the range clamp into the end bins. It returns an error for
-// nbins < 1 or an empty range.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs at least 1 bin")
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v,%v] is empty", lo, hi)
-	}
-	bins := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		bins[b]++
-	}
-	return bins, nil
-}
-
 // Summary bundles the descriptive statistics the bias tables report.
 type Summary struct {
 	N      int

@@ -117,30 +117,6 @@ func TestSkewness(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	bins, err := Histogram([]float64{0, 1, 2, 3, 9, 10, -5, 99}, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTotal := 8
-	total := 0
-	for _, b := range bins {
-		total += b
-	}
-	if total != wantTotal {
-		t.Errorf("histogram loses values: %v", bins)
-	}
-	if bins[0] < 2 {
-		t.Errorf("clamping failed: %v", bins)
-	}
-	if _, err := Histogram(nil, 0, 10, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-	if _, err := Histogram(nil, 5, 5, 3); err == nil {
-		t.Error("empty range should fail")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{3, 3, 3, 3, 4, 4, 4, 3, 3, 4})
 	if s.N != 10 || s.Min != 3 || s.Max != 4 || s.Mean != 3.4 {

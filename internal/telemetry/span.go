@@ -22,9 +22,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: int64(v)} }
 // Int64 builds an integer attribute.
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
@@ -130,10 +127,4 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 	}
 	s := c.Tracer.start(name, parentID, attrs)
 	return context.WithValue(ctx, spanCtxKey{}, s), s
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
 }

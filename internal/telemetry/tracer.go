@@ -17,8 +17,7 @@ type Tracer struct {
 	now   func() time.Time
 	epoch time.Time
 
-	nextID  atomic.Uint64
-	started atomic.Int64
+	nextID atomic.Uint64 // also the number of spans started
 
 	mu       sync.Mutex
 	finished []*Span
@@ -29,7 +28,6 @@ func newTracer(now func() time.Time) *Tracer {
 }
 
 func (t *Tracer) start(name string, parentID uint64, attrs []Attr) *Span {
-	t.started.Add(1)
 	return &Span{
 		tracer:   t,
 		ID:       t.nextID.Add(1),
@@ -61,11 +59,6 @@ func (t *Tracer) Finished() []*Span {
 	})
 	return out
 }
-
-// Open returns the number of spans started but not yet ended — zero after
-// a well-instrumented run, even a cancelled one (spans are closed by
-// defer).
-func (t *Tracer) Open() int64 { return t.started.Load() - int64(len(t.Finished())) }
 
 // chromeEvent is one trace_event entry; field order here fixes the JSON
 // key order, keeping exports byte-stable for golden tests.
@@ -115,35 +108,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// Depth returns the nesting depth of span s within the finished-span set
-// (1 for a root). Broken parent links count from where they break.
-func Depth(spans []*Span, s *Span) int {
-	byID := make(map[uint64]*Span, len(spans))
-	for _, sp := range spans {
-		byID[sp.ID] = sp
-	}
-	depth := 1
-	for s != nil && s.ParentID != 0 {
-		s = byID[s.ParentID]
-		if s != nil {
-			depth++
-		}
-	}
-	return depth
-}
-
-// MaxDepth returns the deepest nesting among the finished spans — the
-// span-level count a trace viewer would show.
-func MaxDepth(spans []*Span) int {
-	max := 0
-	for _, s := range spans {
-		if d := Depth(spans, s); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // SubtreeDurations sums, for each descendant NAME under root (root

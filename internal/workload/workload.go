@@ -57,8 +57,6 @@ type Config struct {
 	Predicates int
 	// Seed drives the deterministic generator.
 	Seed int64
-	// Taxonomies resolves Set-generalized cells during estimation.
-	Taxonomies map[string]*hierarchy.Taxonomy
 }
 
 // Generate draws a random workload against the original table's value
@@ -217,11 +215,7 @@ func sum(rows int, preds []priced) float64 {
 	return count
 }
 
-// TrueCount answers the query exactly on the original table.
-func TrueCount(orig *dataset.Table, q Query) (float64, error) {
-	return trueCount(orig, compile(q))
-}
-
+// trueCount answers the query exactly on the original table.
 func trueCount(orig *dataset.Table, preds []pred) (float64, error) {
 	ps, err := price(orig, preds, groundSelectivity)
 	if err != nil {
@@ -294,16 +288,12 @@ func NewEstimator(orig *dataset.Table, taxonomies map[string]*hierarchy.Taxonomy
 	return e, nil
 }
 
-// Count answers the query on the anonymized table. Each record
+// count answers the query on the anonymized table. Each record
 // contributes the product over predicates of the overlap fraction between
 // its (possibly generalized) cell and the predicate. Every distinct cell
 // value of a predicate's column is priced, so a cell the estimator cannot
 // price (a Set label without a taxonomy, a kind the predicate does not
 // take) fails the count even on a row another predicate already zeroes.
-func (e *Estimator) Count(anon *dataset.Table, q Query) (float64, error) {
-	return e.count(anon, compile(q))
-}
-
 func (e *Estimator) count(anon *dataset.Table, preds []pred) (float64, error) {
 	ps, err := price(anon, preds, e.cellSelectivity)
 	if err != nil {
@@ -506,13 +496,4 @@ func (p *Prepared) Evaluate(anon *dataset.Table) (*Report, error) {
 		MeanRelError:   rel / float64(len(p.queries)),
 		AbsErrors:      abs,
 	}, nil
-}
-
-// Evaluate runs the workload against one anonymization.
-func Evaluate(orig, anon *dataset.Table, queries []Query, taxonomies map[string]*hierarchy.Taxonomy) (*Report, error) {
-	p, err := Prepare(orig, queries, taxonomies)
-	if err != nil {
-		return nil, err
-	}
-	return p.Evaluate(anon)
 }

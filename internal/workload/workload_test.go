@@ -27,7 +27,17 @@ import (
 // one compiles a single predicate, for the per-cell selectivity tests.
 func one(p Predicate) pred { return compile(Query{Predicates: []Predicate{p}})[0] }
 
-// refTrueCount is the per-row reference for TrueCount: every row prices
+// evaluate runs the workload against one anonymization, preparing it
+// first.
+func evaluate(orig, anon *dataset.Table, queries []Query, taxonomies map[string]*hierarchy.Taxonomy) (*Report, error) {
+	p, err := Prepare(orig, queries, taxonomies)
+	if err != nil {
+		return nil, err
+	}
+	return p.Evaluate(anon)
+}
+
+// refTrueCount is the per-row reference for trueCount: every row prices
 // every predicate on its own cell.
 func refTrueCount(orig *dataset.Table, q Query) (float64, error) {
 	preds := compile(q)
@@ -50,7 +60,7 @@ func refTrueCount(orig *dataset.Table, q Query) (float64, error) {
 	return count, nil
 }
 
-// refCount is the per-row reference for Estimator.Count: a row stops
+// refCount is the per-row reference for Estimator.count: a row stops
 // pricing at its first zero factor, so cells after it are never looked at.
 func refCount(e *Estimator, anon *dataset.Table, q Query) (float64, error) {
 	preds := compile(q)
@@ -191,7 +201,7 @@ func TestTrueCountOnPaperTable(t *testing.T) {
 	orig := paperdata.T1()
 	// Ages 35..50 inclusive: 41, 39, 50, 49, 42, 47 -> 6 tuples.
 	q := Query{Predicates: []Predicate{{Attr: "Age", Lo: 35, Hi: 50}}}
-	got, err := TrueCount(orig, q)
+	got, err := trueCount(orig, compile(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestTrueCountOnPaperTable(t *testing.T) {
 		{Attr: "ZipCode", Values: []string{"13250", "13253"}},
 		{Attr: "Age", Lo: 45, Hi: 55},
 	}}
-	got, err = TrueCount(orig, q2)
+	got, err = trueCount(orig, compile(q2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +221,7 @@ func TestTrueCountOnPaperTable(t *testing.T) {
 		t.Errorf("conjunctive true count = %v, want 4", got)
 	}
 	bad := Query{Predicates: []Predicate{{Attr: "Nope", Lo: 0, Hi: 1}}}
-	if _, err := TrueCount(orig, bad); err == nil {
+	if _, err := trueCount(orig, compile(bad)); err == nil {
 		t.Error("unknown attribute should fail")
 	}
 }
@@ -222,7 +232,7 @@ func TestEstimateOnIdentityIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Evaluate(orig, orig, queries, nil)
+	rep, err := evaluate(orig, orig, queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +360,11 @@ func TestMondrianBeatsGlobalRecodingOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repM, err := Evaluate(tab, mond.Table, queries, generator.Taxonomies())
+	repM, err := evaluate(tab, mond.Table, queries, generator.Taxonomies())
 	if err != nil {
 		t.Fatal(err)
 	}
-	repG, err := Evaluate(tab, glob.Table, queries, generator.Taxonomies())
+	repG, err := evaluate(tab, glob.Table, queries, generator.Taxonomies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +376,7 @@ func TestMondrianBeatsGlobalRecodingOnWorkload(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	orig := paperdata.T1()
-	if _, err := Evaluate(orig, orig, nil, nil); err == nil {
+	if _, err := evaluate(orig, orig, nil, nil); err == nil {
 		t.Error("empty workload should fail")
 	}
 	full, sb := paperdata.T1(), dataset.NewColumnar(paperdata.Schema())
@@ -375,7 +385,7 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 	short := sb.Table()
 	qs, _ := Generate(orig, Config{Queries: 3, Seed: 1})
-	if _, err := Evaluate(orig, short, qs, nil); err == nil {
+	if _, err := evaluate(orig, short, qs, nil); err == nil {
 		t.Error("size mismatch should fail")
 	}
 }
@@ -456,7 +466,7 @@ func TestDictionaryPricingMatchesPerRowReference(t *testing.T) {
 		}
 		truth := make([]float64, len(queries))
 		for qi, q := range queries {
-			got, err := TrueCount(tab, q)
+			got, err := trueCount(tab, compile(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,7 +480,7 @@ func TestDictionaryPricingMatchesPerRowReference(t *testing.T) {
 		for ri, rel := range releases {
 			est := make([]float64, len(queries))
 			for qi, q := range queries {
-				got, err := e.Count(rel, q)
+				got, err := e.count(rel, compile(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -517,10 +527,10 @@ func TestCountPricesCellsOfZeroedRows(t *testing.T) {
 	if got, err := refCount(e, anon, q); err != nil || got != 0 {
 		t.Fatalf("reference = %v, %v; want 0, nil", got, err)
 	}
-	if _, err := e.Count(anon, q); err == nil {
+	if _, err := e.count(anon, compile(q)); err == nil {
 		t.Error("Count should fail on the unpriceable Set cell")
 	}
-	if _, err := Evaluate(orig, anon, []Query{q}, nil); err == nil {
+	if _, err := evaluate(orig, anon, []Query{q}, nil); err == nil {
 		t.Error("Evaluate should fail on the unpriceable Set cell")
 	}
 }
