@@ -11,25 +11,31 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// callerAllowlist names the only internal declarations that may lack a
-// non-test use: a whole test-support package by import path, or one name as
-// "path.Name" (a method as "path.Type.Method"), each with its reason.
+// callerAllowlist names the only declarations and struct fields that may
+// lack a non-test use: a whole test-support package by import path, or one
+// name as "path.Name" (a method or a field as "path.Type.Name"), each with
+// its reason.
 var callerAllowlist = map[string]string{
-	"microdata/internal/algorithm/algtest":   "test-support package: fixtures and the naive reference shared by tests in several packages",
-	"microdata/internal/freqset.Store.Len":   "seam: the experiment tests count a shared store's resident sets",
-	"microdata/internal/telemetry.WithClock": "seam: the report tests inject a fake clock for exact phase durations",
+	"microdata/internal/algorithm/algtest":         "test-support package: fixtures and the naive reference shared by tests in several packages",
+	"microdata/internal/freqset.Store.Len":         "seam: the experiment tests count a shared store's resident sets",
+	"microdata/internal/telemetry.WithClock":       "seam: the report tests inject a fake clock for exact phase durations",
+	"microdata/internal/workload.Report.Queries":   "seam: the workload tests compare each report with the per-query reference, query count included",
+	"microdata/internal/workload.Report.AbsErrors": "seam: the workload tests compare each report's per-query errors with the reference, bit for bit",
 }
 
 // TestInternalNamesHaveCallers type-checks the module's non-test files and
 // fails on every exported name in internal/... and every unexported
 // package-level declaration anywhere in the module that no non-test code
-// uses. Every file under benchmark/, its tests included, counts as a caller,
+// uses, and on every struct field outside the façade that non-test code
+// does not both set and read (see structFields for the exempt fields).
+// Every file under benchmark/, its tests included, counts as a caller,
 // since that module is built apart from this one. Exempt are methods that
 // satisfy a named interface (or are Unwrap() error), the façade, which
 // api.txt governs, and callerAllowlist.
@@ -48,16 +54,7 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 // fmt.Stringer asks for or a function only a benchmark test calls.
 func TestUncalledFindsPlantedNames(t *testing.T) {
 	root := t.TempDir()
-	plant := func(path, src string) {
-		t.Helper()
-		path = filepath.Join(root, path)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	plant := func(path, src string) { plantFile(t, root, path, src) }
 	plant("go.mod", "module planted\n\ngo 1.22\n")
 	plant("internal/p/p.go", `package p
 
@@ -121,16 +118,97 @@ func TestBench(t *testing.T) { _ = p.BenchOnly() }
 	}
 }
 
-// uncalled returns the declarations TestInternalNamesHaveCallers rejects in
-// the module at root, in source order, as "file:line: pkg.Name has no
-// non-test use".
+// TestUncalledFindsPlantedFields plants a module and checks which struct
+// fields uncalled names: a field only a test sets and a field written but
+// never read, but not a json-tagged field, the fields of a map-key struct,
+// a sync.Mutex or an exported field of a type the façade aliases.
+func TestUncalledFindsPlantedFields(t *testing.T) {
+	root := t.TempDir()
+	plant := func(path, src string) { plantFile(t, root, path, src) }
+	plant("go.mod", "module planted\n\ngo 1.22\n")
+	plant("internal/p/p.go", `package p
+
+import "sync"
+
+// Opts is built by New.
+type Opts struct {
+	TestOnly int
+	written  int
+	Tagged   int `+"`json:\"tagged\"`"+`
+	mu       sync.Mutex
+	used     int
+}
+
+// New returns options.
+func New() *Opts { return &Opts{used: 1} }
+
+type key struct{ a, b int }
+
+// Run reads the options.
+func (o *Opts) Run() int {
+	o.written = o.used
+	return o.TestOnly + map[key]int{{1, 2}: 3}[key{}]
+}
+
+// Public is aliased by the façade, whose consumers set Knob.
+type Public struct{ Knob int }
+
+// Twice reads Knob.
+func (q Public) Twice() int { return 2 * q.Knob }
+`)
+	plant("root.go", `package planted
+
+import "planted/internal/p"
+
+// Public is p.Public.
+type Public = p.Public
+
+// Run runs p.
+func Run() int { return p.New().Run() + Public{}.Twice() }
+`)
+	plant("internal/p/p_test.go", `package p
+
+import "testing"
+
+func TestOpts(t *testing.T) { _ = (&Opts{TestOnly: 2}).Run() }
+`)
+	got, err := uncalled(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/p/p.go:7: p.Opts.TestOnly is never set by non-test code",
+		"internal/p/p.go:8: p.Opts.written is never read by non-test code",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("uncalled fields:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// plantFile writes src to path under root, making its directories.
+func plantFile(t *testing.T, root, path, src string) {
+	t.Helper()
+	path = filepath.Join(root, path)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// uncalled returns the declarations and fields TestInternalNamesHaveCallers
+// rejects in the module at root, in source order, as "file:line: pkg.Name
+// has no non-test use" or, for a field, "pkg.Type.Field is never set (or
+// read) by non-test code".
 func uncalled(root string) ([]string, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	fset, std := stdSource()
-	l := &loader{fset: fset, root: root, module: module, std: std, pkgs: map[string]*loaded{}}
+	l := &loader{fset: fset, root: root, module: module, std: std, pkgs: map[string]*loaded{},
+		uses: map[types.Object][]token.Pos{}, fields: map[*types.Var]fieldUse{}}
 	bench := filepath.Join(root, "benchmark")
 	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -197,7 +275,11 @@ type loader struct {
 	pkgs   map[string]*loaded // by import path; nil while being loaded
 	order  []*loaded
 	uses   map[types.Object][]token.Pos
+	fields map[*types.Var]fieldUse // how the module and the benchmark use each field
 }
+
+// fieldUse records whether the scanned code sets and reads a struct field.
+type fieldUse struct{ set, read bool }
 
 type loaded struct {
 	pkg   *types.Package
@@ -276,14 +358,13 @@ func (l *loader) check(path, dir string, names []string) (*types.Package, []*ast
 			}
 		}
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if l.uses == nil {
-		l.uses = map[types.Object][]token.Pos{}
-	}
+	sets, addrs := l.fieldWrites(files, info)
 	for id, obj := range info.Uses {
 		if inRecv[id] {
 			continue
@@ -295,10 +376,113 @@ func (l *loader) check(path, dir string, names []string) (*types.Package, []*ast
 			obj = o.Origin()
 		case *types.Var:
 			obj = o.Origin()
+			if o.IsField() {
+				l.note(o, sets[id] || addrs[id], !sets[id])
+			}
 		}
 		l.uses[obj] = append(l.uses[obj], id.Pos())
 	}
 	return pkg, files, info.Defs, nil
+}
+
+// fieldWrites walks the checked files for field uses that set a field: a
+// key of a composite literal, a selector assigned to or incremented (with
+// the struct values it lies in), and, in addrs, a field whose address is
+// taken or whose pointer method is called, which counts as a set and a
+// read since what the pointer does is unknown. It notes as set every field
+// of a struct built by an unkeyed literal, and as set and read every field
+// of a struct used as a map key or an operand of == or !=, which compares
+// them all.
+func (l *loader) fieldWrites(files []*ast.File, info *types.Info) (sets, addrs map[*ast.Ident]bool) {
+	sets, addrs = map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	// mark records the field e selects, then the fields of the struct
+	// values and arrays it lies in, up to a pointer or a non-field operand.
+	var mark func(into map[*ast.Ident]bool, e ast.Expr)
+	mark = func(into map[*ast.Ident]bool, e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				into[e.Sel] = true
+				if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					mark(into, e.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, array := info.TypeOf(e.X).Underlying().(*types.Array); array {
+				mark(into, e.X)
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(sets, lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(sets, n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(addrs, n.X)
+				}
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+					_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					if _, ptr := info.TypeOf(n.X).Underlying().(*types.Pointer); ptrRecv && !ptr {
+						mark(addrs, n.X)
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						sets[kv.Key.(*ast.Ident)] = true
+					}
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := range st.NumFields() {
+						l.note(st.Field(i), true, false)
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					l.compare(info.TypeOf(n.X))
+				}
+			}
+			return true
+		})
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			l.compare(m.Key())
+		}
+	}
+	return sets, addrs
+}
+
+// compare notes the fields of t as set and read, with those of the structs
+// and arrays they hold.
+func (l *loader) compare(t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			l.note(u.Field(i), true, true)
+			l.compare(u.Field(i).Type())
+		}
+	case *types.Array:
+		l.compare(u.Elem())
+	}
+}
+
+// note records a set or a read of field f, counted for the declared field
+// when f belongs to an instantiated generic.
+func (l *loader) note(f *types.Var, set, read bool) {
+	u := l.fields[f.Origin()]
+	l.fields[f.Origin()] = fieldUse{u.set || set, u.read || read}
 }
 
 // decl is one judged declaration: its object, its name as the allowlist
@@ -364,31 +548,129 @@ func recvName(m types.Object) string {
 	return t.(*types.Named).Obj().Name()
 }
 
-// report lists the judged declarations no recorded use reaches.
-func (l *loader) report() []string {
-	var decls []decl
-	for _, p := range l.order {
-		decls = append(decls, p.decls()...)
+// structFields lists the judged fields of p's struct types, named as the
+// allowlist and the report spell them ("Type.Field"). Exempt are the fields
+// of an allowlisted package, the exported fields of types the façade
+// aliases (the consumer sets them), embedded fields, sync and sync/atomic
+// values, and json-tagged fields, which encoding/json sets and reads.
+func (p *loaded) structFields(aliased map[*types.TypeName]bool) []decl {
+	if _, allowPkg := callerAllowlist[p.pkg.Path()]; allowPkg {
+		return nil
 	}
-	sort.Slice(decls, func(i, j int) bool {
-		a, b := l.fset.Position(decls[i].obj.Pos()), l.fset.Position(decls[j].obj.Pos())
-		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
-	})
-	ifaces := l.interfaces()
-	var out []string
-	for _, d := range decls {
-		if l.reached(d) {
-			continue
-		}
-		if m, ok := d.obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil && satisfies(m, ifaces) {
-			continue
-		}
-		pos := l.fset.Position(d.obj.Pos())
+	var out []decl
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			s, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			tn, _ := p.defs[s.Name].(*types.TypeName)
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || tn.IsAlias() {
+				return true
+			}
+			for i := range st.NumFields() {
+				fv := st.Field(i)
+				json, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+				if fv.Name() == "_" || fv.Embedded() || fv.Exported() && aliased[tn] || tagged && json != "-" || syncValue(fv.Type()) {
+					continue
+				}
+				name := tn.Name() + "." + fv.Name()
+				if _, ok := callerAllowlist[p.pkg.Path()+"."+name]; !ok {
+					out = append(out, decl{obj: fv, name: name})
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// syncValue reports whether t is a type of package sync or sync/atomic.
+func syncValue(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
+}
+
+// fieldVerdict names what non-test code does not do with the judged field
+// f, or "" when it sets and reads it.
+func (l *loader) fieldVerdict(f *types.Var) string {
+	switch u := l.fields[f]; {
+	case u.set && u.read:
+		return ""
+	case u.set:
+		return "is never read by non-test code"
+	case u.read:
+		return "is never set by non-test code"
+	}
+	return "has no non-test use"
+}
+
+// report lists the judged declarations no recorded use reaches and the
+// judged fields non-test code does not both set and read, in source order.
+func (l *loader) report() []string {
+	type finding struct {
+		pos  token.Position
+		text string
+	}
+	var found []finding
+	add := func(obj types.Object, name, verdict string) {
+		pos := l.fset.Position(obj.Pos())
 		file, err := filepath.Rel(l.root, pos.Filename)
 		if err != nil {
 			file = pos.Filename
 		}
-		out = append(out, fmt.Sprintf("%s:%d: %s.%s has no non-test use", filepath.ToSlash(file), pos.Line, d.obj.Pkg().Name(), d.name))
+		found = append(found, finding{pos, fmt.Sprintf("%s:%d: %s.%s %s", filepath.ToSlash(file), pos.Line, obj.Pkg().Name(), name, verdict)})
+	}
+	ifaces := l.interfaces()
+	aliased := l.aliased()
+	for _, p := range l.order {
+		for _, d := range p.decls() {
+			if l.reached(d) {
+				continue
+			}
+			if m, ok := d.obj.(*types.Func); ok && m.Type().(*types.Signature).Recv() != nil && satisfies(m, ifaces) {
+				continue
+			}
+			add(d.obj, d.name, "has no non-test use")
+		}
+		if p.pkg.Path() == l.module {
+			continue
+		}
+		for _, d := range p.structFields(aliased) {
+			if v := l.fieldVerdict(d.obj.(*types.Var)); v != "" {
+				add(d.obj, d.name, v)
+			}
+		}
+	}
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i].pos, found[j].pos
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+	})
+	out := make([]string, len(found))
+	for i, f := range found {
+		out[i] = f.text
+	}
+	return out
+}
+
+// aliased returns the types the façade, the module's root package, aliases.
+func (l *loader) aliased() map[*types.TypeName]bool {
+	out := map[*types.TypeName]bool{}
+	root := l.pkgs[l.module]
+	if root == nil || root.pkg == nil {
+		return out
+	}
+	for _, name := range root.pkg.Scope().Names() {
+		if tn, ok := root.pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				out[named.Origin().Obj()] = true
+			}
+		}
 	}
 	return out
 }

@@ -231,7 +231,7 @@ func realMain(o options) error {
 				}
 				runErr = captureResults(ctx, out, rb, opts, ids, o.resultOut)
 			} else {
-				runErr = experiment.RunAll(ctx, out, opts, nil)
+				runErr = experiment.RunAll(ctx, out, opts)
 			}
 		default:
 			if _, ok := experiment.Find(o.run, opts); !ok {

@@ -45,21 +45,23 @@ func (c Crossover) String() string {
 	return "uniform"
 }
 
+// The evolution's settings: the population size, the number of
+// generations, the per-gene mutation probability and the weight of the
+// k-violation penalty.
+const (
+	popSize       = 40
+	generations   = 60
+	mutationRate  = 0.15
+	penaltyWeight = 10
+)
+
 // GA is the genetic k-anonymizer.
 type GA struct {
-	// PopSize is the population size; 0 defaults to 40.
-	PopSize int
-	// Generations bounds the evolution; 0 defaults to 60.
-	Generations int
-	// MutationRate is the per-gene mutation probability; 0 defaults to 0.15.
-	MutationRate float64
 	// Crossover selects the recombination operator.
 	Crossover Crossover
-	// PenaltyWeight scales the k-violation penalty; 0 defaults to 10.
-	PenaltyWeight float64
 }
 
-// New returns a GA with Iyengar-style uniform crossover and defaults.
+// New returns a GA with Iyengar-style uniform crossover.
 func New() *GA { return &GA{} }
 
 // NewConstrained returns a GA with the Lunacek-style constrained crossover.
@@ -71,23 +73,6 @@ func (g *GA) Name() string {
 		return "genetic-constrained"
 	}
 	return "genetic"
-}
-
-func (g *GA) defaults() (pop, gens int, mut, penalty float64) {
-	pop, gens, mut, penalty = g.PopSize, g.Generations, g.MutationRate, g.PenaltyWeight
-	if pop <= 0 {
-		pop = 40
-	}
-	if gens <= 0 {
-		gens = 60
-	}
-	if mut <= 0 {
-		mut = 0.15
-	}
-	if penalty <= 0 {
-		penalty = 10
-	}
-	return pop, gens, mut, penalty
 }
 
 // Anonymize implements algorithm.Algorithm.
@@ -108,7 +93,6 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 		return nil, fmt.Errorf("genetic: %w", err)
 	}
 	maxLevels := eng.Lattice().MaxLevels()
-	popSize, gens, mutRate, penaltyW := g.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	budget := eng.Budget()
 
@@ -143,7 +127,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 		}
 		over := ev.BadRows - budget
 		if over > 0 {
-			f := penaltyBase + penaltyW*float64(over)/float64(t.Len())*penaltyBase
+			f := penaltyBase + penaltyWeight*float64(over)/float64(t.Len())*penaltyBase
 			cache[n.Key()] = f
 			return f, nil
 		}
@@ -206,7 +190,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 	}
 	mutate := func(n lattice.Node) {
 		for i := range n {
-			if rng.Float64() < mutRate {
+			if rng.Float64() < mutationRate {
 				if rng.Intn(2) == 0 && n[i] < maxLevels[i] {
 					n[i]++
 				} else if n[i] > 0 {
@@ -218,7 +202,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 
 	bestIdx := argmin(fit)
 	best, bestFit := pop[bestIdx].Clone(), fit[bestIdx]
-	for gen := 0; gen < gens; gen++ {
+	for gen := 0; gen < generations; gen++ {
 		next := make([]lattice.Node, popSize)
 		nextFit := make([]float64, popSize)
 		// Elitism: carry the best individual.
@@ -244,7 +228,7 @@ func (g *GA) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg algorit
 	if !bestEv.Satisfies {
 		return nil, fmt.Errorf("genetic: best individual %v infeasible (%d > budget %d)", best, bestEv.BadRows, budget)
 	}
-	reg.Gauge(g.Name() + ".generations").Set(float64(gens))
+	reg.Gauge(g.Name() + ".generations").Set(generations)
 	reg.Gauge(g.Name() + ".best_fitness").Set(bestFit)
 	stats := map[string]float64{}
 	reg.Snapshot().MergeInto(stats, g.Name()+".")

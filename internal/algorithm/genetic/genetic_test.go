@@ -79,17 +79,16 @@ func TestConstrainedCrossoverVariant(t *testing.T) {
 	}
 }
 
-func TestGeneticCustomParameters(t *testing.T) {
+func TestGeneticRunsFixedGenerations(t *testing.T) {
 	tab, cfg := algtest.PaperConfig(2)
 	cfg.Seed = 3
-	alg := &GA{PopSize: 10, Generations: 15, MutationRate: 0.3, PenaltyWeight: 5}
-	r, err := alg.Anonymize(tab, cfg)
+	r, err := New().Anonymize(tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	algtest.CheckResult(t, tab, cfg, r)
-	if r.Stats["generations"] != 15 {
-		t.Errorf("generations = %v", r.Stats["generations"])
+	if r.Stats["generations"] != 60 {
+		t.Errorf("generations = %v, want 60", r.Stats["generations"])
 	}
 }
 

@@ -199,7 +199,7 @@ func TestCodeMaterializedReleasesMatchRowPath(t *testing.T) {
 				}
 				// One store per table, shared by every algorithm and
 				// constraint, as the experiment runner shares it.
-				base.Store = freqset.New(orig, base.Hierarchies, base.Taxonomies, 0)
+				base.Store = freqset.New(orig, base.Hierarchies, base.Taxonomies)
 				rp := &rowPath{orig: orig, cfg: base, cells: map[string][][]dataset.Value{}}
 				for cname, constrain := range constraints {
 					cfg := base

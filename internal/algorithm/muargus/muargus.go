@@ -34,12 +34,12 @@ import (
 	"microdata/internal/telemetry"
 )
 
+// maxOrder bounds the order of the quasi-identifier combinations checked:
+// the original's bivariate tables.
+const maxOrder = 2
+
 // MuArgus is the greedy combination-checking anonymizer.
-type MuArgus struct {
-	// MaxCombination bounds the order of quasi-identifier combinations
-	// checked; 0 defaults to 2 (the original's bivariate tables).
-	MaxCombination int
-}
+type MuArgus struct{}
 
 // New returns a μ-Argus instance with bivariate checking.
 func New() *MuArgus { return &MuArgus{} }
@@ -69,13 +69,7 @@ func (m *MuArgus) AnonymizeContext(ctx context.Context, t *dataset.Table, cfg al
 	if err != nil {
 		return nil, fmt.Errorf("mu-argus: %w", err)
 	}
-	order := m.MaxCombination
-	if order <= 0 {
-		order = 2
-	}
-	if order > eng.NumQI() {
-		order = eng.NumQI()
-	}
+	order := min(maxOrder, eng.NumQI())
 	maxLevels := eng.Lattice().MaxLevels()
 	combos := combinations(eng.NumQI(), order)
 	node := make(lattice.Node, eng.NumQI())

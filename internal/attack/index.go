@@ -17,10 +17,9 @@ import (
 // sizes without touching rows at all. Every lookup structure replicates
 // Adversary.covers exactly, which the cross-validation tests pin.
 type regionIndex struct {
-	// part partitions the anonymized rows by QI signature: one class per
-	// region, classes ordered by first appearance, rows ascending.
-	part *eqclass.Partition
-	// sizes caches the per-region row counts.
+	// sizes holds the per-region row counts; the regions are the classes
+	// of the anonymized rows' partition by QI signature, ordered by first
+	// appearance.
 	sizes []int
 	// n is the number of regions.
 	n int
@@ -95,7 +94,7 @@ func buildRegionIndex(anon *dataset.Table, qi []int, taxs map[string]*hierarchy.
 		return nil, err
 	}
 	n := part.NumClasses()
-	ix := &regionIndex{part: part, sizes: part.Sizes(), n: n, attrs: make([]attrIndex, len(qi))}
+	ix := &regionIndex{sizes: part.Sizes(), n: n, attrs: make([]attrIndex, len(qi))}
 	for vi, j := range qi {
 		ai := &ix.attrs[vi]
 		ai.attr = anon.Schema.Attrs[j]

@@ -6,10 +6,17 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"microdata/internal/core"
 	"microdata/internal/dataset"
+	"microdata/internal/eqclass"
 )
+
+// regionClasses caches, per adversary, the partition of its anonymized
+// rows by QI signature, whose classes are its index's regions in the same
+// first-appearance order.
+var regionClasses sync.Map // *Adversary → *eqclass.Partition
 
 // MatchSet returns the row indices of the anonymized table consistent with
 // the victim's ground quasi-identifier values (aligned with the schema's
@@ -24,6 +31,15 @@ func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	part, ok := regionClasses.Load(a)
+	if !ok {
+		p, err := eqclass.FromColumns(a.anon, a.qi)
+		if err != nil {
+			return nil, err
+		}
+		part, _ = regionClasses.LoadOrStore(a, p)
+	}
+	classes := part.(*eqclass.Partition).Classes
 	regs := newBitset(ix.n)
 	regs.setAll(ix.n)
 	scratch := newBitset(ix.n)
@@ -36,7 +52,7 @@ func (a *Adversary) MatchSet(victim []dataset.Value) ([]int, error) {
 	var out []int
 	regions := 0
 	regs.forEach(func(r int) {
-		out = append(out, ix.part.Classes[r]...)
+		out = append(out, classes[r]...)
 		regions++
 	})
 	a.ins.regionsProbed.Add(int64(regions))

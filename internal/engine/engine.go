@@ -75,11 +75,6 @@ import (
 	"microdata/internal/utility"
 )
 
-// DefaultCacheSize bounds the memoized node cache, and a private store's
-// frequency sets. Full-domain lattices in the experiments hold hundreds of
-// nodes; evolutionary searches revisit far fewer distinct ones.
-const DefaultCacheSize = freqset.DefaultCapacity
-
 // Engine evaluates lattice nodes for one (table, config) pair: a
 // frequency-set store plus one configuration's budget, constraints and
 // metric, with its own memo of verdicts and costs. It is safe for
@@ -139,15 +134,15 @@ func NewContext(ctx context.Context, t *dataset.Table, cfg algorithm.Config) (*E
 		lat:    lat,
 		budget: cfg.Budget(t.Len()),
 		store:  cfg.Store,
-		cache:  lru.New[*Evaluation](DefaultCacheSize),
+		cache:  lru.New[*Evaluation](freqset.Capacity),
 	}
 	if e.store == nil {
-		e.store = freqset.New(t, cfg.Hierarchies, cfg.Taxonomies, DefaultCacheSize)
+		e.store = freqset.New(t, cfg.Hierarchies, cfg.Taxonomies)
 	} else if err := e.store.Check(t, cfg.Hierarchies, cfg.Taxonomies); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	e.counters = newInstruments(lat.Height())
-	e.counters.reg.Gauge("engine.cache.size").Set(DefaultCacheSize)
+	e.counters.reg.Gauge("engine.cache.size").Set(freqset.Capacity)
 	_, sp := telemetry.Start(ctx, "engine.precompute",
 		telemetry.Int("rows", t.Len()), telemetry.Int("qi", len(t.Schema.QuasiIdentifiers())))
 	start := time.Now()

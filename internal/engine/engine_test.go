@@ -297,14 +297,14 @@ func TestEngineRejectsForeignStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := cfg
-	own.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies, 0)
+	own.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies)
 	if _, err := engine.New(tab, own); err != nil {
 		t.Fatalf("store of the configuration's own scope rejected: %v", err)
 	}
 	for name, store := range map[string]*freqset.Store{
-		"table":       freqset.New(twin, cfg.Hierarchies, cfg.Taxonomies, 0),
-		"hierarchies": freqset.New(tab, other.Hierarchies, cfg.Taxonomies, 0),
-		"taxonomies":  freqset.New(tab, cfg.Hierarchies, other.Taxonomies, 0),
+		"table":       freqset.New(twin, cfg.Hierarchies, cfg.Taxonomies),
+		"hierarchies": freqset.New(tab, other.Hierarchies, cfg.Taxonomies),
+		"taxonomies":  freqset.New(tab, cfg.Hierarchies, other.Taxonomies),
 	} {
 		foreign := cfg
 		foreign.Store = store

@@ -173,7 +173,7 @@ func TestVerdictLeavesSharedSetsIntact(t *testing.T) {
 	cfg.MinEntropyL = 1.5
 	cfg.RecursiveC, cfg.RecursiveL = 2, 2
 	cfg.MaxTCloseness = 0.6
-	cfg.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies, 0)
+	cfg.Store = freqset.New(tab, cfg.Hierarchies, cfg.Taxonomies)
 	eng, err := engine.New(tab, cfg)
 	if err != nil {
 		t.Fatal(err)

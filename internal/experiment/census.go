@@ -23,6 +23,7 @@ import (
 	"microdata/internal/freqset"
 	"microdata/internal/generator"
 	"microdata/internal/hierarchy"
+	"microdata/internal/measure"
 	"microdata/internal/privacy"
 	"microdata/internal/stats"
 	"microdata/internal/utility"
@@ -62,7 +63,7 @@ func drawCensus(opts Options) (*census, error) {
 		return nil, err
 	}
 	hs, tax := generator.Hierarchies(), generator.Taxonomies()
-	return &census{tab: tab, hs: hs, tax: tax, store: freqset.New(tab, hs, tax, 0)}, nil
+	return &census{tab: tab, hs: hs, tax: tax, store: freqset.New(tab, hs, tax)}, nil
 }
 
 // config is the algorithm configuration the scaled experiments (E14, E15,
@@ -99,18 +100,14 @@ func runSuite(ctx context.Context, tab *dataset.Table, cfg algorithm.Config) ([]
 	return runs, errs
 }
 
-// runOneAlg anonymizes and gathers every measurement E14 reports.
+// algRun is one anonymization with every measurement E14 reports; the
+// summary holds k, distinct and entropy ℓ, t, LM and DM.
 type algRun struct {
 	name       string
 	result     *algorithm.Result
+	summary    *measure.Summary
 	classSizes core.PropertyVector
 	utilVec    core.PropertyVector
-	kActual    int
-	distinctL  int
-	entropyL   float64
-	tClose     float64
-	lm         float64
-	dm         float64
 	cavg       float64
 	prec       float64 // NaN for local recodings
 }
@@ -120,28 +117,14 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	sensitive := tab.ColumnVector(tab.Schema.SensitiveIndex())
-	lossCfg := utility.LossConfig{Taxonomies: cfg.Taxonomies}
-	u, err := utility.UtilityVector(r.Table, tab, lossCfg)
+	u, err := utility.UtilityVector(r.Table, tab, utility.LossConfig{Taxonomies: cfg.Taxonomies})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	lm, err := utility.GeneralLossMetric(r.Table, tab, lossCfg)
+	// The result's own partition groups the release: no regroup.
+	sum, err := measure.Summarize(&measure.Context{Orig: tab, Anon: r.Table, Partition: r.Partition, Taxonomies: cfg.Taxonomies})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
-	}
-	// ℓ, entropy ℓ and t all read the release's class histograms.
-	hist, err := r.Partition.Histograms(sensitive)
-	if err != nil {
-		return nil, err
-	}
-	entropyL, err := privacy.EntropyLDiversity(hist)
-	if err != nil {
-		return nil, err
-	}
-	tClose, err := privacy.TCloseness(hist, privacy.NewSupport(sensitive, false))
-	if err != nil {
-		return nil, err
 	}
 	cavg, err := utility.AverageClassSizeMetric(r.Partition, cfg.K)
 	if err != nil {
@@ -157,14 +140,9 @@ func runAlg(ctx context.Context, alg algorithm.Algorithm, tab *dataset.Table, cf
 	return &algRun{
 		name:       alg.Name(),
 		result:     r,
+		summary:    sum,
 		classSizes: privacy.ClassSizeVector(r.Partition),
 		utilVec:    u,
-		kActual:    privacy.KAnonymity(r.Partition),
-		distinctL:  privacy.DistinctLDiversity(hist),
-		entropyL:   entropyL,
-		tClose:     tClose,
-		lm:         lm,
-		dm:         utility.DiscernibilityMetric(r.Partition),
 		cavg:       cavg,
 		prec:       prec,
 	}, nil
@@ -207,9 +185,9 @@ func e14(opts Options) Experiment {
 						precStr = trim(ar.prec)
 					}
 					fmt.Fprintf(w, "  %-20s %7d %7d %8d %6s %8s %10s %7s %7d %6s %7s %8s\n",
-						ar.name, ar.kActual, ar.result.Partition.NumClasses(),
-						len(ar.result.Suppressed), trim(ar.lm), trim(ar.dm), trim(ar.cavg),
-						precStr, ar.distinctL, trim(ar.entropyL), trim(ar.tClose), gs)
+						ar.name, ar.summary.KAnonymity, ar.result.Partition.NumClasses(),
+						len(ar.result.Suppressed), trim(ar.summary.LossMetric), trim(ar.summary.Discernibility), trim(ar.cavg),
+						precStr, ar.summary.DistinctL, trim(ar.summary.EntropyL), trim(ar.summary.TCloseness), gs)
 				}
 				if k == midK {
 					midRuns = runs

@@ -84,19 +84,19 @@ func Find(id string, opts Options) (Experiment, bool) {
 }
 
 // RunAll executes every experiment in order, each under its own telemetry
-// span. Alongside the text report each experiment's full output is
-// digested into rec, the provenance trail CaptureResults seals; a nil rec
-// records nothing.
-func RunAll(ctx context.Context, w io.Writer, opts Options, rec *resultpack.TableRecorder) error {
+// span, writing the text report to w.
+func RunAll(ctx context.Context, w io.Writer, opts Options) error {
 	for _, e := range Registry(opts) {
-		if err := runOne(ctx, w, e, rec); err != nil {
+		if err := runOne(ctx, w, e, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RunByID executes one experiment (see RunAll).
+// RunByID executes one experiment (see RunAll). Alongside the text report
+// the experiment's full output is digested into rec, the provenance trail
+// CaptureResults seals; a nil rec records nothing.
 func RunByID(ctx context.Context, w io.Writer, id string, opts Options, rec *resultpack.TableRecorder) error {
 	e, ok := Find(id, opts)
 	if !ok {

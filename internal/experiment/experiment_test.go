@@ -257,7 +257,7 @@ func TestE19NonDominance(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(context.Background(), &buf, small, nil); err != nil {
+	if err := RunAll(context.Background(), &buf, small); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -23,7 +23,7 @@ func e16(opts Options) Experiment {
 				K:           1,
 				Hierarchies: hs,
 				Metric:      algorithm.MetricLM,
-				Store:       freqset.New(t1, hs, nil, 0),
+				Store:       freqset.New(t1, hs, nil),
 			}
 			truth, err := moga.ExhaustiveFrontContext(ctx, t1, cfg)
 			if err != nil {

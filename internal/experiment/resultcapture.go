@@ -149,17 +149,17 @@ func captureAlgorithms(ctx context.Context, cfg algorithm.Config, runs []*algRun
 		res := resultpack.AlgorithmResult{
 			Algorithm:  ar.name,
 			K:          cfg.K,
-			KActual:    ar.kActual,
+			KActual:    ar.summary.KAnonymity,
 			Classes:    ar.result.Partition.NumClasses(),
 			Suppressed: len(ar.result.Suppressed),
 			Measures: map[string]resultpack.Float{
-				"lm":         resultpack.Float(ar.lm),
-				"dm":         resultpack.Float(ar.dm),
+				"lm":         resultpack.Float(ar.summary.LossMetric),
+				"dm":         resultpack.Float(ar.summary.Discernibility),
 				"cavg":       resultpack.Float(ar.cavg),
 				"prec":       resultpack.Float(ar.prec),
-				"distinct_l": resultpack.Float(ar.distinctL),
-				"entropy_l":  resultpack.Float(ar.entropyL),
-				"t_close":    resultpack.Float(ar.tClose),
+				"distinct_l": resultpack.Float(ar.summary.DistinctL),
+				"entropy_l":  resultpack.Float(ar.summary.EntropyL),
+				"t_close":    resultpack.Float(ar.summary.TCloseness),
 			},
 			ClassShape: shapeOf(ar.classSizes),
 		}

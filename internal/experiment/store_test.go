@@ -90,14 +90,14 @@ func TestSharedStoreMatchesPrivate(t *testing.T) {
 		}
 	}
 
-	shared := freqset.New(c.tab, c.hs, c.tax, 0)
+	shared := freqset.New(c.tab, c.hs, c.tax)
 	got := make([]string, len(private))
 	for i, r := range runs(shared) {
 		got[i] = releaseDigest(algs[r.alg], c.tab, r.cfg)
 	}
 	check("shared, roster order", got)
 
-	shared = freqset.New(c.tab, c.hs, c.tax, 0)
+	shared = freqset.New(c.tab, c.hs, c.tax)
 	got = make([]string, len(private))
 	rs := runs(shared)
 	for i := len(rs) - 1; i >= 0; i-- {
@@ -105,7 +105,7 @@ func TestSharedStoreMatchesPrivate(t *testing.T) {
 	}
 	check("shared, reverse order", got)
 
-	shared = freqset.New(c.tab, c.hs, c.tax, 0)
+	shared = freqset.New(c.tab, c.hs, c.tax)
 	got = make([]string, len(private))
 	var wg sync.WaitGroup
 	for i, r := range runs(shared) {

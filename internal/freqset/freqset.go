@@ -54,10 +54,11 @@ import (
 	"microdata/internal/utility"
 )
 
-// DefaultCapacity bounds the frequency sets a store keeps resident per
-// keying unless New is given another bound. Full-domain lattices in the
-// experiments hold hundreds of nodes.
-const DefaultCapacity = 4096
+// Capacity bounds the frequency sets a store keeps resident per keying,
+// and the engine's memo of evaluated nodes. Full-domain lattices in the
+// experiments hold hundreds of nodes; evolutionary searches revisit far
+// fewer distinct ones.
+const Capacity = 4096
 
 // Level is one rung of one attribute's precomputed generalization map.
 // Its exported fields are read-only shared state.
@@ -138,16 +139,13 @@ type Store struct {
 }
 
 // New returns an empty store for the table under the hierarchies, with
-// taxonomies pricing Set-generalized cells. capacity bounds the resident
-// frequency sets per keying; below 1 it is DefaultCapacity. Nothing is
-// computed until the first caller needs it.
-func New(t *dataset.Table, hs hierarchy.Set, tax map[string]*hierarchy.Taxonomy, capacity int) *Store {
-	if capacity < 1 {
-		capacity = DefaultCapacity
-	}
+// taxonomies pricing Set-generalized cells, holding at most Capacity
+// frequency sets per keying. Nothing is computed until the first caller
+// needs it.
+func New(t *dataset.Table, hs hierarchy.Set, tax map[string]*hierarchy.Taxonomy) *Store {
 	s := &Store{t: t, hs: hs, tax: tax}
 	for i := range s.keyings {
-		s.keyings[i].sets = lru.New[*entry](capacity)
+		s.keyings[i].sets = lru.New[*entry](Capacity)
 	}
 	return s
 }

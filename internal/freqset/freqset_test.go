@@ -30,7 +30,7 @@ func TestNestingMaps(t *testing.T) {
 		generator.EducationTaxonomy(),
 		generator.MaritalTaxonomy(),
 	)
-	s := New(tab, hs, nil, 0)
+	s := New(tab, hs, nil)
 	if err := s.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := generator.Hierarchies()
-	s := New(tab, hs, generator.Taxonomies(), 0)
+	s := New(tab, hs, generator.Taxonomies())
 	maxLevels, err := hs.MaxLevels(tab.Schema)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCheckRequiresIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs, tax := generator.Hierarchies(), generator.Taxonomies()
-	s := New(tab, hs, tax, 0)
+	s := New(tab, hs, tax)
 	if err := s.Check(tab, hs, tax); err != nil {
 		t.Fatalf("own scope rejected: %v", err)
 	}
@@ -174,7 +174,7 @@ func censusStore(t *testing.T, n int, hs hierarchy.Set) (*Store, *lattice.Lattic
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(tab, hs, generator.Taxonomies(), 0), lat
+	return New(tab, hs, generator.Taxonomies()), lat
 }
 
 // TestFarNodeReadsItsHub asks a fresh census store first for a node far

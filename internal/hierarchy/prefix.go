@@ -13,12 +13,13 @@ import (
 type PrefixMask struct {
 	attr   string
 	length int
-	radix  int // alphabet size per masked position, for loss; 10 for digits
 }
 
 // NewPrefixMask builds a prefix-mask hierarchy for codes of the given fixed
 // length. radix is the number of possible characters per position (10 for
-// digit codes); it drives the loss metric.
+// digit codes); it is checked to be at least 2 and otherwise unused, since
+// the loss of a masked code is its fraction of masked characters whatever
+// the alphabet.
 func NewPrefixMask(attr string, length, radix int) (*PrefixMask, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("hierarchy: prefix mask for %q: non-positive length %d", attr, length)
@@ -26,7 +27,7 @@ func NewPrefixMask(attr string, length, radix int) (*PrefixMask, error) {
 	if radix < 2 {
 		return nil, fmt.Errorf("hierarchy: prefix mask for %q: radix %d < 2", attr, radix)
 	}
-	return &PrefixMask{attr: attr, length: length, radix: radix}, nil
+	return &PrefixMask{attr: attr, length: length}, nil
 }
 
 // MustPrefixMask is NewPrefixMask that panics on error, for fixtures.

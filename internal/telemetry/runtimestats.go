@@ -24,8 +24,6 @@ type RuntimeStats struct {
 	// from the /gc/pauses:seconds histogram (bucket-midpoint estimate —
 	// runtime/metrics exposes distributions, not exact sums).
 	GCPauseTotalSeconds float64
-	// GCPauses counts individual stop-the-world pauses.
-	GCPauses float64
 	// Goroutines is the live goroutine count (/sched/goroutines:goroutines).
 	Goroutines float64
 	// SchedLatencyP50Seconds / SchedLatencyP99Seconds are quantile
@@ -64,7 +62,7 @@ func ReadRuntimeStats() RuntimeStats {
 			rs.GCCycles = sampleValue(s)
 		case "/gc/pauses:seconds":
 			if h := histOf(s); h != nil {
-				rs.GCPauseTotalSeconds, rs.GCPauses = histSum(h)
+				rs.GCPauseTotalSeconds = histSum(h)
 			}
 		case "/sched/goroutines:goroutines":
 			rs.Goroutines = sampleValue(s)
@@ -111,17 +109,16 @@ func histOf(s metrics.Sample) *metrics.Float64Histogram {
 	return s.Value.Float64Histogram()
 }
 
-// histSum estimates the total and count of a runtime histogram by bucket
-// midpoints (infinite edge buckets are clamped to their finite neighbor).
-func histSum(h *metrics.Float64Histogram) (sum float64, count float64) {
+// histSum estimates the total of a runtime histogram by bucket midpoints
+// (infinite edge buckets are clamped to their finite neighbor).
+func histSum(h *metrics.Float64Histogram) (sum float64) {
 	for i, c := range h.Counts {
 		if c == 0 {
 			continue
 		}
-		count += float64(c)
 		sum += float64(c) * bucketMid(h, i)
 	}
-	return sum, count
+	return sum
 }
 
 // histQuantile estimates quantile q (0..1) by cumulative bucket counts.
