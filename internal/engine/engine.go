@@ -13,16 +13,19 @@
 //     per store; one base frequency set per sensitive keying, built on the
 //     keying's first roll-up; and a node → frequency-set cache that rolls
 //     each node up once (Incognito's roll-up property, LeFevre, DeWitt &
-//     Ramakrishnan 2005) from the smallest cached set that can be its
+//     Ramakrishnan 2005) from the smallest eligible set that can be its
 //     source, or, when that set would be the base, from the node's hub
-//     min(x, 1), itself rolled up once as an ordinary cache entry. When
-//     the configuration constrains the sensitive attribute (ℓ-diversity,
+//     min(x, 1), itself rolled up once as an ordinary cache entry.
+//     Eligible are the sets finished before the store's latest fence,
+//     which the engine sets before each Evaluate and each EvaluateAll, and
+//     in EvaluateAll the node's direct predecessors in the batch. When the
+//     configuration constrains the sensitive attribute (ℓ-diversity,
 //     t-closeness), the engine asks for the sensitive keying, whose sets
 //     hold each class once with its sensitive histogram beside it.
-//     engine.rows_scanned counts what the roll-ups read, each once, a
-//     hub's included: N rows for a base, then each source's size — its
-//     classes under the plain keying, its (class, sensitive value)
-//     histogram entries under the sensitive one.
+//     engine.rows_scanned counts what the roll-ups read, each once, in the
+//     evaluation that made it, a hub's included: N rows for a base, then
+//     each source's size — its classes under the plain keying, its (class,
+//     sensitive value) histogram entries under the sensitive one.
 //   - A caller running many configurations over one table — the
 //     experiment runner, once per generated table — builds one store and
 //     passes it in algorithm.Config.Store to every run, so the frequency
@@ -39,9 +42,10 @@
 //     keyed by lattice.Node.Key(); verdicts are never shared, since they
 //     depend on the configuration.
 //   - EvaluateAll evaluates a batch of nodes on a worker pool sized by
-//     runtime.GOMAXPROCS, in ascending height, for Incognito's per-level
-//     sweeps, OLA's binary search strata, Samarati's height strata and the
-//     exhaustive sweep.
+//     runtime.GOMAXPROCS, each after its direct predecessors in the batch,
+//     for Incognito's per-level sweeps, OLA's binary search strata,
+//     Samarati's height strata and the exhaustive sweep; every counter is
+//     the same at any GOMAXPROCS.
 //   - All evaluation honors a context.Context: cancelled searches abort
 //     promptly with a *Canceled error wrapping context.Canceled that
 //     carries the partial Stats counters.
@@ -59,7 +63,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,8 +307,16 @@ func (e *Engine) getScratch() *evalScratch {
 	return cs
 }
 
-// Evaluate returns the (possibly cached) evaluation of one node.
+// Evaluate returns the (possibly cached) evaluation of one node, after a
+// fence: every set finished before the call may source its roll-up.
 func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, error) {
+	e.store.Fence()
+	return e.memoized(ctx, node, nil)
+}
+
+// memoized returns the node's evaluation from the memo, evaluating it on
+// a miss with from as further roll-up sources (freqset.Store.Get).
+func (e *Engine) memoized(ctx context.Context, node lattice.Node, from []*freqset.Set) (*Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &Canceled{Stats: e.Stats(), err: err}
 	}
@@ -318,7 +330,7 @@ func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, 
 	}
 	e.counters.cacheMisses.Inc()
 	start := time.Now()
-	ev, err := e.evaluate(node)
+	ev, err := e.evaluate(node, from)
 	elapsed := int64(time.Since(start))
 	e.counters.evalTotalNS.Add(elapsed)
 	e.counters.evalHist.Observe(float64(elapsed))
@@ -331,24 +343,17 @@ func (e *Engine) Evaluate(ctx context.Context, node lattice.Node) (*Evaluation, 
 
 // evaluate takes the node's frequency set from the store, then prices the
 // verdict and the cost on its classes.
-func (e *Engine) evaluate(node lattice.Node) (*Evaluation, error) {
+func (e *Engine) evaluate(node lattice.Node, from []*freqset.Set) (*Evaluation, error) {
 	e.counters.nodesEvaluated.Inc()
 	if h := node.Height(); h >= 0 && h < len(e.counters.visited) {
 		e.counters.visited[h].Inc()
 	}
-	fs, scanned, err := e.store.Get(node, e.sens != nil)
+	fs, w, err := e.store.Get(node, e.sens != nil, from...)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if scanned > 0 {
-		e.counters.rollups.Inc()
-		e.counters.rowsScanned.Add(int64(scanned))
-		// The roll-up may have built a hub no search asks for: count
-		// its read now, once.
-		hubs, read := e.store.Settle()
-		e.counters.rollups.Add(int64(hubs))
-		e.counters.rowsScanned.Add(int64(read))
-	}
+	e.counters.rollups.Add(int64(w.Sets))
+	e.counters.rowsScanned.Add(int64(w.Read))
 	ev := &Evaluation{Node: node.Clone(), fs: fs, eng: e}
 	bad, badRows := e.verdict(fs)
 	ev.BadRows = badRows
@@ -450,80 +455,121 @@ func (e *Engine) price(fs *freqset.Set, node lattice.Node, bad []bool, badRows i
 // EvaluateAll evaluates a batch of nodes over runtime.GOMAXPROCS(0) worker
 // goroutines — the one level of parallelism inside a search; everything
 // below a node evaluation runs on its worker — and returns the evaluations
-// aligned with the input slice. Nodes are claimed in ascending height, so
-// finer nodes tend to be cached as roll-up sources before coarser ones are
-// evaluated. On error (including cancellation) the returned slice holds
-// the evaluations completed so far and the error reports the first
-// failure; a cancelled batch returns a *Canceled error wrapping the
-// context error.
+// aligned with the input slice. It fences the store once and evaluates a
+// node after its direct predecessors in the batch, offering their sets as
+// roll-up sources, so the node's source is the same whichever worker gets
+// it. On error (including cancellation) the returned slice holds the
+// evaluations completed so far and the error reports the first failure;
+// a cancelled batch returns a *Canceled error wrapping the context error.
 func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Evaluation, error) {
 	ctx, sp := telemetry.Start(ctx, "engine.evaluate_all", telemetry.Int("batch", len(nodes)))
 	defer sp.End()
-	out := make([]*Evaluation, len(nodes))
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
+	b := &batch{
+		e: e, ctx: ctx, nodes: nodes, out: make([]*Evaluation, len(nodes)),
+		height: make([]int, len(nodes)), byHeight: make([]int, len(nodes)),
+		waits: make([]atomic.Int32, len(nodes)), ready: make(chan int, len(nodes)),
 	}
-	sort.SliceStable(order, func(a, b int) bool { return nodes[order[a]].Height() < nodes[order[b]].Height() })
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(nodes) {
-		workers = len(nodes)
+	for i, x := range nodes {
+		b.height[i], b.byHeight[i] = x.Height(), i
 	}
-	if workers <= 1 {
-		for _, i := range order {
-			ev, err := e.Evaluate(ctx, nodes[i])
-			if err != nil {
-				return out, err
-			}
-			out[i] = ev
+	slices.SortStableFunc(b.byHeight, func(i, j int) int { return b.height[i] - b.height[j] })
+	b.left.Store(int64(len(nodes)))
+	for i := range nodes {
+		b.neighbours(i, -1, func(int) { b.waits[i].Add(1) })
+		if b.waits[i].Load() == 0 {
+			b.ready <- i
 		}
-		return out, nil
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	if len(nodes) == 0 {
+		close(b.ready)
+	}
+	e.store.Fence()
+	// The caller is one of the workers.
+	for w := min(runtime.GOMAXPROCS(0), len(nodes)); w > 1; w-- {
+		b.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				i := order[k]
-				ev, err := e.Evaluate(cctx, nodes[i])
-				if err != nil {
-					mu.Lock()
-					// Prefer the parent context's own cancellation over
-					// the secondary errors it induces in other workers.
-					if firstErr == nil || (ctx.Err() != nil && !isCanceled(firstErr)) {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				out[i] = ev
-			}
+			defer b.wg.Done()
+			b.work()
 		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		if ctx.Err() != nil && !isCanceled(firstErr) {
-			firstErr = &Canceled{Stats: e.Stats(), err: ctx.Err()}
+	b.work()
+	b.wg.Wait()
+	if err := ctx.Err(); err != nil && !isCanceled(b.err) {
+		b.err = &Canceled{Stats: e.Stats(), err: err}
+	}
+	return b.out, b.err
+}
+
+// batch is one EvaluateAll call. byHeight lists the positions by node
+// height, waits counts each position's unevaluated direct predecessors
+// (a node is ready at zero), left the unevaluated positions; mu guards
+// err, the first failure, and stop skips the rest of the batch.
+type batch struct {
+	e        *Engine
+	ctx      context.Context
+	nodes    []lattice.Node
+	out      []*Evaluation
+	height   []int
+	byHeight []int
+	waits    []atomic.Int32
+	ready    chan int
+	left     atomic.Int64
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	err      error
+	stop     atomic.Bool
+}
+
+// neighbours calls fn with the positions of node i's direct predecessors
+// (step -1) or successors (1) in the batch.
+func (b *batch) neighbours(i, step int, fn func(j int)) {
+	x, h := b.nodes[i], b.height[i]+step
+	lo, _ := slices.BinarySearchFunc(b.byHeight, h, func(j, h int) int { return b.height[j] - h })
+	for _, j := range b.byHeight[lo:] {
+		if b.height[j] != h {
+			return
 		}
-		return out, firstErr
+		if y := b.nodes[j]; step < 0 && y.AtMost(x) || step > 0 && x.AtMost(y) {
+			fn(j)
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return out, &Canceled{Stats: e.Stats(), err: err}
+}
+
+// work evaluates ready nodes, offering each its predecessors' sets, and
+// releases their successors until the batch is done; after a failure it
+// only releases them.
+func (b *batch) work() {
+	for i := range b.ready {
+		if !b.stop.Load() {
+			var buf [8]*freqset.Set
+			from := buf[:0]
+			b.neighbours(i, -1, func(j int) {
+				if b.out[j] != nil {
+					from = append(from, b.out[j].fs)
+				}
+			})
+			ev, err := b.e.memoized(b.ctx, b.nodes[i], from)
+			if err != nil {
+				b.mu.Lock()
+				// Prefer the context's own cancellation over another
+				// worker's failure.
+				if b.err == nil || (b.ctx.Err() != nil && !isCanceled(b.err)) {
+					b.err = err
+				}
+				b.mu.Unlock()
+				b.stop.Store(true)
+			}
+			b.out[i] = ev
+		}
+		b.neighbours(i, 1, func(k int) {
+			if b.waits[k].Add(-1) == 0 {
+				b.ready <- k
+			}
+		})
+		if b.left.Add(-1) == 0 {
+			close(b.ready)
+		}
 	}
-	return out, nil
 }
 
 func isCanceled(err error) bool {

@@ -143,12 +143,18 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllSameAtAnyGOMAXPROCS pins the node-level fan-out: a full
-// sweep on one worker and on four returns identical verdicts, violating
-// row counts and cost bits, so every property vector is the same on any
-// machine, whichever sources the workers happened to roll up from. It
-// runs under both keyings: k-only, and the lattice-diverse benchmark
-// workload's DM with distinct ℓ=2 and entropy ℓ=1.5.
+// TestEvaluateAllSameAtAnyGOMAXPROCS pins the node-level fan-out: a sweep
+// on one worker and each of five on four returns identical verdicts,
+// violating row counts and cost bits, so every property vector is the
+// same on any machine, and reads the same rows and entries, since each
+// node's roll-up sources only from what the batch's nodes below it and
+// the batches before built (or from its hub), whichever worker gets it
+// first. It sweeps the whole lattice; a batch with gaps and repeats — the
+// top, a middle node and the bottom, twice each, coarse first — whose
+// nodes wait for batch nodes they do not cover directly and never for an
+// equal one; and an empty batch. It runs under both keyings: k-only, and
+// the lattice-diverse benchmark workload's DM with distinct ℓ=2 and
+// entropy ℓ=1.5.
 func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 	tab, kOnly, err := algtest.CensusConfig(400, 3, 11)
 	if err != nil {
@@ -158,29 +164,50 @@ func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 	diverse.Metric = algorithm.MetricDM
 	diverse.MinLDiversity = 2
 	diverse.MinEntropyL = 1.5
+	ref, err := engine.New(tab, kOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, mid, bottom := ref.Lattice().Top(), lattice.Node{1, 1, 1, 1}, ref.Lattice().Bottom()
+	batches := map[string][]lattice.Node{
+		"lattice": ref.Lattice().Nodes(),
+		"sparse":  {top, mid, top, bottom, mid, bottom},
+		"empty":   nil,
+	}
 	for name, cfg := range map[string]algorithm.Config{"k-only": kOnly, "diverse": diverse} {
-		sweep := func(procs int) []*engine.Evaluation {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			eng, err := engine.New(tab, cfg)
-			if err != nil {
-				t.Fatal(err)
+		for batch, nodes := range batches {
+			sweep := func(procs int) ([]*engine.Evaluation, int64) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				eng, err := engine.New(tab, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				evs, err := eng.EvaluateAll(context.Background(), nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return evs, eng.Stats().RowsScanned
 			}
-			evs, err := eng.EvaluateAll(context.Background(), eng.Lattice().Nodes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return evs
-		}
-		want, got := sweep(1), sweep(4)
-		for i := range want {
-			w, g := want[i], got[i]
-			if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
-				t.Fatalf("%s node %v: %d bad rows at GOMAXPROCS 4, %d at 1", name, w.Node, g.BadRows, w.BadRows)
-			}
-			wc, werr := w.Cost()
-			gc, gerr := g.Cost()
-			if (werr == nil) != (gerr == nil) || math.Float64bits(wc) != math.Float64bits(gc) {
-				t.Fatalf("%s node %v: cost %v (%v) at GOMAXPROCS 4, %v (%v) at 1", name, w.Node, gc, gerr, wc, werr)
+			want, wantRows := sweep(1)
+			for run := 0; run < 5; run++ {
+				got, rows := sweep(4)
+				if rows != wantRows {
+					t.Fatalf("%s %s run %d: %d rows scanned at GOMAXPROCS 4, %d at 1", name, batch, run, rows, wantRows)
+				}
+				for i := range want {
+					w, g := want[i], got[i]
+					if !slices.Equal(g.Node, nodes[i]) || !slices.Equal(w.Node, nodes[i]) {
+						t.Fatalf("%s %s evaluation %d is for nodes %v and %v, want %v", name, batch, i, w.Node, g.Node, nodes[i])
+					}
+					if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
+						t.Fatalf("%s node %v: %d bad rows at GOMAXPROCS 4, %d at 1", name, w.Node, g.BadRows, w.BadRows)
+					}
+					wc, werr := w.Cost()
+					gc, gerr := g.Cost()
+					if (werr == nil) != (gerr == nil) || math.Float64bits(wc) != math.Float64bits(gc) {
+						t.Fatalf("%s node %v: cost %v (%v) at GOMAXPROCS 4, %v (%v) at 1", name, w.Node, gc, gerr, wc, werr)
+					}
+				}
 			}
 		}
 	}

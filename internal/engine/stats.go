@@ -47,11 +47,12 @@ type Stats struct {
 	// RowsScanned counts the rows and entries the engine's roll-ups read:
 	// the N rows when it built a base frequency set, then, per store miss,
 	// the size (freqset.Set.Len) of the set the node was rolled up from,
-	// and the base's for each hub rolled up on the way (freqset.Store.Get),
+	// and the hub's read when the miss built the hub too (freqset.Work),
 	// whether or not a search later asks for the hub. Nodes another engine
-	// already rolled up on a shared store cost nothing; on a shared store
-	// under concurrent engines, a hub's read may land in whichever engine
-	// settles it first, but it is counted once.
+	// already rolled up on a shared store cost nothing. The count repeats
+	// at any GOMAXPROCS, unless concurrent engines share the store, as in
+	// the experiment runner: then one engine's sets may or may not have
+	// finished before another's fence.
 	RowsScanned int64
 	// Precompute is the time spent at engine construction readying the
 	// store: the per-attribute, per-level generalization fragments and

@@ -175,9 +175,9 @@ func e14(opts Options) Experiment {
 						continue
 					}
 					runs = append(runs, ar)
-					g, gerr := stats.Gini(ar.classSizes)
+					// Summarize records a Gini it could not compute as NaN.
 					gs := "-"
-					if gerr == nil {
+					if g := ar.summary.ClassSizeGini; !math.IsNaN(g) {
 						gs = trim(g)
 					}
 					precStr := "-"

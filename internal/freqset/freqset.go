@@ -21,18 +21,21 @@
 //     (Set.Len) is its count of (class, sensitive value) entries;
 //   - a bounded node → frequency-set cache per keying. Each node is rolled
 //     up (Incognito's roll-up property, LeFevre, DeWitt & Ramakrishnan
-//     2005) once, even under concurrent callers, from the smallest cached
-//     set that can be its source: a set at or below the node in every
-//     attribute whose fragments nest inside the node's. The base always
-//     qualifies. When no smaller set does, the node x rolls up from its hub
-//     h = min(x, 1) instead, one step up on every attribute x generalizes:
-//     the hub is rolled up first, as an ordinary cache entry, and its read
-//     goes to its first Get (or to Settle). The hub is skipped when it is x
-//     itself (which covers the bottom node) or when some attribute's ladder
-//     does not nest from level 1 into x's level. Searches that jump across
-//     the lattice (binary search by height, top-down walks) otherwise read
-//     the base on nearly every miss; the 2^q hubs are a handful of small
-//     sets that every node above them can share.
+//     2005) once, even under concurrent callers, from the smallest
+//     eligible set that can be its source: a set at or below the node in
+//     every attribute whose fragments nest inside the node's. Eligible are
+//     the base, the sets finished before the latest Fence and those the
+//     caller passes to Get, so what a roll-up reads depends on the
+//     requests, never on which concurrent roll-ups finish first. When the
+//     base is the smallest, the node x rolls up from its hub h = min(x, 1)
+//     instead, one step up on every attribute x generalizes: the hub is
+//     rolled up first, by the same rule, as an ordinary cache entry. The
+//     hub is skipped when it is x itself (which covers the bottom node) or
+//     when some attribute's ladder does not nest from level 1 into x's
+//     level. Searches that jump across the lattice (binary search by
+//     height, top-down walks) otherwise read the base on nearly every
+//     miss; the 2^q hubs are a handful of small sets that every node above
+//     them can share.
 //
 // Tables are sealed, so a store never goes stale. Callers scope a store
 // explicitly — one per generated table in the experiment runner — and hand
@@ -46,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"microdata/internal/dataset"
 	"microdata/internal/hierarchy"
@@ -136,6 +140,8 @@ type Store struct {
 	// keyings[0] groups on the quasi-identifiers alone, keyings[1] adds
 	// the sensitive code.
 	keyings [2]keying
+	// epoch counts Fence calls.
+	epoch atomic.Int64
 }
 
 // New returns an empty store for the table under the hierarchies, with

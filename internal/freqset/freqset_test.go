@@ -44,9 +44,10 @@ func TestNestingMaps(t *testing.T) {
 }
 
 // TestGetRollsUpOncePerNode has many goroutines ask one store for every
-// lattice node under both keyings: each (node, keying) is rolled up by
-// exactly one caller, the others wait for it and read nothing, and every
-// caller gets the same set.
+// lattice node under both keyings: each (node, keying) is rolled up by at
+// most one caller, which reports it — inside another node's Get when it is
+// that node's hub — the others wait for it and report no work, every set
+// is built exactly once, and every caller gets the same set.
 func TestGetRollsUpOncePerNode(t *testing.T) {
 	tab, err := generator.Generate(generator.Config{N: 300, Seed: 2})
 	if err != nil {
@@ -65,8 +66,8 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 	nodes := lat.Nodes()
 	const callers = 6
 	type got struct {
-		fs      *Set
-		scanned int
+		fs *Set
+		w  Work
 	}
 	results := make([][2][]got, callers)
 	var wg sync.WaitGroup
@@ -82,12 +83,12 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 					if c%2 == 1 {
 						ni = len(nodes) - 1 - i
 					}
-					fs, scanned, err := s.Get(nodes[ni], sens)
+					fs, w, err := s.Get(nodes[ni], sens)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					results[c][k][ni] = got{fs, scanned}
+					results[c][k][ni] = got{fs, w}
 				}
 			}
 		}(c)
@@ -96,6 +97,7 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	built := 0
 	for k := range []bool{false, true} {
 		for i, node := range nodes {
 			rolled := 0
@@ -104,12 +106,16 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 				if r.fs != results[0][k][i].fs {
 					t.Fatalf("keying %d node %v: callers got different sets", k, node)
 				}
-				if r.scanned > 0 {
+				if (r.w.Sets > 0) != (r.w.Read > 0) {
+					t.Fatalf("keying %d node %v: built %d sets reading %d", k, node, r.w.Sets, r.w.Read)
+				}
+				if r.w.Sets > 0 {
 					rolled++
 				}
+				built += r.w.Sets
 			}
-			if rolled != 1 {
-				t.Fatalf("keying %d node %v rolled up %d times, want once", k, node, rolled)
+			if rolled > 1 {
+				t.Fatalf("keying %d node %v rolled up %d times, want at most once", k, node, rolled)
 			}
 			if n := countRows(results[0][k][i].fs); n != tab.Len() {
 				t.Fatalf("keying %d node %v: counts sum to %d, want %d", k, node, n, tab.Len())
@@ -118,6 +124,9 @@ func TestGetRollsUpOncePerNode(t *testing.T) {
 	}
 	if got, want := s.Len(), 2*len(nodes); got != want {
 		t.Fatalf("store holds %d sets, want %d", got, want)
+	}
+	if built != s.Len() {
+		t.Fatalf("callers report %d sets built, the store holds %d: want each built once", built, s.Len())
 	}
 }
 
@@ -178,13 +187,13 @@ func censusStore(t *testing.T, n int, hs hierarchy.Set) (*Store, *lattice.Lattic
 }
 
 // TestFarNodeReadsItsHub asks a fresh census store first for a node far
-// above the bottom: it reads the N rows and its hub's tuples, not the
-// base's. The hub's own read of the base goes to the hub's first Get,
-// and nothing is left for Settle.
+// above the bottom: its Get builds the node and its hub, reading the N
+// rows, the base's tuples for the hub and the hub's for the node. A later
+// Get of the hub finds it built and reports no work.
 func TestFarNodeReadsItsHub(t *testing.T) {
 	s, lat := censusStore(t, 2000, generator.Hierarchies())
 	x := lat.Top()
-	fs, scanned, err := s.Get(x, false)
+	fs, w, err := s.Get(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,23 +201,23 @@ func TestFarNodeReadsItsHub(t *testing.T) {
 	if hub == nil || slices.Equal(hub, x) {
 		t.Fatalf("top node %v has no hub", x)
 	}
-	hs, claimed, err := s.Get(hub, false)
+	hs, hw, err := s.Get(hub, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := s.keyings[0].base
-	if want := s.t.Len() + hs.Len(); scanned != want {
-		t.Fatalf("node %v read %d rows and tuples, want N + its hub's %d = %d (the base holds %d)",
-			x, scanned, hs.Len(), want, base.Len())
-	}
 	if hs.Len() >= base.Len() {
 		t.Fatalf("hub %v holds %d tuples, the base %d: the test needs a smaller hub", hub, hs.Len(), base.Len())
 	}
-	if claimed != base.Len() {
-		t.Fatalf("hub %v's first Get claimed %d, want the base's %d tuples", hub, claimed, base.Len())
+	if want := (Work{Sets: 2, Read: s.t.Len() + base.Len() + hs.Len()}); w != want {
+		t.Fatalf("node %v did %+v, want its set and its hub's, reading N + the base's %d + the hub's %d: %+v",
+			x, w, base.Len(), hs.Len(), want)
 	}
-	if hubs, read := s.Settle(); hubs != 0 || read != 0 {
-		t.Fatalf("Settle claimed %d hubs reading %d after the hub's first Get", hubs, read)
+	if hw != (Work{}) {
+		t.Fatalf("hub %v's own Get did %+v, want nothing", hub, hw)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("store holds %d sets, want the node's and its hub's", s.Len())
 	}
 	if countRows(fs) != s.t.Len() || countRows(hs) != s.t.Len() {
 		t.Fatal("counts do not sum to N")
@@ -229,25 +238,73 @@ func TestNonNestedHubIsSkipped(t *testing.T) {
 		generator.MaritalTaxonomy(),
 	))
 	x := lattice.Node{2, 2, 1, 1}
-	if _, scanned, err := s.Get(x, false); err != nil {
+	if _, w, err := s.Get(x, false); err != nil {
 		t.Fatal(err)
-	} else if want := s.t.Len() + s.keyings[0].base.Len(); scanned != want {
-		t.Fatalf("node %v read %d rows and tuples, want N + the base's = %d", x, scanned, want)
+	} else if want := (Work{Sets: 1, Read: s.t.Len() + s.keyings[0].base.Len()}); w != want {
+		t.Fatalf("node %v did %+v, want its set alone, reading N + the base's: %+v", x, w, want)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("store holds %d sets, want only the node's: no hub", s.Len())
 	}
-	if hubs, _ := s.Settle(); hubs != 0 {
-		t.Fatalf("Settle found %d hubs", hubs)
+}
+
+// TestFenceBoundsTheSources pins the source rule: a miss rolls up from its
+// hub, the base, a set finished before the latest fence or a set the
+// caller passes, never from another set finished since the fence, even a
+// smaller one that could source it. None of the nodes but far has a hub:
+// no other has a level above 1.
+func TestFenceBoundsTheSources(t *testing.T) {
+	s, _ := censusStore(t, 2000, generator.Hierarchies())
+	read := func(node lattice.Node, from ...*Set) int {
+		t.Helper()
+		_, w, err := s.Get(node, false, from...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Read
+	}
+	far, hub := lattice.Node{2, 2, 0, 0}, lattice.Node{1, 1, 0, 0}
+	read(far)
+	hs, _, err := s.Get(hub, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.keyings[0].base
+	if hs.Len() >= base.Len() {
+		t.Fatalf("hub %v holds %d tuples, the base %d: the test needs a smaller hub", hub, hs.Len(), base.Len())
+	}
+	if before := (lattice.Node{1, 1, 1, 0}); read(before) != base.Len() {
+		t.Fatalf("node %v read hub %v's tuples, built since the last fence (there was none)", before, hub)
+	}
+	s.Fence()
+	if after := (lattice.Node{1, 1, 0, 1}); read(after) != hs.Len() {
+		t.Fatalf("node %v did not read hub %v's %d tuples after a fence", after, hub, hs.Len())
+	}
+	fine := lattice.Node{1, 0, 0, 0}
+	read(fine)
+	fs, _, err := s.Get(fine, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Len() >= base.Len() {
+		t.Fatalf("node %v holds %d tuples, the base %d: the test needs a smaller set", fine, fs.Len(), base.Len())
+	}
+	if unoffered := (lattice.Node{1, 0, 1, 1}); read(unoffered) != base.Len() {
+		t.Fatalf("node %v read node %v's tuples, finished since the fence and not passed", unoffered, fine)
+	}
+	if offered := (lattice.Node{1, 0, 0, 1}); read(offered, fs) != fs.Len() {
+		t.Fatalf("node %v did not read the %d tuples of node %v, passed as a source", offered, fs.Len(), fine)
 	}
 }
 
 // TestConcurrentSetsMatchBaseRollUp has callers ask one fresh store for
-// every node under both keyings, in opposite and interleaved orders, so
-// hubs are built inside other nodes' Gets: every node's set must equal,
-// as a (tuple → count) multiset, a reference rolled straight from the
-// base, and every node must be claimed exactly once between Get and
-// Settle.
+// every node under both keyings, in opposite and interleaved orders and
+// fencing as they go, so hubs are built inside other nodes' Gets and
+// sources come from every epoch: every node's set must equal, as a
+// (tuple → count) multiset, a reference rolled straight from the base;
+// each node is reported by at most one caller, and the sets built, summed
+// over all callers, must equal the sets resident in both keyings, so
+// every set is built exactly once.
 func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
 	s, lat := censusStore(t, 1500, generator.Hierarchies())
 	nodes := lat.Nodes()
@@ -255,6 +312,7 @@ func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	claimed := map[string]int{}
+	built := 0
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -267,16 +325,20 @@ func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
 					if c%2 == 1 {
 						ni = len(nodes) - 1 - ni
 					}
-					_, scanned, err := s.Get(nodes[ni], sens)
+					if i%7 == c {
+						s.Fence()
+					}
+					_, w, err := s.Get(nodes[ni], sens)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if scanned > 0 {
-						mu.Lock()
+					mu.Lock()
+					if w.Sets > 0 {
 						claimed[fmt.Sprint(sens, nodes[ni])]++
-						mu.Unlock()
 					}
+					built += w.Sets
+					mu.Unlock()
 				}
 			}
 		}(c)
@@ -285,14 +347,14 @@ func TestConcurrentSetsMatchBaseRollUp(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if hubs, _ := s.Settle(); hubs != 0 {
-		t.Fatalf("Settle claimed %d hubs that every caller asked for", hubs)
+	if want := 2 * len(nodes); s.Len() != want || built != want {
+		t.Fatalf("callers built %d sets, the store holds %d, want %d: each once", built, s.Len(), want)
 	}
 	for k, sens := range []bool{false, true} {
 		base := s.keyings[k].base
 		for _, node := range nodes {
-			if n := claimed[fmt.Sprint(sens, node)]; n != 1 {
-				t.Fatalf("keying %d node %v claimed %d times, want once", k, node, n)
+			if n := claimed[fmt.Sprint(sens, node)]; n > 1 {
+				t.Fatalf("keying %d node %v claimed %d times, want at most once", k, node, n)
 			}
 			fs, _, err := s.Get(node, sens)
 			if err != nil {

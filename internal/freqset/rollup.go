@@ -3,7 +3,6 @@ package freqset
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"microdata/internal/dataset"
 	"microdata/internal/eqclass"
@@ -44,115 +43,98 @@ type keying struct {
 	base     *Set
 	baseErr  error
 	sets     *lru.Cache[*entry]
-
-	// hubs lists the hubs rolled up inside another node's Get since the
-	// last Settle; their reads may still be unclaimed.
-	mu   sync.Mutex
-	hubs []*entry
 }
 
 // entry is one node's frequency set; done closes once fs or err is set,
 // so concurrent callers wait for the one roll-up instead of repeating it.
+// epoch is the store's epoch when the roll-up finished.
 type entry struct {
-	done chan struct{}
-	fs   *Set
-	err  error
-	// charge holds the rows and entries read to build a hub until its first
-	// Get or Settle claims them.
-	charge atomic.Int64
+	done  chan struct{}
+	fs    *Set
+	err   error
+	epoch int64
 }
 
 func newEntry() *entry { return &entry{done: make(chan struct{})} }
 
-// ready reports whether the entry holds a finished set.
-func (en *entry) ready() bool {
+// before reports whether the entry holds a set finished before epoch.
+func (en *entry) before(epoch int64) bool {
 	select {
 	case <-en.done:
-		return en.err == nil
+		return en.err == nil && en.epoch < epoch
 	default:
 		return false
 	}
 }
 
+// Fence starts a new epoch: the sets finished so far become roll-up
+// sources for the Gets that begin after it.
+func (s *Store) Fence() { s.epoch.Add(1) }
+
+// Work is what one Get rolled up: Sets counts the sets it built (its
+// node's, and its hub's when it built that too), Read every row and entry
+// they read (the N rows when it built the base, then each source's
+// Set.Len).
+type Work struct{ Sets, Read int }
+
 // Get returns node's frequency set under the keying — with sens, each
-// class carries its sensitive histogram. The first caller for a node rolls
-// it up; concurrent callers wait for that roll-up. scanned is the number
-// of rows and entries read to build the set, reported once, to the node's
-// first Get: the source's size (Set.Len), plus the N rows when this call
-// built the base. A hub rolled up inside another node's Get is an ordinary
-// entry, and its read goes to its own first Get, unless Settle claimed it
-// first.
-func (s *Store) Get(node lattice.Node, sens bool) (fs *Set, scanned int, err error) {
+// class carries its sensitive histogram — and the work the call did. The
+// first caller for a node rolls it up; concurrent callers wait for that
+// roll-up and report no work. A roll-up sources from the sets finished
+// before the latest Fence, the node's hub, and from: sets of the same
+// keying the caller holds, such as the node's predecessors'. So what it
+// reads depends on the requests, the fences and from, not on which
+// concurrent roll-ups happen to have finished.
+func (s *Store) Get(node lattice.Node, sens bool, from ...*Set) (*Set, Work, error) {
 	if err := s.Prepare(); err != nil {
-		return nil, 0, err
+		return nil, Work{}, err
 	}
 	if len(node) != len(s.attrs) {
-		return nil, 0, fmt.Errorf("freqset: node %v has %d levels for %d quasi-identifiers", node, len(node), len(s.attrs))
+		return nil, Work{}, fmt.Errorf("freqset: node %v has %d levels for %d quasi-identifiers", node, len(node), len(s.attrs))
 	}
 	for li, l := range node {
 		if l < 0 || l >= len(s.attrs[li].Levels) {
-			return nil, 0, fmt.Errorf("freqset: node %v out of range", node)
+			return nil, Work{}, fmt.Errorf("freqset: node %v out of range", node)
 		}
 	}
 	ky := &s.keyings[0]
 	if sens {
 		ky = &s.keyings[1]
 	}
+	return s.get(ky, node, sens, s.epoch.Load(), from)
+}
+
+// get returns node's set, rolling it up, and its hub first when no set
+// finished before epoch or in from is smaller than the base and can
+// source it.
+func (s *Store) get(ky *keying, node lattice.Node, sens bool, epoch int64, from []*Set) (*Set, Work, error) {
 	en, found := ky.sets.GetOrPut(node.Key(), newEntry)
 	if found {
 		<-en.done
-		return en.fs, int(en.charge.Swap(0)), en.err
+		return en.fs, Work{}, en.err
 	}
 	defer close(en.done)
-	en.fs, scanned, en.err = s.build(ky, node, sens)
-	return en.fs, scanned, en.err
-}
-
-// Settle claims the reads of the hubs whose first Get has not come yet,
-// and returns how many hubs it claimed and the rows and entries they read.
-// A caller that adds up Get's scanned and Settle's counts every read
-// exactly once, including that of a hub no caller ever asks for.
-func (s *Store) Settle() (hubs, scanned int) {
-	for i := range s.keyings {
-		ky := &s.keyings[i]
-		ky.mu.Lock()
-		pending := ky.hubs
-		ky.hubs = nil
-		ky.mu.Unlock()
-		for _, en := range pending {
-			if c := en.charge.Swap(0); c > 0 {
-				hubs++
-				scanned += int(c)
-			}
-		}
-	}
-	return hubs, scanned
-}
-
-// build rolls node up and returns its set and the rows and entries read.
-// When no cached set smaller than the base can source the node, it rolls
-// the node's hub up first and sources from that.
-func (s *Store) build(ky *keying, node lattice.Node, sens bool) (*Set, int, error) {
-	read := 0
+	var w Work
 	ky.baseOnce.Do(func() {
-		read = s.t.Len()
+		w.Read = s.t.Len()
 		ky.base, ky.baseErr = s.buildBase(sens)
 	})
-	if ky.baseErr != nil {
-		return nil, 0, ky.baseErr
+	if en.err = ky.baseErr; en.err != nil {
+		return nil, Work{}, en.err
 	}
-	src := s.source(ky, node)
+	src := s.source(ky, node, epoch, from)
 	if src == ky.base {
 		if h := s.hub(node); h != nil {
-			hub, err := s.rollHub(ky, h, sens)
-			if err != nil {
-				return nil, read, err
+			var hw Work
+			if src, hw, en.err = s.get(ky, h, sens, epoch, nil); en.err != nil {
+				return nil, Work{}, en.err
 			}
-			src = hub
+			w.Sets, w.Read = hw.Sets, w.Read+hw.Read
 		}
 	}
-	fs, err := s.rollUp(src, node)
-	return fs, read + src.Len(), err
+	en.fs, en.err = s.rollUp(src, node)
+	en.epoch = s.epoch.Load()
+	return en.fs, Work{Sets: w.Sets + 1, Read: w.Read + src.Len()}, en.err
 }
 
 // hub returns node x's hub min(x, 1): one step up on every attribute x
@@ -174,25 +156,6 @@ func (s *Store) hub(x lattice.Node) lattice.Node {
 		}
 	}
 	return h
-}
-
-// rollHub returns hub h's set, rolling it up unless a caller already has.
-// The hub is an ordinary cache entry: it is rolled up once, and its read
-// is charged to it, for its first Get or Settle to claim.
-func (s *Store) rollHub(ky *keying, h lattice.Node, sens bool) (*Set, error) {
-	en, found := ky.sets.GetOrPut(h.Key(), newEntry)
-	if found {
-		<-en.done
-		return en.fs, en.err
-	}
-	var read int
-	en.fs, read, en.err = s.build(ky, h, sens)
-	en.charge.Store(int64(read))
-	ky.mu.Lock()
-	ky.hubs = append(ky.hubs, en)
-	ky.mu.Unlock()
-	close(en.done)
-	return en.fs, en.err
 }
 
 // Len returns the number of frequency sets resident across both keyings.
@@ -239,15 +202,23 @@ func (s *Store) canSource(fs *Set, x lattice.Node) bool {
 	return true
 }
 
-// source picks the smallest finished set of the keying that node x can
-// roll up from; the base when none qualifies.
-func (s *Store) source(ky *keying, x lattice.Node) *Set {
+// source picks the smallest set of the keying, finished before epoch or
+// in from, that node x can roll up from; the base when none qualifies.
+func (s *Store) source(ky *keying, x lattice.Node, epoch int64, from []*Set) *Set {
 	best := ky.base
+	pick := func(fs *Set) {
+		if fs.Len() < best.Len() && s.canSource(fs, x) {
+			best = fs
+		}
+	}
 	ky.sets.Each(func(en *entry) {
-		if en.ready() && en.fs.Len() < best.Len() && s.canSource(en.fs, x) {
-			best = en.fs
+		if en.before(epoch) {
+			pick(en.fs)
 		}
 	})
+	for _, fs := range from {
+		pick(fs)
+	}
 	return best
 }
 
