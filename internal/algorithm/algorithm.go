@@ -349,16 +349,22 @@ func (r *ClassRule) violatesHistogram(sens, hist []uint32) bool {
 	case c.MaxTCloseness > 0 && r.sup.ClassEMD(sens, hist, r.local) > c.MaxTCloseness+1e-12:
 		return true
 	}
-	recursive := c.RecursiveC > 0 && c.RecursiveL > 0
-	if c.MinEntropyL <= 0 && !recursive {
+	if c.MinEntropyL > 0 {
+		var ok bool
+		if ok, r.counts = privacy.EntropyLAtLeast(hist, c.MinEntropyL, r.counts); !ok {
+			return true
+		}
+	}
+	if c.RecursiveC <= 0 || c.RecursiveL <= 0 {
 		return false
 	}
-	// EntropyL and RecursiveCL reorder their argument: hand them a copy.
-	r.counts = privacy.Counts(r.counts, hist)
-	if c.MinEntropyL > 0 && privacy.EntropyL(r.counts) < c.MinEntropyL-1e-12 {
+	// Fewer than ℓ distinct values fail recursive (c,ℓ) outright;
+	// otherwise RecursiveCL reorders its argument: hand it a copy.
+	if len(hist) < c.RecursiveL {
 		return true
 	}
-	return recursive && !privacy.RecursiveCL(r.counts, c.RecursiveC, c.RecursiveL)
+	r.counts = privacy.Counts(r.counts, hist)
+	return !privacy.RecursiveCL(r.counts, c.RecursiveC, c.RecursiveL)
 }
 
 // ApplyNode generalizes the table to the lattice node and reports which

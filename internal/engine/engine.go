@@ -458,34 +458,37 @@ func (e *Engine) price(fs *freqset.Set, node lattice.Node, bad []bool, badRows i
 // aligned with the input slice. It fences the store once and evaluates a
 // node after its direct predecessors in the batch, offering their sets as
 // roll-up sources, so the node's source is the same whichever worker gets
-// it. On error (including cancellation) the returned slice holds the
-// evaluations completed so far and the error reports the first failure;
-// a cancelled batch returns a *Canceled error wrapping the context error.
+// it. A node listed more than once is evaluated once, at its first
+// position, and every copy gets that evaluation. On error (including
+// cancellation) the returned slice holds the evaluations completed so far
+// and the error reports the first failure; a cancelled batch returns a
+// *Canceled error wrapping the context error.
 func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Evaluation, error) {
 	ctx, sp := telemetry.Start(ctx, "engine.evaluate_all", telemetry.Int("batch", len(nodes)))
 	defer sp.End()
+	kept, at := distinct(nodes)
 	b := &batch{
-		e: e, ctx: ctx, nodes: nodes, out: make([]*Evaluation, len(nodes)),
-		height: make([]int, len(nodes)), byHeight: make([]int, len(nodes)),
-		waits: make([]atomic.Int32, len(nodes)), ready: make(chan int, len(nodes)),
+		e: e, ctx: ctx, nodes: kept, out: make([]*Evaluation, len(kept)),
+		height: make([]int, len(kept)), byHeight: make([]int, len(kept)),
+		waits: make([]atomic.Int32, len(kept)), ready: make(chan int, len(kept)),
 	}
-	for i, x := range nodes {
+	for i, x := range kept {
 		b.height[i], b.byHeight[i] = x.Height(), i
 	}
 	slices.SortStableFunc(b.byHeight, func(i, j int) int { return b.height[i] - b.height[j] })
-	b.left.Store(int64(len(nodes)))
-	for i := range nodes {
+	b.left.Store(int64(len(kept)))
+	for i := range kept {
 		b.neighbours(i, -1, func(int) { b.waits[i].Add(1) })
 		if b.waits[i].Load() == 0 {
 			b.ready <- i
 		}
 	}
-	if len(nodes) == 0 {
+	if len(kept) == 0 {
 		close(b.ready)
 	}
 	e.store.Fence()
 	// The caller is one of the workers.
-	for w := min(runtime.GOMAXPROCS(0), len(nodes)); w > 1; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(kept)); w > 1; w-- {
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
@@ -497,7 +500,56 @@ func (e *Engine) EvaluateAll(ctx context.Context, nodes []lattice.Node) ([]*Eval
 	if err := ctx.Err(); err != nil && !isCanceled(b.err) {
 		b.err = &Canceled{Stats: e.Stats(), err: err}
 	}
-	return b.out, b.err
+	if at == nil {
+		return b.out, b.err
+	}
+	out := make([]*Evaluation, len(nodes))
+	for i, j := range at {
+		out[i] = b.out[j]
+	}
+	return out, b.err
+}
+
+// distinct returns nodes without their repeats, each node at its first
+// position, and at, where at[i] is the position of nodes[i] among them;
+// at is nil, and nodes returned as they are, when nothing repeats.
+func distinct(nodes []lattice.Node) (kept []lattice.Node, at []int) {
+	if len(nodes) < 2 {
+		return nodes, nil
+	}
+	// Sorted by level vector, then position, a node's copies are adjacent
+	// and its first copy leads. at[i] holds the position of nodes[i]'s
+	// first copy, then its position in kept.
+	buf := make([]int, 2*len(nodes))
+	order, at := buf[:len(nodes)], buf[len(nodes):]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := slices.Compare(nodes[i], nodes[j]); c != 0 {
+			return c
+		}
+		return i - j
+	})
+	repeats := false
+	for k, i := range order {
+		at[i] = i
+		if k > 0 && slices.Equal(nodes[i], nodes[order[k-1]]) {
+			at[i], repeats = at[order[k-1]], true
+		}
+	}
+	if !repeats {
+		return nodes, nil
+	}
+	for i, x := range nodes {
+		if at[i] == i {
+			at[i] = len(kept)
+			kept = append(kept, x)
+		} else {
+			at[i] = at[at[i]]
+		}
+	}
+	return kept, at
 }
 
 // batch is one EvaluateAll call. byHeight lists the positions by node

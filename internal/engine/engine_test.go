@@ -149,11 +149,12 @@ func TestEvaluateAllAlignsWithInput(t *testing.T) {
 // same on any machine, and reads the same rows and entries, since each
 // node's roll-up sources only from what the batch's nodes below it and
 // the batches before built (or from its hub), whichever worker gets it
-// first. It sweeps the whole lattice; a batch with gaps and repeats — the
-// top, a middle node and the bottom, twice each, coarse first — whose
-// nodes wait for batch nodes they do not cover directly and never for an
-// equal one; and an empty batch. It runs under both keyings: k-only, and
-// the lattice-diverse benchmark workload's DM with distinct ℓ=2 and
+// first, and evaluates each distinct node once. It sweeps the whole
+// lattice; a batch with gaps and repeats — the top, a middle node and the
+// bottom, twice each, coarse first — whose nodes wait for batch nodes
+// they do not cover directly, and whose repeats get their first copy's
+// evaluation; and an empty batch. It runs under both keyings: k-only,
+// and the lattice-diverse benchmark workload's DM with distinct ℓ=2 and
 // entropy ℓ=1.5.
 func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 	tab, kOnly, err := algtest.CensusConfig(400, 3, 11)
@@ -169,13 +170,17 @@ func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	top, mid, bottom := ref.Lattice().Top(), lattice.Node{1, 1, 1, 1}, ref.Lattice().Bottom()
-	batches := map[string][]lattice.Node{
-		"lattice": ref.Lattice().Nodes(),
-		"sparse":  {top, mid, top, bottom, mid, bottom},
-		"empty":   nil,
+	batches := map[string]struct {
+		nodes    []lattice.Node
+		distinct int64
+	}{
+		"lattice": {ref.Lattice().Nodes(), int64(ref.Lattice().Size())},
+		"sparse":  {[]lattice.Node{top, mid, top, bottom, mid, bottom}, 3},
+		"empty":   {nil, 0},
 	}
 	for name, cfg := range map[string]algorithm.Config{"k-only": kOnly, "diverse": diverse} {
-		for batch, nodes := range batches {
+		for batch, bt := range batches {
+			nodes := bt.nodes
 			sweep := func(procs int) ([]*engine.Evaluation, int64) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				eng, err := engine.New(tab, cfg)
@@ -185,6 +190,9 @@ func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 				evs, err := eng.EvaluateAll(context.Background(), nodes)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if st := eng.Stats(); st.NodesEvaluated != bt.distinct || st.CacheMisses != bt.distinct || st.CacheHits != 0 {
+					t.Fatalf("%s %s at GOMAXPROCS %d: %d evaluations, %d misses and %d hits for %d distinct nodes", name, batch, procs, st.NodesEvaluated, st.CacheMisses, st.CacheHits, bt.distinct)
 				}
 				return evs, eng.Stats().RowsScanned
 			}
@@ -198,6 +206,9 @@ func TestEvaluateAllSameAtAnyGOMAXPROCS(t *testing.T) {
 					w, g := want[i], got[i]
 					if !slices.Equal(g.Node, nodes[i]) || !slices.Equal(w.Node, nodes[i]) {
 						t.Fatalf("%s %s evaluation %d is for nodes %v and %v, want %v", name, batch, i, w.Node, g.Node, nodes[i])
+					}
+					if j := slices.IndexFunc(nodes, func(x lattice.Node) bool { return slices.Equal(x, nodes[i]) }); got[j] != g {
+						t.Fatalf("%s %s: node %v has two evaluations, at %d and %d", name, batch, nodes[i], j, i)
 					}
 					if g.BadRows != w.BadRows || g.Satisfies != w.Satisfies {
 						t.Fatalf("%s node %v: %d bad rows at GOMAXPROCS 4, %d at 1", name, w.Node, g.BadRows, w.BadRows)

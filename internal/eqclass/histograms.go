@@ -63,9 +63,9 @@ func (h *Histograms) Merge(ids []uint32, classes, card int) Histograms {
 }
 
 // merge sizes one bucket per class, scatters each item's entries into its
-// class's bucket, then merges equal codes bucket by bucket, compacting in
-// place. An item is one of from's classes, or a row holding codes[i] once
-// when from is nil.
+// class's bucket in pooled scratch, merges equal codes bucket by bucket,
+// compacting in place, and copies the merged entries out once. An item is
+// one of from's classes, or a row holding codes[i] once when from is nil.
 func merge(ids []uint32, classes int, from *Histograms, codes []uint32, card int) Histograms {
 	off := make([]uint32, classes+1)
 	for i, c := range ids {
@@ -79,8 +79,10 @@ func merge(ids []uint32, classes int, from *Histograms, codes []uint32, card int
 		off[c+1] += off[c]
 	}
 	n := off[classes]
-	sens, hist := make([]uint32, n), make([]uint32, n)
-	next := append([]uint32(nil), off[:classes]...)
+	buf := getUint32(2*int(n) + classes)
+	defer putUint32(buf)
+	sens, hist, next := buf[:n], buf[n:2*n], buf[2*n:]
+	copy(next, off[:classes])
 	for i, c := range ids {
 		p := next[c]
 		if from == nil {
@@ -114,10 +116,7 @@ func merge(ids []uint32, classes int, from *Histograms, codes []uint32, card int
 		}
 	}
 	off[classes] = w
-	if w < n {
-		// Histograms may live long (cached frequency sets): keep no
-		// merged-away tail.
-		sens, hist = append([]uint32(nil), sens[:w]...), append([]uint32(nil), hist[:w]...)
-	}
-	return Histograms{Off: off, Sens: sens, Hist: hist}
+	// The one allocation of the entries, exactly sized (histograms may
+	// live long, in cached frequency sets) and not zeroed first.
+	return Histograms{Off: off, Sens: append([]uint32(nil), sens[:w]...), Hist: append([]uint32(nil), hist[:w]...)}
 }

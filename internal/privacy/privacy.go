@@ -110,6 +110,50 @@ func EntropyL(counts []int) float64 {
 	return math.Exp(h)
 }
 
+// entropyMargin is the relative margin δ of EntropyLAtLeast's bounds, and
+// entropyBoundMaxD the most distinct values a class may hold for them to
+// apply. δ must exceed the relative error r of EntropyL against exp(H).
+// With u = 2⁻⁵³ and each division, Log, product and Exp within 1 ulp,
+// each term −q·ln q is off by at most 4u|q ln q| + 2uq, and the
+// recursive sum of d non-negative terms adds at most (d−1)u times their
+// sum H ≤ ln d. So H is off by at most (d+4)u(H+1) and r ≤ (d+4)u(ln d+1)
+// + 2u: 6.2e-7 at d = 2²⁸. The bound's own roundings (the count sums are
+// exact integers, each conversion and product rounds once) add under 8u.
+// Above 2²⁸ distinct values a class is computed in full.
+const (
+	entropyMargin    = 1e-6
+	entropyBoundMaxD = 1 << 28
+)
+
+// EntropyLAtLeast reports EntropyL(counts) >= l-1e-12 for one class's
+// histogram counts hist (nonzero, as in eqclass.Histograms), the entropy
+// ℓ-diversity rule, deciding it without computing the entropy H wherever
+// a bound settles it. For a class of N rows, d distinct values and
+// counts nᵢ, N²/Σnᵢ² ≤ exp(H) ≤ d: Shannon entropy is at least the
+// collision (Rényi-2) entropy and at most ln d. So a class with N² ≥
+// l(1+δ)Σnᵢ² passes and one with d < (l−1e-12)(1−δ) fails; δ covers
+// EntropyL's float error (entropyMargin), so the verdict is EntropyL's
+// bit for bit. Otherwise the counts are copied into scratch, whose
+// storage is reused and returned, and EntropyL decides.
+func EntropyLAtLeast(hist []uint32, l float64, scratch []int) (bool, []int) {
+	if d := len(hist); d <= entropyBoundMaxD {
+		var n, sq uint64
+		for _, c := range hist {
+			n += uint64(c)
+			sq += uint64(c) * uint64(c)
+		}
+		// Below 2³² rows N² fits a uint64 and Σnᵢ² ≤ N² does too.
+		if n > 0 && n <= math.MaxUint32 && float64(n*n) >= l*(1+entropyMargin)*float64(sq) {
+			return true, scratch
+		}
+		if float64(d) < (l-1e-12)*(1-entropyMargin) {
+			return false, scratch
+		}
+	}
+	scratch = Counts(scratch, hist)
+	return EntropyL(scratch) >= l-1e-12, scratch
+}
+
 // RecursiveCL reports whether one class with the given sensitive value
 // counts (any order; sorted in place, descending) is recursive
 // (c,ℓ)-diverse: r_1 < c·(r_ℓ + … + r_m). A class with fewer than ℓ
